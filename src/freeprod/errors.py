@@ -83,3 +83,7 @@ class EmptyCandidatesError(GroupError):
 
 class NotHyperbolicError(GroupError):
     """Axis requested for an element with a fixed vertex."""
+
+
+class VerificationError(GroupError):
+    """A computed answer failed its independent re-check."""

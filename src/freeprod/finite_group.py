@@ -133,6 +133,13 @@ class FiniteGroup:
                     return False
         return True
 
+    def are_conjugate(self, x: int, y: int) -> bool:
+        """Whether y = g*x*g^-1 for some g in the group."""
+        self.check_element(x)
+        self.check_element(y)
+        t, inv = self.table, self.inverses
+        return any(t[t[g][x]][inv[g]] == y for g in range(self.order))
+
     def conjugate_subgroup(self, subgroup: Iterable[int], g: int) -> tuple[int, ...]:
         """{g*h*g^-1 : h in subgroup}, sorted; requires an actual subgroup."""
         sub = tuple(subgroup)

@@ -209,22 +209,52 @@ class FPElement:
         the first syllable is conjugated off the front (merging it into the
         tail).  Any conjugator differing by a power of the core would be
         equally valid; this one is pinned so results are reproducible.
+
+        Linear time: two indices close in from both ends.  The conjugator is
+        the prefix they pass, and the core is the middle, plus the merged
+        syllable when the last merge leaves one.
         """
-        syl = list(self.syllables)
-        conj: list[tuple[int, int]] = []
+        s = self.syllables
         factors = self.group.factors
-        while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-            f, e = syl.pop(0)
-            conj.append((f, e))
-            lf, le = syl[-1]
-            m = factors[f].table[le][e]
-            if m == 0:
-                syl.pop()
-            else:
-                syl[-1] = (f, m)
+        i, j = 0, len(s)
+        tail: tuple[tuple[int, int], ...] = ()
+        while j - i >= 2 and s[i][0] == s[j - 1][0]:
+            f, e = s[i]
+            m = factors[f].table[s[j - 1][1]][e]
+            i += 1
+            j -= 1
+            if m:
+                # The merged syllable ends the core; the next front syllable
+                # lies in another factor, so the scan stops here.
+                tail = ((f, m),)
+                break
         return CyclicReduction(
-            FPElement(self.group, tuple(conj)), FPElement(self.group, tuple(syl))
+            FPElement(self.group, s[:i]), FPElement(self.group, s[i:j] + tail)
         )
+
+    def is_conjugate(self, other: FPElement) -> bool:
+        """Whether other = g * self * g^-1 for some g in the ambient group.
+
+        Exact, by the conjugacy theorem for free products (Lyndon-Schupp,
+        Combinatorial Group Theory, ch. IV, sec. 1): every element is
+        conjugate to its cyclic core; cores of norm 1 are conjugate iff they
+        lie in one factor and are conjugate there; cyclically reduced
+        elements of norm >= 2 are conjugate iff one syllable sequence is a
+        cyclic rotation of the other.
+        """
+        self._require_same_group(other)
+        a = self.cyclic_reduce().core.syllables
+        b = other.cyclic_reduce().core.syllables
+        n = len(a)
+        if n != len(b):
+            return False
+        if n == 0:
+            return True
+        if n == 1:
+            (f, e), (g, x) = a[0], b[0]
+            return f == g and self.group.factors[f].are_conjugate(e, x)
+        head = b[0]
+        return any(a[i] == head and a[i:] + a[:i] == b for i in range(n))
 
     def order(self) -> int | float:
         """Order of the element; INFINITE when the cyclic core has norm >= 2."""

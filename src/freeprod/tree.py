@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BadFactorIndexError, MixedAmbientError, NotHyperbolicError
+from .errors import (
+    BadFactorIndexError,
+    MixedAmbientError,
+    NotHyperbolicError,
+    VerificationError,
+)
 from .free_product import FPElement, FreeProduct
 
 
@@ -184,5 +189,6 @@ def axes_intersection(u: FPElement, v: FPElement, window: int) -> int | None:
     if not positions:
         return None
     # Two geodesics in a tree meet in a path, so positions are contiguous.
-    assert positions == list(range(positions[0], positions[-1] + 1))
+    if positions != list(range(positions[0], positions[-1] + 1)):
+        raise VerificationError("axis windows meet in a non-contiguous set")
     return positions[-1] - positions[0]

@@ -25,6 +25,7 @@ from .errors import (
     MixedAmbientError,
     UnboundVariableError,
     UnknownGeneratorError,
+    VerificationError,
     WordSyntaxError,
 )
 from .free_product import FPElement, FreeProduct
@@ -354,7 +355,18 @@ def solve_bounded(
     variable varying fastest), so the first solution is deterministic.
     Returns a Substitution or None in mode "first", the full list of
     solutions in mode "all"; an empty result certifies that no candidate
-    tuple satisfies the equation.
+    tuple satisfies the equation.  Every returned solution is re-evaluated
+    from scratch; a mismatch raises VerificationError.
+
+    Conjugacy gate: when the last variable y occurs exactly twice, with
+    opposite signs, the left side is P y^s B y^-s Q with P, B, Q free of y.
+    A solution needs y^s B y^-s = T with T = P^-1 rhs Q^-1, so T must be
+    conjugate to B.  FPElement.is_conjugate decides that exactly (the
+    conjugacy theorem for free products), so an outer tuple whose T and B
+    are not conjugate has no solution for any y and its inner loop is
+    skipped.  The skipped tuples are provably not solutions: the certificate
+    stays exhaustive, and both modes return the same solutions in the same
+    order as the plain search.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -374,7 +386,8 @@ def solve_bounded(
 
     def record(assignment: dict[int, FPElement]) -> Substitution:
         sub = Substitution.of(assignment)
-        assert evaluate(eq.lhs, sub) == eq.rhs  # re-verify on return
+        if evaluate(eq.lhs, sub) != eq.rhs:
+            raise VerificationError(f"search returned a non-solution {sub!r}")
         results.append(sub)
         return sub
 
@@ -383,22 +396,27 @@ def solve_bounded(
             record({})
         return (results[0] if results else None) if mode == "first" else results
 
-    # The last variable varies fastest, so split the word into segments that
-    # do not mention it; segment values are fixed across the inner loop.
+    # The last variable y varies fastest, so split the word into the runs
+    # between occurrences of y: lhs = W0 y^s1 W1 ... y^sk Wk.  Run values are
+    # fixed across the inner loop; the loop's plan skips empty runs.
     inner = variables[-1]
     outer = variables[:-1]
-    segments: list[tuple[str, object]] = []
-    run: list[Letter] = []
+    runs: list[list[Letter]] = [[]]
+    signs: list[int] = []
     for letter in eq.lhs.letters:
         if isinstance(letter, Var) and letter.index == inner:
-            if run:
-                segments.append(("word", MixedWord(group, run)))
-                run = []
-            segments.append(("inner", letter.sign))
+            signs.append(letter.sign)
+            runs.append([])
         else:
-            run.append(letter)
-    if run:
-        segments.append(("word", MixedWord(group, run)))
+            runs[-1].append(letter)
+    run_words = [MixedWord(group, run) for run in runs]
+    plan: list[tuple[str, int]] = []
+    for k, word in enumerate(run_words):
+        if k:
+            plan.append(("inner", signs[k - 1]))
+        if word.letters:
+            plan.append(("word", k))
+    conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
 
     rhs_syll = eq.rhs.syllables
     factors = group.factors
@@ -409,10 +427,15 @@ def solve_bounded(
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))
-        seg_sylls = [
-            (kind, evaluate(payload, assignment).syllables if kind == "word" else payload)
-            for kind, payload in segments
+        values = [
+            evaluate(word, assignment).syllables if word.letters else ()
+            for word in run_words
         ]
+        if conjugation_gate:
+            p, b, q = (FPElement(group, v) for v in values)
+            if not b.is_conjugate(p.inverse() * eq.rhs * q.inverse()):
+                continue
+        seg_sylls = [(kind, values[x] if kind == "word" else x) for kind, x in plan]
         for value, pos_sylls, neg_sylls in inner_values:
             out: list[tuple[int, int]] = []
             for kind, payload in seg_sylls:
@@ -484,7 +507,8 @@ def build_lemma4(group: FreeProduct, f_word: str) -> Lemma4Construction:
 
     eq = Equation(MixedWord(group, lhs_letters), rhs)
     sol = Substitution.of(assignment)
-    assert evaluate(eq.lhs, sol) == eq.rhs
+    if evaluate(eq.lhs, sol) != eq.rhs:
+        raise VerificationError("canonical solution does not solve the power equation")
     return Lemma4Construction(eq, p, tuple(exponents), sol)
 
 
@@ -564,7 +588,8 @@ def build_lemma5(
     }
     eq = Equation(lhs, rhs)
     sol = Substitution.of(assignment)
-    assert evaluate(eq.lhs, sol) == eq.rhs
+    if evaluate(eq.lhs, sol) != eq.rhs:
+        raise VerificationError("generator substitution does not solve the twisted equation")
     return Lemma5Construction(eq, n_const, sol)
 
 

@@ -233,3 +233,129 @@ def test_random_reduced_respects_bounds(p23):
         u = random_reduced(rng, p23, 2, 5)
         assert 2 <= u.norm <= 5
         assert p23.element(u.syllables) == u
+
+
+# -- linear cyclic reduction against the quadratic reference ------------------
+
+
+def cyclic_reduce_quadratic(u):
+    """The original list.pop(0) algorithm, kept as the reference for the
+    pinned conjugator and core: (conjugator syllables, core syllables)."""
+    syl = list(u.syllables)
+    conj = []
+    factors = u.group.factors
+    while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
+        f, e = syl.pop(0)
+        conj.append((f, e))
+        lf, le = syl[-1]
+        m = factors[f].table[le][e]
+        if m == 0:
+            syl.pop()
+        else:
+            syl[-1] = (f, m)
+    return tuple(conj), tuple(syl)
+
+
+def _split(u):
+    red = u.cyclic_reduce()
+    return red.conjugator.syllables, red.core.syllables
+
+
+def test_cyclic_reduce_matches_quadratic_reference_random(p23, s3z2, z6z2, p222):
+    rng = random.Random(41)
+    for group in (p23, s3z2, z6z2, p222):
+        for _ in range(300):
+            u = random_reduced(rng, group, 0, 12)
+            assert _split(u) == cyclic_reduce_quadratic(u)
+            g = random_reduced(rng, group, 0, 6)
+            v = u.conjugate(g)
+            assert _split(v) == cyclic_reduce_quadratic(v)
+
+
+def test_cyclic_reduce_matches_quadratic_reference_long_conjugates(p23, s3z2):
+    rng = random.Random(43)
+    for group in (p23, s3z2):
+        labels = group.generator_labels
+        w = group.generator(labels[0]) * group.generator(labels[-1])
+        for k in (1, 2, 7, 50, 300):
+            for _ in range(4):
+                x = random_reduced(rng, group, 0, 5)
+                u = w.power(k) * x * w.power(-k)
+                assert _split(u) == cyclic_reduce_quadratic(u)
+                assert u.cyclic_reduce().rebuild() == u
+
+
+# -- exact conjugacy ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=elements(_G), g=elements(_G))
+def test_is_conjugate_sound_under_conjugation(u, g):
+    v = g * u * g.inverse()
+    assert u.is_conjugate(v)
+    assert v.is_conjugate(u)
+
+
+def _factor_class(group, x):
+    t, inv = group.table, group.inverses
+    return {t[t[g][x]][inv[g]] for g in range(group.order)}
+
+
+def test_is_conjugate_norm_one_matches_factor_classes(s3z2, z6z2):
+    rng = random.Random(47)
+    for group in (s3z2, z6z2):
+        one = [
+            (f, e) for f, fg in enumerate(group.factors) for e in range(1, fg.order)
+        ]
+        for f, x in one:
+            cls = _factor_class(group.factors[f], x)
+            for g, y in one:
+                expected = f == g and y in cls
+                for _ in range(3):
+                    w1 = random_reduced(rng, group, 0, 4)
+                    w2 = random_reduced(rng, group, 0, 4)
+                    u = group.factor_element(f, x).conjugate(w1)
+                    v = group.factor_element(g, y).conjugate(w2)
+                    assert u.is_conjugate(v) is expected
+
+
+def test_is_conjugate_different_core_norms(p23, p222):
+    rng = random.Random(53)
+    for group in (p23, p222):
+        for _ in range(100):
+            u = random_reduced(rng, group, 0, 8)
+            v = random_reduced(rng, group, 0, 8)
+            cu = u.cyclic_reduce().core.norm
+            cv = v.cyclic_reduce().core.norm
+            if cu != cv:
+                assert not u.is_conjugate(v) and not v.is_conjugate(u)
+
+
+def test_is_conjugate_rotations(p23, s3z2, p222):
+    rng = random.Random(59)
+    for group in (p23, s3z2, p222):
+        for _ in range(40):
+            u = random_cyclically_reduced(rng, group, 2, 10)
+            s = u.syllables
+            for k in range(len(s)):
+                rot = group.element(s[k:] + s[:k])
+                assert rot.norm == u.norm
+                assert u.is_conjugate(rot) and rot.is_conjugate(u)
+
+
+def test_is_conjugate_matches_conjugator_search(p23, gens):
+    # Brute force: u ~ v iff some g with g u g^-1 = v.  For norms <= 3 a
+    # conjugator of norm <= 6 suffices (cyclic-reduction conjugators of both
+    # plus one rotation prefix), and the ball below holds all of them.
+    a, b = gens
+    one = p23.identity()
+    parts = [(0, (0, 1), one), (1, (0, 1, 2), one)]
+    small = enumerate_ball(p23, parts, 3)
+    conjugators = enumerate_ball(p23, parts, 6)
+    for u in small:
+        orbit = {g * u * g.inverse() for g in conjugators}
+        for v in small:
+            assert u.is_conjugate(v) is (v in orbit)
+    assert not (a * b).is_conjugate(a * b * b)
+    assert (a * b).is_conjugate(b * a)
+    assert not b.is_conjugate(b * b)

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from freeprod import tree
-from freeprod.errors import MixedAmbientError, NotHyperbolicError
+from freeprod.errors import MixedAmbientError, NotHyperbolicError, VerificationError
 from freeprod.free_product import INFINITE
 from freeprod.sampling import (
     random_cyclically_reduced,
@@ -293,3 +293,11 @@ def test_lemma7_axis_geometry(p23, p222):
             for v in (ElementVertex(group.identity()),
                       ElementVertex(a), CosetVertex(0, g)):
                 assert vertex_distance(v, act(x, v)) >= bound
+
+
+def test_axes_intersection_rejects_non_contiguous_windows(p23, monkeypatch):
+    a, b = p23.generator("a"), p23.generator("b")
+    u, v = a * b, b * a
+    monkeypatch.setattr(tree, "axis_vertices", lambda w, n: [1, 2, 3] if w is u else [1, 3])
+    with pytest.raises(VerificationError):
+        axes_intersection(u, v, 2)

@@ -11,10 +11,11 @@ from freeprod.errors import (
     EmptyWordError,
     UnboundVariableError,
     UnknownGeneratorError,
+    VerificationError,
     WordSyntaxError,
 )
-from freeprod.finite_group import make_cyclic
-from freeprod.free_product import INFINITE, FreeProduct, enumerate_ball
+from freeprod.finite_group import FiniteGroup, make_cyclic
+from freeprod.free_product import INFINITE, FPElement, FreeProduct, enumerate_ball
 from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
     Const,
@@ -134,16 +135,69 @@ def naive_all_solutions(eq, candidates):
     return out
 
 
-def test_solve_bounded_all_matches_naive_oracle(p23):
+def assert_matches_oracle(eq, cand):
+    candidates = {v: cand for v in eq.lhs.free_variables()}
+    fast = solve_bounded(eq, candidates, mode="all")
+    assert fast == naive_all_solutions(eq, candidates)
+    first = solve_bounded(eq, candidates, mode="first")
+    assert first == (fast[0] if fast else None)
+    return fast
+
+
+def spy_is_conjugate(monkeypatch):
+    """Record (self, other, result) for every FPElement.is_conjugate call."""
+    calls = []
+    real = FPElement.is_conjugate
+
+    def spy(self, other):
+        result = real(self, other)
+        calls.append((self, other, result))
+        return result
+
+    monkeypatch.setattr(FPElement, "is_conjugate", spy)
+    return calls
+
+
+def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
+    calls = spy_is_conjugate(monkeypatch)
     rng = random.Random(5)
     cand = [random_reduced(rng, p23, 0, 2) for _ in range(5)]
-    for text in ("x1 x2 = a", "[x1,x2] = 1", "x1 x2 x1 = b", "x1^2 x2 = a b"):
+    one = p23.identity()
+    ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 3)
+    for text in (
+        "x1 x2 = a",
+        "[x1,x2] = 1",
+        "x1 x2 x1 = b",
+        "x1^2 x2 = a b",
+        # P y^s B y^-s Q with y = x2: the conjugacy gate applies
+        "x1 x2 x1 x2^-1 = a",
+        "x2^-1 x1 b x2 = a b",
+        "x1 x2 b x2^-1 x1 = 1",
+        "x2 x1 x2^-1 = b^2",
+        "x1 x2 a x2^-1 = b a b",
+        "x2 x2^-1 x1 = a",
+        # y twice with the same sign: the gate does not apply
+        "x2 x1 x2 = b",
+    ):
         eq = parse_equation(text, p23)
-        candidates = {v: cand for v in eq.lhs.free_variables()}
-        fast = solve_bounded(eq, candidates, mode="all")
-        assert fast == naive_all_solutions(eq, candidates)
-        first = solve_bounded(eq, candidates, mode="first")
-        assert first == (fast[0] if fast else None)
+        for c in (cand, ball):
+            assert_matches_oracle(eq, c)
+    outcomes = {result for _, _, result in calls}
+    assert outcomes == {True, False}
+
+
+def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
+    # x2 x1 x2^-1 = a b: the target a b is a rotation in S3, so x1 = a (a
+    # reflection) has a norm-1 core in the same factor but another class.
+    calls = spy_is_conjugate(monkeypatch)
+    one = s3z2.identity()
+    ball = enumerate_ball(s3z2, [(0, range(6), one), (1, (0, 1), one)], 2)
+    eq = parse_equation("x2 x1 x2^-1 = a b", s3z2)
+    assert assert_matches_oracle(eq, ball)
+    a = s3z2.generator("a")
+    rejected = [(b, t) for b, t, result in calls if not result]
+    assert (a, eq.rhs) in rejected
+    assert a.cyclic_reduce().core.syllables[0][0] == eq.rhs.syllables[0][0]
 
 
 def test_solve_bounded_certifies_no_solution(p22):
@@ -264,8 +318,7 @@ def test_build_lemma5_generator_solution(z6z2):
     assert cons.g_solution[1] == z6z2.generator("a")
 
 
-def test_lemma5_ball_search_no_solution(z6z2):
-    cons = build_lemma5(z6z2, "a b", "c", 3, 2)
+def lemma5_desk_ball(z6z2, depth):
     f = parse_constant("a b", z6z2)
     factor, fe = f.syllables[0]
     fgrp = z6z2.factors[factor]
@@ -273,11 +326,53 @@ def test_lemma5_ball_search_no_solution(z6z2):
         (factor, fgrp.generated_subgroup([fgrp.power(fe, 3)]), z6z2.identity()),
         (factor, fgrp.generated_subgroup([fgrp.power(fe, 2)]), z6z2.generator("c")),
     ]
-    ball = enumerate_ball(z6z2, parts, 6)
+    return enumerate_ball(z6z2, parts, depth)
+
+
+def test_lemma5_ball_search_no_solution(z6z2):
+    cons = build_lemma5(z6z2, "a b", "c", 3, 2)
+    ball = lemma5_desk_ball(z6z2, 6)
     found = solve_bounded(
         cons.equation, {v: ball for v in cons.equation.lhs.free_variables()}
     )
     assert found is None
+
+
+def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
+    # lhs = (x1 x2)^39 x3 (x1 x2)^26 x3^-1: one conjugacy test per (x1, x2)
+    # pair, and none passes, so no inner x3 loop runs.
+    cons = build_lemma5(z6z2, "a b", "c", 3, 2)
+    ball = lemma5_desk_ball(z6z2, 6)
+    assert len(ball) == 50
+    calls = spy_is_conjugate(monkeypatch)
+    assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}) is None
+    assert len(calls) == 2500
+    assert not any(result for _, _, result in calls)
+
+
+# -- re-verification that survives python -O ----------------------------------
+
+
+def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
+    eq = parse_equation("x1 = a", p23)
+
+    def seam_that_always_matches(out, sylls, factors):
+        out[:] = eq.rhs.syllables
+
+    monkeypatch.setattr(words, "_extend_reduced", seam_that_always_matches)
+    with pytest.raises(VerificationError):
+        solve_bounded(eq, {1: [p23.generator("b")]}, mode="first")
+
+
+def test_constructions_reverify_their_solutions(p23, z6z2, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "power", lambda self, x, k: x)
+        with pytest.raises(VerificationError):
+            build_lemma4(p23, "a b")
+    with monkeypatch.context() as m:
+        m.setattr(FPElement, "power", lambda self, k: self)
+        with pytest.raises(VerificationError):
+            build_lemma5(z6z2, "a b", "c", 3, 2)
 
 
 # -- exhaustive case verification against an independent model ---------------
