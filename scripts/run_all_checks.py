@@ -29,10 +29,14 @@ CHECKS = [
       "--trials", "100", "--seed", "0"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "6"], 0),
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "8"], 0),
     (["verify-lemma7", "--group", str(CASES / "p23.grp"),
       "--trials", "1000", "--seed", "0"], 0),
     (["axis", "--group", str(CASES / "p23.grp"),
       "--word", "a b", "--window", "1"], 0),
+    (["order", "--group", str(CASES / "p23.grp"),
+      "--word", "a^100000000000"], 0),
 ]
 
 

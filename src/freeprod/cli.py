@@ -12,6 +12,7 @@ Exit codes: 0 = pass/solved, 1 = violation or no solution found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -335,7 +336,10 @@ def _cmd_axis(args):
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="freeprod",
         description="exact computation in free products of finite groups",

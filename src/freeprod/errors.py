@@ -87,3 +87,7 @@ class NotHyperbolicError(GroupError):
 
 class VerificationError(GroupError):
     """A computed answer failed its independent re-check."""
+
+
+class PowerTooLargeError(GroupError):
+    """A power's normal form or expansion would exceed the size cap."""

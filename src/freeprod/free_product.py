@@ -18,6 +18,7 @@ from .errors import (
     MixedAmbientError,
     NotASubgroupError,
     OrderTooSmallError,
+    PowerTooLargeError,
     TrivialSubgroupError,
     UnknownGeneratorError,
 )
@@ -28,6 +29,94 @@ INFINITE = math.inf
 
 #: A syllable is a plain (factor_index, element_id) pair.
 Syllable = tuple[int, int]
+
+#: Largest normal form, in syllables, that power_syllables builds; a larger
+#: power raises PowerTooLargeError before anything is allocated.
+MAX_POWER_SYLLABLES = 10**7
+
+
+def _inverse_syllables(factors, s: Sequence[Syllable]) -> tuple[Syllable, ...]:
+    return tuple([(f, factors[f].inverses[e]) for f, e in reversed(s)])
+
+
+def _cyclic_split(factors, s: tuple[Syllable, ...]) -> tuple[int, tuple[Syllable, ...]]:
+    """(i, core) with s = c * core * c^-1 for the conjugator c = s[:i] and a
+    cyclically reduced core; see FPElement.cyclic_reduce."""
+    i, j = 0, len(s)
+    tail: tuple[Syllable, ...] = ()
+    while j - i >= 2 and s[i][0] == s[j - 1][0]:
+        f, e = s[i]
+        m = factors[f].table[s[j - 1][1]][e]
+        i += 1
+        j -= 1
+        if m:
+            # The merged syllable ends the core; the next front syllable
+            # lies in another factor, so the scan stops here.
+            tail = ((f, m),)
+            break
+    return i, s[i:j] + tail
+
+
+def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllable, ...]:
+    """Normal form of u^k for a reduced syllable sequence u.
+
+    With u = c * core * c^-1 its cyclic reduction (c = u[:i]), u^k is
+    c * core^k * c^-1, and for k < 0 it is (u^-1)^-k:
+    - core of norm 0: u is the identity, and so is u^k;
+    - core (f, e) of norm 1: the core is the syllable u[i], and u^k replaces
+      it by e^(k mod order), found by walking the factor's table;
+    - core of norm >= 2: the core is cyclically reduced, so its copies do not
+      cancel and u^k = u[:i] + core * (k - 1) + u[i:] (u[i:] is one core
+      followed by c^-1, merged at the seam when the scan merged a syllable).
+    The output size is checked against MAX_POWER_SYLLABLES before the result
+    is built.
+    """
+    s = tuple(sylls)
+    if k < 0:
+        s, k = _inverse_syllables(factors, s), -k
+    if not s or k == 0:
+        return ()
+    i, core = _cyclic_split(factors, s)
+    if len(core) == 1:
+        # No merged syllable: s = s[:i] + core + s[i + 1:], all reduced.
+        (f, e), = core
+        table = factors[f].table
+        cycle = [0]
+        y = e
+        while y:
+            cycle.append(y)
+            y = table[y][e]
+        y = cycle[k % len(cycle)]
+        return s[:i] + ((f, y),) + s[i + 1:] if y else ()
+    size = len(s) + len(core) * (k - 1)
+    if size > MAX_POWER_SYLLABLES:
+        raise PowerTooLargeError(
+            f"power has {size} syllables, above the cap of {MAX_POWER_SYLLABLES}"
+        )
+    return s[:i] + core * (k - 1) + s[i:]
+
+
+def _is_rotation(a: Sequence[Syllable], b: Sequence[Syllable]) -> bool:
+    """Whether b (as long as a) is a cyclic rotation of a: a
+    Knuth-Morris-Pratt search for b in a + a, linear time."""
+    n = len(b)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and b[i] != b[k]:
+            k = fail[k - 1]
+        if b[i] == b[k]:
+            k += 1
+        fail[i] = k
+    k = 0
+    for x in a + a[:-1]:
+        while k and x != b[k]:
+            k = fail[k - 1]
+        if x == b[k]:
+            k += 1
+            if k == n:
+                return True
+    return False
 
 
 class FreeProduct:
@@ -167,28 +256,15 @@ class FPElement:
         return FPElement(self.group, tuple(a))
 
     def inverse(self) -> FPElement:
-        factors = self.group.factors
-        return FPElement(
-            self.group,
-            tuple((f, factors[f].inverses[e]) for f, e in reversed(self.syllables)),
-        )
+        return FPElement(self.group, _inverse_syllables(self.group.factors, self.syllables))
 
     def __invert__(self) -> FPElement:
         return self.inverse()
 
     def power(self, k: int) -> FPElement:
-        """k-th power by square-and-multiply on normal forms."""
-        if k < 0:
-            return self.inverse().power(-k)
-        out = FPElement(self.group, ())
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        """k-th power from the cyclic reduction (see power_syllables);
+        PowerTooLargeError when the result would exceed MAX_POWER_SYLLABLES."""
+        return FPElement(self.group, power_syllables(self.group.factors, self.syllables, k))
 
     def __pow__(self, k: int) -> FPElement:
         return self.power(k)
@@ -214,22 +290,9 @@ class FPElement:
         the prefix they pass, and the core is the middle, plus the merged
         syllable when the last merge leaves one.
         """
-        s = self.syllables
-        factors = self.group.factors
-        i, j = 0, len(s)
-        tail: tuple[tuple[int, int], ...] = ()
-        while j - i >= 2 and s[i][0] == s[j - 1][0]:
-            f, e = s[i]
-            m = factors[f].table[s[j - 1][1]][e]
-            i += 1
-            j -= 1
-            if m:
-                # The merged syllable ends the core; the next front syllable
-                # lies in another factor, so the scan stops here.
-                tail = ((f, m),)
-                break
+        i, core = _cyclic_split(self.group.factors, self.syllables)
         return CyclicReduction(
-            FPElement(self.group, s[:i]), FPElement(self.group, s[i:j] + tail)
+            FPElement(self.group, self.syllables[:i]), FPElement(self.group, core)
         )
 
     def is_conjugate(self, other: FPElement) -> bool:
@@ -240,7 +303,8 @@ class FPElement:
         conjugate to its cyclic core; cores of norm 1 are conjugate iff they
         lie in one factor and are conjugate there; cyclically reduced
         elements of norm >= 2 are conjugate iff one syllable sequence is a
-        cyclic rotation of the other.
+        cyclic rotation of the other, which a linear-time string search of
+        one core in the other core doubled decides.
         """
         self._require_same_group(other)
         a = self.cyclic_reduce().core.syllables
@@ -253,8 +317,7 @@ class FPElement:
         if n == 1:
             (f, e), (g, x) = a[0], b[0]
             return f == g and self.group.factors[f].are_conjugate(e, x)
-        head = b[0]
-        return any(a[i] == head and a[i:] + a[:i] == b for i in range(n))
+        return _is_rotation(a, b)
 
     def order(self) -> int | float:
         """Order of the element; INFINITE when the cyclic core has norm >= 2."""

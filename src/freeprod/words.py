@@ -6,10 +6,14 @@ The word grammar (exact):
     term := atom ('^' (int | atom))?
     atom := VARNAME | GENLABEL | '1' | '(' word ')' | '[' word ',' word ']'
 
-VARNAME matches x[0-9]+; int is a signed decimal.  ``h^g`` denotes the
-conjugate g*h*g^-1 and ``[u, v]`` the commutator u*v*u^-1*v^-1; both are
-desugared during parsing, so a MixedWord is a flat sequence of variable and
-constant letters.  ``1`` is the identity (it contributes no letters).
+VARNAME matches x[0-9]+; int is a signed decimal.  A MixedWord is a
+sequence of items: variable letters (Var), constant letters (Const) and
+powers (Pow).  ``u^k`` with |k| >= 2 stays one item Pow(u, k), so the word
+and the cost of evaluating it do not grow with k; ``u^1`` is u and ``u^-1``
+is u inverted item by item, so ``x2^-1`` is the letter Var(2, -1).  ``h^g``
+denotes the conjugate g*h*g^-1 and ``[u, v]`` the commutator
+u*v*u^-1*v^-1; both are desugared into items during parsing.  ``1`` is the
+identity (it contributes no items).
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from .errors import (
     EmptyCandidatesError,
     EmptyWordError,
     MixedAmbientError,
+    PowerTooLargeError,
     UnboundVariableError,
     UnknownGeneratorError,
     VerificationError,
     WordSyntaxError,
 )
-from .free_product import FPElement, FreeProduct
+from .free_product import MAX_POWER_SYLLABLES, FPElement, FreeProduct, power_syllables
 
 _VARIABLE_RE = re.compile(r"x([0-9]+)")
 
@@ -44,24 +49,34 @@ class Const:
     value: FPElement
 
 
-Letter = Var | Const
+@dataclass(frozen=True)
+class Pow:
+    """body^k as one item; its inverse is Pow(body, -k)."""
+
+    body: tuple[Item, ...]
+    k: int
+
+
+Item = Var | Const | Pow
 
 
 class MixedWord:
-    """A word over variables x1, x2, ... and constants of one ambient group."""
+    """A word over variables x1, x2, ... and constants of one ambient group.
+
+    ``letters`` is the tuple of top-level items; a power is one Pow item
+    however large its exponent.
+    """
 
     __slots__ = ("group", "letters")
 
-    def __init__(self, group: FreeProduct, letters: Iterable[Letter]):
+    def __init__(self, group: FreeProduct, letters: Iterable[Item]):
         letters = tuple(letters)
-        for letter in letters:
-            if isinstance(letter, Const) and letter.value.group is not group:
-                raise MixedAmbientError("constant from a different ambient group")
+        _check_ambient(letters, group)
         self.group = group
         self.letters = letters
 
     def free_variables(self) -> tuple[int, ...]:
-        return tuple(sorted({l.index for l in self.letters if isinstance(l, Var)}))
+        return tuple(sorted(_variables(self.letters)))
 
     def concat(self, other: MixedWord) -> MixedWord:
         if other.group is not self.group:
@@ -69,12 +84,10 @@ class MixedWord:
         return MixedWord(self.group, self.letters + other.letters)
 
     def inverse(self) -> MixedWord:
-        return MixedWord(self.group, _invert_letters(self.letters))
+        return MixedWord(self.group, _invert(self.letters))
 
     def repeat(self, k: int) -> MixedWord:
-        if k < 0:
-            return self.inverse().repeat(-k)
-        return MixedWord(self.group, self.letters * k)
+        return MixedWord(self.group, _power(self.letters, k))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixedWord):
@@ -85,23 +98,80 @@ class MixedWord:
         return hash(self.letters)
 
     def __repr__(self) -> str:
-        bits = []
-        for l in self.letters:
-            if isinstance(l, Var):
-                bits.append(f"x{l.index}" + ("" if l.sign > 0 else "^-1"))
-            else:
-                v = l.value.as_word()
-                bits.append(v if " " not in v else f"({v})")
-        return f"MixedWord({' '.join(bits) or '1'})"
+        return f"MixedWord({_render(self.letters)})"
 
 
-def _invert_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for l in reversed(letters):
+def _render(items: Sequence[Item]) -> str:
+    bits = []
+    for l in items:
+        if isinstance(l, Var):
+            bits.append(f"x{l.index}" + ("" if l.sign > 0 else "^-1"))
+        elif isinstance(l, Const):
+            v = l.value.as_word()
+            bits.append(v if " " not in v else f"({v})")
+        else:
+            bits.append(f"({_render(l.body)})^{l.k}")
+    return " ".join(bits) or "1"
+
+
+def _check_ambient(items: Sequence[Item], group: FreeProduct) -> None:
+    for l in items:
+        if isinstance(l, Const) and l.value.group is not group:
+            raise MixedAmbientError("constant from a different ambient group")
+        if isinstance(l, Pow):
+            _check_ambient(l.body, group)
+
+
+def _variables(items: Sequence[Item]) -> set[int]:
+    out: set[int] = set()
+    for l in items:
+        if isinstance(l, Var):
+            out.add(l.index)
+        elif isinstance(l, Pow):
+            out |= _variables(l.body)
+    return out
+
+
+def _invert(items: Sequence[Item]) -> tuple[Item, ...]:
+    out: list[Item] = []
+    for l in reversed(items):
         if isinstance(l, Var):
             out.append(Var(l.index, -l.sign))
-        else:
+        elif isinstance(l, Const):
             out.append(Const(l.value.inverse()))
+        else:
+            out.append(Pow(l.body, -l.k))
+    return tuple(out)
+
+
+def _power(items: tuple[Item, ...], k: int) -> tuple[Item, ...]:
+    if k == 1:
+        return items
+    if k == -1:
+        return _invert(items)
+    if k == 0 or not items:
+        return ()
+    return (Pow(items, k),)
+
+
+def _expand(items: Sequence[Item], var: int | None = None) -> tuple[Item, ...]:
+    """The items with each Pow written out as copies of its body; only the
+    Pows that contain variable ``var`` when it is given."""
+    out: list[Item] = []
+    for l in items:
+        if isinstance(l, Pow) and (var is None or var in _variables(l.body)):
+            body = _expand(l.body, var)
+            if l.k < 0:
+                body = _invert(body)
+            size = len(body) * abs(l.k)
+            if size > MAX_POWER_SYLLABLES:
+                raise PowerTooLargeError(
+                    f"expanding a power gives {size} letters, above the cap of "
+                    f"{MAX_POWER_SYLLABLES}"
+                )
+            out.extend(body * abs(l.k))
+        else:
+            out.append(l)
     return tuple(out)
 
 
@@ -186,14 +256,14 @@ class _WordParser:
         if tok != ("sym", sym):
             raise WordSyntaxError(f"expected {sym!r}, got {tok[1]!r}")
 
-    def parse(self) -> tuple[Letter, ...]:
+    def parse(self) -> tuple[Item, ...]:
         letters = self.word()
         if self.peek() is not None:
             raise WordSyntaxError(f"trailing input near {self.peek()[1]!r}")
         return letters
 
-    def word(self) -> tuple[Letter, ...]:
-        out: list[Letter] = []
+    def word(self) -> tuple[Item, ...]:
+        out: list[Item] = []
         first = True
         while True:
             tok = self.peek()
@@ -204,7 +274,7 @@ class _WordParser:
             out.extend(self.term())
             first = False
 
-    def term(self) -> tuple[Letter, ...]:
+    def term(self) -> tuple[Item, ...]:
         base = self.atom()
         if self.peek() == ("sym", "^"):
             self.take()
@@ -221,10 +291,10 @@ class _WordParser:
                 self.take()
                 return _power(base, int(tok[1]))
             conj = self.atom()
-            return conj + base + _invert_letters(conj)
+            return conj + base + _invert(conj)
         return base
 
-    def atom(self) -> tuple[Letter, ...]:
+    def atom(self) -> tuple[Item, ...]:
         kind, text = self.take()
         if kind == "ident":
             m = _VARIABLE_RE.fullmatch(text)
@@ -246,20 +316,12 @@ class _WordParser:
             self.expect(",")
             v = self.word()
             self.expect("]")
-            return u + v + _invert_letters(u) + _invert_letters(v)
+            return u + v + _invert(u) + _invert(v)
         raise WordSyntaxError(f"unexpected {text!r}")
 
 
-def _power(letters: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
-    if k == 0:
-        return ()
-    if k < 0:
-        return _invert_letters(letters) * (-k)
-    return letters * k
-
-
 def parse_word(text: str, group: FreeProduct) -> MixedWord:
-    """Parse word text into a fully desugared MixedWord."""
+    """Parse word text into a MixedWord; powers stay Pow items."""
     return MixedWord(group, _WordParser(text, group).parse())
 
 
@@ -290,37 +352,54 @@ def _as_assignment(substitution) -> dict[int, FPElement]:
 
 
 def evaluate(word: MixedWord, substitution) -> FPElement:
-    """Substitute and reduce; the substitution must cover all free variables."""
-    assignment = _as_assignment(substitution)
-    group = word.group
-    factors = group.factors
-    cache: dict[tuple[int, int], tuple] = {}
+    """Substitute and reduce; the substitution must cover all free variables.
+
+    A Pow item's body is evaluated once and powered by power_syllables, so
+    the cost does not grow with the exponent.
+    """
     out: list[tuple[int, int]] = []
-    for letter in word.letters:
-        if type(letter) is Var:
-            key = (letter.index, letter.sign)
+    _evaluate_into(out, word.letters, word.group, _as_assignment(substitution), {})
+    return FPElement(word.group, tuple(out))
+
+
+def _evaluate_into(out: list, items: Sequence[Item], group: FreeProduct, assignment, cache) -> None:
+    """Append the value of ``items`` to the reduced syllable list ``out``."""
+    factors = group.factors
+    for item in items:
+        kind = type(item)
+        if kind is Var:
+            key = (item.index, item.sign)
             sylls = cache.get(key)
             if sylls is None:
                 try:
-                    value = assignment[letter.index]
+                    value = assignment[item.index]
                 except KeyError:
-                    raise UnboundVariableError(f"x{letter.index} is unbound") from None
+                    raise UnboundVariableError(f"x{item.index} is unbound") from None
                 if not isinstance(value, FPElement) or value.group is not group:
-                    raise MixedAmbientError(f"value for x{letter.index} has wrong ambient")
-                sylls = value.syllables if letter.sign > 0 else value.inverse().syllables
+                    raise MixedAmbientError(f"value for x{item.index} has wrong ambient")
+                sylls = value.syllables if item.sign > 0 else value.inverse().syllables
                 cache[key] = sylls
+        elif kind is Const:
+            sylls = item.value.syllables
         else:
-            sylls = letter.value.syllables
-        for f, e in sylls:
-            if out and out[-1][0] == f:
-                m = factors[f].table[out[-1][1]][e]
-                if m == 0:
-                    out.pop()
-                else:
-                    out[-1] = (f, m)
-            else:
-                out.append((f, e))
-    return FPElement(group, tuple(out))
+            body: list[tuple[int, int]] = []
+            _evaluate_into(body, item.body, group, assignment, cache)
+            sylls = power_syllables(factors, body, item.k)
+        # Both sides are reduced, so cancellation happens only at the seam.
+        # Not _extend_reduced: solve_bounded re-checks its search with this.
+        i, n = 0, len(sylls)
+        while out and i < n:
+            f, e = sylls[i]
+            lf, le = out[-1]
+            if lf != f:
+                break
+            m = factors[f].table[le][e]
+            i += 1
+            if m:
+                out[-1] = (f, m)
+                break
+            out.pop()
+        out.extend(sylls[i:] if i else sylls)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +437,19 @@ def solve_bounded(
     tuple satisfies the equation.  Every returned solution is re-evaluated
     from scratch; a mismatch raises VerificationError.
 
-    Conjugacy gate: when the last variable y occurs exactly twice, with
-    opposite signs, the left side is P y^s B y^-s Q with P, B, Q free of y.
+    The left side is split into runs between occurrences of the last
+    variable y; only the powers that contain y are written out for this.
+
+    Conjugacy gate: when y occurs exactly twice, with opposite signs, the
+    left side is P y^s B y^-s Q with P, B, Q free of y.
     A solution needs y^s B y^-s = T with T = P^-1 rhs Q^-1, so T must be
     conjugate to B.  FPElement.is_conjugate decides that exactly (the
     conjugacy theorem for free products), so an outer tuple whose T and B
     are not conjugate has no solution for any y and its inner loop is
-    skipped.  The skipped tuples are provably not solutions: the certificate
-    stays exhaustive, and both modes return the same solutions in the same
-    order as the plain search.
+    skipped.  T is evaluated from the word P^-1 rhs Q^-1, so a power in P
+    or Q inverts its short base, not its long value.  The skipped tuples
+    are provably not solutions: the certificate stays exhaustive, and both
+    modes return the same solutions in the same order as the plain search.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -401,14 +484,14 @@ def solve_bounded(
     # fixed across the inner loop; the loop's plan skips empty runs.
     inner = variables[-1]
     outer = variables[:-1]
-    runs: list[list[Letter]] = [[]]
+    runs: list[list[Item]] = [[]]
     signs: list[int] = []
-    for letter in eq.lhs.letters:
-        if isinstance(letter, Var) and letter.index == inner:
-            signs.append(letter.sign)
+    for item in _expand(eq.lhs.letters, inner):
+        if isinstance(item, Var) and item.index == inner:
+            signs.append(item.sign)
             runs.append([])
         else:
-            runs[-1].append(letter)
+            runs[-1].append(item)
     run_words = [MixedWord(group, run) for run in runs]
     plan: list[tuple[str, int]] = []
     for k, word in enumerate(run_words):
@@ -417,6 +500,10 @@ def solve_bounded(
         if word.letters:
             plan.append(("word", k))
     conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
+    if conjugation_gate:
+        target_word = MixedWord(
+            group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[2])
+        )
 
     rhs_syll = eq.rhs.syllables
     factors = group.factors
@@ -427,14 +514,14 @@ def solve_bounded(
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))
+        if conjugation_gate:
+            b = evaluate(run_words[1], assignment)
+            if not b.is_conjugate(evaluate(target_word, assignment)):
+                continue
         values = [
             evaluate(word, assignment).syllables if word.letters else ()
             for word in run_words
         ]
-        if conjugation_gate:
-            p, b, q = (FPElement(group, v) for v in values)
-            if not b.is_conjugate(p.inverse() * eq.rhs * q.inverse()):
-                continue
         seg_sylls = [(kind, values[x] if kind == "word" else x) for kind, x in plan]
         for value, pos_sylls, neg_sylls in inner_values:
             out: list[tuple[int, int]] = []
@@ -467,7 +554,7 @@ def _next_prime(n: int) -> int:
 def _as_letter_elements(word: MixedWord) -> list[FPElement]:
     if word.free_variables():
         raise WordSyntaxError("coefficient word must not contain variables")
-    return [l.value for l in word.letters if isinstance(l, Const)]
+    return [l.value for l in _expand(word.letters) if isinstance(l, Const)]
 
 
 @dataclass(frozen=True)
@@ -494,7 +581,7 @@ def build_lemma4(group: FreeProduct, f_word: str) -> Lemma4Construction:
 
     exponents: list[int] = []
     assignment: dict[int, FPElement] = {}
-    lhs_letters: list[Letter] = []
+    lhs_letters: list[Item] = []
     rhs = group.identity()
     for j, s in enumerate(letters, start=1):
         (f, e) = s.syllables[0]  # parser letters are single syllables

@@ -253,6 +253,43 @@ def test_cli_input_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_huge_exponents(capsys):
+    p23 = str(CASES / "p23.grp")
+    # a has order 2, so the exponent is reduced modulo 2
+    code, report = run_json(capsys, ["order", "--group", p23, "--word", "a^100000000000"])
+    assert code == 0
+    assert report["witnesses"][0] == {
+        "word": "a^100000000000", "normal_form": "1", "order": "1",
+    }
+    # (a b) has infinite order: the power would have 2*10^11 syllables
+    assert cli.main(["eval", "--group", p23, "--word", "(a b)^100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "cap" in captured.err
+    # the search writes out powers that contain its last variable
+    assert cli.main(["solve", "--group", p23, "--eq", "(x1 x2)^100000000000 = a",
+                     "--ball", "a;b", "--depth", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_parser_is_shared_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    p23 = str(CASES / "p23.grp")
+    code, report = run_json(capsys, ["order", "--group", p23, "--word", "b"])
+    assert code == 0 and report["witnesses"][0]["order"] == "3"
+    assert cli.main(["eval", "--group", p23, "--word", "q"]) == 2
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--group", p23])  # --eq and --ball are missing
+    capsys.readouterr()
+    # no --json and no leftover arguments from the calls before
+    assert cli.main(["reduce", "--group", p23, "--word", "b a b^2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("b a b^2 = c * core * c^-1 with c = b, core = a")
+    code, report = run_json(capsys, ["eval", "--group", p23, "--word", "a b b"])
+    assert code == 0 and report["witnesses"][0]["normal_form"] == "a b^2"
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

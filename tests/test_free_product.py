@@ -9,9 +9,16 @@ from freeprod.errors import (
     ForeignElementError,
     MixedAmbientError,
     NotASubgroupError,
+    PowerTooLargeError,
     TrivialSubgroupError,
 )
-from freeprod.free_product import INFINITE, FreeProduct, enumerate_ball
+from freeprod.free_product import (
+    INFINITE,
+    MAX_POWER_SYLLABLES,
+    FreeProduct,
+    enumerate_ball,
+    power_syllables,
+)
 from freeprod.finite_group import make_cyclic
 from freeprod.sampling import (
     random_cyclically_reduced,
@@ -285,6 +292,53 @@ def test_cyclic_reduce_matches_quadratic_reference_long_conjugates(p23, s3z2):
                 assert u.cyclic_reduce().rebuild() == u
 
 
+# -- the power kernel against square-and-multiply -----------------------------
+
+
+def power_square_and_multiply(u, k):
+    """The original FPElement.power, kept as the reference for the kernel."""
+    if k < 0:
+        return power_square_and_multiply(u.inverse(), -k)
+    out = u.group.identity()
+    base = u
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def test_power_matches_square_and_multiply_reference(p23, s3z2, z6z2, p222):
+    rng = random.Random(61)
+    for group in (p23, s3z2, z6z2, p222):
+        for _ in range(150):
+            u = random_reduced(rng, group, 0, 8)
+            g = random_reduced(rng, group, 0, 5)
+            for v in (u, u.conjugate(g)):
+                ks = [rng.randint(-40, 40), 0, 1, -1]
+                order = v.order()
+                if order != INFINITE:
+                    m = rng.randint(-5, 5)
+                    ks += [m * order, m * order + 1, m * order - 1, order * 10**15 + 1]
+                for k in ks:
+                    expected = power_square_and_multiply(v, k)
+                    assert v.power(k) == expected
+                    assert power_syllables(group.factors, v.syllables, k) == expected.syllables
+
+
+def test_power_size_cap(p23, gens):
+    a, b = gens
+    assert a.power(10**11).is_identity
+    assert (a * b * a).power(10**11 + 1) == a * b * b * a  # b^a has order 3
+    with pytest.raises(PowerTooLargeError):
+        (a * b).power(10**11)
+    with pytest.raises(PowerTooLargeError):
+        (a * b).power(-(MAX_POWER_SYLLABLES // 2 + 1))
+    assert (a * b).power(1000).norm == 2000
+
+
 # -- exact conjugacy ----------------------------------------------------------
 
 
@@ -359,3 +413,55 @@ def test_is_conjugate_matches_conjugator_search(p23, gens):
     assert not (a * b).is_conjugate(a * b * b)
     assert (a * b).is_conjugate(b * a)
     assert not b.is_conjugate(b * b)
+
+
+def is_conjugate_rotation_reference(u, v):
+    """The original rotation test, kept as the reference: try every rotation
+    of one core that starts at the other core's head."""
+    a = u.cyclic_reduce().core.syllables
+    b = v.cyclic_reduce().core.syllables
+    n = len(a)
+    if n != len(b):
+        return False
+    if n == 0:
+        return True
+    if n == 1:
+        (f, e), (g, x) = a[0], b[0]
+        return f == g and u.group.factors[f].are_conjugate(e, x)
+    head = b[0]
+    return any(a[i] == head and a[i:] + a[:i] == b for i in range(n))
+
+
+def test_is_conjugate_matches_rotation_reference(p23, s3z2, p222):
+    rng = random.Random(67)
+    for group in (p23, s3z2, p222):
+        for _ in range(150):
+            # random pairs, random conjugates, and periodic cores w^k against
+            # rotations of w^k and against w^(k-1) with one copy of w changed
+            u = random_reduced(rng, group, 0, 10)
+            g = random_reduced(rng, group, 0, 6)
+            w = random_cyclically_reduced(rng, group, 2, 4)
+            k = rng.randint(2, 30)
+            s = w.power(k).syllables
+            r = rng.randrange(len(s))
+            other = random_cyclically_reduced(rng, group, w.norm, w.norm)
+            pairs = [
+                (u, random_reduced(rng, group, 0, 10)),
+                (u, u.conjugate(g)),
+                (w.power(k), group.element(s[r:] + s[:r]).conjugate(g)),
+                (w.power(k), w.power(k - 1) * other),
+            ]
+            for x, y in pairs:
+                expected = is_conjugate_rotation_reference(x, y)
+                assert x.is_conjugate(y) is expected
+                assert y.is_conjugate(x) is expected
+
+
+def test_is_conjugate_long_periodic_cores(p23, gens):
+    a, b = gens
+    ab = a * b
+    for k in (1000, 4000):
+        u = ab.power(k)
+        assert not u.is_conjugate(ab.power(k - 1) * a * b * b)
+        assert u.is_conjugate(b * ab.power(k) * b.inverse())
+        assert u.is_conjugate((b * a).power(k))

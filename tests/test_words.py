@@ -1,6 +1,7 @@
 import random
 from itertools import product as cartesian
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +10,7 @@ from freeprod import words
 from freeprod.errors import (
     EmptyCandidatesError,
     EmptyWordError,
+    PowerTooLargeError,
     UnboundVariableError,
     UnknownGeneratorError,
     VerificationError,
@@ -20,6 +22,7 @@ from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
     Const,
     MixedWord,
+    Pow,
     Substitution,
     Var,
     build_lemma4,
@@ -46,6 +49,22 @@ def test_parse_commutator_with_conjugation(p23):
         Var(1, -1),
         Var(3), Var(2, -1), Var(3, -1),
     )
+
+
+def test_parse_keeps_powers(p23):
+    w = parse_word("x1^3 (x1 x2)^-2 x2^1 x2^-1 a^0", p23)
+    assert w.letters == (
+        Pow((Var(1),), 3), Pow((Var(1), Var(2)), -2), Var(2), Var(2, -1),
+    )
+    assert w.inverse().letters == (
+        Var(2), Var(2, -1), Pow((Var(1), Var(2)), 2), Pow((Var(1),), -3),
+    )
+    f = parse_word("x1 x2", p23)
+    assert f.repeat(5).letters == (Pow((Var(1), Var(2)), 5),)
+    assert f.repeat(-1) == f.inverse() and f.repeat(1) == f
+    assert f.repeat(0).letters == ()
+    assert len(parse_word("a^100000000000", p23).letters) == 1
+    assert parse_word("((x1)^2)^3", p23).letters == (Pow((Pow((Var(1),), 2),), 3),)
 
 
 def test_parse_rejects_dangling_caret(p23):
@@ -108,6 +127,80 @@ def test_evaluate_is_a_homomorphism(p23, u, v):
     sub = {1: u, 2: v}
     assert evaluate(w1.concat(w2), sub) == evaluate(w1, sub) * evaluate(w2, sub)
     assert evaluate(w1.inverse(), sub) == evaluate(w1, sub).inverse()
+
+
+def flat_letters(items):
+    """Test-side expansion of every Pow into copies of its body."""
+    out = []
+    for l in items:
+        if isinstance(l, Pow):
+            body = flat_letters(l.body)
+            if l.k < 0:
+                body = [
+                    Var(x.index, -x.sign) if isinstance(x, Var) else Const(x.value.inverse())
+                    for x in reversed(body)
+                ]
+            out += body * abs(l.k)
+        else:
+            out.append(l)
+    return out
+
+
+def multiply_letters(letters, sub, group):
+    """Independent oracle: the product of the letter values with ``*``."""
+    value = group.identity()
+    for l in letters:
+        if isinstance(l, Var):
+            value = value * (sub[l.index] if l.sign > 0 else sub[l.index].inverse())
+        else:
+            value = value * l.value
+    return value
+
+
+_P23 = FreeProduct([make_cyclic(2, "a"), make_cyclic(3, "b")])
+_HUGE = 10**12  # = 4 mod 6, and every finite order in C2 * C3 divides 6
+
+
+def word_texts(depth=3):
+    """Word text with nested powers (exponents 0, +-1, negative, huge),
+    conjugates and commutators, over x1, x2 and the generators of C2 * C3."""
+    atoms = st.sampled_from(["x1", "x2", "a", "b", "1"])
+    if depth == 0:
+        return atoms
+    inner = word_texts(depth - 1)
+    exponents = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, _HUGE, -_HUGE])
+    return st.one_of(
+        atoms,
+        st.tuples(inner, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]})^({t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=word_texts(), u=elements(_P23), v=elements(_P23),
+       k=st.sampled_from([-3, -2, -1, 0, 1, 2, 3]))
+def test_evaluate_powers_match_flat_expansion(p23, text, u, v, k):
+    sub = {1: p23.element(u.syllables), 2: p23.element(v.syllables)}
+    word = parse_word(text, p23)
+    # The same word with every huge exponent e replaced by e mod 6, which
+    # can be written out; it has the same value unless a huge power has a
+    # base of infinite order, which the kernel refuses.
+    small = parse_word(text.replace(str(_HUGE), "4"), p23)
+    # Pow items with exponent 0 and +-1 only arise when built directly.
+    pairs = [(word, small),
+             (MixedWord(p23, (Pow(word.letters, k),)), MixedWord(p23, (Pow(small.letters, k),)))]
+    for w, w_small in pairs:
+        flat = flat_letters(w_small.letters)
+        expected = multiply_letters(flat, sub, p23)
+        assert evaluate(MixedWord(p23, flat), sub) == expected
+        try:
+            value = evaluate(w, sub)
+        except PowerTooLargeError:
+            assert str(_HUGE) in text
+            continue
+        assert value == expected
 
 
 # -- bounded solving ---------------------------------------------------------
@@ -178,6 +271,10 @@ def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
         "x2 x2^-1 x1 = a",
         # y twice with the same sign: the gate does not apply
         "x2 x1 x2 = b",
+        # y inside a power: the power is written out for the split
+        "(x1 x2)^2 = a b a b",
+        "x2^2 x1 = a",
+        "(x2 x1 x2^-1)^3 = b",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
@@ -240,6 +337,7 @@ def test_build_lemma4_p23(p23):
     assert cons.exponents == (1, 2)
     assert cons.equation.rhs == parse_constant("a b", p23)
     assert evaluate(cons.equation.lhs, cons.g_solution) == cons.equation.rhs
+    assert build_lemma4(p23, "a b^2").exponents == build_lemma4(p23, "a b b").exponents
 
 
 def test_build_lemma4_single_letter(p23):
@@ -274,6 +372,8 @@ def test_build_lemma4_errors(p23):
         build_lemma4(p23, "1")
     with pytest.raises(UnknownGeneratorError):
         build_lemma4(p23, "a q")
+    with pytest.raises(PowerTooLargeError):
+        build_lemma4(p23, "a^100000000000")
 
 
 def test_lemma4_no_cyclic_power_solution(p23):
@@ -336,6 +436,13 @@ def test_lemma5_ball_search_no_solution(z6z2):
         cons.equation, {v: ball for v in cons.equation.lhs.free_variables()}
     )
     assert found is None
+
+
+def test_lemma5_left_side_keeps_its_powers(z6z2):
+    # F^39 x3 F^26 x3^-1 with F = x1 x2: four items, not 132 letters
+    cons = build_lemma5(z6z2, "a b", "c", 3, 2)
+    f = (Var(1), Var(2))
+    assert cons.equation.lhs.letters == (Pow(f, 39), Var(3), Pow(f, 26), Var(3, -1))
 
 
 def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
