@@ -37,6 +37,9 @@ CHECKS = [
       "--word", "a b", "--window", "1"], 0),
     (["order", "--group", str(CASES / "p23.grp"),
       "--word", "a^100000000000"], 0),
+    # nested deeper than the parser's recursion can go: an input error
+    (["eval", "--group", str(CASES / "p23.grp"),
+      "--word", "(" * 400 + "a" + ")" * 400], 2),
 ]
 
 

@@ -90,9 +90,10 @@ def _cmd_eval(args):
     t0 = time.perf_counter()
     ambient = _load_group(args.group)
     value = words.parse_constant(args.word, ambient)
-    witness = {"word": args.word, "normal_form": value.as_word(), "norm": value.norm}
+    text = value.as_word()
+    witness = {"word": args.word, "normal_form": text, "norm": value.norm}
     return 0, _report("ok", witnesses=[witness], started=t0), [
-        f"{args.word}  ->  {value.as_word()}   (norm {value.norm})"
+        f"{args.word}  ->  {text}   (norm {value.norm})"
     ]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -164,6 +165,16 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return tuple(words[x] for x in range(self.order))
+
+    @cached_property
+    def element_texts(self) -> tuple[str, ...]:
+        """element_words rendered with each run of equal labels as a power,
+        e.g. ``a b^2``; the identity is ``1``."""
+        texts = []
+        for word in self.element_words:
+            runs = [(label, len(list(run))) for label, run in groupby(word)]
+            texts.append(" ".join(l if n == 1 else f"{l}^{n}" for l, n in runs) or "1")
+        return tuple(texts)
 
     def relabeled(self, labels: Sequence[str]) -> FiniteGroup:
         """Same group with generator labels replaced, in declaration order."""

@@ -39,6 +39,30 @@ def _inverse_syllables(factors, s: Sequence[Syllable]) -> tuple[Syllable, ...]:
     return tuple([(f, factors[f].inverses[e]) for f, e in reversed(s)])
 
 
+def _seam_merge(factors, out: list, pieces: Iterable[Sequence[Syllable]]) -> list:
+    """Append the reduced syllable tuples ``pieces``, in order, to the
+    reduced list ``out`` and return it.
+
+    Both sides are reduced, so cancellation happens only at the seam (the
+    normal form theorem, Lyndon-Schupp, ch. IV, sec. 1).
+    """
+    for sylls in pieces:
+        i, n = 0, len(sylls)
+        while out and i < n:
+            f, e = sylls[i]
+            lf, le = out[-1]
+            if lf != f:
+                break
+            m = factors[f].table[le][e]
+            i += 1
+            if m:
+                out[-1] = (f, m)
+                break
+            out.pop()
+        out.extend(sylls[i:] if i else sylls)
+    return out
+
+
 def _cyclic_split(factors, s: tuple[Syllable, ...]) -> tuple[int, tuple[Syllable, ...]]:
     """(i, core) with s = c * core * c^-1 for the conjugator c = s[:i] and a
     cyclically reduced core; see FPElement.cyclic_reduce."""
@@ -169,27 +193,20 @@ class FreeProduct:
     def element(self, pairs: Iterable[tuple[int, int]]) -> FPElement:
         """Normal form of a raw syllable sequence.
 
-        Identity syllables are dropped, adjacent same-factor syllables are
-        merged through the factor's table, repeating until stable.
+        Identity syllables are dropped and the rest are merged in one
+        left-to-right pass, which gives the same result as merging adjacent
+        same-factor syllables until nothing changes.
         """
-        out: list[tuple[int, int]] = []
         factors = self.factors
-        n = len(factors)
-        for f, e in pairs:
-            if not isinstance(f, int) or not 0 <= f < n:
-                raise BadFactorIndexError(f"factor index {f!r} out of range")
-            factors[f].check_element(e)
-            if e == 0:
-                continue
-            if out and out[-1][0] == f:
-                m = factors[f].table[out[-1][1]][e]
-                if m == 0:
-                    out.pop()
-                else:
-                    out[-1] = (f, m)
-            else:
-                out.append((f, e))
-        return FPElement(self, tuple(out))
+
+        def pieces():
+            for f, e in pairs:
+                self._check_factor(f)
+                factors[f].check_element(e)
+                if e:
+                    yield ((f, e),)
+
+        return FPElement(self, tuple(_seam_merge(factors, [], pieces())))
 
     def _check_factor(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < len(self.factors):
@@ -236,24 +253,8 @@ class FPElement:
         if not isinstance(other, FPElement):
             return NotImplemented
         self._require_same_group(other)
-        # Both sides are reduced, so cancellation happens only at the seam.
-        a = list(self.syllables)
-        b = other.syllables
-        factors = self.group.factors
-        i, n = 0, len(b)
-        while a and i < n:
-            f, e = b[i]
-            lf, le = a[-1]
-            if lf != f:
-                break
-            m = factors[f].table[le][e]
-            i += 1
-            if m:
-                a[-1] = (f, m)
-                break
-            a.pop()
-        a.extend(b[i:])
-        return FPElement(self.group, tuple(a))
+        out = _seam_merge(self.group.factors, list(self.syllables), (other.syllables,))
+        return FPElement(self.group, tuple(out))
 
     def inverse(self) -> FPElement:
         return FPElement(self.group, _inverse_syllables(self.group.factors, self.syllables))
@@ -335,22 +336,13 @@ class FPElement:
         """Generator-power word, e.g. ``a b^2 a``; the identity is ``1``.
 
         Reparses to the identical normal form (each label binds to one
-        factor, so the rendering is unambiguous).
+        factor, so the rendering is unambiguous).  A run of equal labels
+        never crosses a syllable boundary, so each syllable renders alone.
         """
         if not self.syllables:
             return "1"
-        labels: list[str] = []
-        for f, e in self.syllables:
-            labels.extend(self.group.factors[f].element_words[e])
-        parts: list[str] = []
-        i = 0
-        while i < len(labels):
-            j = i
-            while j < len(labels) and labels[j] == labels[i]:
-                j += 1
-            parts.append(labels[i] if j - i == 1 else f"{labels[i]}^{j - i}")
-            i = j
-        return " ".join(parts)
+        texts = [g.element_texts for g in self.group.factors]
+        return " ".join([texts[f][e] for f, e in self.syllables])
 
     def __str__(self) -> str:
         return self.as_word()

@@ -33,7 +33,13 @@ from .errors import (
     VerificationError,
     WordSyntaxError,
 )
-from .free_product import MAX_POWER_SYLLABLES, FPElement, FreeProduct, power_syllables
+from .free_product import (
+    MAX_POWER_SYLLABLES,
+    FPElement,
+    FreeProduct,
+    _seam_merge,
+    power_syllables,
+)
 
 _VARIABLE_RE = re.compile(r"x([0-9]+)")
 
@@ -321,8 +327,16 @@ class _WordParser:
 
 
 def parse_word(text: str, group: FreeProduct) -> MixedWord:
-    """Parse word text into a MixedWord; powers stay Pow items."""
-    return MixedWord(group, _WordParser(text, group).parse())
+    """Parse word text into a MixedWord; powers stay Pow items.
+
+    The parser recurses once per nesting level, so a word nested deeper
+    than the interpreter's recursion limit is a WordSyntaxError.
+    """
+    try:
+        items = _WordParser(text, group).parse()
+    except RecursionError:
+        raise WordSyntaxError("word is nested too deeply") from None
+    return MixedWord(group, items)
 
 
 def parse_constant(text: str, group: FreeProduct) -> FPElement:
@@ -357,14 +371,15 @@ def evaluate(word: MixedWord, substitution) -> FPElement:
     A Pow item's body is evaluated once and powered by power_syllables, so
     the cost does not grow with the exponent.
     """
-    out: list[tuple[int, int]] = []
-    _evaluate_into(out, word.letters, word.group, _as_assignment(substitution), {})
+    out = _evaluate_syllables(word.letters, word.group, _as_assignment(substitution), {})
     return FPElement(word.group, tuple(out))
 
 
-def _evaluate_into(out: list, items: Sequence[Item], group: FreeProduct, assignment, cache) -> None:
-    """Append the value of ``items`` to the reduced syllable list ``out``."""
+def _evaluate_syllables(items: Sequence[Item], group: FreeProduct, assignment, cache) -> list:
+    """The value of ``items`` as a reduced syllable list: each item's
+    syllables are one piece of a single seam merge."""
     factors = group.factors
+    pieces = []
     for item in items:
         kind = type(item)
         if kind is Var:
@@ -379,48 +394,17 @@ def _evaluate_into(out: list, items: Sequence[Item], group: FreeProduct, assignm
                     raise MixedAmbientError(f"value for x{item.index} has wrong ambient")
                 sylls = value.syllables if item.sign > 0 else value.inverse().syllables
                 cache[key] = sylls
+            pieces.append(sylls)
         elif kind is Const:
-            sylls = item.value.syllables
+            pieces.append(item.value.syllables)
         else:
-            body: list[tuple[int, int]] = []
-            _evaluate_into(body, item.body, group, assignment, cache)
-            sylls = power_syllables(factors, body, item.k)
-        # Both sides are reduced, so cancellation happens only at the seam.
-        # Not _extend_reduced: solve_bounded re-checks its search with this.
-        i, n = 0, len(sylls)
-        while out and i < n:
-            f, e = sylls[i]
-            lf, le = out[-1]
-            if lf != f:
-                break
-            m = factors[f].table[le][e]
-            i += 1
-            if m:
-                out[-1] = (f, m)
-                break
-            out.pop()
-        out.extend(sylls[i:] if i else sylls)
+            body = _evaluate_syllables(item.body, group, assignment, cache)
+            pieces.append(power_syllables(factors, body, item.k))
+    return _seam_merge(factors, [], pieces)
 
 
 # ---------------------------------------------------------------------------
 # bounded exhaustive solving
-
-
-def _extend_reduced(out: list, sylls: Sequence[tuple[int, int]], factors) -> None:
-    # Seam-only reduction: both sides are already reduced.
-    i, n = 0, len(sylls)
-    while out and i < n:
-        f, e = sylls[i]
-        lf, le = out[-1]
-        if lf != f:
-            break
-        m = factors[f].table[le][e]
-        i += 1
-        if m:
-            out[-1] = (f, m)
-            break
-        out.pop()
-    out.extend(sylls[i:])
 
 
 def solve_bounded(
@@ -481,7 +465,8 @@ def solve_bounded(
 
     # The last variable y varies fastest, so split the word into the runs
     # between occurrences of y: lhs = W0 y^s1 W1 ... y^sk Wk.  Run values are
-    # fixed across the inner loop; the loop's plan skips empty runs.
+    # fixed across the inner loop; the seam merge's pieces are the nonempty
+    # runs and the slots of y, which alone change per inner candidate.
     inner = variables[-1]
     outer = variables[:-1]
     runs: list[list[Item]] = [[]]
@@ -493,19 +478,22 @@ def solve_bounded(
         else:
             runs[-1].append(item)
     run_words = [MixedWord(group, run) for run in runs]
-    plan: list[tuple[str, int]] = []
+    layout: list[MixedWord | None] = []
+    pos_slots: list[int] = []
+    neg_slots: list[int] = []
     for k, word in enumerate(run_words):
         if k:
-            plan.append(("inner", signs[k - 1]))
+            (pos_slots if signs[k - 1] > 0 else neg_slots).append(len(layout))
+            layout.append(None)
         if word.letters:
-            plan.append(("word", k))
+            layout.append(word)
     conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
     if conjugation_gate:
         target_word = MixedWord(
             group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[2])
         )
 
-    rhs_syll = eq.rhs.syllables
+    rhs_syll = list(eq.rhs.syllables)
     factors = group.factors
     inner_values = [
         (c, c.syllables, c.inverse().syllables) for c in candidates[inner]
@@ -518,19 +506,16 @@ def solve_bounded(
             b = evaluate(run_words[1], assignment)
             if not b.is_conjugate(evaluate(target_word, assignment)):
                 continue
-        values = [
-            evaluate(word, assignment).syllables if word.letters else ()
-            for word in run_words
+        pieces = [
+            evaluate(word, assignment).syllables if word is not None else ()
+            for word in layout
         ]
-        seg_sylls = [(kind, values[x] if kind == "word" else x) for kind, x in plan]
         for value, pos_sylls, neg_sylls in inner_values:
-            out: list[tuple[int, int]] = []
-            for kind, payload in seg_sylls:
-                if kind == "word":
-                    _extend_reduced(out, payload, factors)
-                else:
-                    _extend_reduced(out, pos_sylls if payload > 0 else neg_sylls, factors)
-            if tuple(out) == rhs_syll:
+            for slot in pos_slots:
+                pieces[slot] = pos_sylls
+            for slot in neg_slots:
+                pieces[slot] = neg_sylls
+            if _seam_merge(factors, [], pieces) == rhs_syll:
                 assignment[inner] = value
                 record(assignment)
                 if mode == "first":

@@ -273,6 +273,20 @@ def test_cli_huge_exponents(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_deep_nesting_is_an_input_error(capsys):
+    p23 = str(CASES / "p23.grp")
+    deep = "(" * 400 + "a" + ")" * 400
+    assert cli.main(["eval", "--group", p23, "--word", deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "nested" in captured.err
+    code, report = run_json(capsys, [
+        "eval", "--group", p23, "--word", "(" * 250 + "a b" + ")" * 250,
+    ])
+    assert code == 0 and report["witnesses"][0]["normal_form"] == "a b"
+
+
 def test_cli_parser_is_shared_between_calls(capsys):
     assert cli._build_parser() is cli._build_parser()
     p23 = str(CASES / "p23.grp")

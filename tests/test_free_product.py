@@ -1,5 +1,6 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -19,12 +20,13 @@ from freeprod.free_product import (
     enumerate_ball,
     power_syllables,
 )
-from freeprod.finite_group import make_cyclic
+from freeprod.finite_group import make_cyclic, make_dihedral_reflections
 from freeprod.sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
     random_reduced,
 )
+from freeprod.words import Const, MixedWord, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +242,52 @@ def test_random_reduced_respects_bounds(p23):
         u = random_reduced(rng, p23, 2, 5)
         assert 2 <= u.norm <= 5
         assert p23.element(u.syllables) == u
+
+
+# -- the seam-merge kernel against a naive normalizer -------------------------
+
+
+def normalize_naive(group, pairs):
+    """Drop identity syllables and merge adjacent same-factor syllables until
+    nothing changes: the reference for element, * and evaluate, which share
+    the seam-merge kernel."""
+    syl = list(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for i, (f, e) in enumerate(syl):
+            if e == 0:
+                del syl[i]
+                changed = True
+                break
+            if i + 1 < len(syl) and syl[i + 1][0] == f:
+                syl[i : i + 2] = [(f, group.factors[f].table[e][syl[i + 1][1]])]
+                changed = True
+                break
+    return tuple(syl)
+
+
+_S3Z2 = FreeProduct([make_dihedral_reflections(3), make_cyclic(2, "c")])
+
+
+@pytest.mark.parametrize("group", [_G, _S3Z2], ids=["p23", "s3z2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_naive_normalizer(group, data):
+    raws = data.draw(st.lists(raw_syllable_lists(group), min_size=2, max_size=4))
+    # A piece that starts with the inverse of the first one, so that the
+    # merge at its seam cascades through several syllables.
+    factors = group.factors
+    raws.append([(f, factors[f].inverses[e]) for f, e in reversed(raws[0])] + raws[1])
+    values = [group.element(raw) for raw in raws]
+    for raw, u in zip(raws, values):
+        assert u.syllables == normalize_naive(group, raw)
+    for i in range(len(raws) - 1):
+        product = values[i] * values[i + 1]
+        assert product.syllables == normalize_naive(group, raws[i] + raws[i + 1])
+    word = MixedWord(group, [Const(u) for u in values])
+    flat = [p for raw in raws for p in raw]
+    assert evaluate(word, {}).syllables == normalize_naive(group, flat)
 
 
 # -- linear cyclic reduction against the quadratic reference ------------------
@@ -465,3 +513,37 @@ def test_is_conjugate_long_periodic_cores(p23, gens):
         assert not u.is_conjugate(ab.power(k - 1) * a * b * b)
         assert u.is_conjugate(b * ab.power(k) * b.inverse())
         assert u.is_conjugate((b * a).power(k))
+
+
+# -- rendering against the label-by-label reference ---------------------------
+
+
+def as_word_label_runs(u):
+    """The original FPElement.as_word, a run-length loop over all labels,
+    kept as the reference for the per-syllable rendering."""
+    if not u.syllables:
+        return "1"
+    labels = []
+    for f, e in u.syllables:
+        labels.extend(u.group.factors[f].element_words[e])
+    parts = []
+    i = 0
+    while i < len(labels):
+        j = i
+        while j < len(labels) and labels[j] == labels[i]:
+            j += 1
+        parts.append(labels[i] if j - i == 1 else f"{labels[i]}^{j - i}")
+        i = j
+    return " ".join(parts)
+
+
+def test_as_word_matches_label_run_reference(p23, s3z2, z6z2):
+    rng = random.Random(71)
+    for group in (p23, s3z2, z6z2):
+        for _ in range(400):
+            u = random_reduced(rng, group, 0, 12)
+            assert u.as_word() == as_word_label_runs(u)
+        every = [group.factor_element(f, e)
+                 for f, g in enumerate(group.factors) for e in g.elements()]
+        for u in every:
+            assert u.as_word() == as_word_label_runs(u)

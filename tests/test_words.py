@@ -461,14 +461,16 @@ def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
 
 
 def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
+    # The search reads the left side through _expand, the re-check in
+    # record() through evaluate: a broken expansion that makes x1 = b look
+    # like a solution of x1 = a must be caught.
     eq = parse_equation("x1 = a", p23)
-
-    def seam_that_always_matches(out, sylls, factors):
-        out[:] = eq.rhs.syllables
-
-    monkeypatch.setattr(words, "_extend_reduced", seam_that_always_matches)
+    a, b = p23.generator("a"), p23.generator("b")
+    monkeypatch.setattr(
+        words, "_expand", lambda items, var=None: (Var(1), Const(b.inverse() * a))
+    )
     with pytest.raises(VerificationError):
-        solve_bounded(eq, {1: [p23.generator("b")]}, mode="first")
+        solve_bounded(eq, {1: [b]}, mode="first")
 
 
 def test_constructions_reverify_their_solutions(p23, z6z2, monkeypatch):
