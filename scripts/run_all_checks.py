@@ -22,6 +22,9 @@ CHECKS = [
       "--subgroup", str(CASES / "example2.sub")], 1),
     (["check", "--group", str(CASES / "klein.grp"),
       "--subgroup", str(CASES / "klein.sub")], 0),
+    # an order-300 factor: its table is validated by Light's test
+    (["check", "--group", str(CASES / "d150.grp"),
+      "--subgroup", str(CASES / "d150.sub")], 0),
     (["verify-theorem2", "--range", "6"], 0),
     (["verify-lemma4", "--group", str(CASES / "p23.grp"),
       "--trials", "100", "--seed", "0"], 0),
@@ -37,6 +40,12 @@ CHECKS = [
       "--word", "a b", "--window", "1"], 0),
     (["order", "--group", str(CASES / "p23.grp"),
       "--word", "a^100000000000"], 0),
+    # infinite order, read from the base; the normal form is above the cap
+    (["order", "--group", str(CASES / "p23.grp"),
+      "--word", "(a b)^6833241672693788912"], 0),
+    # c lies outside the 39,061-element ball: one scan certifies it
+    (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x1 = c",
+      "--ball", "a,b;a,b@c", "--depth", "6"], 1),
     # nested deeper than the parser's recursion can go: an input error
     (["eval", "--group", str(CASES / "p23.grp"),
       "--word", "(" * 400 + "a" + ")" * 400], 2),

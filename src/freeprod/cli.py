@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 import time
 from pathlib import Path
 
 from . import checker, specfiles, tree, words
-from .errors import GroupError
+from .errors import GroupError, PowerTooLargeError
 from .free_product import INFINITE, FreeProduct, enumerate_ball
 from .sampling import (
     random_cyclically_reduced,
@@ -97,13 +98,32 @@ def _cmd_eval(args):
     ]
 
 
+def _power_order(items, ambient: FreeProduct) -> int | float:
+    """Order of a variable-free word without building its normal form when
+    the word is one power u^k: u^k has order ord(u) / gcd(ord(u), k), and
+    infinite order iff u has."""
+    if len(items) == 1 and isinstance(items[0], words.Pow):
+        body_order = _power_order(items[0].body, ambient)
+        if body_order == INFINITE:
+            return INFINITE
+        return body_order // math.gcd(body_order, items[0].k)
+    return words.evaluate(words.MixedWord(ambient, items), {}).order()
+
+
 def _cmd_order(args):
     t0 = time.perf_counter()
     ambient = _load_group(args.group)
-    value = words.parse_constant(args.word, ambient)
-    order = value.order()
+    try:
+        value = words.parse_constant(args.word, ambient)
+    except PowerTooLargeError:
+        # The normal form is above the power cap; the order of a single
+        # power still follows from its base.
+        word = words.parse_word(args.word, ambient)
+        order, normal_form = _power_order(word.letters, ambient), None
+    else:
+        order, normal_form = value.order(), value.as_word()
     text = "infinite" if order == INFINITE else str(order)
-    witness = {"word": args.word, "normal_form": value.as_word(), "order": text}
+    witness = {"word": args.word, "normal_form": normal_form, "order": text}
     return 0, _report("ok", witnesses=[witness], started=t0), [f"order({args.word}) = {text}"]
 
 

@@ -3,8 +3,9 @@
 Elements are integer ids in [0, order); id 0 is always the identity
 (constructors relabel to enforce this).  Tables are validated eagerly:
 Latin square, identity, inverses, associativity and generator closure are
-all checked at construction time, which is O(order^3) and cheap at the
-group sizes this package works with.
+all checked at construction time.  Associativity is checked by Light's
+test over the generators, O(order^2 * generators); only a table whose
+generators do not generate it pays the full O(order^3) check.
 """
 
 from __future__ import annotations
@@ -107,19 +108,7 @@ class FiniteGroup:
         group (x^-1 is a positive power of x).
         """
         seed = [self.check_element(g) for g in gens]
-        seen = {0}
-        frontier = [0]
-        gens_set = sorted(set(seed))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens_set:
-                    y = self.table[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(_closure(self.table, seed)))
 
     def is_subgroup(self, ids: Iterable[int]) -> bool:
         s = set(ids)
@@ -216,6 +205,40 @@ def _find_identity(table: tuple[tuple[int, ...], ...]) -> int:
     raise NoIdentityError("table has no two-sided identity")
 
 
+def _closure(table: Sequence[Sequence[int]], gens: Iterable[int]) -> set[int]:
+    """Ids reached from the identity by right multiplication by gens."""
+    gens = sorted(set(gens))
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _check_associative(table: tuple[tuple[int, ...], ...], middles: Iterable[int]) -> None:
+    """Raise NotAssociativeError unless (x*y)*z == x*(y*z) for every x, z
+    and every y in middles."""
+    for y in middles:
+        col = [row[y] for row in table]
+        yz = table[y]
+        for x, row in enumerate(table):
+            left = table[col[x]]
+            right = tuple(map(row.__getitem__, yz))
+            if left != right:
+                z = next(z for z in range(len(table)) if left[z] != right[z])
+                raise NotAssociativeError(
+                    f"({x}*{y})*{z} != {x}*({y}*{z}) after identity relabelling"
+                )
+
+
 def _relabel_identity_first(
     table: tuple[tuple[int, ...], ...], e: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -244,40 +267,34 @@ def from_cayley_table(
         remap[0], remap[e] = e, 0
         table = _relabel_identity_first(table, e)
 
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            for z in range(n):
-                if table[xy][z] != table[x][table[y][z]]:
-                    raise NotAssociativeError(
-                        f"({x}*{y})*{z} != {x}*({y}*{z}) after identity relabelling"
-                    )
+    # Light's associativity test (Clifford-Preston, The Algebraic Theory of
+    # Semigroups I, sec. 1.2): the y with (x*y)*z = x*(y*z) for all x, z form
+    # a submagma holding the identity, so checking y over generators whose
+    # closure is the whole table proves associativity.  Generator ids are
+    # validated below; here only the valid ones count.  Without a generating
+    # set, every y is checked, so a non-associative table is reported as such.
+    gens = [remap[g] for _, g in generators if isinstance(g, int) and 0 <= g < n]
+    closure = _closure(table, gens)
+    _check_associative(table, sorted(set(gens)) if len(closure) == n else range(n))
 
     # Latin + identity + associativity already force two-sided inverses.
-    inverses = [0] * n
-    for x in range(n):
-        y = table[x].index(0)
-        assert table[y][x] == 0
-        inverses[x] = y
+    inverses = tuple(row.index(0) for row in table)
 
     labels = [lab for lab, _ in generators]
     for lab in labels:
         _check_label(lab)
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"duplicate generator labels in {labels}")
-    gens = []
     for lab, g in generators:
         if not isinstance(g, int) or not 0 <= g < n:
             raise ForeignElementError(f"generator {lab!r} has bad id {g!r}")
-        gens.append((lab, remap[g]))
 
-    group = FiniteGroup(name, table, tuple(inverses), tuple(gens))
-    closure = group.generated_subgroup(g for _, g in gens)
     if len(closure) != n:
         raise GeneratorsDoNotGenerateError(
             f"generators reach only {len(closure)} of {n} elements"
         )
-    return group
+    labeled = tuple((lab, remap[g]) for lab, g in generators)
+    return FiniteGroup(name, table, inverses, labeled)
 
 
 def make_cyclic(n: int, label: str = "a", name: str | None = None) -> FiniteGroup:

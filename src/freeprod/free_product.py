@@ -63,6 +63,14 @@ def _seam_merge(factors, out: list, pieces: Iterable[Sequence[Syllable]]) -> lis
     return out
 
 
+def _product(factors, a: tuple[Syllable, ...], b: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
+    """Normal form of a * b for reduced syllable tuples: plain concatenation
+    unless the seam joins two syllables of one factor."""
+    if a and b and a[-1][0] == b[0][0]:
+        return tuple(_seam_merge(factors, list(a), (b,)))
+    return a + b
+
+
 def _cyclic_split(factors, s: tuple[Syllable, ...]) -> tuple[int, tuple[Syllable, ...]]:
     """(i, core) with s = c * core * c^-1 for the conjugator c = s[:i] and a
     cyclically reduced core; see FPElement.cyclic_reduce."""
@@ -253,8 +261,7 @@ class FPElement:
         if not isinstance(other, FPElement):
             return NotImplemented
         self._require_same_group(other)
-        out = _seam_merge(self.group.factors, list(self.syllables), (other.syllables,))
-        return FPElement(self.group, tuple(out))
+        return FPElement(self.group, _product(self.group.factors, self.syllables, other.syllables))
 
     def inverse(self) -> FPElement:
         return FPElement(self.group, _inverse_syllables(self.group.factors, self.syllables))
@@ -377,7 +384,7 @@ def enumerate_ball(
     the output is correct even when the parts fail to generate an actual
     free product.
     """
-    part_elems: list[list[FPElement]] = []
+    part_elems: list[list[tuple[Syllable, ...]]] = []
     for factor, subgroup, conj in parts:
         group._check_factor(factor)
         g = group.factors[factor]
@@ -390,24 +397,29 @@ def enumerate_ball(
             raise MixedAmbientError("part conjugator must be an ambient element")
         cinv = conj.inverse()
         part_elems.append(
-            [conj * group.factor_element(factor, h) * cinv for h in sub if h != 0]
+            [(conj * group.factor_element(factor, h) * cinv).syllables for h in sub if h != 0]
         )
 
-    identity = group.identity()
-    seen = {identity.syllables}
-    out = [identity]
-    level: list[tuple[int, FPElement]] = [(-1, identity)]
-    for _ in range(depth):
-        nxt: list[tuple[int, FPElement]] = []
+    # The frontier and the seen set hold syllable tuples; each distinct
+    # element is wrapped as an FPElement once, when it is first reached.
+    factors = group.factors
+    out = [group.identity()]
+    seen = {()}
+    level: list[tuple[int, tuple[Syllable, ...]]] = [(-1, ())]
+    for d in range(depth):
+        extend = d + 1 < depth  # the last level is not extended: do not keep it
+        nxt: list[tuple[int, tuple[Syllable, ...]]] = []
         for last, value in level:
             for pi, elems in enumerate(part_elems):
                 if pi == last:
                     continue
                 for t in elems:
-                    v = value * t
-                    nxt.append((pi, v))
-                    if v.syllables not in seen:
-                        seen.add(v.syllables)
-                        out.append(v)
+                    v = _product(factors, value, t)
+                    if extend:
+                        nxt.append((pi, v))
+                    size = len(seen)
+                    seen.add(v)  # one hash of v, not two: tuples do not cache it
+                    if len(seen) > size:
+                        out.append(FPElement(group, v))
         level = nxt
     return out

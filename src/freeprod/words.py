@@ -37,6 +37,7 @@ from .free_product import (
     MAX_POWER_SYLLABLES,
     FPElement,
     FreeProduct,
+    _inverse_syllables,
     _seam_merge,
     power_syllables,
 )
@@ -424,6 +425,13 @@ def solve_bounded(
     The left side is split into runs between occurrences of the last
     variable y; only the powers that contain y are written out for this.
 
+    Single occurrence: when y occurs once, the left side is W0 y^s W1 with
+    W0, W1 free of y, and the equation holds iff y^s = W0^-1 rhs W1^-1.
+    Each outer tuple evaluates that one value, and its solutions are the
+    candidates for y whose normal form equals it (or its inverse when
+    s < 0), taken in candidate order; every other candidate provably fails,
+    so the certificate stays exhaustive.
+
     Conjugacy gate: when y occurs exactly twice, with opposite signs, the
     left side is P y^s B y^-s Q with P, B, Q free of y.
     A solution needs y^s B y^-s = T with T = P^-1 rhs Q^-1, so T must be
@@ -477,6 +485,30 @@ def solve_bounded(
             runs.append([])
         else:
             runs[-1].append(item)
+    factors = group.factors
+    inner_cands = candidates[inner]
+    outer_lists = [candidates[v] for v in outer]
+    conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
+    if len(signs) == 1 or conjugation_gate:
+        target_word = MixedWord(
+            group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[-1])
+        )
+
+    if len(signs) == 1:
+        # Single occurrence: a scan keeps candidate order and duplicates,
+        # which an index built per call would cost more than.
+        for combo in _cartesian(*outer_lists):
+            assignment = dict(zip(outer, combo))
+            t = evaluate(target_word, assignment).syllables
+            if signs[0] < 0:
+                t = _inverse_syllables(factors, t)
+            for value in [c for c in inner_cands if c.syllables == t]:
+                assignment[inner] = value
+                record(assignment)
+                if mode == "first":
+                    return results[0]
+        return None if mode == "first" else results
+
     run_words = [MixedWord(group, run) for run in runs]
     layout: list[MixedWord | None] = []
     pos_slots: list[int] = []
@@ -487,18 +519,12 @@ def solve_bounded(
             layout.append(None)
         if word.letters:
             layout.append(word)
-    conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
-    if conjugation_gate:
-        target_word = MixedWord(
-            group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[2])
-        )
 
     rhs_syll = list(eq.rhs.syllables)
-    factors = group.factors
     inner_values = [
-        (c, c.syllables, c.inverse().syllables) for c in candidates[inner]
+        (c, c.syllables, _inverse_syllables(factors, c.syllables) if neg_slots else ())
+        for c in inner_cands
     ]
-    outer_lists = [candidates[v] for v in outer]
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))

@@ -12,7 +12,7 @@ from freeprod.errors import (
     SpecSyntaxError,
 )
 from freeprod.sampling import random_reduced
-from freeprod.words import parse_constant
+from freeprod.words import parse_constant, parse_word
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -271,6 +271,36 @@ def test_cli_huge_exponents(capsys):
     assert cli.main(["solve", "--group", p23, "--eq", "(x1 x2)^100000000000 = a",
                      "--ball", "a;b", "--depth", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_order_of_a_power_above_the_cap(capsys):
+    # (a b)^k has infinite order like a b; its normal form is above the
+    # power cap, so the report has no normal form, and eval refuses it.
+    p23 = str(CASES / "p23.grp")
+    word = "(a b)^6833241672693788912"
+    code, report = run_json(capsys, ["order", "--group", p23, "--word", word])
+    assert code == 0
+    assert report["witnesses"][0] == {"word": word, "normal_form": None, "order": "infinite"}
+    assert cli.main(["eval", "--group", p23, "--word", word]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # nested powers and negative exponents follow the same rule
+    for nested in ("((a b)^6833241672693788912)^-3", "((b a)^-6833241672693788912)^2"):
+        code, report = run_json(capsys, ["order", "--group", p23, "--word", nested])
+        assert code == 0 and report["witnesses"][0]["order"] == "infinite"
+    # anything else above the cap is still refused
+    assert cli.main(["order", "--group", p23, "--word", word + " a"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_power_order_matches_the_normal_form(p23, s3z2):
+    # ord(u^k) = ord(u) / gcd(ord(u), k), or infinite with u, checked against
+    # the order of the normal form for powers small enough to build
+    for group in (p23, s3z2):
+        for base in ("a", "b", "a b", "b a b", "a b a", "c a" if group is s3z2 else "b^2"):
+            for k in (-7, -6, -4, -3, -2, 2, 3, 4, 5, 6, 12):
+                word = parse_word(f"({base})^{k}", group)
+                expected = parse_constant(f"({base})^{k}", group).order()
+                assert cli._power_order(word.letters, group) == expected
 
 
 def test_cli_deep_nesting_is_an_input_error(capsys):

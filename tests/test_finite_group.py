@@ -241,3 +241,85 @@ def test_relabeled():
     assert g.generators == (("z", 1),)
     with pytest.raises(DuplicateLabelError):
         make_dihedral_reflections(3).relabeled(["x", "x"])
+
+
+# -- associativity: Light's test against the full n^3 check -------------------
+
+
+def associative_reference(rows):
+    """Reference: check (x*y)*z == x*(y*z) over all n^3 triples."""
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            xy = rows[x][y]
+            for z in range(n):
+                if rows[xy][z] != rows[x][rows[y][z]]:
+                    return False
+    return True
+
+
+def random_latin_square_with_identity(rng, n):
+    """A random n x n Latin square whose row 0 and column 0 read 0..n-1
+    (so 0 is a two-sided identity), filled cell by cell with backtracking,
+    then with its symbols renamed by a random permutation."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            return True
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        choices = [v for v in range(n) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            rows[i][j] = v
+            if fill(cell + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    found = fill(0)
+    assert found
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = {p: k for k, p in enumerate(perm)}
+    return [[perm[rows[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+
+def right_closure(rows, e, gens):
+    """Everything reachable from e by right multiplication by gens: in a
+    group the generated subgroup, and in a table that is not associative the
+    set Light's test needs to be everything."""
+    s = {e}
+    while True:
+        grown = s | {rows[x][g] for x in s for g in gens}
+        if grown == s:
+            return s
+        s = grown
+
+
+def test_light_test_agrees_with_the_full_check():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(4, 6)
+        rows = random_latin_square_with_identity(rng, n)
+        ids = list(range(n))
+        gens = rng.sample(ids, rng.randint(1, 3))
+        e = next(x for x in ids if rows[x] == ids)
+        generating = len(right_closure(rows, e, gens)) == n
+        associative = associative_reference(rows)
+        labelled = [(f"g{k}", g) for k, g in enumerate(gens)]
+        if not associative:
+            with pytest.raises(NotAssociativeError):
+                from_cayley_table(rows, labelled)
+        elif not generating:
+            with pytest.raises(GeneratorsDoNotGenerateError):
+                from_cayley_table(rows, labelled)
+        else:
+            g = from_cayley_table(rows, labelled)
+            assert g.order == n
+        verdicts.add((associative, generating))
+    # every combination occurs: (False, True) takes Light's test, and
+    # (False, False) the full check before the closure is reported
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}

@@ -547,3 +547,60 @@ def test_as_word_matches_label_run_reference(p23, s3z2, z6z2):
                  for f, g in enumerate(group.factors) for e in g.elements()]
         for u in every:
             assert u.as_word() == as_word_label_runs(u)
+
+
+def enumerate_ball_elementwise(group, parts, depth):
+    """The original enumerate_ball loop on FPElement values, kept as the
+    reference for the loop on syllable tuples."""
+    part_elems = []
+    for factor, subgroup, conj in parts:
+        sub = sorted(set(subgroup))
+        part_elems.append(
+            [conj * group.factor_element(factor, h) * conj.inverse() for h in sub if h]
+        )
+    identity = group.identity()
+    seen = {identity.syllables}
+    out = [identity]
+    level = [(-1, identity)]
+    for _ in range(depth):
+        nxt = []
+        for last, value in level:
+            for pi, elems in enumerate(part_elems):
+                if pi == last:
+                    continue
+                for t in elems:
+                    v = value * t
+                    nxt.append((pi, v))
+                    if v.syllables not in seen:
+                        seen.add(v.syllables)
+                        out.append(v)
+        level = nxt
+    return out
+
+
+def test_enumerate_ball_matches_elementwise_reference(p23, s3z2):
+    a, b = p23.generator("a"), p23.generator("b")
+    one = p23.identity()
+    p23_parts = [
+        [(0, (0, 1), one), (1, (0, 1, 2), one)],
+        [(0, (0, 1), b), (1, (0, 1, 2), a * b * a)],  # conjugated parts
+        [(0, (0, 1), one), (0, (0, 1), one)],  # a repeated part
+        [(1, (0, 1, 2), a), (0, (0, 1), one), (1, (0, 1, 2), a)],
+    ]
+    c = s3z2.generator("c")
+    r = s3z2.generator("a") * s3z2.generator("b")
+    one = s3z2.identity()
+    s3z2_parts = [
+        [(0, range(6), one), (1, (0, 1), one)],
+        [(0, s3z2.factors[0].generated_subgroup([1]), one), (0, range(6), c)],
+        [(0, s3z2.factors[0].generated_subgroup([r.syllables[0][1]]), c), (1, (0, 1), r)],
+        [(0, range(6), c), (0, range(6), c)],  # a repeated conjugated part
+    ]
+    for group, cases in ((p23, p23_parts), (s3z2, s3z2_parts)):
+        for parts in cases:
+            for depth in range(5):
+                ball = enumerate_ball(group, parts, depth)
+                reference = enumerate_ball_elementwise(group, parts, depth)
+                assert [u.syllables for u in ball] == [u.syllables for u in reference]
+                assert all(u.group is group for u in ball)
+                assert len(set(ball)) == len(ball)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import elements
-from freeprod import words
+from freeprod import free_product, words
 from freeprod.errors import (
     EmptyCandidatesError,
     EmptyWordError,
@@ -21,6 +21,7 @@ from freeprod.free_product import INFINITE, FPElement, FreeProduct, enumerate_ba
 from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
     Const,
+    Equation,
     MixedWord,
     Pow,
     Substitution,
@@ -275,10 +276,22 @@ def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
         "(x1 x2)^2 = a b a b",
         "x2^2 x1 = a",
         "(x2 x1 x2^-1)^3 = b",
+        # y once: solved by a scan for y^s = W0^-1 rhs W1^-1
+        "x2 = a b",
+        "x1 x2^-1 = b",
+        "a x2 x1 = b a",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
             assert_matches_oracle(eq, c)
+    # duplicated candidates: every copy is a solution of its own
+    repeated = 0
+    for text in ("x1 = a b", "x1 x2^-1 = b", "x2 x1 x2^-1 = b^2", "x1^2 x2 = a b"):
+        eq = parse_equation(text, p23)
+        for c in (cand + cand, ball + ball[:7]):
+            found = assert_matches_oracle(eq, c)
+            repeated += len(found) - len(set(found))
+    assert repeated
     outcomes = {result for _, _, result in calls}
     assert outcomes == {True, False}
 
@@ -295,6 +308,41 @@ def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
     rejected = [(b, t) for b, t, result in calls if not result]
     assert (a, eq.rhs) in rejected
     assert a.cyclic_reduce().core.syllables[0][0] == eq.rhs.syllables[0][0]
+
+
+def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
+    # x1 = w over the 39,061-element depth-6 ball of <a,b> * c<a,b>c, with
+    # w = c outside it: the answer is one scan, with no seam merge and no
+    # inversion per candidate.
+    one, c = z6z2.identity(), z6z2.generator("c")
+    ball = enumerate_ball(z6z2, [(0, range(6), one), (0, range(6), c)], 6)
+    assert len(ball) == 39061
+    counts = {"merge": 0, "inverse": 0}
+    real_merge, real_inverse = free_product._seam_merge, FPElement.inverse
+
+    def merge(*args):
+        counts["merge"] += 1
+        return real_merge(*args)
+
+    def inverse(self):
+        counts["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(free_product, "_seam_merge", merge)
+    monkeypatch.setattr(words, "_seam_merge", merge)
+    monkeypatch.setattr(FPElement, "inverse", inverse)
+    for text in ("x1 = c", "x1^-1 = c a"):
+        eq = parse_equation(text, z6z2)
+        assert solve_bounded(eq, {1: ball}, mode="all") == []
+        assert solve_bounded(eq, {1: ball}, mode="first") is None
+    assert counts["merge"] < 10 and counts["inverse"] < 10
+    # y twice with one sign: a seam merge per candidate, but no inverse
+    assert solve_bounded(parse_equation("x1^2 = c", z6z2), {1: ball}) is None
+    assert counts["merge"] > len(ball) and counts["inverse"] < 10
+    # a target inside the ball is found at its first index
+    w = ball[-1]
+    eq = Equation(MixedWord(z6z2, (Var(1, -1),)), w.inverse())
+    assert solve_bounded(eq, {1: ball}) == Substitution.of({1: w})
 
 
 def test_solve_bounded_certifies_no_solution(p22):
