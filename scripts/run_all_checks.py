@@ -49,6 +49,20 @@ CHECKS = [
     # nested deeper than the parser's recursion can go: an input error
     (["eval", "--group", str(CASES / "p23.grp"),
       "--word", "(" * 400 + "a" + ")" * 400], 2),
+    # all 4,408 commuting pairs in the 890-element ball, each x2 looked up
+    # in the centralizer of x1
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2] = 1",
+      "--ball", "a;b", "--depth", "14", "--all"], 0),
+    # numeric arguments out of range: usage errors
+    (["verify-theorem2", "--range", "0"], 2),
+    (["axis", "--group", str(CASES / "p23.grp"),
+      "--word", "a b", "--window", "-1"], 2),
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "c", "--k1", "0", "--k2", "2"], 2),
+    (["verify-lemma7", "--group", str(CASES / "p23.grp"), "--max-power", "1"], 2),
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a",
+      "--ball", "a;b", "--depth", "-1"], 2),
+    (["verify-lemma4", "--group", str(CASES / "p23.grp"), "--trials", "-1"], 2),
 ]
 
 
@@ -56,7 +70,10 @@ def main() -> int:
     failures = 0
     for argv, expected in CHECKS:
         print(f"$ freeprod {' '.join(argv)}")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, reported by the parser
+            code = exc.code
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             failures += 1

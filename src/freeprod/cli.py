@@ -357,11 +357,34 @@ def _cmd_axis(args):
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, a bad numeric argument included, as one line
+    on stderr and exits with code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _int_at_least(least: int):
+    """argparse type: an integer >= least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
     unchanged, so every main() call can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeprod",
         description="exact computation in free products of finite groups",
     )
@@ -393,20 +416,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--eq", required=True, help="e.g. '[x1,x2] = 1'")
     p.add_argument("--ball", required=True, help="';'-separated parts, e.g. 'a;b@c'")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_int_at_least(0), default=2)
     p.add_argument("--all", action="store_true", help="find all solutions")
 
     p = add("verify-theorem2", _cmd_verify_theorem2,
             help="exhaustive case check of the two-involution equation")
-    p.add_argument("--range", type=int, default=6)
+    p.add_argument("--range", type=_int_at_least(1), default=6)
 
     p = add("verify-lemma4", _cmd_verify_lemma4,
             help="power-equation construction on random coefficient words")
     p.add_argument("--group", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--power-bound", type=int, default=20)
+    p.add_argument("--max-len", type=_int_at_least(1), default=5)
+    p.add_argument("--power-bound", type=_int_at_least(0), default=20)
     p.add_argument("--f", help="check one fixed coefficient word instead")
 
     p = add("verify-lemma5", _cmd_verify_lemma5,
@@ -414,22 +437,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--k1", type=_int_at_least(1), required=True)
+    p.add_argument("--k2", type=_int_at_least(1), required=True)
+    p.add_argument("--depth", type=_int_at_least(0), default=6)
 
     p = add("verify-lemma7", _cmd_verify_lemma7,
             help="norm bound for the cyclic core of A^N1 (A^g)^N2")
     p.add_argument("--group", required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-norm", type=int, default=6)
-    p.add_argument("--max-power", type=int, default=5)
+    p.add_argument("--max-norm", type=_int_at_least(2), default=6)
+    p.add_argument("--max-power", type=_int_at_least(2), default=5)
 
     p = add("axis", _cmd_axis, help="classify an element and print its axis window")
     p.add_argument("--group", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=_int_at_least(0), default=1)
 
     return parser
 

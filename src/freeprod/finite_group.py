@@ -123,12 +123,23 @@ class FiniteGroup:
                     return False
         return True
 
-    def are_conjugate(self, x: int, y: int) -> bool:
-        """Whether y = g*x*g^-1 for some g in the group."""
+    def conjugator(self, x: int, y: int) -> int | None:
+        """The least g with g*x*g^-1 = y, or None when x and y are not
+        conjugate."""
         self.check_element(x)
         self.check_element(y)
         t, inv = self.table, self.inverses
-        return any(t[t[g][x]][inv[g]] == y for g in range(self.order))
+        return next((g for g in range(self.order) if t[t[g][x]][inv[g]] == y), None)
+
+    def are_conjugate(self, x: int, y: int) -> bool:
+        """Whether y = g*x*g^-1 for some g in the group."""
+        return self.conjugator(x, y) is not None
+
+    def centralizer(self, x: int) -> tuple[int, ...]:
+        """{g : g*x = x*g}, sorted."""
+        self.check_element(x)
+        t = self.table
+        return tuple(g for g in range(self.order) if t[g][x] == t[x][g])
 
     def conjugate_subgroup(self, subgroup: Iterable[int], g: int) -> tuple[int, ...]:
         """{g*h*g^-1 : h in subgroup}, sorted; requires an actual subgroup."""

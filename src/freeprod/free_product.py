@@ -128,27 +128,112 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
     return s[:i] + core * (k - 1) + s[i:]
 
 
-def _is_rotation(a: Sequence[Syllable], b: Sequence[Syllable]) -> bool:
-    """Whether b (as long as a) is a cyclic rotation of a: a
-    Knuth-Morris-Pratt search for b in a + a, linear time."""
-    n = len(b)
-    fail = [0] * n
+def _failure(b: Sequence[Syllable]) -> list[int]:
+    """Knuth-Morris-Pratt failure table: fail[i] is the length of the
+    longest proper prefix of b[:i + 1] that is also its suffix."""
+    fail = [0] * len(b)
     k = 0
-    for i in range(1, n):
+    for i in range(1, len(b)):
         while k and b[i] != b[k]:
             k = fail[k - 1]
         if b[i] == b[k]:
             k += 1
         fail[i] = k
+    return fail
+
+
+def _is_rotation(a: tuple[Syllable, ...], b: tuple[Syllable, ...]) -> int | None:
+    """The least k with b == a[k:] + a[:k] (a and b nonempty and equally
+    long), or None: a Knuth-Morris-Pratt search for b in a + a, linear
+    time."""
+    n = len(b)
+    fail = _failure(b)
     k = 0
-    for x in a + a[:-1]:
+    for i, x in enumerate(a + a[:-1]):
         while k and x != b[k]:
             k = fail[k - 1]
         if x == b[k]:
             k += 1
             if k == n:
-                return True
-    return False
+                return i - n + 1
+    return None
+
+
+def _conjugator(
+    factors, b: tuple[Syllable, ...], t: tuple[Syllable, ...]
+) -> tuple[Syllable, ...] | None:
+    """Normal form of some c with c * b * c^-1 = t, or None when b and t
+    are not conjugate.
+
+    The conjugacy theorem for free products (Lyndon-Schupp, Combinatorial
+    Group Theory, ch. IV, sec. 1): with b = u * core_b * u^-1 and
+    t = v * core_t * v^-1 their cyclic reductions, the cores must have one
+    norm, and
+    - norm 0: b = t = 1, and c = 1;
+    - norm 1: the cores lie in one factor, where h * core_b * h^-1 = core_t
+      for some h, and c = v * h * u^-1;
+    - norm >= 2: core_t = core_b[k:] + core_b[:k] = p^-1 * core_b * p with
+      p = core_b[:k], and c = v * p^-1 * u^-1.
+    """
+    i, core_b = _cyclic_split(factors, b)
+    j, core_t = _cyclic_split(factors, t)
+    n = len(core_b)
+    if n != len(core_t):
+        return None
+    if n == 0:
+        return ()
+    if n == 1:
+        (f, x), (g, y) = core_b[0], core_t[0]
+        h = factors[f].conjugator(x, y) if f == g else None
+        if h is None:
+            return None
+        middle = ((f, h),) if h else ()
+    else:
+        k = _is_rotation(core_b, core_t)
+        if k is None:
+            return None
+        middle = _inverse_syllables(factors, core_b[:k])
+    return tuple(
+        _seam_merge(factors, list(t[:j]), (middle, _inverse_syllables(factors, b[:i])))
+    )
+
+
+def _centralizer(factors, b: tuple[Syllable, ...], bound: int) -> list[tuple[Syllable, ...]]:
+    """Normal forms of the elements of norm <= bound in C(b), the
+    centralizer of b != 1.
+
+    With b = u * core * u^-1 its cyclic reduction, C(b) = u * C(core) * u^-1
+    (Lyndon-Schupp, ch. IV, sec. 1; Magnus-Karrass-Solitar, sec. 4.1):
+    - core (f, x) of norm 1: C(core) = C_A(x), the centralizer of x in its
+      factor A, and each element is u + (f, z) + u^-1, already reduced;
+    - core of norm >= 2: C(core) is generated by the primitive root rho of
+      the core (core = rho^m with rho as short as possible), so C(b) is
+      generated by r = u * rho * u^-1, and its elements are the powers
+      r^k, whose norm grows with |k|.
+    """
+    i, core = _cyclic_split(factors, b)
+    if len(core) == 1:
+        (f, x), = core
+        if 2 * i + 1 > bound:
+            return [()]
+        u, u_inv = b[:i], b[i + 1:]
+        return [u + ((f, z),) + u_inv if z else () for z in factors[f].centralizer(x)]
+    n = len(core)
+    period = n - _failure(core)[-1]
+    if n % period:
+        period = n
+    # b is u, then the core (its last syllable merged into the next one when
+    # the cyclic reduction merged one), then the last len(u) syllables.
+    # Dropping m - 1 copies of rho from just before those leaves r.
+    end = len(b) - i
+    r = b[: end - (n - period)] + b[end:]
+    out = [()]
+    k, rk = 1, r
+    while len(rk) <= bound:
+        out += [rk, _inverse_syllables(factors, rk)]
+        k += 1
+        rk = power_syllables(factors, r, k)
+    return out
 
 
 class FreeProduct:
@@ -303,8 +388,8 @@ class FPElement:
             FPElement(self.group, self.syllables[:i]), FPElement(self.group, core)
         )
 
-    def is_conjugate(self, other: FPElement) -> bool:
-        """Whether other = g * self * g^-1 for some g in the ambient group.
+    def conjugator(self, other: FPElement) -> FPElement | None:
+        """Some g with g * self * g^-1 = other, or None when there is none.
 
         Exact, by the conjugacy theorem for free products (Lyndon-Schupp,
         Combinatorial Group Theory, ch. IV, sec. 1): every element is
@@ -312,20 +397,17 @@ class FPElement:
         lie in one factor and are conjugate there; cyclically reduced
         elements of norm >= 2 are conjugate iff one syllable sequence is a
         cyclic rotation of the other, which a linear-time string search of
-        one core in the other core doubled decides.
+        one core in the other core doubled decides.  g is built from the two
+        cyclic reductions and the factor conjugator or rotation offset.
         """
         self._require_same_group(other)
-        a = self.cyclic_reduce().core.syllables
-        b = other.cyclic_reduce().core.syllables
-        n = len(a)
-        if n != len(b):
-            return False
-        if n == 0:
-            return True
-        if n == 1:
-            (f, e), (g, x) = a[0], b[0]
-            return f == g and self.group.factors[f].are_conjugate(e, x)
-        return _is_rotation(a, b)
+        c = _conjugator(self.group.factors, self.syllables, other.syllables)
+        return None if c is None else FPElement(self.group, c)
+
+    def is_conjugate(self, other: FPElement) -> bool:
+        """Whether other = g * self * g^-1 for some g in the ambient group:
+        whether conjugator finds one."""
+        return self.conjugator(other) is not None
 
     def order(self) -> int | float:
         """Order of the element; INFINITE when the cyclic core has norm >= 2."""

@@ -37,7 +37,9 @@ from .free_product import (
     MAX_POWER_SYLLABLES,
     FPElement,
     FreeProduct,
+    _centralizer,
     _inverse_syllables,
+    _product,
     _seam_merge,
     power_syllables,
 )
@@ -432,16 +434,31 @@ def solve_bounded(
     s < 0), taken in candidate order; every other candidate provably fails,
     so the certificate stays exhaustive.
 
-    Conjugacy gate: when y occurs exactly twice, with opposite signs, the
-    left side is P y^s B y^-s Q with P, B, Q free of y.
-    A solution needs y^s B y^-s = T with T = P^-1 rhs Q^-1, so T must be
-    conjugate to B.  FPElement.is_conjugate decides that exactly (the
-    conjugacy theorem for free products), so an outer tuple whose T and B
-    are not conjugate has no solution for any y and its inner loop is
-    skipped.  T is evaluated from the word P^-1 rhs Q^-1, so a power in P
-    or Q inverts its short base, not its long value.  The skipped tuples
-    are provably not solutions: the certificate stays exhaustive, and both
+    Centralizer coset: when y occurs exactly twice, with opposite signs,
+    the left side is P y^s B y^-s Q with P, B, Q free of y, and the
+    equation holds iff y^s B y^-s = T with T = P^-1 rhs Q^-1.  For s = 1
+    that is y B y^-1 = T; for s = -1 it is y T y^-1 = B, the same with B
+    and T swapped.  By the conjugacy theorem for free products it has a
+    solution iff B and T are conjugate (FPElement.conjugator decides this
+    exactly and returns some c with c B c^-1 = T), and then its solutions
+    are exactly the coset c C(B) of the centralizer of B, since
+    y B y^-1 = c B c^-1 iff c^-1 y commutes with B.  In a free product
+    C(B) is known (Lyndon-Schupp, ch. IV, sec. 1; Magnus-Karrass-Solitar,
+    sec. 4.1): the whole group when B = 1, u C_A(b) u^-1 when B = u b u^-1
+    with b in a factor A, and <r> when B's cyclic core has norm >= 2, with
+    r = u rho u^-1 for the core's primitive root rho and conjugator u.
+    Each outer tuple therefore looks up only the coset's elements of norm
+    at most the largest candidate norm (larger ones match no candidate) in
+    a map from normal forms to candidate positions, built once, and visits
+    the hits in candidate order.  An outer tuple whose B and T are not
+    conjugate has no solution and is skipped.  Every candidate outside the
+    coset provably fails, so the certificate stays exhaustive, and both
     modes return the same solutions in the same order as the plain search.
+    T is evaluated from the word P^-1 rhs Q^-1, so a power in P or Q
+    inverts its short base, not its long value.
+
+    Any other occurrence pattern is searched by one seam merge per inner
+    candidate.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -488,8 +505,8 @@ def solve_bounded(
     factors = group.factors
     inner_cands = candidates[inner]
     outer_lists = [candidates[v] for v in outer]
-    conjugation_gate = len(signs) == 2 and signs[0] == -signs[1]
-    if len(signs) == 1 or conjugation_gate:
+    coset = len(signs) == 2 and signs[0] == -signs[1]
+    if len(signs) == 1 or coset:
         target_word = MixedWord(
             group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[-1])
         )
@@ -504,6 +521,36 @@ def solve_bounded(
                 t = _inverse_syllables(factors, t)
             for value in [c for c in inner_cands if c.syllables == t]:
                 assignment[inner] = value
+                record(assignment)
+                if mode == "first":
+                    return results[0]
+        return None if mode == "first" else results
+
+    if coset:
+        middle_word = MixedWord(group, runs[1])
+        positions: dict[tuple, list[int]] = {}
+        for i, value in enumerate(inner_cands):
+            positions.setdefault(value.syllables, []).append(i)
+        max_norm = max(map(len, positions))
+        for combo in _cartesian(*outer_lists):
+            assignment = dict(zip(outer, combo))
+            b = evaluate(middle_word, assignment)
+            t = evaluate(target_word, assignment)
+            if signs[0] < 0:
+                b, t = t, b
+            c = b.conjugator(t)
+            if c is None:
+                continue
+            if b.is_identity:
+                hits: Iterable[int] = range(len(inner_cands))
+            else:
+                hits = sorted(
+                    i
+                    for z in _centralizer(factors, b.syllables, max_norm + c.norm)
+                    for i in positions.get(_product(factors, c.syllables, z), ())
+                )
+            for i in hits:
+                assignment[inner] = inner_cands[i]
                 record(assignment)
                 if mode == "first":
                     return results[0]
@@ -528,10 +575,6 @@ def solve_bounded(
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))
-        if conjugation_gate:
-            b = evaluate(run_words[1], assignment)
-            if not b.is_conjugate(evaluate(target_word, assignment)):
-                continue
         pieces = [
             evaluate(word, assignment).syllables if word is not None else ()
             for word in layout

@@ -338,3 +338,23 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem2", "--range", "0"],
+    ["axis", "--group", str(CASES / "p23.grp"), "--word", "a b", "--window", "-1"],
+    ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--f", "a b", "--g", "c",
+     "--k2", "2", "--k1", "0"],
+    ["verify-lemma7", "--group", str(CASES / "p23.grp"), "--max-power", "1"],
+    ["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a", "--ball", "a;b",
+     "--depth", "-1"],
+    ["verify-lemma4", "--group", str(CASES / "p23.grp"), "--trials", "-1"],
+])
+def test_cli_numeric_argument_out_of_range_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and argv[-2] in captured.err

@@ -157,6 +157,25 @@ def test_lagrange_for_all_constructed_groups():
             assert g.order % g.element_order(x) == 0
 
 
+def test_conjugator_and_centralizer_match_brute_force():
+    groups = [
+        make_cyclic(5),
+        make_dihedral_reflections(3),
+        make_dihedral_reflections(4),
+        direct_product(make_dihedral_reflections(3), make_cyclic(2, "c")),
+    ]
+    for g in groups:
+        t, inv = g.table, g.inverses
+        for x in g.elements():
+            assert g.centralizer(x) == tuple(h for h in g.elements() if t[h][x] == t[x][h])
+            for y in g.elements():
+                conjugators = [h for h in g.elements() if t[t[h][x]][inv[h]] == y]
+                assert g.conjugator(x, y) == (conjugators[0] if conjugators else None)
+                assert g.are_conjugate(x, y) is bool(conjugators)
+    with pytest.raises(ForeignElementError):
+        make_cyclic(2).conjugator(0, 2)
+
+
 def brute_closure(g, gens):
     """Independent closure oracle: grow the set until stable."""
     s = {0, *gens}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import elements, raw_syllable_lists
+from freeprod import free_product
 from freeprod.errors import (
     BadFactorIndexError,
     ForeignElementError,
@@ -463,6 +464,49 @@ def test_is_conjugate_matches_conjugator_search(p23, gens):
     assert not b.is_conjugate(b * b)
 
 
+def is_rotation_reference(a, b):
+    """The boolean Knuth-Morris-Pratt rotation test that decided conjugacy
+    before conjugators were built, kept as the reference."""
+    n = len(b)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and b[i] != b[k]:
+            k = fail[k - 1]
+        if b[i] == b[k]:
+            k += 1
+        fail[i] = k
+    k = 0
+    for x in a + a[:-1]:
+        while k and x != b[k]:
+            k = fail[k - 1]
+        if x == b[k]:
+            k += 1
+            if k == n:
+                return True
+    return False
+
+
+def are_conjugate_reference(group, x, y):
+    """The factor-level conjugacy test before FiniteGroup.conjugator."""
+    t, inv = group.table, group.inverses
+    return any(t[t[g][x]][inv[g]] == y for g in range(group.order))
+
+
+def is_conjugate_reference(u, v):
+    """FPElement.is_conjugate before it asked for a conjugator."""
+    a = cyclic_reduce_quadratic(u)[1]
+    b = cyclic_reduce_quadratic(v)[1]
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    if len(a) == 1:
+        (f, e), (g, x) = a[0], b[0]
+        return f == g and are_conjugate_reference(u.group.factors[f], e, x)
+    return is_rotation_reference(a, b)
+
+
 def is_conjugate_rotation_reference(u, v):
     """The original rotation test, kept as the reference: try every rotation
     of one core that starts at the other core's head."""
@@ -475,7 +519,7 @@ def is_conjugate_rotation_reference(u, v):
         return True
     if n == 1:
         (f, e), (g, x) = a[0], b[0]
-        return f == g and u.group.factors[f].are_conjugate(e, x)
+        return f == g and are_conjugate_reference(u.group.factors[f], e, x)
     head = b[0]
     return any(a[i] == head and a[i:] + a[:i] == b for i in range(n))
 
@@ -513,6 +557,58 @@ def test_is_conjugate_long_periodic_cores(p23, gens):
         assert not u.is_conjugate(ab.power(k - 1) * a * b * b)
         assert u.is_conjugate(b * ab.power(k) * b.inverse())
         assert u.is_conjugate((b * a).power(k))
+
+
+_D4Z2 = FreeProduct([make_dihedral_reflections(4), make_cyclic(2, "c")])
+
+
+@pytest.mark.parametrize("group", [_G, _S3Z2], ids=["p23", "s3z2"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_conjugator_conjugates_and_matches_the_reference(group, data):
+    u = data.draw(elements(group), label="u")
+    g = data.draw(elements(group, 5), label="g")
+    core = u.cyclic_reduce().core.syllables
+    k = data.draw(st.integers(0, max(len(core) - 1, 0)), label="rotation")
+    rotated = group.element(core[k:] + core[:k])
+    others = [
+        u.conjugate(g),
+        rotated.conjugate(g),
+        u.power(2).conjugate(g),
+        data.draw(elements(group), label="v"),
+    ]
+    for v in others:
+        expected = is_conjugate_reference(u, v)
+        c = u.conjugator(v)
+        assert (c is not None) is expected
+        assert u.is_conjugate(v) is expected
+        if c is not None:
+            assert c * u * c.inverse() == v
+    if len(core) >= 2:
+        # the offset is the least rotation that matches
+        rot = rotated.syllables
+        offset = free_product._is_rotation(core, rot)
+        assert offset == min(i for i in range(len(core)) if core[i:] + core[:i] == rot)
+        other = others[-1].cyclic_reduce().core.syllables
+        if len(other) == len(core):
+            found = free_product._is_rotation(core, other)
+            assert (found is not None) is is_rotation_reference(core, other)
+
+
+def test_centralizer_matches_brute_force(p23, s3z2):
+    # C(b) for b != 1, up to a norm bound, against every element of that
+    # norm that commutes with b: the balls below hold all such elements.
+    # b of norm <= 4 in p23 includes proper powers such as (a b)^2.
+    for group, depth, b_depth in ((p23, 8, 4), (s3z2, 5, 3), (_D4Z2, 4, 3)):
+        one = group.identity()
+        parts = [(f, range(fg.order), one) for f, fg in enumerate(group.factors)]
+        ball = enumerate_ball(group, parts, depth)
+        for b in enumerate_ball(group, parts, b_depth)[1:]:
+            for bound in (depth - 2, depth):
+                got = free_product._centralizer(group.factors, b.syllables, bound)
+                assert len(set(got)) == len(got)
+                expected = {z.syllables for z in ball if z.norm <= bound and z * b == b * z}
+                assert set(got) == expected
 
 
 # -- rendering against the label-by-label reference ---------------------------

@@ -16,7 +16,7 @@ from freeprod.errors import (
     VerificationError,
     WordSyntaxError,
 )
-from freeprod.finite_group import FiniteGroup, make_cyclic
+from freeprod.finite_group import FiniteGroup, make_cyclic, make_dihedral_reflections
 from freeprod.free_product import INFINITE, FPElement, FreeProduct, enumerate_ball
 from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
@@ -238,22 +238,23 @@ def assert_matches_oracle(eq, cand):
     return fast
 
 
-def spy_is_conjugate(monkeypatch):
-    """Record (self, other, result) for every FPElement.is_conjugate call."""
+def spy_conjugator(monkeypatch):
+    """Record (self, other, result) for every FPElement.conjugator call;
+    result is None when the two are not conjugate."""
     calls = []
-    real = FPElement.is_conjugate
+    real = FPElement.conjugator
 
     def spy(self, other):
         result = real(self, other)
         calls.append((self, other, result))
         return result
 
-    monkeypatch.setattr(FPElement, "is_conjugate", spy)
+    monkeypatch.setattr(FPElement, "conjugator", spy)
     return calls
 
 
-def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
-    calls = spy_is_conjugate(monkeypatch)
+def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
+    calls = spy_conjugator(monkeypatch)
     rng = random.Random(5)
     cand = [random_reduced(rng, p23, 0, 2) for _ in range(5)]
     one = p23.identity()
@@ -263,13 +264,25 @@ def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
         "[x1,x2] = 1",
         "x1 x2 x1 = b",
         "x1^2 x2 = a b",
-        # P y^s B y^-s Q with y = x2: the conjugacy gate applies
+        # P y^s B y^-s Q with y = x2: y is looked up in a coset of C(B)
         "x1 x2 x1 x2^-1 = a",
         "x2^-1 x1 b x2 = a b",
         "x1 x2 b x2^-1 x1 = 1",
         "x2 x1 x2^-1 = b^2",
         "x1 x2 a x2^-1 = b a b",
         "x2 x2^-1 x1 = a",
+        # B = 1 (x1 = 1): every y
+        "x2 x1 x2^-1 = 1",
+        # B a proper power: C(B) is generated by a b, not by the core
+        "x2 (a b)^3 x2^-1 = (b a)^3",
+        "x2 (a b)^3 x2^-1 x1 = (b a)^3",
+        # B = u b u^-1 with u = b, and a core whose last syllable the cyclic
+        # reduction merged: b^2 (a b a) b^2 = b^2 (a b)^2 b^-2
+        "x2 b a b^2 x2^-1 = a",
+        "x2 b^2 a b a b^2 x2^-1 x1 = a b a b",
+        # s = -1: B and T swap roles
+        "x2^-1 (a b)^3 x2 = (b a)^3",
+        "x2^-1 b a b^2 x2 x1 = a",
         # y twice with the same sign: the gate does not apply
         "x2 x1 x2 = b",
         # y inside a power: the power is written out for the split
@@ -286,28 +299,114 @@ def test_solve_bounded_all_matches_naive_oracle(p23, monkeypatch):
             assert_matches_oracle(eq, c)
     # duplicated candidates: every copy is a solution of its own
     repeated = 0
-    for text in ("x1 = a b", "x1 x2^-1 = b", "x2 x1 x2^-1 = b^2", "x1^2 x2 = a b"):
+    for text in ("x1 = a b", "x1 x2^-1 = b", "x2 x1 x2^-1 = b^2", "x1^2 x2 = a b",
+                 "x2 x1 x2^-1 = 1", "x2 (a b)^3 x2^-1 x1 = (b a)^3",
+                 "x2^-1 b a b^2 x2 x1 = a"):
         eq = parse_equation(text, p23)
         for c in (cand + cand, ball + ball[:7]):
             found = assert_matches_oracle(eq, c)
             repeated += len(found) - len(set(found))
     assert repeated
-    outcomes = {result for _, _, result in calls}
+    # B with a norm-1 core in a factor: the coset is c u C_A(b) u^-1.  In
+    # S3 the conjugator inside the factor is nontrivial (a to b); in D4 the
+    # central rotation (a b)^2 has the whole, non-abelian, D4 as centralizer.
+    d4c2 = FreeProduct([make_dihedral_reflections(4), make_cyclic(2, "c")])
+    for group, texts in (
+        (s3z2, ("x2 x1 x2^-1 = a b", "x2 x1 x2^-1 = a", "x2^-1 c a c x2 = b",
+                "x2 c a c x2^-1 x1 = b", "x2 x1 x2^-1 = 1")),
+        (d4c2, ("x2 (a b)^2 x2^-1 = (a b)^2", "x2 c (a b)^2 c x2^-1 = (b a)^2",
+                "x2^-1 x1 x2 = a b a b", "x2 x1 x2^-1 = c a c")),
+    ):
+        one = group.identity()
+        parts = [(0, range(group.factors[0].order), one), (1, (0, 1), one)]
+        group_ball = enumerate_ball(group, parts, 2)
+        for text in texts:
+            eq = parse_equation(text, group)
+            for c in (group_ball, group_ball + group_ball[:9]):
+                assert_matches_oracle(eq, c)
+    outcomes = {result is not None for _, _, result in calls}
     assert outcomes == {True, False}
 
 
 def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
     # x2 x1 x2^-1 = a b: the target a b is a rotation in S3, so x1 = a (a
     # reflection) has a norm-1 core in the same factor but another class.
-    calls = spy_is_conjugate(monkeypatch)
+    calls = spy_conjugator(monkeypatch)
     one = s3z2.identity()
     ball = enumerate_ball(s3z2, [(0, range(6), one), (1, (0, 1), one)], 2)
     eq = parse_equation("x2 x1 x2^-1 = a b", s3z2)
     assert assert_matches_oracle(eq, ball)
     a = s3z2.generator("a")
-    rejected = [(b, t) for b, t, result in calls if not result]
+    rejected = [(b, t) for b, t, result in calls if result is None]
     assert (a, eq.rhs) in rejected
     assert a.cyclic_reduce().core.syllables[0][0] == eq.rhs.syllables[0][0]
+
+
+_P23 = FreeProduct([make_cyclic(2, "a"), make_cyclic(3, "b")])
+_S3Z2 = FreeProduct([make_dihedral_reflections(3), make_cyclic(2, "c")])
+
+
+@pytest.mark.parametrize("group", [_P23, _S3Z2], ids=["p23", "s3z2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_centralizer_coset_lookup_matches_brute_force(group, data):
+    # y^s B y^-s = T with B and T constants: the solver looks y up in the
+    # coset c C(B).  T is a conjugate of B, or of a power of B, or random;
+    # the candidates mix random elements, elements of the coset and copies
+    # of both (separate objects, so that positions can be told apart).
+    b = data.draw(elements(group, 6), label="B")
+    g = data.draw(elements(group, 4), label="g")
+    sign = data.draw(st.sampled_from([1, -1]), label="s")
+    kind = data.draw(st.sampled_from(["conjugate", "power", "random"]), label="T")
+    if kind == "random":
+        t = data.draw(elements(group, 6))
+    else:
+        t = b.power(data.draw(st.integers(1, 2)) if kind == "power" else 1).conjugate(g)
+    # solutions when T = g B g^-1: y in g C(B) for s = 1, y in C(B) g^-1 for s = -1
+    if sign < 0:
+        coset = [b.power(k) * g.inverse() for k in (-1, 0, 1, 2)]
+    else:
+        coset = [g * b.power(k) for k in (-1, 0, 1, 2)]
+    pool = data.draw(st.lists(elements(group, 6), max_size=12)) + coset
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    cands = data.draw(st.permutations(pool + [FPElement(group, pool[i].syllables) for i in picks]))
+    letters = (Var(1, sign), Const(b), Var(1, -sign))
+    eq = Equation(MixedWord(group, letters), t)
+    found = solve_bounded(eq, {1: cands}, mode="all")
+    index = {id(y): i for i, y in enumerate(cands)}
+    positions = [index[id(sub[1])] for sub in found]
+    if sign > 0:
+        expected = [i for i, y in enumerate(cands) if y * b * y.inverse() == t]
+    else:
+        expected = [i for i, y in enumerate(cands) if y.inverse() * b * y == t]
+    assert positions == expected
+    first = solve_bounded(eq, {1: cands}, mode="first")
+    assert first == (found[0] if found else None)
+    if kind == "conjugate":
+        assert positions  # g^s solves it
+
+
+def test_commuting_pairs_work(p23, monkeypatch):
+    # [x1,x2] = 1 over the 890-element depth-14 ball of <a> * <b>: per x1,
+    # x2 is looked up in the centralizer of x1, so the search makes a few
+    # seam merges per x1 and one per re-checked solution, not one per pair
+    # (890^2 = 792,100).  4,408 pairs is the count bench/oracle.py finds.
+    one = p23.identity()
+    ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 14)
+    assert len(ball) == 890
+    merges = 0
+    real_merge = free_product._seam_merge
+
+    def merge(*args):
+        nonlocal merges
+        merges += 1
+        return real_merge(*args)
+
+    monkeypatch.setattr(free_product, "_seam_merge", merge)
+    monkeypatch.setattr(words, "_seam_merge", merge)
+    found = solve_bounded(parse_equation("[x1,x2] = 1", p23), {1: ball, 2: ball}, mode="all")
+    assert len(found) == 4408
+    assert merges < 10 * len(ball)
 
 
 def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
@@ -499,10 +598,10 @@ def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
     ball = lemma5_desk_ball(z6z2, 6)
     assert len(ball) == 50
-    calls = spy_is_conjugate(monkeypatch)
+    calls = spy_conjugator(monkeypatch)
     assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}) is None
     assert len(calls) == 2500
-    assert not any(result for _, _, result in calls)
+    assert all(result is None for _, _, result in calls)
 
 
 # -- re-verification that survives python -O ----------------------------------
