@@ -43,9 +43,19 @@ CHECKS = [
     # infinite order, read from the base; the normal form is above the cap
     (["order", "--group", str(CASES / "p23.grp"),
       "--word", "(a b)^6833241672693788912"], 0),
-    # c lies outside the 39,061-element ball: one scan certifies it
+    # c lies outside the 39,061-element ball: one membership question
+    # certifies it
     (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x1 = c",
       "--ball", "a,b;a,b@c", "--depth", "6"], 1),
+    # the depth-12 ball holds about 6*10^8 elements; a lone one-occurrence
+    # variable is answered by meet-in-the-middle membership without it:
+    # 12 alternating part elements lie in the ball, 13 do not
+    (["solve", "--group", str(CASES / "example2.grp"),
+      "--eq", "x1 = " + " ".join(["a", "c b c"] * 6),
+      "--ball", "a,b;a,b@c", "--depth", "12"], 0),
+    (["solve", "--group", str(CASES / "example2.grp"),
+      "--eq", "x1 = " + " ".join(["a", "c b c"] * 6) + " b^2",
+      "--ball", "a,b;a,b@c", "--depth", "12"], 1),
     # nested deeper than the parser's recursion can go: an input error
     (["eval", "--group", str(CASES / "p23.grp"),
       "--word", "(" * 400 + "a" + ")" * 400], 2),

@@ -24,7 +24,14 @@ from .finite_group import (
     make_cyclic,
     make_dihedral_reflections,
 )
-from .free_product import INFINITE, CyclicReduction, FPElement, FreeProduct, enumerate_ball
+from .free_product import (
+    INFINITE,
+    Ball,
+    CyclicReduction,
+    FPElement,
+    FreeProduct,
+    enumerate_ball,
+)
 from .tree import (
     AxisInfo,
     CosetVertex,
@@ -81,6 +88,7 @@ __all__ = [
     "make_dihedral_reflections",
     "direct_product",
     "enumerate_ball",
+    "Ball",
     "validate",
     "check_all",
     "check_condition1",

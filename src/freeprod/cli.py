@@ -5,8 +5,9 @@ human-readable summary, and with --json emits a report of the fixed shape
 
     {"verdict": str, "violations": [...], "witnesses": [...], "timings": {...}}
 
-Exit codes: 0 = pass/solved, 1 = violation or no solution found,
-2 = input/usage error.
+(solve adds "counters", its work counts).  Exit codes: 0 = pass/solved,
+1 = violation or no solution found, 2 = input/usage error or a resource
+limit (out of memory, recursion too deep).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import checker, specfiles, tree, words
 from .errors import GroupError, PowerTooLargeError
-from .free_product import INFINITE, FreeProduct, enumerate_ball
+from .free_product import INFINITE, Ball, FreeProduct, enumerate_ball
 from .sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
@@ -40,6 +41,15 @@ REPORT_SCHEMA = {
             "type": "object",
             "required": ["total_s"],
             "properties": {"total_s": {"type": "number"}},
+        },
+        # solve only: its work counts, independent of the machine
+        "counters": {
+            "type": "object",
+            "required": ["ball_size", "membership_queries"],
+            "properties": {
+                "ball_size": {"type": ["integer", "null"]},
+                "membership_queries": {"type": "integer"},
+            },
         },
     },
 }
@@ -169,7 +179,7 @@ def _cmd_solve(args):
     ambient = _load_group(args.group)
     eq = words.parse_equation(args.eq, ambient)
     parts = specfiles.parse_ball_spec(args.ball, ambient)
-    ball = enumerate_ball(ambient, parts, args.depth)
+    ball = Ball(ambient, parts, args.depth)
     candidates = {v: ball for v in eq.lhs.free_variables()}
     mode = "all" if args.all else "first"
     found = words.solve_bounded(eq, candidates, mode=mode)
@@ -177,17 +187,26 @@ def _cmd_solve(args):
     witnesses = [
         {f"x{i}": v.as_word() for i, v in sub.assignment} for sub in solutions
     ]
+    # The search enumerates the ball unless a lone one-occurrence variable
+    # is answered by membership alone.
+    size = len(ball) if ball.enumerated else None
     if solutions:
         report = _report("solved", witnesses=witnesses, started=t0)
-        lines = [f"solution in the depth-{args.depth} ball ({len(ball)} elements):"]
-        for s in solutions:
-            rendered = ", ".join(f"x{i} = {v.as_word()}" for i, v in s.assignment)
+        sized = f" ({size} elements)" if size is not None else ""
+        lines = [f"solution in the depth-{args.depth} ball{sized}:"]
+        for w in witnesses:
+            rendered = ", ".join(f"{x} = {text}" for x, text in w.items())
             lines.append("  " + (rendered or "(no variables)"))
-        return 0, report, lines
-    report = _report("no-solution-in-set", started=t0)
-    return 1, report, [
-        f"no solution among the {len(ball)} ball elements (depth {args.depth})"
-    ]
+        code = 0
+    else:
+        report = _report("no-solution-in-set", started=t0)
+        if size is None:
+            lines = [f"no solution in the depth-{args.depth} ball"]
+        else:
+            lines = [f"no solution among the {size} ball elements (depth {args.depth})"]
+        code = 1
+    report["counters"] = {"ball_size": size, "membership_queries": ball.membership_queries}
+    return code, report, lines
 
 
 def _cmd_verify_theorem2(args):
@@ -467,6 +486,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # A resource limit, not a violation: one line, never a traceback.
+        print(f"error: resource limit reached ({type(exc).__name__})", file=sys.stderr)
         return 2
     _emit(args, report, lines)
     return code

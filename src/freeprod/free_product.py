@@ -9,8 +9,8 @@ equality is the equality oracle for the whole group.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import (
     BadFactorIndexError,
@@ -451,21 +451,11 @@ class CyclicReduction:
         return self.conjugator * self.core * self.conjugator.inverse()
 
 
-def enumerate_ball(
-    group: FreeProduct,
-    parts: Sequence[tuple[int, Iterable[int], FPElement]],
-    depth: int,
-) -> list[FPElement]:
-    """All products of up to ``depth`` nontrivial part elements.
-
-    Each part is (factor index, subgroup id set, conjugator); its elements
-    are conjugator * h * conjugator^-1 for nonidentity h.  Consecutive
-    elements of a product must come from different parts.  Results are
-    normal forms, deduplicated (first occurrence wins) and returned in
-    length-lexicographic order of the (part, element) index sequences, so
-    the output is correct even when the parts fail to generate an actual
-    free product.
-    """
+def _part_syllables(
+    group: FreeProduct, parts: Sequence[tuple[int, Iterable[int], FPElement]]
+) -> list[list[tuple[Syllable, ...]]]:
+    """Validate ball parts and return, per part, the normal forms of its
+    nonidentity elements conjugator * h * conjugator^-1."""
     part_elems: list[list[tuple[Syllable, ...]]] = []
     for factor, subgroup, conj in parts:
         group._check_factor(factor)
@@ -481,6 +471,25 @@ def enumerate_ball(
         part_elems.append(
             [(conj * group.factor_element(factor, h) * cinv).syllables for h in sub if h != 0]
         )
+    return part_elems
+
+
+def enumerate_ball(
+    group: FreeProduct,
+    parts: Sequence[tuple[int, Iterable[int], FPElement]],
+    depth: int,
+) -> list[FPElement]:
+    """All products of up to ``depth`` nontrivial part elements.
+
+    Each part is (factor index, subgroup id set, conjugator); its elements
+    are conjugator * h * conjugator^-1 for nonidentity h.  Consecutive
+    elements of a product must come from different parts.  Results are
+    normal forms, deduplicated (first occurrence wins) and returned in
+    length-lexicographic order of the (part, element) index sequences, so
+    the output is correct even when the parts fail to generate an actual
+    free product.
+    """
+    part_elems = _part_syllables(group, parts)
 
     # The frontier and the seen set hold syllable tuples; each distinct
     # element is wrapped as an FPElement once, when it is first reached.
@@ -505,3 +514,97 @@ def enumerate_ball(
                         out.append(FPElement(group, v))
         level = nxt
     return out
+
+
+class Ball(Sequence):
+    """The elements of ``enumerate_ball(group, parts, depth)`` as a lazy
+    sequence: membership is decided without building the ball.
+
+    Iterating, indexing or taking the length builds the ball once, with
+    enumerate_ball, in its order.  Until then ``element in ball`` meets in
+    the middle.  The depth-d ball is B_d = B_a * B_b as a set, for
+    a = ceil(d/2) and b = floor(d/2): a product of up to a part elements
+    times a product of up to b is a product of up to d, because two
+    adjacent factors from one part multiply to an element of that part or
+    to 1 (each part is a conjugated subgroup), and merging them never adds
+    a factor.  So t is in B_d iff t * v^-1 is in B_a for some v in B_b.
+    B_b is closed under inversion (reverse a product and invert each
+    factor), so v^-1 runs over B_b as v does.  The test computes t * w for
+    every w in the smaller half B_b and looks it up in a set of the larger
+    half's normal forms; both halves are built once per Ball.  Once the ball
+    itself is built, membership is a set lookup.  The answer is exact either
+    way.
+
+    The parts are validated when the Ball is made, so every element it
+    holds lies in ``group``.  A ball always holds the identity, so it is
+    never empty, and testing its truth does not build it.
+    """
+
+    __slots__ = (
+        "group", "parts", "depth", "membership_queries", "enumerated",
+        "_elements", "_index", "_halves",
+    )
+
+    def __init__(
+        self,
+        group: FreeProduct,
+        parts: Sequence[tuple[int, Iterable[int], FPElement]],
+        depth: int,
+    ):
+        self.parts = [(factor, tuple(subgroup), conj) for factor, subgroup, conj in parts]
+        _part_syllables(group, self.parts)
+        self.group = group
+        self.depth = depth
+        #: How many membership questions the ball has been asked.
+        self.membership_queries = 0
+        #: Whether the elements have been iterated or indexed.  len() alone
+        #: builds them but leaves this False, so sizing the ball (as a tracer
+        #: or a progress report would) does not change what a report says
+        #: the search did.
+        self.enumerated = False
+        self._elements: list[FPElement] | None = None
+        self._index: set[tuple[Syllable, ...]] | None = None
+        self._halves: tuple[set, list] | None = None  # (B_a normal forms, B_b's)
+
+    def __repr__(self) -> str:
+        return f"Ball({self.group.name!r}, depth={self.depth})"
+
+    def _built(self) -> list[FPElement]:
+        if self._elements is None:
+            self._elements = enumerate_ball(self.group, self.parts, self.depth)
+            self._halves = None
+        return self._elements
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __getitem__(self, index):
+        self.enumerated = True
+        return self._built()[index]
+
+    def __iter__(self):
+        self.enumerated = True
+        return iter(self._built())
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __contains__(self, element: object) -> bool:
+        if not isinstance(element, FPElement) or element.group is not self.group:
+            return False
+        self.membership_queries += 1
+        t = element.syllables
+        if self._elements is not None:
+            if self._index is None:
+                self._index = {u.syllables for u in self._elements}
+            return t in self._index
+        if self._halves is None:
+            larger = enumerate_ball(self.group, self.parts, (self.depth + 1) // 2)
+            smaller = (
+                larger if self.depth % 2 == 0
+                else enumerate_ball(self.group, self.parts, self.depth // 2)
+            )
+            self._halves = ({u.syllables for u in larger}, [w.syllables for w in smaller])
+        larger_set, smaller = self._halves
+        factors = self.group.factors
+        return any(_product(factors, t, w) in larger_set for w in smaller)

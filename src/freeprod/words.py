@@ -35,6 +35,7 @@ from .errors import (
 )
 from .free_product import (
     MAX_POWER_SYLLABLES,
+    Ball,
     FPElement,
     FreeProduct,
     _centralizer,
@@ -432,7 +433,10 @@ def solve_bounded(
     Each outer tuple evaluates that one value, and its solutions are the
     candidates for y whose normal form equals it (or its inverse when
     s < 0), taken in candidate order; every other candidate provably fails,
-    so the certificate stays exhaustive.
+    so the certificate stays exhaustive.  When y's candidates are a Ball,
+    the value is looked up by exact Ball membership, which does not build
+    the ball; a ball holds each element once, so at most one candidate
+    matches.
 
     Centralizer coset: when y occurs exactly twice, with opposite signs,
     the left side is P y^s B y^-s Q with P, B, Q free of y, and the
@@ -470,9 +474,13 @@ def solve_bounded(
             raise EmptyCandidatesError(f"empty candidate list for x{v}")
     group = eq.lhs.group
     for v in variables:
-        for c in candidates[v]:
-            if not isinstance(c, FPElement) or c.group is not group:
-                raise MixedAmbientError(f"candidate for x{v} has wrong ambient")
+        cands = candidates[v]
+        if isinstance(cands, Ball):  # its elements all lie in cands.group
+            wrong = cands.group is not group
+        else:
+            wrong = any(not isinstance(c, FPElement) or c.group is not group for c in cands)
+        if wrong:
+            raise MixedAmbientError(f"candidate for x{v} has wrong ambient")
 
     results: list[Substitution] = []
 
@@ -512,14 +520,20 @@ def solve_bounded(
         )
 
     if len(signs) == 1:
-        # Single occurrence: a scan keeps candidate order and duplicates,
-        # which an index built per call would cost more than.
+        # Single occurrence: a scan of a plain sequence keeps candidate order
+        # and duplicates, which an index built per call would cost more than.
+        in_ball = isinstance(inner_cands, Ball)
         for combo in _cartesian(*outer_lists):
             assignment = dict(zip(outer, combo))
             t = evaluate(target_word, assignment).syllables
             if signs[0] < 0:
                 t = _inverse_syllables(factors, t)
-            for value in [c for c in inner_cands if c.syllables == t]:
+            if in_ball:
+                value = FPElement(group, t)
+                hits = [value] if value in inner_cands else []
+            else:
+                hits = [c for c in inner_cands if c.syllables == t]
+            for value in hits:
                 assignment[inner] = value
                 record(assignment)
                 if mode == "first":

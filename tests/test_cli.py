@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from freeprod import cli, specfiles
+from freeprod import cli, free_product, specfiles
 from freeprod.errors import (
     ForeignElementError,
     OrderTooSmallError,
@@ -358,3 +358,89 @@ def test_cli_numeric_argument_out_of_range_exits_2(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and argv[-2] in captured.err
+
+
+# -- solve over a ball it need not build ----------------------------------------
+
+EXAMPLE2_BALL = ["--group", str(CASES / "example2.grp"), "--ball", "a,b;a,b@c"]
+
+
+def test_cli_solve_one_occurrence_does_not_build_the_ball(capsys, monkeypatch):
+    # x1 = c over the 39,061-element depth-6 ball: one membership question,
+    # answered from the depth-3 half balls.
+    depths = []
+    real = free_product.enumerate_ball
+
+    def spy(group, parts, depth):
+        depths.append(depth)
+        return real(group, parts, depth)
+
+    monkeypatch.setattr(free_product, "enumerate_ball", spy)
+    code, report = run_json(capsys, ["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"])
+    assert depths and max(depths) <= 3
+    assert code == 1
+    assert report.pop("counters") == {"ball_size": None, "membership_queries": 1}
+    report.pop("timings")
+    assert report == {"verdict": "no-solution-in-set", "violations": [], "witnesses": []}
+    assert cli.main(["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"]) == 1
+    assert capsys.readouterr().out == "no solution in the depth-6 ball\n"
+    assert cli.main(["solve", *EXAMPLE2_BALL, "--eq", "x1 = c a c b", "--depth", "6"]) == 0
+    assert capsys.readouterr().out == "solution in the depth-6 ball:\n  x1 = c a c b\n"
+    assert max(depths) <= 3
+
+
+def test_cli_solve_at_depth_12(capsys):
+    # The depth-12 ball holds about 6*10^8 elements.  <a,b> and c<a,b>c
+    # generate their free product, so an alternating product of 13 part
+    # elements has length 13 there and lies outside the ball.
+    twelve = " ".join(["a", "c b c"] * 6)
+    for word, expected in ((twelve, 0), (twelve + " b^2", 1)):
+        code, report = run_json(capsys, ["solve", *EXAMPLE2_BALL, "--eq", f"x1 = {word}",
+                                         "--depth", "12"])
+        assert code == expected
+        assert report["counters"] == {"ball_size": None, "membership_queries": 1}
+        if expected == 0:
+            assert report["verdict"] == "solved"
+            assert report["witnesses"] == [{"x1": word}]
+        else:
+            assert report["verdict"] == "no-solution-in-set"
+            assert report["witnesses"] == []
+
+
+def test_cli_solve_renders_each_solution_once(capsys, monkeypatch):
+    # [x1,x2] = 1 enumerates the ball, so its size is reported; each value
+    # of each solution is rendered once, in both output modes.
+    calls = 0
+    real = free_product.FPElement.as_word
+
+    def as_word(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(free_product.FPElement, "as_word", as_word)
+    argv = ["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2] = 1",
+            "--ball", "a;b", "--all"]
+    code, report = run_json(capsys, argv + ["--depth", "14"])
+    assert code == 0 and len(report["witnesses"]) == 4408
+    assert report["counters"] == {"ball_size": 890, "membership_queries": 0}
+    assert calls == 2 * 4408
+    calls = 0
+    assert cli.main(argv + ["--depth", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "solution in the depth-4 ball (22 elements):"
+    assert calls == 2 * (len(lines) - 1)
+    assert "  x1 = 1, x2 = a" in lines
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_cli_resource_limit_exits_2(capsys, monkeypatch, error):
+    def exhausted(path):
+        raise error()
+
+    monkeypatch.setattr(cli, "_load_group", exhausted)
+    assert cli.main(["eval", "--group", str(CASES / "p23.grp"), "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and error.__name__ in captured.err

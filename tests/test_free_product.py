@@ -17,11 +17,13 @@ from freeprod.errors import (
 from freeprod.free_product import (
     INFINITE,
     MAX_POWER_SYLLABLES,
+    Ball,
+    FPElement,
     FreeProduct,
     enumerate_ball,
     power_syllables,
 )
-from freeprod.finite_group import make_cyclic, make_dihedral_reflections
+from freeprod.finite_group import direct_product, make_cyclic, make_dihedral_reflections
 from freeprod.sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
@@ -700,3 +702,73 @@ def test_enumerate_ball_matches_elementwise_reference(p23, s3z2):
                 assert [u.syllables for u in ball] == [u.syllables for u in reference]
                 assert all(u.group is group for u in ball)
                 assert len(set(ball)) == len(ball)
+
+
+# -- the lazy ball against enumerate_ball ---------------------------------------
+
+_Z6Z2 = FreeProduct([direct_product(make_cyclic(2, "a"), make_cyclic(3, "b")), make_cyclic(2, "c")])
+
+
+@st.composite
+def ball_parts(draw, group):
+    """1-4 parts: random nontrivial subgroups of random factors, each under a
+    short conjugator; a drawn part may be repeated, and parts of one factor
+    overlap or coincide."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(st.integers(0, len(group.factors) - 1))
+        fg = group.factors[f]
+        gens = draw(st.lists(st.integers(1, fg.order - 1), min_size=1, max_size=2))
+        conj = draw(elements(group, 2))
+        parts.append((f, fg.generated_subgroup(gens), conj))
+    if draw(st.booleans()):
+        parts.append(parts[draw(st.integers(0, len(parts) - 1))])
+    return parts
+
+
+@pytest.mark.parametrize("group", [_G, _S3Z2, _Z6Z2], ids=["p23", "s3z2", "z6z2"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ball_matches_enumerate_ball(group, data):
+    parts = data.draw(ball_parts(group), label="parts")
+    depth = data.draw(st.integers(0, 5), label="depth")
+    reference = enumerate_ball(group, parts, depth)
+    members = {u.syllables for u in reference}
+    part_elems = free_product._part_syllables(group, parts)
+    # Targets: ball elements, each times one more part element (inside or
+    # just outside the ball), and random elements.
+    inside = data.draw(st.lists(st.sampled_from(reference), max_size=8))
+    steps = data.draw(st.lists(
+        st.tuples(st.sampled_from(reference), st.sampled_from(range(len(parts)))), max_size=8))
+    beyond = [
+        u * FPElement(group, data.draw(st.sampled_from(part_elems[p])))
+        for u, p in steps
+    ]
+    targets = inside + beyond + data.draw(st.lists(elements(group, 6), max_size=4))
+
+    ball = Ball(group, parts, depth)
+    assert ball and not ball.enumerated
+    # meet in the middle, then the set of the built ball
+    assert [t in ball for t in targets] == [t.syllables in members for t in targets]
+    assert not ball.enumerated
+    assert len(ball) == len(reference)
+    assert [t in ball for t in targets] == [t.syllables in members for t in targets]
+    assert ball.membership_queries == 2 * len(targets)
+    assert [u.syllables for u in ball] == [u.syllables for u in reference]
+    assert ball.enumerated
+    for i in data.draw(st.lists(st.integers(-len(reference), len(reference) - 1), max_size=4)):
+        assert ball[i] == reference[i]
+    assert ball[1:4] == reference[1:4]
+
+
+def test_ball_rejects_bad_parts_when_made(p23, s3z2):
+    one = p23.identity()
+    with pytest.raises(TrivialSubgroupError):
+        Ball(p23, [(0, (0,), one)], 1)
+    with pytest.raises(NotASubgroupError):
+        Ball(p23, [(1, (0, 1), one)], 1)
+    with pytest.raises(MixedAmbientError):
+        Ball(p23, [(0, (0, 1), s3z2.identity())], 1)
+    ball = Ball(p23, [(0, (0, 1), one)], 3)
+    assert s3z2.identity() not in ball and "a" not in ball
+    assert ball.membership_queries == 0

@@ -10,6 +10,7 @@ from freeprod import free_product, words
 from freeprod.errors import (
     EmptyCandidatesError,
     EmptyWordError,
+    MixedAmbientError,
     PowerTooLargeError,
     UnboundVariableError,
     UnknownGeneratorError,
@@ -17,7 +18,7 @@ from freeprod.errors import (
     WordSyntaxError,
 )
 from freeprod.finite_group import FiniteGroup, make_cyclic, make_dihedral_reflections
-from freeprod.free_product import INFINITE, FPElement, FreeProduct, enumerate_ball
+from freeprod.free_product import INFINITE, Ball, FPElement, FreeProduct, enumerate_ball
 from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
     Const,
@@ -238,6 +239,17 @@ def assert_matches_oracle(eq, cand):
     return fast
 
 
+def assert_ball_matches_oracle(eq, make_ball):
+    """solve_bounded with a fresh Ball per variable, in both modes, against
+    the oracle over the built ball: an inner variable that occurs once is
+    then answered by meet-in-the-middle membership."""
+    vs = eq.lhs.free_variables()
+    expected = naive_all_solutions(eq, {v: list(make_ball()) for v in vs})
+    assert solve_bounded(eq, {v: make_ball() for v in vs}, mode="all") == expected
+    first = solve_bounded(eq, {v: make_ball() for v in vs}, mode="first")
+    assert first == (expected[0] if expected else None)
+
+
 def spy_conjugator(monkeypatch):
     """Record (self, other, result) for every FPElement.conjugator call;
     result is None when the two are not conjugate."""
@@ -258,7 +270,8 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
     rng = random.Random(5)
     cand = [random_reduced(rng, p23, 0, 2) for _ in range(5)]
     one = p23.identity()
-    ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 3)
+    parts = [(0, (0, 1), one), (1, (0, 1, 2), one)]
+    ball = enumerate_ball(p23, parts, 3)
     for text in (
         "x1 x2 = a",
         "[x1,x2] = 1",
@@ -293,10 +306,13 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         "x2 = a b",
         "x1 x2^-1 = b",
         "a x2 x1 = b a",
+        "x2^-1 = b a b a",
+        "x1 x2 = b a b a b",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
             assert_matches_oracle(eq, c)
+        assert_ball_matches_oracle(eq, lambda: Ball(p23, parts, 3))
     # duplicated candidates: every copy is a solution of its own
     repeated = 0
     for text in ("x1 = a b", "x1 x2^-1 = b", "x2 x1 x2^-1 = b^2", "x1^2 x2 = a b",
@@ -320,10 +336,11 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         one = group.identity()
         parts = [(0, range(group.factors[0].order), one), (1, (0, 1), one)]
         group_ball = enumerate_ball(group, parts, 2)
-        for text in texts:
+        for text in texts + ("x1 x2 = c a", "x2^-1 x1 = a c b c"):
             eq = parse_equation(text, group)
             for c in (group_ball, group_ball + group_ball[:9]):
                 assert_matches_oracle(eq, c)
+            assert_ball_matches_oracle(eq, lambda: Ball(group, parts, 2))
     outcomes = {result is not None for _, _, result in calls}
     assert outcomes == {True, False}
 
@@ -465,6 +482,16 @@ def test_solve_bounded_empty_candidates(p23):
     eq = parse_equation("x1 = a", p23)
     with pytest.raises(EmptyCandidatesError):
         solve_bounded(eq, {1: []})
+
+
+def test_solve_bounded_checks_a_balls_group_without_building_it(p23, p22):
+    eq = parse_equation("x1 = a", p23)
+    foreign = Ball(p22, [(0, (0, 1), p22.identity())], 4)
+    with pytest.raises(MixedAmbientError):
+        solve_bounded(eq, {1: foreign})
+    ball = Ball(p23, [(0, (0, 1), p23.identity()), (1, (0, 1, 2), p23.identity())], 9)
+    assert solve_bounded(eq, {1: ball}) == Substitution.of({1: p23.generator("a")})
+    assert not ball.enumerated and ball.membership_queries == 1
 
 
 def test_solve_bounded_no_variables(p23):
