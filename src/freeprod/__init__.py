@@ -108,3 +108,13 @@ __all__ = [
     "axis_vertices",
     "axes_intersection",
 ]
+
+
+def __getattr__(name):
+    # ``freeprod.cli`` without an explicit import, imported on first use so
+    # that ``python -m freeprod.cli`` does not find it imported already.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

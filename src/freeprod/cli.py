@@ -7,7 +7,9 @@ human-readable summary, and with --json emits a report of the fixed shape
 
 (solve adds "counters", its work counts).  Exit codes: 0 = pass/solved,
 1 = violation or no solution found, 2 = input/usage error or a resource
-limit (out of memory, recursion too deep).
+limit (out of memory, recursion too deep), 3 = internal error (an
+unexpected exception, reported on one line).  main() returns the code in
+every case; it does not raise SystemExit.
 """
 
 from __future__ import annotations
@@ -478,20 +480,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # A usage error (2) or --help (0); the parser has printed it.
+        return exc.code or 0
     try:
         code, report, lines = args.handler(args)
-    except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _emit(args, report, lines)
+    except (GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as exc:
         # A resource limit, not a violation: one line, never a traceback.
         print(f"error: resource limit reached ({type(exc).__name__})", file=sys.stderr)
         return 2
-    _emit(args, report, lines)
+    except Exception as exc:
+        # A fault in freeprod itself: its own code, never 1 ("violation").
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}: {message})", file=sys.stderr)
+        return 3
     return code
 
 

@@ -142,6 +142,13 @@ def _variables(items: Sequence[Item]) -> set[int]:
     return out
 
 
+def _letter_occurs(items: Sequence[Item], letter: Var) -> bool:
+    """Whether ``letter`` occurs in ``items``, inside powers too."""
+    return any(
+        l == letter or (isinstance(l, Pow) and _letter_occurs(l.body, letter)) for l in items
+    )
+
+
 def _invert(items: Sequence[Item]) -> tuple[Item, ...]:
     out: list[Item] = []
     for l in reversed(items):
@@ -408,6 +415,75 @@ def _evaluate_syllables(items: Sequence[Item], group: FreeProduct, assignment, c
 
 
 # ---------------------------------------------------------------------------
+# partial evaluation: bind every variable but one, then evaluate per value
+
+
+def _bind(items: Sequence[Item], group: FreeProduct, assignment, cache=None) -> tuple[Item, ...]:
+    """``items`` with every maximal run of items that hold no unbound
+    variable folded into one Const (dropped when it is the identity); a Pow
+    that still holds an unbound variable keeps its exponent and has its body
+    bound.  Exact by associativity: the result has the value of ``items``
+    under every extension of ``assignment``."""
+    if cache is None:
+        cache = {}
+    out: list[Item] = []
+    run: list[Item] = []
+
+    def fold() -> None:
+        if run:
+            sylls = _evaluate_syllables(run, group, assignment, cache)
+            if sylls:
+                out.append(Const(FPElement(group, tuple(sylls))))
+            run.clear()
+
+    for item in items:
+        if isinstance(item, Var) and item.index not in assignment:
+            fold()
+            out.append(item)
+        elif isinstance(item, Pow) and not _variables(item.body) <= assignment.keys():
+            fold()
+            out.append(Pow(_bind(item.body, group, assignment, cache), item.k))
+        else:
+            run.append(item)
+    fold()
+    return tuple(out)
+
+
+def _plan(items: Sequence[Item], var: int) -> tuple:
+    """A bound residual (see _bind) whose only variable is ``var``, as a
+    plan for _run_plan: a Const becomes its syllables, a letter of ``var``
+    its sign, a Pow the Pow of its body's plan."""
+    plan: list = []
+    for item in items:
+        if isinstance(item, Var):
+            if item.index != var:
+                raise UnboundVariableError(f"x{item.index} is unbound")
+            plan.append(item.sign)
+        elif isinstance(item, Const):
+            plan.append(item.value.syllables)
+        else:
+            plan.append(Pow(_plan(item.body, var), item.k))
+    return tuple(plan)
+
+
+def _run_plan(factors, plan: tuple, pos: tuple, neg: tuple) -> list:
+    """The value of ``plan`` as a reduced syllable list, with the plan's
+    variable y = ``pos`` and y^-1 = ``neg``; each Pow is powered by
+    power_syllables and the pieces are joined by one seam merge."""
+    pieces = []
+    for node in plan:
+        kind = type(node)
+        if kind is int:
+            pieces.append(pos if node > 0 else neg)
+        elif kind is tuple:
+            pieces.append(node)
+        else:
+            body = _run_plan(factors, node.body, pos, neg)
+            pieces.append(power_syllables(factors, body, node.k))
+    return _seam_merge(factors, [], pieces)
+
+
+# ---------------------------------------------------------------------------
 # bounded exhaustive solving
 
 
@@ -461,8 +537,11 @@ def solve_bounded(
     T is evaluated from the word P^-1 rhs Q^-1, so a power in P or Q
     inverts its short base, not its long value.
 
-    Any other occurrence pattern is searched by one seam merge per inner
-    candidate.
+    Any other occurrence pattern tries every inner candidate.  The left
+    side is bound in the outer variables once per outer tuple (_bind folds
+    every run free of y into one constant, and keeps powers that hold y as
+    powers), and that residual in y is evaluated per candidate by _run_plan,
+    with each candidate's inverse computed once per search.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -496,10 +575,9 @@ def solve_bounded(
             record({})
         return (results[0] if results else None) if mode == "first" else results
 
-    # The last variable y varies fastest, so split the word into the runs
-    # between occurrences of y: lhs = W0 y^s1 W1 ... y^sk Wk.  Run values are
-    # fixed across the inner loop; the seam merge's pieces are the nonempty
-    # runs and the slots of y, which alone change per inner candidate.
+    # The last variable y varies fastest.  Its occurrence pattern picks the
+    # solver, from the runs between occurrences of y: lhs = W0 y^s1 W1 ...
+    # y^sk Wk, with the powers that hold y written out.
     inner = variables[-1]
     outer = variables[:-1]
     runs: list[list[Item]] = [[]]
@@ -570,35 +648,18 @@ def solve_bounded(
                     return results[0]
         return None if mode == "first" else results
 
-    run_words = [MixedWord(group, run) for run in runs]
-    layout: list[MixedWord | None] = []
-    pos_slots: list[int] = []
-    neg_slots: list[int] = []
-    for k, word in enumerate(run_words):
-        if k:
-            (pos_slots if signs[k - 1] > 0 else neg_slots).append(len(layout))
-            layout.append(None)
-        if word.letters:
-            layout.append(word)
-
     rhs_syll = list(eq.rhs.syllables)
+    inverted = _letter_occurs(eq.lhs.letters, Var(inner, -1))
     inner_values = [
-        (c, c.syllables, _inverse_syllables(factors, c.syllables) if neg_slots else ())
+        (c, c.syllables, _inverse_syllables(factors, c.syllables) if inverted else ())
         for c in inner_cands
     ]
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))
-        pieces = [
-            evaluate(word, assignment).syllables if word is not None else ()
-            for word in layout
-        ]
+        plan = _plan(_bind(eq.lhs.letters, group, assignment), inner)
         for value, pos_sylls, neg_sylls in inner_values:
-            for slot in pos_slots:
-                pieces[slot] = pos_sylls
-            for slot in neg_slots:
-                pieces[slot] = neg_sylls
-            if _seam_merge(factors, [], pieces) == rhs_syll:
+            if _run_plan(factors, plan, pos_sylls, neg_sylls) == rhs_syll:
                 assignment[inner] = value
                 record(assignment)
                 if mode == "first":
@@ -761,6 +822,7 @@ def build_lemma5(
 # exponent no case can produce (all are multiples of 4 or 6).
 
 THEOREM2_WORD_TEXT = "(x1^3 [x1, x2^x3] x2^3)^2 [x1, x2^x3]^3"
+THEOREM2_TARGET_TEXT = "(a b)^2"
 
 #: epsilon case -> coefficients (ck, ct, cs) of the exponent of (ba).
 #: Verified by direct evaluation (see Theorem2Report.case_results); the
@@ -787,9 +849,14 @@ THEOREM2_SIGN_VARIANTS: dict[tuple[int, int, int], tuple[int, int, int]] = {
 
 @dataclass(frozen=True)
 class Theorem2CaseResult:
+    """One epsilon case of the sweep.  ``evaluations`` counts the
+    substitutions evaluated, (2R+1)^3; ``bindings`` counts the (x2, x3)
+    values bound once each for all x1, (2R+1)^2."""
+
     epsilons: tuple[int, int, int]
     exponent_coeffs: tuple[int, int, int]
     evaluations: int
+    bindings: int
     mismatches: tuple[tuple[int, int, int], ...]
     sign_variant_coeffs: tuple[int, int, int] | None = None
     sign_variant_consistent: bool | None = None
@@ -820,6 +887,7 @@ class Theorem2Report:
                     "epsilons": list(c.epsilons),
                     "exponent_coeffs": list(c.exponent_coeffs),
                     "evaluations": c.evaluations,
+                    "bindings": c.bindings,
                     "mismatches": [list(m) for m in c.mismatches],
                     **(
                         {
@@ -855,21 +923,35 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     for k, t, s in [-k_range, k_range] and check, per epsilon case, that the
     equation's left side matches the closed form and never hits (a b)^2.
 
+    Every substitution is evaluated exactly in C2 * C2, with its loop
+    invariants hoisted: per (t, s) the word is bound in x2 and x3 once
+    (_bind folds each run free of x1, such as x2^x3, into one constant),
+    and the residual in x1 is evaluated for every k by _run_plan, with each
+    x1 value's inverse computed once.  By associativity the value is the
+    one a full evaluation gives.  Mismatches and target hits are reported
+    in (k, t, s) order.
+
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
     """
     if k_range < 1:
         raise ValueError("k_range must be >= 1")
     rank_two, big = _theorem2_ambients()
+    factors = rank_two.factors
     word = parse_word(THEOREM2_WORD_TEXT, rank_two)
     a = rank_two.generator("a")
     b = rank_two.generator("b")
     ba = b * a
-    target = (a * b).power(2)
+    target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables
 
     span = range(-k_range, k_range + 1)
     powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
     subs = {(k, e): powers[k] * a if e else powers[k] for k in span for e in (0, 1)}
+    # x1 values with their inverses, per parity e1
+    x1_values = {
+        e: [(k, subs[k, e].syllables, subs[k, e].inverse().syllables) for k in span]
+        for e in (0, 1)
+    }
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
@@ -877,31 +959,35 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
         e1, e2, e3 = eps
         mismatches: list[tuple[int, int, int]] = []
+        hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)
         variant_consistent = None if variant is None else True
-        count = 0
-        for k in span:
-            for t in span:
-                for s in span:
-                    value = evaluate(
-                        word, {1: subs[k, e1], 2: subs[t, e2], 3: subs[s, e3]}
-                    )
+        count = bindings = 0
+        for t in span:
+            for s in span:
+                bound = _bind(word.letters, rank_two, {2: subs[t, e2], 3: subs[s, e3]})
+                plan = _plan(bound, 1)
+                bindings += 1
+                for k, pos, neg in x1_values[e1]:
+                    value = tuple(_run_plan(factors, plan, pos, neg))
                     count += 1
-                    if value != powers[ck * k + ct * t + cs * s]:
+                    if value != powers[ck * k + ct * t + cs * s].syllables:
                         mismatches.append((k, t, s))
                     if value == target:
-                        target_hits.append((k, t, s, eps))
+                        hits.append((k, t, s))
                     if variant is not None and variant_consistent:
                         vk, vt, vs = variant
-                        if value != powers[vk * k + vt * t + vs * s]:
+                        if value != powers[vk * k + vt * t + vs * s].syllables:
                             variant_consistent = False
         total += count
+        target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))
         case_results.append(
             Theorem2CaseResult(
                 eps,
                 (ck, ct, cs),
                 count,
-                tuple(mismatches),
+                bindings,
+                tuple(sorted(mismatches)),
                 variant,
                 variant_consistent,
             )

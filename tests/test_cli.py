@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -194,6 +197,10 @@ def test_cli_verify_theorem2(capsys):
     assert code == 0
     assert report["verdict"] == "verified"
     assert report["violations"] == []
+    # per case: 5^3 substitutions, with (x2, x3) bound once per (t, s)
+    cases = report["witnesses"][0]["cases"]
+    assert len(cases) == 8
+    assert all(c["evaluations"] == 125 and c["bindings"] == 25 for c in cases)
 
 
 def test_cli_verify_lemma4(capsys, tmp_path):
@@ -323,8 +330,7 @@ def test_cli_parser_is_shared_between_calls(capsys):
     code, report = run_json(capsys, ["order", "--group", p23, "--word", "b"])
     assert code == 0 and report["witnesses"][0]["order"] == "3"
     assert cli.main(["eval", "--group", p23, "--word", "q"]) == 2
-    with pytest.raises(SystemExit):
-        cli.main(["solve", "--group", p23])  # --eq and --ball are missing
+    assert cli.main(["solve", "--group", p23]) == 2  # --eq and --ball are missing
     capsys.readouterr()
     # no --json and no leftover arguments from the calls before
     assert cli.main(["reduce", "--group", p23, "--word", "b a b^2"]) == 0
@@ -334,10 +340,19 @@ def test_cli_parser_is_shared_between_calls(capsys):
     assert code == 0 and report["witnesses"][0]["normal_form"] == "a b^2"
 
 
-def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_cli_usage_error_exits_2(capsys):
+    assert cli.main(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "frobnicate" in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["solve", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "usage: freeprod solve" in captured.out and captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,9 +366,7 @@ def test_cli_usage_error_exits_2():
     ["verify-lemma4", "--group", str(CASES / "p23.grp"), "--trials", "-1"],
 ])
 def test_cli_numeric_argument_out_of_range_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
@@ -444,3 +457,27 @@ def test_cli_resource_limit_exits_2(capsys, monkeypatch, error):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and error.__name__ in captured.err
+
+
+def test_cli_internal_error_exits_3(capsys, monkeypatch):
+    # An unexpected exception is a fault in freeprod, not a violation (1)
+    # or an input error (2): one line on stderr, exit 3.
+    def broken(path):
+        raise ValueError("not a\nrecognised state")
+
+    monkeypatch.setattr(cli, "_load_group", broken)
+    assert cli.main(["eval", "--group", str(CASES / "p23.grp"), "--word", "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error (ValueError: not a recognised state)\n"
+
+
+def test_importing_freeprod_makes_cli_an_attribute():
+    # In a fresh interpreter, with nothing else imported first.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", "import freeprod; print(freeprod.cli.main.__name__)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "main\n"

@@ -761,3 +761,175 @@ def test_theorem2_case3_example(p22):
     w = parse_word(words.THEOREM2_WORD_TEXT, p22)
     value = evaluate(w, {1: b * a, 2: a, 3: p22.identity()})
     assert value == (b * a).power(6)
+
+
+def theorem2_report_reference(k_range):
+    """The per-substitution sweep: every (k, t, s) evaluated from scratch,
+    in (k, t, s) order, with no binding shared between substitutions (so
+    its ``bindings`` are 0)."""
+    rank_two, big = words._theorem2_ambients()
+    word = parse_word(words.THEOREM2_WORD_TEXT, rank_two)
+    a = rank_two.generator("a")
+    b = rank_two.generator("b")
+    ba = b * a
+    target = parse_constant(words.THEOREM2_TARGET_TEXT, rank_two)
+
+    span = range(-k_range, k_range + 1)
+    powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
+    subs = {(k, e): powers[k] * a if e else powers[k] for k in span for e in (0, 1)}
+
+    case_results = []
+    target_hits = []
+    total = 0
+    for eps, (ck, ct, cs) in words.THEOREM2_CASE_EXPONENTS.items():
+        e1, e2, e3 = eps
+        mismatches = []
+        variant = words.THEOREM2_SIGN_VARIANTS.get(eps)
+        variant_consistent = None if variant is None else True
+        count = 0
+        for k in span:
+            for t in span:
+                for s in span:
+                    value = evaluate(word, {1: subs[k, e1], 2: subs[t, e2], 3: subs[s, e3]})
+                    count += 1
+                    if value != powers[ck * k + ct * t + cs * s]:
+                        mismatches.append((k, t, s))
+                    if value == target:
+                        target_hits.append((k, t, s, eps))
+                    if variant is not None and variant_consistent:
+                        vk, vt, vs = variant
+                        if value != powers[vk * k + vt * t + vs * s]:
+                            variant_consistent = False
+        total += count
+        case_results.append(
+            words.Theorem2CaseResult(
+                eps, (ck, ct, cs), count, 0, tuple(mismatches), variant, variant_consistent
+            )
+        )
+
+    big_word = parse_word(words.THEOREM2_WORD_TEXT, big)
+    ga, gd, gc = big.generator("a"), big.generator("d"), big.generator("c")
+    image = evaluate(big_word, {1: ga, 2: gc * gd * gc, 3: gc})
+    expected_image = (ga * gc * gd * gc).power(2)
+    return words.Theorem2Report(
+        k_range, total, tuple(case_results), tuple(target_hits), image == expected_image
+    )
+
+
+def without_bindings(report):
+    d = report.to_dict()
+    for case in d["cases"]:
+        del case["bindings"]
+    return d
+
+
+def test_theorem2_report_matches_per_substitution_reference(monkeypatch):
+    for k_range in (1, 2, 3):
+        assert without_bindings(theorem2_report(k_range)) == without_bindings(
+            theorem2_report_reference(k_range)
+        )
+    # A wrong closed form for two cases gives mismatches, and a target that
+    # some substitutions reach gives hits: both in (k, t, s) order, case by
+    # case, as the reference finds them.
+    table = dict(words.THEOREM2_CASE_EXPONENTS)
+    table[(0, 0, 0)] = (6, 0, 6)
+    table[(1, 1, 0)] = (4, -4, 4)
+    monkeypatch.setattr(words, "THEOREM2_CASE_EXPONENTS", table)
+    monkeypatch.setattr(words, "THEOREM2_TARGET_TEXT", "(b a)^6")
+    fast = theorem2_report(2)
+    d = without_bindings(fast)
+    assert d == without_bindings(theorem2_report_reference(2))
+    mismatched = {tuple(c["epsilons"]) for c in d["cases"] if c["mismatches"]}
+    assert mismatched == {(0, 0, 0), (1, 1, 0)}
+    assert len({h[3] for h in fast.target_hits}) > 1 and len(fast.target_hits) > 2
+    assert not fast.ok
+
+
+def test_theorem2_report_counts_its_bindings():
+    rep = theorem2_report(2)
+    assert [(c.evaluations, c.bindings) for c in rep.case_results] == [(125, 25)] * 8
+    assert [(c["evaluations"], c["bindings"]) for c in rep.to_dict()["cases"]] == [(125, 25)] * 8
+
+
+# -- partial evaluation: bind every variable but y, evaluate per value of y ----
+
+
+def residual_texts(gens, depth=3):
+    """Word text over x1, x2, x3 and ``gens`` with nested powers (negative
+    exponents, 0 and +-1 included), conjugates and commutators."""
+    atoms = st.sampled_from(["x1", "x2", "x3", "1", *gens])
+    if depth == 0:
+        return atoms
+    inner = residual_texts(gens, depth - 1)
+    exponents = st.sampled_from([-3, -2, -1, 0, 1, 2, 3])
+    return st.one_of(
+        atoms,
+        st.tuples(inner, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]} {t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]})^({t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
+    )
+
+
+def bind_and_run(word, outer, y, value):
+    plan = words._plan(words._bind(word.letters, word.group, outer), y)
+    factors = word.group.factors
+    inverse = value.inverse().syllables
+    return tuple(words._run_plan(factors, plan, value.syllables, inverse))
+
+
+def assert_bind_matches_evaluate(word, values, y):
+    outer = {i: v for i, v in values.items() if i != y}
+    assert bind_and_run(word, outer, y, values[y]) == evaluate(word, values).syllables
+
+
+@pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
+                         ids=["p23", "s3z2"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bind_and_plan_match_evaluate(group, gens, data):
+    text = data.draw(residual_texts(gens), label="word")
+    word = parse_word(text, group)
+    values = {i: data.draw(elements(group, 6), label=f"x{i}") for i in (1, 2, 3, 4)}
+    # y = x4 never occurs in the word
+    y = data.draw(st.sampled_from([1, 2, 3, 4]), label="y")
+    assert_bind_matches_evaluate(word, values, y)
+    # the word as a power, with the exponents the parser never leaves
+    k = data.draw(st.sampled_from([-3, -1, 0, 1, 2]), label="k")
+    assert_bind_matches_evaluate(MixedWord(group, (Pow(word.letters, k),)), values, y)
+
+
+def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
+    a, b = p23.generator("a"), p23.generator("b")
+    values = {1: a * b, 2: b * b * a, 3: a * b}
+    for text in (
+        "x1^3 [x1, x2^x3] x2^3",  # runs free of y between its letters
+        "(x2 x1^-1 a)^-2 b x3",  # y inside a negative power only
+        "((x1 x2)^2 x1^-1)^-3",  # nested powers holding y
+        "x2 a x3^2 b",  # no y at all: one constant
+        "(x2 x1)^0 (x1)^(x2)",  # a zero power and a conjugate
+    ):
+        word = parse_word(text, p23)
+        assert_bind_matches_evaluate(word, values, 1)
+    bound = words._bind(parse_word("x2 a x1 x3^2 b (x1 x2)^-2", p23).letters, p23,
+                        {2: values[2], 3: values[3]})
+    assert [type(item) for item in bound] == [Const, Var, Const, Pow]
+    assert bound[3].k == -2 and type(bound[3].body[1]) is Const
+    assert words._bind(parse_word("x2 a x3^2 b", p23).letters, p23,
+                       {2: values[2], 3: values[3]}) == (
+        Const(values[2] * a * values[3].power(2) * b),)
+    with pytest.raises(UnboundVariableError):
+        words._plan(words._bind(parse_word("x1 x2", p23).letters, p23, {}), 1)
+
+
+def test_solve_bounded_general_path_with_inverted_y_inside_a_power(p23):
+    # y^-1 occurs only inside a negative power, which the written-out split
+    # reads as y: the residual still needs each candidate's inverse.
+    rng = random.Random(8)
+    cand = [random_reduced(rng, p23, 0, 3) for _ in range(12)]
+    for text in ("(x2^-1 x1)^-2 x2 = b", "x1 (x2^-1)^-2 = a b", "(x2^-1 a)^-3 x2 = 1"):
+        assert_matches_oracle(parse_equation(text, p23), cand)
+    # a power that holds y is still written out for the split, with its cap
+    eq = parse_equation("(x1 x2)^100000000 = a", p23)
+    with pytest.raises(PowerTooLargeError):
+        solve_bounded(eq, {1: cand, 2: cand})
