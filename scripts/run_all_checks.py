@@ -65,6 +65,10 @@ CHECKS = [
     # in the centralizer of x1
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2] = 1",
       "--ball", "a;b", "--depth", "14", "--all"], 0),
+    # a commutator used twice, with exponents 2 and 1: the general path's
+    # compiled word merges its body once per tuple
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^2 x1 [x1,x2] = a",
+      "--ball", "a;b", "--depth", "6", "--all"], 0),
     # numeric arguments out of range: usage errors
     (["verify-theorem2", "--range", "0"], 2),
     (["axis", "--group", str(CASES / "p23.grp"),

@@ -187,62 +187,65 @@ def _pair_witness(group, sub1: Sequence[int], sub2: Sequence[int]):
     return None
 
 
+def _same_factor_pairs(data: KuroshData):
+    """Each ordered pair of distinct part positions in one factor, as
+    (factor group, j1, part j1, j2, part j2), in position order."""
+    for j1, p1 in enumerate(data.parts):
+        for j2, p2 in enumerate(data.parts):
+            if j1 != j2 and p1.factor == p2.factor:
+                yield data.ambient.factors[p1.factor], j1, p1, j2, p2
+
+
 def check_condition2(data: KuroshData) -> list[Violation]:
     """One violation (first witness in scan order) per ordered same-factor
     pair of distinct part positions that admits a common cyclic witness."""
     _require_valid(data)
     out: list[Violation] = []
-    for j1, p1 in enumerate(data.parts):
-        for j2, p2 in enumerate(data.parts):
-            if j1 == j2 or p1.factor != p2.factor:
-                continue
-            group = data.ambient.factors[p1.factor]
-            found = _pair_witness(group, p1.subgroup, p2.subgroup)
-            if found:
-                f, g, k1, k2 = found
-                out.append(
-                    Violation(
-                        kind=CONDITION2,
-                        factor=p1.factor,
-                        part_indices=(j1, j2),
-                        witness_f=f,
-                        witness_g=g,
-                        k1=k1,
-                        k2=k2,
-                    )
+    for group, j1, p1, j2, p2 in _same_factor_pairs(data):
+        found = _pair_witness(group, p1.subgroup, p2.subgroup)
+        if found:
+            f, g, k1, k2 = found
+            out.append(
+                Violation(
+                    kind=CONDITION2,
+                    factor=p1.factor,
+                    part_indices=(j1, j2),
+                    witness_f=f,
+                    witness_g=g,
+                    k1=k1,
+                    k2=k2,
                 )
+            )
     return out
 
 
 def check_condition3(data: KuroshData) -> list[Violation]:
     """Trivial-intersection check: for every ordered same-factor pair and
     every g in the factor, part1 meets g part2 g^-1 trivially.  Violations
-    are the k1 = k2 = 1 slice of condition 2."""
+    are the k1 = k2 = 1 slice of condition 2, over the same pairs: the
+    first g (in element order) with a nontrivial meet, and its least
+    nontrivial element as f."""
     _require_valid(data)
     out: list[Violation] = []
-    for j1, p1 in enumerate(data.parts):
-        for j2, p2 in enumerate(data.parts):
-            if j1 == j2 or p1.factor != p2.factor:
-                continue
-            group = data.ambient.factors[p1.factor]
-            set1 = set(p1.subgroup)
-            for g in range(group.order):
-                gi = group.inverses[g]
-                conj = {group.table[group.table[g][h]][gi] for h in p2.subgroup}
-                meet = sorted((set1 & conj) - {0})
-                if meet:
-                    out.append(
-                        Violation(
-                            kind=CONDITION2,
-                            factor=p1.factor,
-                            part_indices=(j1, j2),
-                            witness_f=meet[0],
-                            witness_g=g,
-                            k1=1,
-                            k2=1,
-                        )
+    for group, j1, p1, j2, p2 in _same_factor_pairs(data):
+        set1 = set(p1.subgroup)
+        for g in range(group.order):
+            gi = group.inverses[g]
+            conj = {group.table[group.table[g][h]][gi] for h in p2.subgroup}
+            meet = (set1 & conj) - {0}
+            if meet:
+                out.append(
+                    Violation(
+                        kind=CONDITION2,
+                        factor=p1.factor,
+                        part_indices=(j1, j2),
+                        witness_f=min(meet),
+                        witness_g=g,
+                        k1=1,
+                        k2=1,
                     )
-                    break
+                )
+                break
     return out
 
 

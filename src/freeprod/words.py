@@ -11,8 +11,10 @@ sequence of items: variable letters (Var), constant letters (Const) and
 powers (Pow).  ``u^k`` with |k| >= 2 stays one item Pow(u, k), so the word
 and the cost of evaluating it do not grow with k; ``u^1`` is u and ``u^-1``
 is u inverted item by item, so ``x2^-1`` is the letter Var(2, -1).  ``h^g``
-denotes the conjugate g*h*g^-1 and ``[u, v]`` the commutator
-u*v*u^-1*v^-1; both are desugared into items during parsing.  ``1`` is the
+denotes the conjugate g*h*g^-1, desugared into items.  ``[u, v]`` denotes
+the commutator u*v*u^-1*v^-1 and stays one item, the group
+Pow(u v u^-1 v^-1, 1), so equal commutators are equal items; a power of it
+is a power of its body and its inverse is Pow(body, -1).  ``1`` is the
 identity (it contributes no items).
 """
 
@@ -61,7 +63,8 @@ class Const:
 
 @dataclass(frozen=True)
 class Pow:
-    """body^k as one item; its inverse is Pow(body, -k)."""
+    """body^k as one item; its inverse is Pow(body, -k).  With k = 1 it is a
+    group, such as a commutator: one item whose body is evaluated in place."""
 
     body: tuple[Item, ...]
     k: int
@@ -119,6 +122,8 @@ def _render(items: Sequence[Item]) -> str:
         elif isinstance(l, Const):
             v = l.value.as_word()
             bits.append(v if " " not in v else f"({v})")
+        elif l.k == 1:
+            bits.append(f"({_render(l.body)})")
         else:
             bits.append(f"({_render(l.body)})^{l.k}")
     return " ".join(bits) or "1"
@@ -142,13 +147,6 @@ def _variables(items: Sequence[Item]) -> set[int]:
     return out
 
 
-def _letter_occurs(items: Sequence[Item], letter: Var) -> bool:
-    """Whether ``letter`` occurs in ``items``, inside powers too."""
-    return any(
-        l == letter or (isinstance(l, Pow) and _letter_occurs(l.body, letter)) for l in items
-    )
-
-
 def _invert(items: Sequence[Item]) -> tuple[Item, ...]:
     out: list[Item] = []
     for l in reversed(items):
@@ -168,6 +166,8 @@ def _power(items: tuple[Item, ...], k: int) -> tuple[Item, ...]:
         return _invert(items)
     if k == 0 or not items:
         return ()
+    if len(items) == 1 and type(items[0]) is Pow and items[0].k == 1:
+        return (Pow(items[0].body, k),)  # a power of a group powers its body
     return (Pow(items, k),)
 
 
@@ -333,7 +333,8 @@ class _WordParser:
             self.expect(",")
             v = self.word()
             self.expect("]")
-            return u + v + _invert(u) + _invert(v)
+            body = u + v + _invert(u) + _invert(v)
+            return (Pow(body, 1),) if body else ()
         raise WordSyntaxError(f"unexpected {text!r}")
 
 
@@ -386,11 +387,17 @@ def evaluate(word: MixedWord, substitution) -> FPElement:
     return FPElement(word.group, tuple(out))
 
 
-def _evaluate_syllables(items: Sequence[Item], group: FreeProduct, assignment, cache) -> list:
+def _evaluate_syllables(
+    items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None
+) -> list:
     """The value of ``items`` as a reduced syllable list: each item's
-    syllables are one piece of a single seam merge."""
+    syllables are one piece of a single seam merge, and a group (Pow with
+    k = 1) adds its body's pieces to that merge.  Given ``pieces``, the
+    pieces are appended to it, and it is returned unmerged."""
     factors = group.factors
-    pieces = []
+    merge = pieces is None
+    if merge:
+        pieces = []
     for item in items:
         kind = type(item)
         if kind is Var:
@@ -408,79 +415,178 @@ def _evaluate_syllables(items: Sequence[Item], group: FreeProduct, assignment, c
             pieces.append(sylls)
         elif kind is Const:
             pieces.append(item.value.syllables)
+        elif item.k == 1:
+            _evaluate_syllables(item.body, group, assignment, cache, pieces)
         else:
             body = _evaluate_syllables(item.body, group, assignment, cache)
             pieces.append(power_syllables(factors, body, item.k))
-    return _seam_merge(factors, [], pieces)
+    return _seam_merge(factors, [], pieces) if merge else pieces
 
 
 # ---------------------------------------------------------------------------
-# partial evaluation: bind every variable but one, then evaluate per value
+# partial evaluation: a word compiled once, with one variable y left free
 
 
-def _bind(items: Sequence[Item], group: FreeProduct, assignment, cache=None) -> tuple[Item, ...]:
-    """``items`` with every maximal run of items that hold no unbound
-    variable folded into one Const (dropped when it is the identity); a Pow
-    that still holds an unbound variable keeps its exponent and has its body
-    bound.  Exact by associativity: the result has the value of ``items``
-    under every extension of ``assignment``."""
-    if cache is None:
-        cache = {}
-    out: list[Item] = []
-    run: list[Item] = []
-
-    def fold() -> None:
-        if run:
-            sylls = _evaluate_syllables(run, group, assignment, cache)
-            if sylls:
-                out.append(Const(FPElement(group, tuple(sylls))))
-            run.clear()
-
-    for item in items:
-        if isinstance(item, Var) and item.index not in assignment:
-            fold()
-            out.append(item)
-        elif isinstance(item, Pow) and not _variables(item.body) <= assignment.keys():
-            fold()
-            out.append(Pow(_bind(item.body, group, assignment, cache), item.k))
+def _execute(factors, vals: list, steps) -> list:
+    """Append the value of each step to ``vals`` and return it.  A step
+    (indices, refs) is one seam merge of values in ``vals``: those at
+    ``indices`` when every exponent is 1 (``refs`` is None), else those of
+    the references (index, k) in ``refs``, each powered by power_syllables
+    unless k == 1."""
+    for indices, refs in steps:
+        if refs is None:
+            pieces = [vals[i] for i in indices]
         else:
-            run.append(item)
-    fold()
-    return tuple(out)
+            pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in refs]
+        vals.append(_seam_merge(factors, [], pieces))
+    return vals
 
 
-def _plan(items: Sequence[Item], var: int) -> tuple:
-    """A bound residual (see _bind) whose only variable is ``var``, as a
-    plan for _run_plan: a Const becomes its syllables, a letter of ``var``
-    its sign, a Pow the Pow of its body's plan."""
-    plan: list = []
-    for item in items:
-        if isinstance(item, Var):
-            if item.index != var:
-                raise UnboundVariableError(f"x{item.index} is unbound")
-            plan.append(item.sign)
-        elif isinstance(item, Const):
-            plan.append(item.value.syllables)
-        else:
-            plan.append(Pow(_plan(item.body, var), item.k))
-    return tuple(plan)
+class _Program:
+    """A word compiled for evaluation with one variable y left free: a
+    straight-line program over reduced syllable sequences, whose values sit
+    in one list of three parts.
 
+    - y's values: y, y^-1, the constant sub-words and the pure steps, which
+      depend on y alone (such as y^3).  ``y_values`` computes them once per
+      value of y.
+    - The runs: the maximal sub-words free of y that hold another variable,
+      one per distinct tuple of items.  ``bind`` evaluates them once per
+      binding of the other variables.
+    - The steps: one seam merge per distinct sub-word that holds y and
+      another variable.  ``run`` evaluates them for one value of y and one
+      binding.
 
-def _run_plan(factors, plan: tuple, pos: tuple, neg: tuple) -> list:
-    """The value of ``plan`` as a reduced syllable list, with the plan's
-    variable y = ``pos`` and y^-1 = ``neg``; each Pow is powered by
-    power_syllables and the pieces are joined by one seam merge."""
-    pieces = []
-    for node in plan:
-        kind = type(node)
-        if kind is int:
-            pieces.append(pos if node > 0 else neg)
-        elif kind is tuple:
-            pieces.append(node)
-        else:
-            body = _run_plan(factors, node.body, pos, neg)
-            pieces.append(power_syllables(factors, body, node.k))
-    return _seam_merge(factors, [], pieces)
+    Equal sub-words are one value, so a commutator used twice is merged
+    once; a group (a Pow with k = 1) used once is spliced into its parent's
+    merge instead.  A reference to a sub-word applies the exponent of its
+    Pow with power_syllables, and (u^j)^k is u^(jk).  Each step is the
+    product of its references, so by associativity ``run`` gives exactly
+    the normal form ``evaluate`` gives for the same values.
+    """
+
+    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse")
+
+    def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
+        self.group = group
+        # Nodes are hash-consed by (kind, data): "y" (y and y^-1, ids 0 and
+        # 1), "const" (syllables), "run" (items) and "step" (references).
+        nodes: list[tuple[str, object]] = [("y", 1), ("y", -1)]
+        pure = [True, True]
+        ids: dict[tuple[str, object], int] = {}
+        uses: dict[tuple[Item, ...], int] = {}
+
+        def node(kind: str, data, is_pure: bool) -> int:
+            key = (kind, data)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(nodes)
+                nodes.append(key)
+                pure.append(is_pure)
+            return i
+
+        def holds(item: Item) -> bool:
+            if type(item) is Var:
+                return item.index == y
+            return type(item) is Pow and y in _variables(item.body)
+
+        def count(body: Sequence[Item]) -> None:
+            for item in body:
+                if type(item) is Pow and holds(item):
+                    uses[item.body] = uses.get(item.body, 0) + 1
+                    if uses[item.body] == 1:
+                        count(item.body)
+
+        def inline(body: Sequence[Item]):
+            for item in body:
+                if type(item) is Pow and item.k == 1 and holds(item) and uses[item.body] == 1:
+                    yield from inline(item.body)
+                else:
+                    yield item
+
+        def refs(body: Sequence[Item]) -> list[tuple[int, int]]:
+            out: list[tuple[int, int]] = []
+            run: list[Item] = []
+
+            def flush() -> None:
+                if not run:
+                    return
+                run_items = tuple(run)
+                run.clear()
+                if _variables(run_items):
+                    out.append((node("run", run_items, False), 1))
+                else:
+                    sylls = tuple(_evaluate_syllables(run_items, group, {}, {}))
+                    if sylls:
+                        out.append((node("const", sylls, True), 1))
+
+            for item in inline(body):
+                if not holds(item):
+                    run.append(item)
+                    continue
+                flush()
+                if type(item) is Var:
+                    out.append((0 if item.sign > 0 else 1, 1))
+                    continue
+                i, j = value(item.body)
+                k = j * item.k
+                if pure[i] and k != 1:
+                    # a power of a value that depends on y alone: a pure step
+                    i, k = node("step", ((i, k),), True), 1
+                out.append((i, k))
+            flush()
+            return out
+
+        def value(body: Sequence[Item]) -> tuple[int, int]:
+            found = refs(body)
+            if len(found) == 1:
+                return found[0]
+            found = tuple(found)
+            return node("step", found, all(pure[i] for i, _ in found)), 1
+
+        count(items)
+        root, k = value(tuple(items))
+        if nodes[root][0] != "step" or k != 1:
+            root = node("step", ((root, k),), pure[root])
+
+        def kind_ids(kind: str, is_pure: bool) -> list[int]:
+            return [i for i, (kd, _) in enumerate(nodes) if kd == kind and pure[i] == is_pure]
+
+        const_ids = kind_ids("const", True)
+        pure_ids = kind_ids("step", True)
+        run_ids = kind_ids("run", False)
+        step_ids = kind_ids("step", False)
+        index = {i: n for n, i in enumerate([0, 1, *const_ids, *pure_ids, *run_ids, *step_ids])}
+
+        def compiled(i: int) -> tuple:
+            pairs = tuple((index[j], k) for j, k in nodes[i][1])
+            if all(k == 1 for _, k in pairs):
+                return tuple(j for j, _ in pairs), None
+            return None, pairs
+
+        self.consts = [nodes[i][1] for i in const_ids]
+        self.pure = [compiled(i) for i in pure_ids]
+        self.runs = [nodes[i][1] for i in run_ids]
+        self.steps = [compiled(i) for i in step_ids]
+        self.result = index[root]
+        self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
+
+    def y_values(self, y: Sequence) -> list:
+        """y's part of the value list, for the reduced syllables ``y`` of y."""
+        factors = self.group.factors
+        inverse = _inverse_syllables(factors, y) if self.needs_inverse else ()
+        return _execute(factors, [y, inverse, *self.consts], self.pure)
+
+    def bind(self, assignment) -> list:
+        """The runs' part of the value list, for a binding of every
+        variable but y."""
+        cache: dict = {}
+        return [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
+
+    def run(self, y_values: list, bound: list) -> list:
+        """The word's value, as a reduced syllable list, from ``y_values``
+        and ``bound``."""
+        return _execute(self.group.factors, y_values + bound, self.steps)[self.result]
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +644,9 @@ def solve_bounded(
     inverts its short base, not its long value.
 
     Any other occurrence pattern tries every inner candidate.  The left
-    side is bound in the outer variables once per outer tuple (_bind folds
-    every run free of y into one constant, and keeps powers that hold y as
-    powers), and that residual in y is evaluated per candidate by _run_plan,
-    with each candidate's inverse computed once per search.
+    side is compiled once into a _Program with y free: its sub-words that
+    depend on y alone are evaluated once per candidate, its runs free of y
+    once per outer tuple, and the rest once per (outer tuple, candidate).
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -649,17 +754,14 @@ def solve_bounded(
         return None if mode == "first" else results
 
     rhs_syll = list(eq.rhs.syllables)
-    inverted = _letter_occurs(eq.lhs.letters, Var(inner, -1))
-    inner_values = [
-        (c, c.syllables, _inverse_syllables(factors, c.syllables) if inverted else ())
-        for c in inner_cands
-    ]
+    program = _Program(eq.lhs.letters, group, inner)
+    inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
 
     for combo in _cartesian(*outer_lists):
         assignment = dict(zip(outer, combo))
-        plan = _plan(_bind(eq.lhs.letters, group, assignment), inner)
-        for value, pos_sylls, neg_sylls in inner_values:
-            if _run_plan(factors, plan, pos_sylls, neg_sylls) == rhs_syll:
+        bound = program.bind(assignment)
+        for value, y_values in inner_values:
+            if program.run(y_values, bound) == rhs_syll:
                 assignment[inner] = value
                 record(assignment)
                 if mode == "first":
@@ -923,13 +1025,13 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     for k, t, s in [-k_range, k_range] and check, per epsilon case, that the
     equation's left side matches the closed form and never hits (a b)^2.
 
-    Every substitution is evaluated exactly in C2 * C2, with its loop
-    invariants hoisted: per (t, s) the word is bound in x2 and x3 once
-    (_bind folds each run free of x1, such as x2^x3, into one constant),
-    and the residual in x1 is evaluated for every k by _run_plan, with each
-    x1 value's inverse computed once.  By associativity the value is the
-    one a full evaluation gives.  Mismatches and target hits are reported
-    in (k, t, s) order.
+    Every substitution is evaluated exactly in C2 * C2 by the word's
+    _Program with x1 free: x1^3 and x1^-1 once per value of x1, the runs
+    free of x1 (such as x2^x3) once per (t, s), and per substitution one
+    seam merge for the commutator [x1, x2^x3], shared by its two uses, one
+    for the body x1^3 [x1, x2^x3] x2^3 and one joining the two powers.  By
+    associativity the value is the one a full evaluation gives.  Mismatches
+    and target hits are reported in (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -937,21 +1039,19 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     if k_range < 1:
         raise ValueError("k_range must be >= 1")
     rank_two, big = _theorem2_ambients()
-    factors = rank_two.factors
-    word = parse_word(THEOREM2_WORD_TEXT, rank_two)
+    program = _Program(parse_word(THEOREM2_WORD_TEXT, rank_two).letters, rank_two, 1)
     a = rank_two.generator("a")
     b = rank_two.generator("b")
     ba = b * a
-    target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables
+    target = list(parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables)
 
     span = range(-k_range, k_range + 1)
     powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
     subs = {(k, e): powers[k] * a if e else powers[k] for k in span for e in (0, 1)}
-    # x1 values with their inverses, per parity e1
-    x1_values = {
-        e: [(k, subs[k, e].syllables, subs[k, e].inverse().syllables) for k in span]
-        for e in (0, 1)
-    }
+    # the closed forms (ba)^n as syllable lists, compared with the values
+    closed = {n: list(p.syllables) for n, p in powers.items()}
+    # x1's part of the program's values, per parity e1
+    x1_values = {e: [(k, program.y_values(subs[k, e].syllables)) for k in span] for e in (0, 1)}
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
@@ -965,19 +1065,19 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         count = bindings = 0
         for t in span:
             for s in span:
-                bound = _bind(word.letters, rank_two, {2: subs[t, e2], 3: subs[s, e3]})
-                plan = _plan(bound, 1)
+                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]})
                 bindings += 1
-                for k, pos, neg in x1_values[e1]:
-                    value = tuple(_run_plan(factors, plan, pos, neg))
+                offset = ct * t + cs * s
+                for k, y_values in x1_values[e1]:
+                    value = program.run(y_values, bound)
                     count += 1
-                    if value != powers[ck * k + ct * t + cs * s].syllables:
+                    if value != closed[ck * k + offset]:
                         mismatches.append((k, t, s))
                     if value == target:
                         hits.append((k, t, s))
                     if variant is not None and variant_consistent:
                         vk, vt, vs = variant
-                        if value != powers[vk * k + vt * t + vs * s].syllables:
+                        if value != closed[vk * k + vt * t + vs * s]:
                             variant_consistent = False
         total += count
         target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))

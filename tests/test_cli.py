@@ -481,3 +481,20 @@ def test_importing_freeprod_makes_cli_an_attribute():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "main\n"
+
+
+def test_python_m_freeprod_runs_the_command():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "freeprod", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    result = run("order", "--group", str(CASES / "p23.grp"), "--word", "a b")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "order(a b) = infinite\n"
+    # a usage error: --word is missing
+    result = run("order", "--group", str(CASES / "p23.grp"))
+    assert result.returncode == 2
+    assert "--word" in result.stderr

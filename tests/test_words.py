@@ -45,12 +45,20 @@ def test_parse_simple_variables(p23):
 
 def test_parse_commutator_with_conjugation(p23):
     w = parse_word("[x1, x2^x3]", p23)
-    assert w.letters == (
+    body = (
         Var(1),
         Var(3), Var(2), Var(3, -1),
         Var(1, -1),
         Var(3), Var(2, -1), Var(3, -1),
     )
+    # the commutator stays one item, a group whose body is written out
+    assert w.letters == (Pow(body, 1),)
+    assert words._expand(w.letters) == body
+    # its powers and its inverse share that body
+    assert parse_word("[x1, x2^x3]^3", p23).letters == (Pow(body, 3),)
+    assert parse_word("[x1, x2^x3]^-1", p23).letters == (Pow(body, -1),)
+    assert w.inverse().letters == (Pow(body, -1),)
+    assert parse_word("[1, 1] x1", p23).letters == (Var(1),)
 
 
 def test_parse_keeps_powers(p23):
@@ -308,6 +316,10 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         "a x2 x1 = b a",
         "x2^-1 = b a b a",
         "x1 x2 = b a b a b",
+        # shared sub-words on the general path: a commutator used with
+        # several exponents, and a group next to its inverse
+        "[x1,x2]^2 x1 [x1,x2] = a",
+        "[x1,x2] x2 [x1,x2]^-1 = b",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
@@ -851,12 +863,39 @@ def test_theorem2_report_counts_its_bindings():
     assert [(c["evaluations"], c["bindings"]) for c in rep.to_dict()["cases"]] == [(125, 25)] * 8
 
 
-# -- partial evaluation: bind every variable but y, evaluate per value of y ----
+def test_theorem2_report_work(monkeypatch):
+    # The compiled word merges the commutator [x1, x2^x3] once for its two
+    # uses and computes x1^3 once per value of x1, so each substitution
+    # costs 3 seam merges and 2 powers, plus the runs per (t, s).  Binding
+    # (x2, x3) without sharing made 4.29 merges and 3.06 powers each.
+    counts = {"merge": 0, "power": 0}
+    real_merge, real_power = free_product._seam_merge, free_product.power_syllables
+
+    def merge(*args):
+        counts["merge"] += 1
+        return real_merge(*args)
+
+    def power(*args):
+        counts["power"] += 1
+        return real_power(*args)
+
+    for module in (free_product, words):
+        monkeypatch.setattr(module, "_seam_merge", merge)
+        monkeypatch.setattr(module, "power_syllables", power)
+    rep = theorem2_report(8)
+    n = rep.total_evaluations
+    assert rep.ok and n == 8 * 17**3
+    assert counts["merge"] <= 3.4 * n
+    assert counts["power"] <= 2.1 * n
+
+
+# -- partial evaluation: a word compiled once with y free ----------------------
 
 
 def residual_texts(gens, depth=3):
     """Word text over x1, x2, x3 and ``gens`` with nested powers (negative
-    exponents, 0 and +-1 included), conjugates and commutators."""
+    exponents, 0 and +-1 included), conjugates and commutators, and with
+    repeated sub-words: u v (u)^k, and a commutator next to its inverse."""
     atoms = st.sampled_from(["x1", "x2", "x3", "1", *gens])
     if depth == 0:
         return atoms
@@ -868,14 +907,15 @@ def residual_texts(gens, depth=3):
         st.tuples(inner, inner).map(lambda t: f"{t[0]} {t[1]}"),
         st.tuples(inner, inner).map(lambda t: f"({t[0]})^({t[1]})"),
         st.tuples(inner, inner).map(lambda t: f"[{t[0]}, {t[1]}]"),
+        st.tuples(inner, inner, exponents).map(lambda t: f"{t[0]} {t[1]} ({t[0]})^{t[2]}"),
+        st.tuples(inner, inner, inner).map(
+            lambda t: f"[{t[0]}, {t[1]}] {t[2]} [{t[0]}, {t[1]}]^-1"),
     )
 
 
 def bind_and_run(word, outer, y, value):
-    plan = words._plan(words._bind(word.letters, word.group, outer), y)
-    factors = word.group.factors
-    inverse = value.inverse().syllables
-    return tuple(words._run_plan(factors, plan, value.syllables, inverse))
+    program = words._Program(word.letters, word.group, y)
+    return tuple(program.run(program.y_values(value.syllables), program.bind(outer)))
 
 
 def assert_bind_matches_evaluate(word, values, y):
@@ -897,6 +937,9 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
     # the word as a power, with the exponents the parser never leaves
     k = data.draw(st.sampled_from([-3, -1, 0, 1, 2]), label="k")
     assert_bind_matches_evaluate(MixedWord(group, (Pow(word.letters, k),)), values, y)
+    # and twice, as a group and as a power: one body, two references
+    twice = MixedWord(group, (Pow(word.letters, 1), Var(y), Pow(word.letters, k)))
+    assert_bind_matches_evaluate(twice, values, y)
 
 
 def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
@@ -906,20 +949,51 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
         "x1^3 [x1, x2^x3] x2^3",  # runs free of y between its letters
         "(x2 x1^-1 a)^-2 b x3",  # y inside a negative power only
         "((x1 x2)^2 x1^-1)^-3",  # nested powers holding y
-        "x2 a x3^2 b",  # no y at all: one constant
+        "((x1 x3)^2)^-3 x1",  # a power of a power: (u^2)^-3 is u^-6
+        "x2 a x3^2 b",  # no y at all: one run
         "(x2 x1)^0 (x1)^(x2)",  # a zero power and a conjugate
+        "x1 a b x1^-1 x1^3",  # constants only: folded when compiled
+        words.THEOREM2_WORD_TEXT,
     ):
         word = parse_word(text, p23)
         assert_bind_matches_evaluate(word, values, 1)
-    bound = words._bind(parse_word("x2 a x1 x3^2 b (x1 x2)^-2", p23).letters, p23,
-                        {2: values[2], 3: values[3]})
-    assert [type(item) for item in bound] == [Const, Var, Const, Pow]
-    assert bound[3].k == -2 and type(bound[3].body[1]) is Const
-    assert words._bind(parse_word("x2 a x3^2 b", p23).letters, p23,
-                       {2: values[2], 3: values[3]}) == (
-        Const(values[2] * a * values[3].power(2) * b),)
+
+    def compiled(text):
+        return words._Program(parse_word(text, p23).letters, p23, 1)
+
+    # runs between the letters of y, and a power of a step that holds y
+    program = compiled("x2 a x1 x3^2 b (x1 x2)^-2")
+    assert program.runs == [
+        (Var(2), Const(a)), (Pow((Var(3),), 2), Const(b)), (Var(2),),
+    ]
+    assert program.consts == [] and program.pure == []
+    # values: y, y^-1, the three runs, then the steps
+    assert program.steps == [((0, 4), None), (None, ((2, 1), (0, 1), (3, 1), (5, -2)))]
+    assert program.result == 6 and not program.needs_inverse
+    # no y at all: the whole word is one run
+    program = compiled("x2 a x3^2 b")
+    assert program.runs == [parse_word("x2 a x3^2 b", p23).letters]
+    bound = program.bind({2: values[2], 3: values[3]})
+    assert tuple(program.run(program.y_values(()), bound)) == (
+        values[2] * a * values[3].power(2) * b).syllables
+    # a constant run is folded once; a power of y alone is a pure step
+    program = compiled("x1 a b x1^-1 x1^3")
+    assert program.consts == [(a * b).syllables] and program.runs == []
+    assert program.pure == [(None, ((0, 3),)), ((0, 2, 1, 3), None)]
+    assert program.needs_inverse and program.steps == [] and program.result == 4
+    # the Theorem-2 word: x1^3 once per value of x1, three runs per (x2, x3),
+    # and one merge each for the shared commutator, the first power's body
+    # and the whole word
+    program = compiled(words.THEOREM2_WORD_TEXT)
+    assert program.pure == [(None, ((0, 3),))]
+    assert len(program.runs) == 3 and len(program.steps) == 3
+    assert program.steps[0] == ((0, 3, 1, 4), None)
+    assert program.steps[2] == (None, ((7, 2), (6, 3)))
+    # a group and its inverse share one body
+    program = compiled("[x1, x2] x3 [x1, x2]^-1")
+    assert program.steps == [((0, 2, 1, 3), None), (None, ((5, 1), (4, 1), (5, -1)))]
     with pytest.raises(UnboundVariableError):
-        words._plan(words._bind(parse_word("x1 x2", p23).letters, p23, {}), 1)
+        compiled("x1 x2").bind({})
 
 
 def test_solve_bounded_general_path_with_inverted_y_inside_a_power(p23):
