@@ -36,6 +36,10 @@ CHECKS = [
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "6"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "8"], 0),
+    # 47,524 (x1, x2) pairs, fused into the 7,162 values of F = x1 x2: one
+    # conjugacy test per value
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "10"], 0),
     (["verify-lemma7", "--group", str(CASES / "p23.grp"),
       "--trials", "1000", "--seed", "0"], 0),
     (["axis", "--group", str(CASES / "p23.grp"),
@@ -69,6 +73,11 @@ CHECKS = [
     # compiled word merges its body once per tuple
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^2 x1 [x1,x2] = a",
       "--ball", "a;b", "--depth", "6", "--all"], 0),
+    # x1 and x2 occur only as the product x1 x2: the 96,721 pairs of the
+    # 311-element ball give 39,061 products, each decided once; all 3,096
+    # solutions are still listed and re-checked
+    (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x3 x1 x2 x3^-1 = c a c",
+      "--ball", "a,b;a,b@c", "--depth", "3", "--all"], 0),
     # numeric arguments out of range: usage errors
     (["verify-theorem2", "--range", "0"], 2),
     (["axis", "--group", str(CASES / "p23.grp"),

@@ -51,6 +51,8 @@ REPORT_SCHEMA = {
             "properties": {
                 "ball_size": {"type": ["integer", "null"]},
                 "membership_queries": {"type": "integer"},
+                "outer_tuples": {"type": "integer"},
+                "outer_values": {"type": "integer"},
             },
         },
     },
@@ -184,7 +186,8 @@ def _cmd_solve(args):
     ball = Ball(ambient, parts, args.depth)
     candidates = {v: ball for v in eq.lhs.free_variables()}
     mode = "all" if args.all else "first"
-    found = words.solve_bounded(eq, candidates, mode=mode)
+    work: dict = {}
+    found = words.solve_bounded(eq, candidates, mode=mode, counters=work)
     solutions = found if args.all else ([found] if found else [])
     witnesses = [
         {f"x{i}": v.as_word() for i, v in sub.assignment} for sub in solutions
@@ -207,7 +210,9 @@ def _cmd_solve(args):
         else:
             lines = [f"no solution among the {size} ball elements (depth {args.depth})"]
         code = 1
-    report["counters"] = {"ball_size": size, "membership_queries": ball.membership_queries}
+    report["counters"] = {
+        "ball_size": size, "membership_queries": ball.membership_queries, **work
+    }
     return code, report, lines
 
 
@@ -290,7 +295,8 @@ def _cmd_verify_lemma5(args):
     parts = [(factor, h1, ambient.identity()), (factor, h2, g_elem)]
     ball = enumerate_ball(ambient, parts, args.depth)
     candidates = {v: ball for v in cons.equation.lhs.free_variables()}
-    found = words.solve_bounded(cons.equation, candidates, mode="first")
+    work: dict = {}
+    found = words.solve_bounded(cons.equation, candidates, mode="first", counters=work)
 
     ok = sol_ok and found is None
     witnesses = [
@@ -300,6 +306,7 @@ def _cmd_verify_lemma5(args):
             "generator_solution_ok": sol_ok,
             "ball_size": len(ball),
             "ball_search": "no-solution-in-set" if found is None else "solved",
+            **work,
         }
     ]
     violations = []

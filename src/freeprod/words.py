@@ -593,10 +593,77 @@ class _Program:
 # bounded exhaustive solving
 
 
+def _occurrences(items: Sequence[Item], var: int) -> int:
+    """How often variable ``var`` occurs in ``items``, a power's body
+    counted |k| times."""
+    n = 0
+    for item in items:
+        if type(item) is Var:
+            n += item.index == var
+        elif type(item) is Pow:
+            n += abs(item.k) * _occurrences(item.body, var)
+    return n
+
+
+def _fusion_runs(segments: Iterable[Sequence[Item]]) -> list[tuple[Item, ...]]:
+    """The maximal runs of letters (Var and Const items) that hold a
+    variable, at every nesting level of each segment, each once up to
+    inversion.  A segment's value is a function of its runs' values, so
+    their normal forms decide it."""
+    runs: dict[tuple[Item, ...], None] = {}
+
+    def walk(items: Sequence[Item]) -> None:
+        run: list[Item] = []
+        for item in (*items, None):
+            if item is not None and type(item) is not Pow:
+                run.append(item)
+                continue
+            letters = tuple(run)
+            run.clear()
+            if any(type(l) is Var for l in letters) and _invert(letters) not in runs:
+                runs[letters] = None
+            if item is not None:
+                walk(item.body)
+
+    for segment in segments:
+        walk(segment)
+    return list(runs)
+
+
+def _fusion_key(segments: Iterable[Sequence[Item]], outer: Sequence[int], factors):
+    """The function that maps an outer tuple (the values of ``outer``, in
+    order) to the normal forms of the fusion runs of ``segments``, or None
+    when there are not fewer runs than outer variables."""
+    runs = _fusion_runs(segments)
+    if len(runs) >= len(outer):
+        return None
+    # Each run's letters as (position in the row, sign), where a row is the
+    # outer tuple followed by the runs' constants.
+    consts = tuple(l.value for run in runs for l in run if type(l) is Const)
+    slots = iter(range(len(outer), len(outer) + len(consts)))
+    plans = [
+        [(outer.index(l.index), l.sign) if type(l) is Var else (next(slots), 1) for l in run]
+        for run in runs
+    ]
+
+    def key(combo: tuple) -> tuple:
+        row = combo + consts
+        return tuple(
+            tuple(_seam_merge(factors, [], [
+                row[i].syllables if s > 0 else _inverse_syllables(factors, row[i].syllables)
+                for i, s in plan
+            ]))
+            for plan in plans
+        )
+
+    return key
+
+
 def solve_bounded(
     eq: Equation,
     candidates: Mapping[int, Sequence[FPElement]],
     mode: str = "first",
+    counters: dict | None = None,
 ):
     """Exhaustive search over the Cartesian product of candidate lists.
 
@@ -605,10 +672,14 @@ def solve_bounded(
     Returns a Substitution or None in mode "first", the full list of
     solutions in mode "all"; an empty result certifies that no candidate
     tuple satisfies the equation.  Every returned solution is re-evaluated
-    from scratch; a mismatch raises VerificationError.
+    from scratch; a mismatch raises VerificationError.  Given a dict
+    ``counters``, it is filled with the work counts ``outer_tuples`` (the
+    tuples of the other variables walked) and ``outer_values`` (the
+    distinct fusion keys decided; ``outer_tuples`` when not fused).
 
-    The left side is split into runs between occurrences of the last
-    variable y; only the powers that contain y are written out for this.
+    The occurrences of the last variable y are counted first, a power's
+    body |k| times.  When y occurs once or twice, the left side is split
+    into runs between them, with the powers that hold y written out.
 
     Single occurrence: when y occurs once, the left side is W0 y^s W1 with
     W0, W1 free of y, and the equation holds iff y^s = W0^-1 rhs W1^-1.
@@ -644,9 +715,24 @@ def solve_bounded(
     inverts its short base, not its long value.
 
     Any other occurrence pattern tries every inner candidate.  The left
-    side is compiled once into a _Program with y free: its sub-words that
-    depend on y alone are evaluated once per candidate, its runs free of y
-    once per outer tuple, and the rest once per (outer tuple, candidate).
+    side is compiled once into a _Program with y free, which keeps powers
+    as powers: its sub-words that depend on y alone are evaluated once per
+    candidate, its runs free of y once per outer tuple, and the rest once
+    per (outer tuple, candidate).
+
+    Fusion: the outer variables may occur only in a few products, such as
+    F = x1 x2 in F^39 x3 F^26 x3^-1.  The fusion runs are the maximal runs
+    of letters (variables and constants, no powers) that hold a variable,
+    at every nesting level of the runs free of y (W0 and W1; P, B and Q;
+    the _Program's runs), each once up to inversion.  A run never spans an
+    occurrence of y.  Everything the solvers compute for an outer tuple is
+    a function of those runs' normal forms, so the tuple of them is an
+    exact key.  When there are fewer fusion runs than outer variables, the
+    walk computes each tuple's key and decides only a new key (the target
+    lookup, the conjugacy test and coset, or the candidate scan); a tuple
+    whose key was decided before reuses its hits.  Every hit is still
+    re-verified by record() for each tuple that reaches it, so both modes
+    return the same solutions in the same order as without fusion.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -678,95 +764,103 @@ def solve_bounded(
     if not variables:
         if evaluate(eq.lhs, {}).syllables == eq.rhs.syllables:
             record({})
+        if counters is not None:
+            counters.update(outer_tuples=0, outer_values=0)
         return (results[0] if results else None) if mode == "first" else results
 
-    # The last variable y varies fastest.  Its occurrence pattern picks the
-    # solver, from the runs between occurrences of y: lhs = W0 y^s1 W1 ...
-    # y^sk Wk, with the powers that hold y written out.
+    # The last variable y varies fastest; how often it occurs picks the
+    # solver.  Each solver's decide(assignment) gives the candidates for y
+    # that solve the equation with the outer variables bound, in order.
     inner = variables[-1]
     outer = variables[:-1]
-    runs: list[list[Item]] = [[]]
-    signs: list[int] = []
-    for item in _expand(eq.lhs.letters, inner):
-        if isinstance(item, Var) and item.index == inner:
-            signs.append(item.sign)
-            runs.append([])
-        else:
-            runs[-1].append(item)
     factors = group.factors
     inner_cands = candidates[inner]
-    outer_lists = [candidates[v] for v in outer]
-    coset = len(signs) == 2 and signs[0] == -signs[1]
-    if len(signs) == 1 or coset:
+    occurrences = _occurrences(eq.lhs.letters, inner)
+    if occurrences in (1, 2):
+        # lhs = W0 y^s1 W1 [y^s2 W2], with the powers that hold y written out
+        segments: list[list[Item]] = [[]]
+        signs: list[int] = []
+        for item in _expand(eq.lhs.letters, inner):
+            if isinstance(item, Var) and item.index == inner:
+                signs.append(item.sign)
+                segments.append([])
+            else:
+                segments[-1].append(item)
         target_word = MixedWord(
-            group, _invert(runs[0]) + (Const(eq.rhs),) + _invert(runs[-1])
+            group, _invert(segments[0]) + (Const(eq.rhs),) + _invert(segments[-1])
         )
 
-    if len(signs) == 1:
-        # Single occurrence: a scan of a plain sequence keeps candidate order
-        # and duplicates, which an index built per call would cost more than.
+    if occurrences == 1:
+        # A scan of a plain sequence keeps candidate order and duplicates,
+        # which an index built per call would cost more than.
         in_ball = isinstance(inner_cands, Ball)
-        for combo in _cartesian(*outer_lists):
-            assignment = dict(zip(outer, combo))
+
+        def decide(assignment: dict) -> Sequence[FPElement]:
             t = evaluate(target_word, assignment).syllables
             if signs[0] < 0:
                 t = _inverse_syllables(factors, t)
             if in_ball:
                 value = FPElement(group, t)
-                hits = [value] if value in inner_cands else []
-            else:
-                hits = [c for c in inner_cands if c.syllables == t]
-            for value in hits:
-                assignment[inner] = value
-                record(assignment)
-                if mode == "first":
-                    return results[0]
-        return None if mode == "first" else results
+                return [value] if value in inner_cands else []
+            return [c for c in inner_cands if c.syllables == t]
 
-    if coset:
-        middle_word = MixedWord(group, runs[1])
+    elif occurrences == 2 and signs[0] == -signs[1]:
+        middle_word = MixedWord(group, segments[1])
         positions: dict[tuple, list[int]] = {}
         for i, value in enumerate(inner_cands):
             positions.setdefault(value.syllables, []).append(i)
         max_norm = max(map(len, positions))
-        for combo in _cartesian(*outer_lists):
-            assignment = dict(zip(outer, combo))
+
+        def decide(assignment: dict) -> Sequence[FPElement]:
             b = evaluate(middle_word, assignment)
             t = evaluate(target_word, assignment)
             if signs[0] < 0:
                 b, t = t, b
             c = b.conjugator(t)
             if c is None:
-                continue
+                return ()
             if b.is_identity:
-                hits: Iterable[int] = range(len(inner_cands))
-            else:
-                hits = sorted(
-                    i
-                    for z in _centralizer(factors, b.syllables, max_norm + c.norm)
-                    for i in positions.get(_product(factors, c.syllables, z), ())
-                )
-            for i in hits:
-                assignment[inner] = inner_cands[i]
-                record(assignment)
-                if mode == "first":
-                    return results[0]
-        return None if mode == "first" else results
+                return inner_cands
+            hits = sorted(
+                i
+                for z in _centralizer(factors, b.syllables, max_norm + c.norm)
+                for i in positions.get(_product(factors, c.syllables, z), ())
+            )
+            return [inner_cands[i] for i in hits]
 
-    rhs_syll = list(eq.rhs.syllables)
-    program = _Program(eq.lhs.letters, group, inner)
-    inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
+    else:
+        rhs_syll = list(eq.rhs.syllables)
+        program = _Program(eq.lhs.letters, group, inner)
+        segments = program.runs
+        inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
 
-    for combo in _cartesian(*outer_lists):
+        def decide(assignment: dict) -> Sequence[FPElement]:
+            bound = program.bind(assignment)
+            return [c for c, y_values in inner_values if program.run(y_values, bound) == rhs_syll]
+
+    key_of = _fusion_key(segments, outer, factors)
+    decided: dict[tuple, Sequence[FPElement]] = {}
+    tuples = 0
+    for combo in _cartesian(*(candidates[v] for v in outer)):
+        tuples += 1
         assignment = dict(zip(outer, combo))
-        bound = program.bind(assignment)
-        for value, y_values in inner_values:
-            if program.run(y_values, bound) == rhs_syll:
-                assignment[inner] = value
-                record(assignment)
-                if mode == "first":
-                    return results[0]
-    return None if mode == "first" else results
+        if key_of is not None:
+            key = key_of(combo)
+            hits = decided.get(key)
+            if hits is None:
+                hits = decided[key] = decide(assignment)
+        else:
+            hits = decide(assignment)
+        for value in hits:
+            assignment[inner] = value
+            record(assignment)
+            if mode == "first":
+                break
+        if results and mode == "first":
+            break
+    if counters is not None:
+        counters.update(outer_tuples=tuples, outer_values=tuples if key_of is None else len(decided))
+    return (results[0] if results else None) if mode == "first" else results
 
 
 # ---------------------------------------------------------------------------

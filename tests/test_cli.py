@@ -227,6 +227,39 @@ def test_cli_verify_lemma5(capsys):
     assert w["ball_search"] == "no-solution-in-set"
 
 
+def test_cli_verify_lemma5_reports_fused_work(capsys):
+    # F^39 x3 F^26 x3^-1 with F = x1 x2: the 2,500 (x1, x2) pairs of the
+    # depth-6 ball give 442 distinct values of F, each decided once.
+    argv = ["verify-lemma5", "--group", str(CASES / "example2.grp"),
+            "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2"]
+    for depth, tuples, values in (("6", 2500, 442), ("8", 11236, 1786)):
+        code, report = run_json(capsys, argv + ["--depth", depth])
+        assert code == 0 and report["verdict"] == "verified"
+        w = report["witnesses"][0]
+        assert w["ball_search"] == "no-solution-in-set"
+        assert (w["outer_tuples"], w["outer_values"]) == (tuples, values)
+        assert w["ball_size"] ** 2 == tuples
+
+
+def test_cli_solve_reports_fused_work(capsys):
+    # x1 x2 occurs only as a product: (x1, x2) pairs with one product share
+    # one conjugacy test, and every solution is still listed and re-checked
+    argv = ["solve", "--group", str(CASES / "p23.grp"), "--ball", "a;b", "--depth", "4"]
+    p23 = specfiles.parse_group_spec((CASES / "p23.grp").read_text())
+    ball = free_product.enumerate_ball(p23, specfiles.parse_ball_spec("a;b", p23), 4)
+    assert len({(x1 * x2).syllables for x1 in ball for x2 in ball}) == 106
+    fused = "(x1 x2)^2 x3 (x1 x2)^-1 x3^-1 = 1"
+    code, report = run_json(capsys, argv + ["--eq", fused, "--all"])
+    assert code == 0
+    assert report["counters"] == {"ball_size": 22, "membership_queries": 0,
+                                  "outer_tuples": 22**2, "outer_values": 106}
+    # x1 x2 = 1 gives F = 1, where every x3 solves it: 22 pairs x 22 values
+    assert len(report["witnesses"]) == 22 * 22
+    code, report = run_json(capsys, argv + ["--eq", fused])
+    assert code == 0 and report["witnesses"] == [{"x1": "1", "x2": "1", "x3": "1"}]
+    assert report["counters"]["outer_tuples"] == report["counters"]["outer_values"] == 1
+
+
 def test_cli_verify_lemma7(capsys):
     code, report = run_json(capsys, [
         "verify-lemma7", "--group", str(CASES / "p23.grp"),
@@ -274,7 +307,8 @@ def test_cli_huge_exponents(capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "cap" in captured.err
-    # the search writes out powers that contain its last variable
+    # x2 occurs 10^11 times, so the compiled word keeps the power, and
+    # powering the infinite-order value a b of x1 x2 goes over the cap
     assert cli.main(["solve", "--group", p23, "--eq", "(x1 x2)^100000000000 = a",
                      "--ball", "a;b", "--depth", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -392,7 +426,8 @@ def test_cli_solve_one_occurrence_does_not_build_the_ball(capsys, monkeypatch):
     code, report = run_json(capsys, ["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"])
     assert depths and max(depths) <= 3
     assert code == 1
-    assert report.pop("counters") == {"ball_size": None, "membership_queries": 1}
+    assert report.pop("counters") == {"ball_size": None, "membership_queries": 1,
+                                      "outer_tuples": 1, "outer_values": 1}
     report.pop("timings")
     assert report == {"verdict": "no-solution-in-set", "violations": [], "witnesses": []}
     assert cli.main(["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"]) == 1
@@ -411,7 +446,8 @@ def test_cli_solve_at_depth_12(capsys):
         code, report = run_json(capsys, ["solve", *EXAMPLE2_BALL, "--eq", f"x1 = {word}",
                                          "--depth", "12"])
         assert code == expected
-        assert report["counters"] == {"ball_size": None, "membership_queries": 1}
+        assert report["counters"] == {"ball_size": None, "membership_queries": 1,
+                                      "outer_tuples": 1, "outer_values": 1}
         if expected == 0:
             assert report["verdict"] == "solved"
             assert report["witnesses"] == [{"x1": word}]
@@ -436,7 +472,9 @@ def test_cli_solve_renders_each_solution_once(capsys, monkeypatch):
             "--ball", "a;b", "--all"]
     code, report = run_json(capsys, argv + ["--depth", "14"])
     assert code == 0 and len(report["witnesses"]) == 4408
-    assert report["counters"] == {"ball_size": 890, "membership_queries": 0}
+    # [x1,x2] = 1 is not fused: x1 and x1^-1 are its only runs
+    assert report["counters"] == {"ball_size": 890, "membership_queries": 0,
+                                  "outer_tuples": 890, "outer_values": 890}
     assert calls == 2 * 4408
     calls = 0
     assert cli.main(argv + ["--depth", "4"]) == 0

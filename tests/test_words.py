@@ -1,5 +1,6 @@
 import random
 from itertools import product as cartesian
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -273,6 +274,27 @@ def spy_conjugator(monkeypatch):
     return calls
 
 
+# Outer variables x1, x2 that occur only in runs such as x1 x2: the walk
+# decides each distinct value of the runs once.
+FUSED_TEXTS = (
+    # centralizer coset; x1 x2 = 1 gives B = T = 1 for several pairs
+    "(x1 x2)^2 x3 (x1 x2)^-1 x3^-1 = 1",
+    "(x1 x2)^2 x3 (x1 x2)^-1 x3^-1 = b",
+    # a run in P and its inverse in B: joined across x3 they would cancel
+    "x1 x2 x3 x2^-1 x1^-1 x3^-1 = 1",
+    # B's run is not in P or Q: the target word alone does not decide it
+    "x3 x1 x2 x3^-1 = b",
+    "x3^-1 (x1 a x2)^2 x3 = a b^2 a b",
+    # one occurrence
+    "x3 (x1 a x2)^3 = 1",
+    "x3 (x1 a x2)^3 = b a",
+    "(x1 x2^-1)^2 x3^-1 b = a",
+    # the general path
+    "(x1 x2)^2 x3 (x1 x2) x3 = 1",
+    "x3 (x1 b x2)^2 x3^2 = a",
+)
+
+
 def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
     calls = spy_conjugator(monkeypatch)
     rng = random.Random(5)
@@ -320,6 +342,9 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         # several exponents, and a group next to its inverse
         "[x1,x2]^2 x1 [x1,x2] = a",
         "[x1,x2] x2 [x1,x2]^-1 = b",
+        # y in nested powers: 1 + 2^3 occurrences, kept as powers
+        "x2 (((x1 x2)^2 x1)^2 x1)^2 x1 = a",
+        "x2 (((x1 x2)^2 x1)^2 x1)^2 x1 = b a b",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
@@ -334,6 +359,17 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         for c in (cand + cand, ball + ball[:7]):
             found = assert_matches_oracle(eq, c)
             repeated += len(found) - len(set(found))
+    # outer variables that occur only together are fused: each distinct
+    # value of their runs is decided once, and every tuple is still listed
+    for text in FUSED_TEXTS:
+        eq = parse_equation(text, p23)
+        for c in (cand, ball, cand + cand, ball + ball[:7]):
+            found = assert_matches_oracle(eq, c)
+            repeated += len(found) - len(set(found))
+        assert_ball_matches_oracle(eq, lambda: Ball(p23, parts, 3))
+        counters = {}
+        solve_bounded(eq, {v: ball for v in (1, 2, 3)}, mode="all", counters=counters)
+        assert counters["outer_values"] < counters["outer_tuples"] == len(ball) ** 2
     assert repeated
     # B with a norm-1 core in a factor: the coset is c u C_A(b) u^-1.  In
     # S3 the conjugator inside the factor is nontrivial (a to b); in D4 the
@@ -355,6 +391,77 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
             assert_ball_matches_oracle(eq, lambda: Ball(group, parts, 2))
     outcomes = {result is not None for _, _, result in calls}
     assert outcomes == {True, False}
+
+
+def test_solve_bounded_does_not_fuse_one_variable_per_run(p23):
+    # As many runs as outer variables: [x1,x2] = 1 has the runs x1 and
+    # x1^-1, one up to inversion; x1 x2 x1 x2^-1 = a has x1 twice; in
+    # x1 x3 x2 = a, x3 splits x1 from x2.
+    one = p23.identity()
+    ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 4)
+    for text in ("[x1,x2] = 1", "x1 x2 x1 x2^-1 = a", "x1 x3 x2 = a", "x1 = a b"):
+        eq = parse_equation(text, p23)
+        counters = {}
+        solve_bounded(eq, {v: ball for v in (1, 2, 3)}, mode="all", counters=counters)
+        tuples = len(ball) ** (len(eq.lhs.free_variables()) - 1)
+        assert counters == {"outer_tuples": tuples, "outer_values": tuples}
+    counters = {}
+    assert solve_bounded(parse_equation("a = a", p23), {}, counters=counters) is not None
+    assert counters == {"outer_tuples": 0, "outer_values": 0}
+
+
+def fused_texts():
+    """Left sides over C2 * C3 in which x1 and x2 occur only inside one run
+    F, on each of the three paths (x3 once, x3 twice with opposite signs,
+    otherwise)."""
+    extra = st.lists(st.sampled_from(["x1", "x2^-1", "a", "b", "b^-1"]), max_size=2)
+    run = st.tuples(extra, extra).flatmap(
+        lambda t: st.permutations(["x1", "x2", *t[0], *t[1]]).map(" ".join)
+    )
+    exps = st.sampled_from([-2, -1, 1, 2, 3])
+    templates = st.sampled_from([
+        "x3 ({F})^{j}",
+        "({F})^{j} x3^-1 {F}",
+        "({F})^{j} x3 ({F})^{k} x3^-1",
+        "x3^-1 ({F})^{k} x3 {F}",
+        "({F})^{j} x3 ({F})^{k} x3",
+        "x3 ({F})^{j} x3^2",
+    ])
+    return st.builds(lambda t, F, j, k: t.format(F=F, j=j, k=k), templates, run, exps, exps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fused_and_plain_walks_agree(data):
+    group = _P23
+    text = data.draw(fused_texts(), label="lhs")
+    lhs = parse_word(text, group)
+    pool = data.draw(st.lists(elements(group, 3), min_size=1, max_size=5), label="pool")
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=3), label="copies")
+    cands = pool + [FPElement(group, c.syllables) for c in picks]
+    # the right side: a random element, or a value the left side takes
+    if data.draw(st.booleans(), label="reachable"):
+        sub = {v: data.draw(st.sampled_from(cands)) for v in (1, 2, 3)}
+        rhs = evaluate(lhs, sub)
+    else:
+        rhs = data.draw(elements(group, 4), label="rhs")
+    eq = Equation(lhs, rhs)
+    candidates = {v: cands for v in (1, 2, 3)}
+    fused_counters = {}
+    fused = solve_bounded(eq, candidates, mode="all", counters=fused_counters)
+    fused_first = solve_bounded(eq, candidates, mode="first")
+    # the plain walk: more runs than outer variables, so nothing is fused
+    with patch.object(words, "_fusion_runs", lambda segments: [()] * 3):
+        plain_counters = {}
+        plain = solve_bounded(eq, candidates, mode="all", counters=plain_counters)
+        plain_first = solve_bounded(eq, candidates, mode="first")
+    assert fused == plain
+    assert fused_first == plain_first == (plain[0] if plain else None)
+    assert fused_counters["outer_tuples"] == plain_counters["outer_tuples"] == len(cands) ** 2
+    assert plain_counters["outer_values"] == plain_counters["outer_tuples"]
+    # a copied candidate gives the same run values as its original
+    if picks:
+        assert fused_counters["outer_values"] < fused_counters["outer_tuples"]
 
 
 def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
@@ -632,15 +739,22 @@ def test_lemma5_left_side_keeps_its_powers(z6z2):
 
 
 def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
-    # lhs = (x1 x2)^39 x3 (x1 x2)^26 x3^-1: one conjugacy test per (x1, x2)
-    # pair, and none passes, so no inner x3 loop runs.
+    # lhs = F^39 x3 F^26 x3^-1 with F = x1 x2: the (x1, x2) pairs are fused
+    # by the value of F, so one conjugacy test per distinct product, and
+    # none passes, so no inner x3 loop runs.
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
-    ball = lemma5_desk_ball(z6z2, 6)
-    assert len(ball) == 50
     calls = spy_conjugator(monkeypatch)
-    assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}) is None
-    assert len(calls) == 2500
-    assert all(result is None for _, _, result in calls)
+    for depth, size, products in ((6, 50, 442), (8, 106, 1786)):
+        ball = lemma5_desk_ball(z6z2, depth)
+        assert len(ball) == size
+        assert len({(x1 * x2).syllables for x1 in ball for x2 in ball}) == products
+        calls.clear()
+        counters = {}
+        found = solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}, counters=counters)
+        assert found is None
+        assert len(calls) == products
+        assert all(result is None for _, _, result in calls)
+        assert counters == {"outer_tuples": size**2, "outer_values": products}
 
 
 # -- re-verification that survives python -O ----------------------------------
@@ -1003,7 +1117,31 @@ def test_solve_bounded_general_path_with_inverted_y_inside_a_power(p23):
     cand = [random_reduced(rng, p23, 0, 3) for _ in range(12)]
     for text in ("(x2^-1 x1)^-2 x2 = b", "x1 (x2^-1)^-2 = a b", "(x2^-1 a)^-3 x2 = 1"):
         assert_matches_oracle(parse_equation(text, p23), cand)
-    # a power that holds y is still written out for the split, with its cap
+    # y occurs 10^8 times, so the power is kept, and powering a value of
+    # x1 x2 of infinite order still meets the cap
     eq = parse_equation("(x1 x2)^100000000 = a", p23)
     with pytest.raises(PowerTooLargeError):
         solve_bounded(eq, {1: cand, 2: cand})
+
+
+def test_solve_bounded_answers_y_in_deeply_nested_powers(p23, monkeypatch):
+    # x2 (...((x1 x2)^2 x1)^2 ... x1)^2 x1, 100 levels deep: x2 occurs
+    # 1 + 2^100 times, so the general path's compiled word keeps the powers;
+    # writing them out would take about 2^101 letters.
+    word = "x1 x2"
+    for _ in range(100):
+        word = f"({word})^2 x1"
+    one, a, b = p23.identity(), p23.generator("a"), p23.generator("b")
+    expanded = []
+    real_expand = words._expand
+    monkeypatch.setattr(words, "_expand", lambda *args: expanded.append(args) or real_expand(*args))
+    for rhs, cand in (("a", [one, a]), ("b", [b, b.inverse()]), ("1", [b, one])):
+        eq = parse_equation(f"x2 {word} = {rhs}", p23)
+        candidates = {1: cand, 2: cand}
+        found = solve_bounded(eq, candidates, mode="all")
+        assert found == naive_all_solutions(eq, candidates)
+        assert solve_bounded(eq, candidates) == (found[0] if found else None)
+    assert found and not expanded
+    assert solve_bounded(parse_equation(f"x2 {word} = a", p23), {1: [one, a], 2: [a, one]},
+                         mode="all") == [Substitution.of({1: one, 2: a}),
+                                         Substitution.of({1: a, 2: one})]
