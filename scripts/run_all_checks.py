@@ -36,10 +36,13 @@ CHECKS = [
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "6"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "8"], 0),
-    # 47,524 (x1, x2) pairs, fused into the 7,162 values of F = x1 x2: one
-    # conjugacy test per value
+    # F = x1 x2 runs over the image ball B_20: one conjugacy test for each of
+    # its 7,162 values covers the 47,524 (x1, x2) pairs
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "10"], 0),
+    # 28,666 values of F in B_24 cover the 195,364 pairs of the depth-12 ball
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "12"], 0),
     (["verify-lemma7", "--group", str(CASES / "p23.grp"),
       "--trials", "1000", "--seed", "0"], 0),
     (["axis", "--group", str(CASES / "p23.grp"),

@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import checker, specfiles, tree, words
 from .errors import GroupError, PowerTooLargeError
-from .free_product import INFINITE, Ball, FreeProduct, enumerate_ball
+# enumerate_ball is not called here, but bench/ traces it in this namespace
+from .free_product import INFINITE, Ball, FreeProduct, enumerate_ball  # noqa: F401
 from .sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
@@ -188,13 +189,15 @@ def _cmd_solve(args):
     mode = "all" if args.all else "first"
     work: dict = {}
     found = words.solve_bounded(eq, candidates, mode=mode, counters=work)
+    image_depth = work.pop("image_depth", None)
     solutions = found if args.all else ([found] if found else [])
     witnesses = [
         {f"x{i}": v.as_word() for i, v in sub.assignment} for sub in solutions
     ]
     # The search enumerates the ball unless a lone one-occurrence variable
-    # is answered by membership alone.
-    size = len(ball) if ball.enumerated else None
+    # is answered by membership alone; a walk over the image of the other
+    # variables sizes it to count the tuples it covers.
+    size = len(ball) if ball.enumerated or image_depth is not None else None
     if solutions:
         report = _report("solved", witnesses=witnesses, started=t0)
         sized = f" ({size} elements)" if size is not None else ""
@@ -293,10 +296,11 @@ def _cmd_verify_lemma5(args):
     h1 = fgrp.generated_subgroup([fgrp.power(fe, args.k1)])
     h2 = fgrp.generated_subgroup([fgrp.power(fe, args.k2)])
     parts = [(factor, h1, ambient.identity()), (factor, h2, g_elem)]
-    ball = enumerate_ball(ambient, parts, args.depth)
+    ball = Ball(ambient, parts, args.depth)
     candidates = {v: ball for v in cons.equation.lhs.free_variables()}
     work: dict = {}
     found = words.solve_bounded(cons.equation, candidates, mode="first", counters=work)
+    image_depth = work.pop("image_depth", None)
 
     ok = sol_ok and found is None
     witnesses = [
@@ -317,11 +321,25 @@ def _cmd_verify_lemma5(args):
             {"kind": "unexpected-solution",
              "solution": {f"x{i}": v.as_word() for i, v in found.assignment}}
         )
+    # When F is a product of the other variables, each once, the walked
+    # image is F's: its values over the ball are B_d...B_d = B_md.
+    outer = list(cons.equation.lhs.free_variables()[:-1])
+    f_vars = [l.index for l in cons.f_word.letters if isinstance(l, words.Var)]
+    m = len(outer)
+    if found is not None:
+        outcome = "SOLUTION FOUND"
+    elif image_depth is None or len(cons.f_word.letters) != m or sorted(f_vars) != outer:
+        outcome = "no solution"
+    else:
+        outcome = (
+            f"no F = {cons.f_word} in B_{image_depth} ({work['outer_values']:,} values) "
+            f"has a solution; by {'*'.join([f'B_{args.depth}'] * m)} = B_{image_depth} "
+            f"this covers all {work['outer_tuples']:,} {'pairs' if m == 2 else 'tuples'}"
+        )
     lines = [
         f"N = {cons.N}; generator substitution "
         f"{'satisfies' if sol_ok else 'FAILS'} the equation; "
-        f"search over the depth-{args.depth} ball ({len(ball)} elements): "
-        f"{'no solution' if found is None else 'SOLUTION FOUND'}"
+        f"search over the depth-{args.depth} ball ({len(ball)} elements): {outcome}"
     ]
     return (0 if ok else 1), _report("verified" if ok else "failed", violations, witnesses, t0), lines
 

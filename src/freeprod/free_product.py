@@ -589,6 +589,19 @@ class Ball(Sequence):
     def __bool__(self) -> bool:
         return True
 
+    def products(self) -> int:
+        """How many products building the ball forms: the sequences of up
+        to ``depth`` part elements with no two adjacent ones from one part,
+        the empty one included.  That is the ball's size when the parts
+        generate their free product, and can be far more when they overlap."""
+        sizes = [len(set(subgroup)) - 1 for _, subgroup, _ in self.parts]
+        ending, level, total = [0] * len(sizes), 1, 1
+        for _ in range(self.depth):
+            ending = [n * (level - e) for n, e in zip(sizes, ending)]
+            level = sum(ending)
+            total += level
+        return total
+
     def __contains__(self, element: object) -> bool:
         if not isinstance(element, FPElement) or element.group is not self.group:
             return False

@@ -20,6 +20,7 @@ identity (it contributes no items).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
@@ -110,8 +111,11 @@ class MixedWord:
     def __hash__(self) -> int:
         return hash(self.letters)
 
+    def __str__(self) -> str:
+        return _render(self.letters)
+
     def __repr__(self) -> str:
-        return f"MixedWord({_render(self.letters)})"
+        return f"MixedWord({self})"
 
 
 def _render(items: Sequence[Item]) -> str:
@@ -605,14 +609,19 @@ def _occurrences(items: Sequence[Item], var: int) -> int:
     return n
 
 
-def _fusion_runs(segments: Iterable[Sequence[Item]]) -> list[tuple[Item, ...]]:
-    """The maximal runs of letters (Var and Const items) that hold a
-    variable, at every nesting level of each segment, each once up to
-    inversion.  A segment's value is a function of its runs' values, so
-    their normal forms decide it."""
-    runs: dict[tuple[Item, ...], None] = {}
+def _fusion_runs(pieces: Iterable[Sequence[Item]]) -> tuple[list, list]:
+    """The fusion runs of ``pieces``, and each piece rewritten over them.
 
-    def walk(items: Sequence[Item]) -> None:
+    The fusion runs are the maximal runs of letters (Var and Const items)
+    that hold a variable, at every nesting level, each once up to
+    inversion; a lone letter is kept with sign 1.  A rewritten piece holds
+    Var(i) for each occurrence of the i-th run, Var(i, -1) for its inverse,
+    and every other item as it was, so its value is a function of the
+    runs' values."""
+    runs: dict[tuple[Item, ...], int] = {}
+
+    def rewrite(items: Sequence[Item]) -> tuple[Item, ...]:
+        out: list[Item] = []
         run: list[Item] = []
         for item in (*items, None):
             if item is not None and type(item) is not Pow:
@@ -620,43 +629,21 @@ def _fusion_runs(segments: Iterable[Sequence[Item]]) -> list[tuple[Item, ...]]:
                 continue
             letters = tuple(run)
             run.clear()
-            if any(type(l) is Var for l in letters) and _invert(letters) not in runs:
-                runs[letters] = None
+            if any(type(l) is Var for l in letters):
+                sign = 1
+                if letters not in runs:
+                    inverse = _invert(letters)
+                    if inverse in runs or len(letters) == 1 and letters[0].sign < 0:
+                        letters, sign = inverse, -1
+                out.append(Var(runs.setdefault(letters, len(runs)), sign))
+            else:
+                out.extend(letters)
             if item is not None:
-                walk(item.body)
+                out.append(Pow(rewrite(item.body), item.k))
+        return tuple(out)
 
-    for segment in segments:
-        walk(segment)
-    return list(runs)
-
-
-def _fusion_key(segments: Iterable[Sequence[Item]], outer: Sequence[int], factors):
-    """The function that maps an outer tuple (the values of ``outer``, in
-    order) to the normal forms of the fusion runs of ``segments``, or None
-    when there are not fewer runs than outer variables."""
-    runs = _fusion_runs(segments)
-    if len(runs) >= len(outer):
-        return None
-    # Each run's letters as (position in the row, sign), where a row is the
-    # outer tuple followed by the runs' constants.
-    consts = tuple(l.value for run in runs for l in run if type(l) is Const)
-    slots = iter(range(len(outer), len(outer) + len(consts)))
-    plans = [
-        [(outer.index(l.index), l.sign) if type(l) is Var else (next(slots), 1) for l in run]
-        for run in runs
-    ]
-
-    def key(combo: tuple) -> tuple:
-        row = combo + consts
-        return tuple(
-            tuple(_seam_merge(factors, [], [
-                row[i].syllables if s > 0 else _inverse_syllables(factors, row[i].syllables)
-                for i, s in plan
-            ]))
-            for plan in plans
-        )
-
-    return key
+    rewritten = [rewrite(piece) for piece in pieces]
+    return list(runs), rewritten
 
 
 def solve_bounded(
@@ -674,7 +661,7 @@ def solve_bounded(
     tuple satisfies the equation.  Every returned solution is re-evaluated
     from scratch; a mismatch raises VerificationError.  Given a dict
     ``counters``, it is filled with the work counts ``outer_tuples`` (the
-    tuples of the other variables walked) and ``outer_values`` (the
+    tuples of the other variables covered) and ``outer_values`` (the
     distinct fusion keys decided; ``outer_tuples`` when not fused).
 
     The occurrences of the last variable y are counted first, a power's
@@ -720,19 +707,22 @@ def solve_bounded(
     candidate, its runs free of y once per outer tuple, and the rest once
     per (outer tuple, candidate).
 
-    Fusion: the outer variables may occur only in a few products, such as
-    F = x1 x2 in F^39 x3 F^26 x3^-1.  The fusion runs are the maximal runs
-    of letters (variables and constants, no powers) that hold a variable,
-    at every nesting level of the runs free of y (W0 and W1; P, B and Q;
-    the _Program's runs), each once up to inversion.  A run never spans an
-    occurrence of y.  Everything the solvers compute for an outer tuple is
-    a function of those runs' normal forms, so the tuple of them is an
-    exact key.  When there are fewer fusion runs than outer variables, the
-    walk computes each tuple's key and decides only a new key (the target
-    lookup, the conjugacy test and coset, or the candidate scan); a tuple
-    whose key was decided before reuses its hits.  Every hit is still
-    re-verified by record() for each tuple that reaches it, so both modes
-    return the same solutions in the same order as without fusion.
+    Fusion: the pieces free of y (W0 and W1; P, B and Q; the _Program's
+    runs) are rewritten once over their fusion runs (see _fusion_runs), so
+    a run never spans an occurrence of y, and each solver decides an outer
+    tuple from its key, the tuple of the runs' values: for F^39 x3 F^26
+    x3^-1 with F = x1 x2, B and T are one power of F each.  With fewer runs
+    than outer variables, only a new key is decided, and a tuple with a
+    known key reuses its hits, each still re-verified by record(), so the
+    solutions and their order are as without fusion.  When the only run is
+    a product of the outer variables, each once with either sign, over
+    Balls with one set of parts, its values are exactly the ball of the
+    summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a (see Ball).  Unless
+    building it forms more products than there are tuples (Ball.products),
+    that image is decided value by value, and the tuples are walked only to
+    list the solutions of values with hits; ``outer_values`` is then the
+    image's size, also in mode "first", and ``counters`` gains
+    ``image_depth``.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -769,13 +759,18 @@ def solve_bounded(
         return (results[0] if results else None) if mode == "first" else results
 
     # The last variable y varies fastest; how often it occurs picks the
-    # solver.  Each solver's decide(assignment) gives the candidates for y
-    # that solve the equation with the outer variables bound, in order.
+    # solver.  Each solver's pieces free of y are rewritten over the fusion
+    # runs, and its decide(bound) gives the candidates for y that solve the
+    # equation, in order, from the runs' values for an outer tuple.
     inner = variables[-1]
     outer = variables[:-1]
     factors = group.factors
     inner_cands = candidates[inner]
     occurrences = _occurrences(eq.lhs.letters, inner)
+
+    def value(items: Sequence[Item], bound, cache: dict) -> FPElement:
+        return FPElement(group, tuple(_evaluate_syllables(items, group, bound, cache)))
+
     if occurrences in (1, 2):
         # lhs = W0 y^s1 W1 [y^s2 W2], with the powers that hold y written out
         segments: list[list[Item]] = [[]]
@@ -786,34 +781,33 @@ def solve_bounded(
                 segments.append([])
             else:
                 segments[-1].append(item)
-        target_word = MixedWord(
-            group, _invert(segments[0]) + (Const(eq.rhs),) + _invert(segments[-1])
-        )
+        runs, pieces = _fusion_runs(segments)
+        target = _invert(pieces[0]) + (Const(eq.rhs),) + _invert(pieces[-1])
 
     if occurrences == 1:
         # A scan of a plain sequence keeps candidate order and duplicates,
         # which an index built per call would cost more than.
         in_ball = isinstance(inner_cands, Ball)
 
-        def decide(assignment: dict) -> Sequence[FPElement]:
-            t = evaluate(target_word, assignment).syllables
+        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
+            t = value(target, bound, {})
             if signs[0] < 0:
-                t = _inverse_syllables(factors, t)
+                t = t.inverse()
             if in_ball:
-                value = FPElement(group, t)
-                return [value] if value in inner_cands else []
-            return [c for c in inner_cands if c.syllables == t]
+                return [t] if t in inner_cands else []
+            return [c for c in inner_cands if c.syllables == t.syllables]
 
     elif occurrences == 2 and signs[0] == -signs[1]:
-        middle_word = MixedWord(group, segments[1])
+        middle = pieces[1]
         positions: dict[tuple, list[int]] = {}
-        for i, value in enumerate(inner_cands):
-            positions.setdefault(value.syllables, []).append(i)
+        for i, c in enumerate(inner_cands):
+            positions.setdefault(c.syllables, []).append(i)
         max_norm = max(map(len, positions))
 
-        def decide(assignment: dict) -> Sequence[FPElement]:
-            b = evaluate(middle_word, assignment)
-            t = evaluate(target_word, assignment)
+        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
+            cache: dict = {}
+            b = value(middle, bound, cache)
+            t = value(target, bound, cache)
             if signs[0] < 0:
                 b, t = t, b
             c = b.conjugator(t)
@@ -831,35 +825,64 @@ def solve_bounded(
     else:
         rhs_syll = list(eq.rhs.syllables)
         program = _Program(eq.lhs.letters, group, inner)
-        segments = program.runs
+        runs, pieces = _fusion_runs(program.runs)
         inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
 
-        def decide(assignment: dict) -> Sequence[FPElement]:
-            bound = program.bind(assignment)
-            return [c for c, y_values in inner_values if program.run(y_values, bound) == rhs_syll]
+        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
+            cache: dict = {}
+            vals = [_evaluate_syllables(piece, group, bound, cache) for piece in pieces]
+            return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs_syll]
 
-    key_of = _fusion_key(segments, outer, factors)
+    def key_of(assignment: dict) -> tuple:  # a lone letter is read without a merge
+        cache: dict = {}
+        return tuple(
+            assignment[run[0].index].syllables if len(run) == 1
+            else tuple(_evaluate_syllables(run, group, assignment, cache))
+            for run in runs
+        )
+
+    fused = len(runs) < len(outer)
+    outer_cands = [candidates[v] for v in outer]
     decided: dict[tuple, Sequence[FPElement]] = {}
-    tuples = 0
-    for combo in _cartesian(*(candidates[v] for v in outer)):
-        tuples += 1
-        assignment = dict(zip(outer, combo))
-        if key_of is not None:
-            key = key_of(combo)
-            hits = decided.get(key)
-            if hits is None:
-                hits = decided[key] = decide(assignment)
+    # The image walk, when the only run is a product of the outer variables
+    # over Balls with one set of parts: decide each value of the run once.
+    # Overlapping parts can make building the image cost more than the pairs.
+    image = None
+    run = runs[0] if fused and len(runs) == 1 else ()
+    indices = [l.index for l in run if type(l) is Var]
+    if run and len(indices) == len(run) and sorted(indices) == list(outer) and all(
+        isinstance(c, Ball) and c.parts == outer_cands[0].parts for c in outer_cands
+    ):
+        image = Ball(group, outer_cands[0].parts, sum(c.depth for c in outer_cands))
+        if image.products() <= math.prod(map(len, outer_cands)):
+            for u in image:
+                decided[u.syllables,] = decide((u,))
         else:
-            hits = decide(assignment)
-        for value in hits:
-            assignment[inner] = value
-            record(assignment)
-            if mode == "first":
+            image = None
+    tuples = 0
+    if image is None or any(decided.values()):
+        for combo in _cartesian(*outer_cands):
+            tuples += 1
+            assignment = dict(zip(outer, combo))
+            key = key_of(assignment)
+            hits = decided.get(key) if fused else None
+            if hits is None:
+                hits = decide([FPElement(group, v) for v in key])
+                if fused:
+                    decided[key] = hits
+            for c in hits:
+                assignment[inner] = c
+                record(assignment)
+                if mode == "first":
+                    break
+            if results and mode == "first":
                 break
-        if results and mode == "first":
-            break
+    else:
+        tuples = math.prod(map(len, outer_cands))
     if counters is not None:
-        counters.update(outer_tuples=tuples, outer_values=tuples if key_of is None else len(decided))
+        counters.update(outer_tuples=tuples, outer_values=len(decided) if fused else tuples)
+        if image is not None:
+            counters["image_depth"] = image.depth
     return (results[0] if results else None) if mode == "first" else results
 
 
@@ -974,6 +997,7 @@ class Lemma5Construction:
     equation: Equation
     N: int
     g_solution: Substitution
+    f_word: MixedWord  # f(x), with x_i for the i-th generator
 
 
 def build_lemma5(
@@ -1002,7 +1026,7 @@ def build_lemma5(
     sol = Substitution.of(assignment)
     if evaluate(eq.lhs, sol) != eq.rhs:
         raise VerificationError("generator substitution does not solve the twisted equation")
-    return Lemma5Construction(eq, n_const, sol)
+    return Lemma5Construction(eq, n_const, sol, fx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import hypothesis.strategies as st
@@ -772,3 +774,28 @@ def test_ball_rejects_bad_parts_when_made(p23, s3z2):
     ball = Ball(p23, [(0, (0, 1), one)], 3)
     assert s3z2.identity() not in ball and "a" not in ball
     assert ball.membership_queries == 0
+
+
+@pytest.mark.parametrize("group", [_G, _S3Z2, _Z6Z2], ids=["p23", "s3z2", "z6z2"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ball_products_are_the_ball_of_summed_depth(group, data):
+    # B_a B_b = B_(a+b) as sets, for any parts, overlapping and conjugated
+    # ones included: two adjacent factors from one part merge into that
+    # part or cancel.  With B_a closed under inversion, this is the set of
+    # values of x1^+-1 x2^+-1 that solve_bounded's image walk decides.
+    parts = data.draw(ball_parts(group), label="parts")
+    a = data.draw(st.integers(0, 3), label="a")
+    b = data.draw(st.integers(0, 4 - a).filter(lambda b: b != a), label="b")
+    left, right = enumerate_ball(group, parts, a), enumerate_ball(group, parts, b)
+    products = {(u * v).syllables for u in left for v in right}
+    assert products == {w.syllables for w in enumerate_ball(group, parts, a + b)}
+    assert {u.inverse().syllables for u in left} == {u.syllables for u in left}
+    # the products the image's enumeration forms: one per sequence of part
+    # elements, no two adjacent from one part
+    sizes = [len(set(sub)) - 1 for _, sub, _ in parts]
+    sequences = sum(math.prod(sizes[p] for p in seq)
+                    for n in range(a + b + 1)
+                    for seq in itertools.product(range(len(parts)), repeat=n)
+                    if all(p != q for p, q in zip(seq, seq[1:])))
+    assert Ball(group, parts, a + b).products() == sequences

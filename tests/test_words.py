@@ -345,6 +345,12 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         # y in nested powers: 1 + 2^3 occurrences, kept as powers
         "x2 (((x1 x2)^2 x1)^2 x1)^2 x1 = a",
         "x2 (((x1 x2)^2 x1)^2 x1)^2 x1 = b a b",
+        # a run of one letter is keyed by x1's value, also when x1^-1 comes
+        # first, on each path
+        "x2 x1^-1 x2^-1 = b a b^2",
+        "x2^-1 x1^-1 x2 x1 = a",
+        "x1^-1 x2 = a b",
+        "x2 x1^-1 x2 = b",
     ):
         eq = parse_equation(text, p23)
         for c in (cand, ball):
@@ -451,7 +457,13 @@ def test_fused_and_plain_walks_agree(data):
     fused = solve_bounded(eq, candidates, mode="all", counters=fused_counters)
     fused_first = solve_bounded(eq, candidates, mode="first")
     # the plain walk: more runs than outer variables, so nothing is fused
-    with patch.object(words, "_fusion_runs", lambda segments: [()] * 3):
+    real_runs = words._fusion_runs
+
+    def unfused(pieces):
+        runs, rewritten = real_runs(pieces)
+        return runs + [()] * 3, rewritten
+
+    with patch.object(words, "_fusion_runs", unfused):
         plain_counters = {}
         plain = solve_bounded(eq, candidates, mode="all", counters=plain_counters)
         plain_first = solve_bounded(eq, candidates, mode="first")
@@ -711,15 +723,18 @@ def test_build_lemma5_generator_solution(z6z2):
     assert cons.g_solution[1] == z6z2.generator("a")
 
 
-def lemma5_desk_ball(z6z2, depth):
+def lemma5_desk_parts(z6z2):
     f = parse_constant("a b", z6z2)
     factor, fe = f.syllables[0]
     fgrp = z6z2.factors[factor]
-    parts = [
+    return [
         (factor, fgrp.generated_subgroup([fgrp.power(fe, 3)]), z6z2.identity()),
         (factor, fgrp.generated_subgroup([fgrp.power(fe, 2)]), z6z2.generator("c")),
     ]
-    return enumerate_ball(z6z2, parts, depth)
+
+
+def lemma5_desk_ball(z6z2, depth):
+    return enumerate_ball(z6z2, lemma5_desk_parts(z6z2), depth)
 
 
 def test_lemma5_ball_search_no_solution(z6z2):
@@ -755,6 +770,134 @@ def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
         assert len(calls) == products
         assert all(result is None for _, _, result in calls)
         assert counters == {"outer_tuples": size**2, "outer_values": products}
+
+
+def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
+    # With Ball candidates, F = x1 x2 runs over the image ball B_2d, so each
+    # of its values is decided once, from F alone: F^26 and F^-39 rhs are
+    # one power each, four seam merges in all.  No value has hits, so no
+    # (x1, x2) pair is walked and nothing is re-evaluated.
+    cons = build_lemma5(z6z2, "a b", "c", 3, 2)
+    parts = lemma5_desk_parts(z6z2)
+    calls = spy_conjugator(monkeypatch)
+    merges = 0
+    real_merge = free_product._seam_merge
+
+    def merge(*args):
+        nonlocal merges
+        merges += 1
+        return real_merge(*args)
+
+    monkeypatch.setattr(free_product, "_seam_merge", merge)
+    monkeypatch.setattr(words, "_seam_merge", merge)
+    evaluated = []
+    monkeypatch.setattr(words, "evaluate", lambda *args: evaluated.append(args))
+    for depth, size, values in ((6, 50, 442), (8, 106, 1786)):
+        merges = 0
+        assert len(enumerate_ball(z6z2, parts, 2 * depth)) == values
+        assert len(enumerate_ball(z6z2, parts, depth)) == size
+        enumeration = merges
+        merges = 0
+        calls.clear()
+        counters = {}
+        ball = Ball(z6z2, parts, depth)
+        assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}, counters=counters) is None
+        assert len(calls) == values
+        assert all(result is None for _, _, result in calls)
+        assert counters == {"outer_tuples": size**2, "outer_values": values,
+                            "image_depth": 2 * depth}
+        assert merges <= 4 * values + enumeration
+    assert not evaluated
+
+
+def image_texts():
+    """Left sides over C2 * C3 whose only fusion run is x1^+-1 x2^+-1, in
+    either order, with constants outside the run, on each of the three
+    paths."""
+    letter = st.sampled_from(["x1", "x1^-1"]), st.sampled_from(["x2", "x2^-1"])
+    run = st.tuples(*letter).flatmap(lambda t: st.permutations(t).map(" ".join))
+    const = st.sampled_from(["", "a", "b", "a b", "b^-1 a"])
+    exps = st.sampled_from([-3, -2, 2, 3])
+    templates = st.sampled_from([
+        "{a} ({F})^{j} {b} x3 {c}",
+        "x3^-1 {a} ({F})^{j} {b}",
+        "{a} ({F})^{j} x3 {b} ({F})^{k} x3^-1 {c}",
+        "x3^-1 {a} ({F})^{j} x3 ({F})^{k} {b}",
+        "({F})^{j} x3 {a} ({F})^{k} x3 {b}",
+        "x3 ({F})^{j} x3^2 {a}",
+    ])
+    return st.builds(lambda t, F, j, k, a, b, c: t.format(F=F, j=j, k=k, a=a, b=b, c=c),
+                     templates, run, exps, exps, const, const, const)
+
+
+_P23_PARTS = (
+    [(0, (0, 1), _P23.identity()), (1, (0, 1, 2), _P23.identity())],
+    [(0, (0, 1), _P23.identity()), (1, (0, 1, 2), _P23.generator("a"))],
+    # overlapping parts: one subgroup of C3, once conjugated by a
+    [(1, (0, 1, 2), _P23.identity()), (1, (0, 1, 2), _P23.generator("a")),
+     (0, (0, 1), _P23.identity())],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_and_pair_walks_agree(data):
+    # The image walk over Ball candidates against the pair walk over the
+    # same elements as plain lists: the same solutions in the same order,
+    # in both modes, and as many values decided as there are products.
+    group = _P23
+    lhs = parse_word(data.draw(image_texts(), label="lhs"), group)
+    parts = data.draw(st.sampled_from(_P23_PARTS), label="parts")
+    depths = [data.draw(st.integers(1, 2), label=f"depth x{v}") for v in (1, 2, 3)]
+    lists = {v: enumerate_ball(group, parts, d) for v, d in zip((1, 2, 3), depths)}
+    if data.draw(st.booleans(), label="reachable"):
+        rhs = evaluate(lhs, {v: data.draw(st.sampled_from(c)) for v, c in lists.items()})
+    else:
+        rhs = data.draw(elements(group, 4), label="rhs")
+    eq = Equation(lhs, rhs)
+    for mode in ("all", "first"):
+        balls = {v: Ball(group, parts, d) for v, d in zip((1, 2, 3), depths)}
+        image_counters, pair_counters = {}, {}
+        found = solve_bounded(eq, balls, mode=mode, counters=image_counters)
+        assert found == solve_bounded(eq, lists, mode=mode, counters=pair_counters)
+        assert image_counters.pop("image_depth") == depths[0] + depths[1]
+        assert "image_depth" not in pair_counters
+        if mode == "all" or not found:
+            assert image_counters == pair_counters
+            assert pair_counters["outer_tuples"] == len(lists[1]) * len(lists[2])
+        else:
+            assert image_counters["outer_tuples"] == pair_counters["outer_tuples"]
+            assert image_counters["outer_values"] == len(Ball(group, parts, sum(depths[:2])))
+
+
+def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
+    # A constant inside the run, a repeated variable, two runs, balls with
+    # other parts, or an image dearer to build than the pairs: the tuples
+    # are walked, with the same answers.
+    one, a = p23.identity(), p23.generator("a")
+    parts = [(0, (0, 1), one), (1, (0, 1, 2), one)]
+    conjugated = [(0, (0, 1), one), (1, (0, 1, 2), a)]
+    for text, other in (("x3 x1 a x2 x3^-1 = b", parts), ("x3 x1 x2 x1 x3^-1 = b", parts),
+                        ("x1 x3 x2 x3^-1 x2 x1 = b", parts), ("x3 x1^-1 x2 x3^-1 = b", conjugated),
+                        ("x3 x1^-1 x2 x3^-1 = b", parts)):
+        eq = parse_equation(text, p23)
+        balls = {1: Ball(p23, parts, 2), 2: Ball(p23, other, 3), 3: Ball(p23, parts, 2)}
+        lists = {v: list(ball) for v, ball in balls.items()}
+        counters = {}
+        found = solve_bounded(eq, balls, mode="all", counters=counters)
+        assert found == naive_all_solutions(eq, lists)
+        assert ("image_depth" in counters) == (other is parts and "x1^-1 x2" in text)
+    # one subgroup as both parts: the ball is C3 at every depth, but B_6
+    # forms 2 * 2^n products of n alternating part elements, 1 + 252 in all,
+    # far more than the 9 pairs
+    same = [(1, (0, 1, 2), one), (1, (0, 1, 2), one)]
+    assert len(enumerate_ball(p23, same, 6)) == 3
+    assert Ball(p23, same, 6).products() == 1 + sum(2 * 2**n for n in range(1, 7))
+    eq = parse_equation("x3 x1 x2 x3^-1 = b", p23)
+    counters = {}
+    assert len(solve_bounded(eq, {v: Ball(p23, same, 3) for v in (1, 2, 3)}, mode="all",
+                             counters=counters)) == 3 * 3
+    assert counters == {"outer_tuples": 9, "outer_values": 3}
 
 
 # -- re-verification that survives python -O ----------------------------------
