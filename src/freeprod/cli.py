@@ -189,15 +189,13 @@ def _cmd_solve(args):
     mode = "all" if args.all else "first"
     work: dict = {}
     found = words.solve_bounded(eq, candidates, mode=mode, counters=work)
-    image_depth = work.pop("image_depth", None)
     solutions = found if args.all else ([found] if found else [])
     witnesses = [
         {f"x{i}": v.as_word() for i, v in sub.assignment} for sub in solutions
     ]
     # The search enumerates the ball unless a lone one-occurrence variable
-    # is answered by membership alone; a walk over the image of the other
-    # variables sizes it to count the tuples it covers.
-    size = len(ball) if ball.enumerated or image_depth is not None else None
+    # is answered by membership alone.
+    size = len(ball) if ball.enumerated else None
     if solutions:
         report = _report("solved", witnesses=witnesses, started=t0)
         sized = f" ({size} elements)" if size is not None else ""
@@ -300,7 +298,6 @@ def _cmd_verify_lemma5(args):
     candidates = {v: ball for v in cons.equation.lhs.free_variables()}
     work: dict = {}
     found = words.solve_bounded(cons.equation, candidates, mode="first", counters=work)
-    image_depth = work.pop("image_depth", None)
 
     ok = sol_ok and found is None
     witnesses = [
@@ -321,19 +318,22 @@ def _cmd_verify_lemma5(args):
             {"kind": "unexpected-solution",
              "solution": {f"x{i}": v.as_word() for i, v in found.assignment}}
         )
-    # When F is a product of the other variables, each once, the walked
-    # image is F's: its values over the ball are B_d...B_d = B_md.
+    # When F = f(x) is a product of the m other variables, each once, and
+    # g(x) holds none of them, the search decided every value F takes over
+    # the ball: by B_d^m = B_md, one per element of B_md.
     outer = list(cons.equation.lhs.free_variables()[:-1])
-    f_vars = [l.index for l in cons.f_word.letters if isinstance(l, words.Var)]
-    m = len(outer)
+    f_vars = sorted(l.index for l in cons.f_word.letters if isinstance(l, words.Var))
+    m, d = len(outer), args.depth
     if found is not None:
         outcome = "SOLUTION FOUND"
-    elif image_depth is None or len(cons.f_word.letters) != m or sorted(f_vars) != outer:
+    elif f_vars != outer or len(cons.f_word.letters) != m or m < 2 or any(
+        v in outer for v in cons.g_word.free_variables()
+    ):
         outcome = "no solution"
     else:
         outcome = (
-            f"no F = {cons.f_word} in B_{image_depth} ({work['outer_values']:,} values) "
-            f"has a solution; by {'*'.join([f'B_{args.depth}'] * m)} = B_{image_depth} "
+            f"no F = {cons.f_word} in B_{m * d} ({work['outer_values']:,} values) "
+            f"has a solution; by {'*'.join([f'B_{d}'] * m)} = B_{m * d} "
             f"this covers all {work['outer_tuples']:,} {'pairs' if m == 2 else 'tuples'}"
         )
     lines = [

@@ -9,7 +9,7 @@ equality is the equality oracle for the whole group.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -489,12 +489,22 @@ def enumerate_ball(
     the output is correct even when the parts fail to generate an actual
     free product.
     """
+    return list(_ball_elements(group, parts, depth))
+
+
+def _ball_elements(
+    group: FreeProduct,
+    parts: Sequence[tuple[int, Iterable[int], FPElement]],
+    depth: int,
+) -> Iterator[FPElement]:
+    """The elements of ``enumerate_ball(group, parts, depth)`` in its order,
+    each formed when the iteration reaches it."""
     part_elems = _part_syllables(group, parts)
 
     # The frontier and the seen set hold syllable tuples; each distinct
     # element is wrapped as an FPElement once, when it is first reached.
     factors = group.factors
-    out = [group.identity()]
+    yield group.identity()
     seen = {()}
     level: list[tuple[int, tuple[Syllable, ...]]] = [(-1, ())]
     for d in range(depth):
@@ -511,9 +521,8 @@ def enumerate_ball(
                     size = len(seen)
                     seen.add(v)  # one hash of v, not two: tuples do not cache it
                     if len(seen) > size:
-                        out.append(FPElement(group, v))
+                        yield FPElement(group, v)
         level = nxt
-    return out
 
 
 class Ball(Sequence):

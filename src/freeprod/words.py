@@ -41,6 +41,7 @@ from .free_product import (
     Ball,
     FPElement,
     FreeProduct,
+    _ball_elements,
     _centralizer,
     _inverse_syllables,
     _product,
@@ -708,21 +709,21 @@ def solve_bounded(
     per (outer tuple, candidate).
 
     Fusion: the pieces free of y (W0 and W1; P, B and Q; the _Program's
-    runs) are rewritten once over their fusion runs (see _fusion_runs), so
-    a run never spans an occurrence of y, and each solver decides an outer
-    tuple from its key, the tuple of the runs' values: for F^39 x3 F^26
-    x3^-1 with F = x1 x2, B and T are one power of F each.  With fewer runs
-    than outer variables, only a new key is decided, and a tuple with a
-    known key reuses its hits, each still re-verified by record(), so the
-    solutions and their order are as without fusion.  When the only run is
-    a product of the outer variables, each once with either sign, over
-    Balls with one set of parts, its values are exactly the ball of the
-    summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a (see Ball).  Unless
-    building it forms more products than there are tuples (Ball.products),
-    that image is decided value by value, and the tuples are walked only to
-    list the solutions of values with hits; ``outer_values`` is then the
-    image's size, also in mode "first", and ``counters`` gains
-    ``image_depth``.
+    runs) are rewritten once over their fusion runs (see _fusion_runs), and
+    each solver decides an outer tuple from the runs' values: for F^39 x3
+    F^26 x3^-1 with F = x1 x2, B and T are one power of F each.  With fewer
+    runs than outer variables, those values are a key: only a new key is
+    decided, and every hit is still re-verified by record() for each tuple
+    that reaches it, so the solutions and their order are as without
+    fusion.  When the only run is a product of the outer variables, each
+    once with either sign, over Balls with one set of parts, its values are
+    the ball of the summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a
+    (see Ball).  Unless building that image forms more products than there
+    are tuples (Ball.products), one of its values is decided after each
+    tuple until some value has hits; if the image runs out first, no tuple
+    has a solution and the walk ends, covering every tuple.  So at most two
+    values are decided per tuple walked, and an unsolvable search decides
+    each value of the image once.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -833,56 +834,58 @@ def solve_bounded(
             vals = [_evaluate_syllables(piece, group, bound, cache) for piece in pieces]
             return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs_syll]
 
-    def key_of(assignment: dict) -> tuple:  # a lone letter is read without a merge
+    def key_of(assignment: dict) -> tuple:  # the runs' normal forms
         cache: dict = {}
-        return tuple(
-            assignment[run[0].index].syllables if len(run) == 1
-            else tuple(_evaluate_syllables(run, group, assignment, cache))
-            for run in runs
-        )
+        return tuple([
+            assignment[r[0].index].syllables if len(r) == 1  # read without a merge
+            else tuple(_evaluate_syllables(r, group, assignment, cache))
+            for r in runs
+        ])
 
     fused = len(runs) < len(outer)
     outer_cands = [candidates[v] for v in outer]
     decided: dict[tuple, Sequence[FPElement]] = {}
-    # The image walk, when the only run is a product of the outer variables
-    # over Balls with one set of parts: decide each value of the run once.
-    # Overlapping parts can make building the image cost more than the pairs.
+    # The image walk (see the docstring) needs one run that holds each outer
+    # variable once and nothing else, over Balls with one set of parts.
     image = None
-    run = runs[0] if fused and len(runs) == 1 else ()
-    indices = [l.index for l in run if type(l) is Var]
-    if run and len(indices) == len(run) and sorted(indices) == list(outer) and all(
+    letters = sorted(getattr(l, "index", -1) for l in runs[0]) if len(runs) == 1 else ()
+    if fused and letters == list(outer) and all(
         isinstance(c, Ball) and c.parts == outer_cands[0].parts for c in outer_cands
     ):
-        image = Ball(group, outer_cands[0].parts, sum(c.depth for c in outer_cands))
-        if image.products() <= math.prod(map(len, outer_cands)):
-            for u in image:
-                decided[u.syllables,] = decide((u,))
-        else:
-            image = None
+        parts, depth = outer_cands[0].parts, sum(c.depth for c in outer_cands)
+        if Ball(group, parts, depth).products() <= math.prod(map(len, outer_cands)):
+            image = _ball_elements(group, parts, depth)
     tuples = 0
-    if image is None or any(decided.values()):
-        for combo in _cartesian(*outer_cands):
-            tuples += 1
-            assignment = dict(zip(outer, combo))
+    for combo in _cartesian(*outer_cands):
+        tuples += 1
+        assignment = dict(zip(outer, combo))
+        if fused:
             key = key_of(assignment)
-            hits = decided.get(key) if fused else None
+            hits = decided.get(key)
             if hits is None:
-                hits = decide([FPElement(group, v) for v in key])
-                if fused:
-                    decided[key] = hits
-            for c in hits:
-                assignment[inner] = c
-                record(assignment)
-                if mode == "first":
-                    break
-            if results and mode == "first":
+                hits = decided[key] = decide([FPElement(group, v) for v in key])
+        else:  # a lone letter is passed on as it is
+            cache = {}
+            hits = decide([assignment[r[0].index] if len(r) == 1 else value(r, assignment, cache)
+                           for r in runs])
+        for c in hits:
+            assignment[inner] = c
+            record(assignment)
+            if mode == "first":
                 break
-    else:
-        tuples = math.prod(map(len, outer_cands))
+        if results and mode == "first":
+            break
+        if image is not None and not hits:
+            u = next(image, None)
+            if u is None:  # every value decided, none with a hit
+                tuples = math.prod(map(len, outer_cands))
+                break
+            if (u.syllables,) not in decided:  # a value decided before has no hits
+                hits = decided[u.syllables,] = decide((u,))
+        if hits:
+            image = None
     if counters is not None:
         counters.update(outer_tuples=tuples, outer_values=len(decided) if fused else tuples)
-        if image is not None:
-            counters["image_depth"] = image.depth
     return (results[0] if results else None) if mode == "first" else results
 
 
@@ -997,7 +1000,8 @@ class Lemma5Construction:
     equation: Equation
     N: int
     g_solution: Substitution
-    f_word: MixedWord  # f(x), with x_i for the i-th generator
+    f_word: MixedWord  # f(x) and g(x), with x_i for the i-th generator
+    g_word: MixedWord
 
 
 def build_lemma5(
@@ -1026,7 +1030,7 @@ def build_lemma5(
     sol = Substitution.of(assignment)
     if evaluate(eq.lhs, sol) != eq.rhs:
         raise VerificationError("generator substitution does not solve the twisted equation")
-    return Lemma5Construction(eq, n_const, sol, fx)
+    return Lemma5Construction(eq, n_const, sol, fx, gx)
 
 
 # ---------------------------------------------------------------------------

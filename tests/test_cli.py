@@ -244,7 +244,7 @@ def test_cli_verify_lemma5_reports_fused_work(capsys):
 def test_cli_verify_lemma5_names_the_image_it_covers(capsys):
     # F = x1 x2 over the depth-6 ball runs over B_12: the certificate says
     # which values it decided and why they cover every pair.  F = x2 x1 x2
-    # repeats a variable, so its pairs are walked and the line is plain.
+    # repeats a variable, so the line is plain.
     argv = ["verify-lemma5", "--group", str(CASES / "example2.grp"),
             "--g", "c", "--k1", "3", "--k2", "2"]
     assert cli.main(argv + ["--f", "a b", "--depth", "6"]) == 0
@@ -258,20 +258,34 @@ def test_cli_verify_lemma5_names_the_image_it_covers(capsys):
     code, report = run_json(capsys, argv + ["--f", "b a b", "--depth", "4"])
     w = report["witnesses"][0]
     assert (w["outer_tuples"], w["outer_values"]) == (22**2, 202)
-    # the image of x1 x2 is walked, but F is (x1 x2)^2, or x3 with g = x1 x2
-    lemma5 = ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--k1", "1", "--k2", "1",
-              "--depth", "4"]
-    for f, g in (("(a b)^2", "c"), ("c", "a b")):
-        assert cli.main(lemma5 + ["--f", f, "--g", g]) == 0
+    # F is not the product of the other variables, each once: F = (x1 x2)^2,
+    # or F = x3 with g = x1 x2; or g = x1 x3 holds one of them, so x1 is a
+    # run of its own and the values decided are not those of F
+    lemma5 = ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--k1", "1", "--k2", "1"]
+    for f, g, depth in (("(a b)^2", "c", "4"), ("c", "a b", "4"), ("a b", "a c", "2")):
+        assert cli.main(lemma5 + ["--f", f, "--g", g, "--depth", depth]) == 0
         assert capsys.readouterr().out.endswith(" elements): no solution\n")
-    # solve: no value of x1 x2 in B_6 has a hit, so no pair is walked, and
-    # the ball, sized to count the pairs, is reported as before
+    # solve: no value of x1 x2 in B_6 has a hit, so the walk ends when the
+    # image runs out, and the ball is reported as before
     code, report = run_json(capsys, ["solve", "--group", str(CASES / "p23.grp"),
                                      "--eq", "x1 x2 x3 = (a b)^9", "--ball", "a;b",
                                      "--depth", "3"])
     assert code == 1
     assert report["counters"] == {"ball_size": 14, "membership_queries": 50,
                                   "outer_tuples": 14**2, "outer_values": 50}
+
+
+def test_cli_solve_first_stops_at_the_first_pair_with_a_solution(capsys):
+    # x1 x2 runs over B_2d, 976,561 elements at depth 4 and about 6*10^8 at
+    # depth 6, but (1, 1) solves x1 x2 x3 = a with x3 = a: the first pair
+    # is decided before any value of the image, and ends the walk
+    argv = ["solve", "--group", str(CASES / "example2.grp"), "--eq", "x1 x2 x3 = a",
+            "--ball", "a,b;a,b@c"]
+    for depth, size in ((4, 1561), (6, 39061)):
+        code, report = run_json(capsys, argv + ["--depth", str(depth)])
+        assert code == 0 and report["witnesses"] == [{"x1": "1", "x2": "1", "x3": "a"}]
+        assert report["counters"] == {"ball_size": size, "membership_queries": 1,
+                                      "outer_tuples": 1, "outer_values": 1}
 
 
 def test_cli_solve_reports_fused_work(capsys):
@@ -288,12 +302,9 @@ def test_cli_solve_reports_fused_work(capsys):
                                   "outer_tuples": 22**2, "outer_values": 106}
     # x1 x2 = 1 gives F = 1, where every x3 solves it: 22 pairs x 22 values
     assert len(report["witnesses"]) == 22 * 22
-    # the first solution: x1 x2 runs over the image ball B_8, whose 106
-    # values are all decided before the first tuple is walked
     code, report = run_json(capsys, argv + ["--eq", fused])
     assert code == 0 and report["witnesses"] == [{"x1": "1", "x2": "1", "x3": "1"}]
-    assert report["counters"] == {"ball_size": 22, "membership_queries": 0,
-                                  "outer_tuples": 1, "outer_values": 106}
+    assert report["counters"]["outer_tuples"] == report["counters"]["outer_values"] == 1
 
 
 def test_cli_verify_lemma7(capsys):

@@ -772,11 +772,23 @@ def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
         assert counters == {"outer_tuples": size**2, "outer_values": products}
 
 
+def spy_image(depths: list):
+    """Patch the image walk's ball enumeration to log each image's depth."""
+    real = words._ball_elements
+
+    def spy(group, parts, depth):
+        depths.append(depth)
+        return real(group, parts, depth)
+
+    return patch.object(words, "_ball_elements", spy)
+
+
 def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
     # With Ball candidates, F = x1 x2 runs over the image ball B_2d, so each
     # of its values is decided once, from F alone: F^26 and F^-39 rhs are
-    # one power each, four seam merges in all.  No value has hits, so no
-    # (x1, x2) pair is walked and nothing is re-evaluated.
+    # one power each, four seam merges in all.  One value is decided after
+    # each pair, so the walk ends after |B_2d| + 1 pairs, one merge each,
+    # when the image runs out; no pair has a hit and nothing is re-evaluated.
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
     parts = lemma5_desk_parts(z6z2)
     calls = spy_conjugator(monkeypatch)
@@ -801,12 +813,15 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
         calls.clear()
         counters = {}
         ball = Ball(z6z2, parts, depth)
-        assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)}, counters=counters) is None
+        images = []
+        with spy_image(images):
+            assert solve_bounded(cons.equation, {v: ball for v in (1, 2, 3)},
+                                 counters=counters) is None
+        assert images == [2 * depth]
         assert len(calls) == values
         assert all(result is None for _, _, result in calls)
-        assert counters == {"outer_tuples": size**2, "outer_values": values,
-                            "image_depth": 2 * depth}
-        assert merges <= 4 * values + enumeration
+        assert counters == {"outer_tuples": size**2, "outer_values": values}
+        assert merges == 4 * values + (values + 1) + enumeration
     assert not evaluated
 
 
@@ -844,7 +859,9 @@ _P23_PARTS = (
 def test_image_and_pair_walks_agree(data):
     # The image walk over Ball candidates against the pair walk over the
     # same elements as plain lists: the same solutions in the same order,
-    # in both modes, and as many values decided as there are products.
+    # in both modes.  Both decide every value of x1 x2 unless a first
+    # solution ends the walk; then the image walk decides at most one more
+    # value per pair walked.
     group = _P23
     lhs = parse_word(data.draw(image_texts(), label="lhs"), group)
     parts = data.draw(st.sampled_from(_P23_PARTS), label="parts")
@@ -858,16 +875,18 @@ def test_image_and_pair_walks_agree(data):
     for mode in ("all", "first"):
         balls = {v: Ball(group, parts, d) for v, d in zip((1, 2, 3), depths)}
         image_counters, pair_counters = {}, {}
-        found = solve_bounded(eq, balls, mode=mode, counters=image_counters)
-        assert found == solve_bounded(eq, lists, mode=mode, counters=pair_counters)
-        assert image_counters.pop("image_depth") == depths[0] + depths[1]
-        assert "image_depth" not in pair_counters
+        images = []
+        with spy_image(images):
+            found = solve_bounded(eq, balls, mode=mode, counters=image_counters)
+            assert found == solve_bounded(eq, lists, mode=mode, counters=pair_counters)
+        assert images == [depths[0] + depths[1]]
         if mode == "all" or not found:
             assert image_counters == pair_counters
             assert pair_counters["outer_tuples"] == len(lists[1]) * len(lists[2])
         else:
             assert image_counters["outer_tuples"] == pair_counters["outer_tuples"]
-            assert image_counters["outer_values"] == len(Ball(group, parts, sum(depths[:2])))
+            assert (pair_counters["outer_values"] <= image_counters["outer_values"]
+                    <= pair_counters["outer_values"] + pair_counters["outer_tuples"])
 
 
 def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
@@ -883,10 +902,11 @@ def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
         eq = parse_equation(text, p23)
         balls = {1: Ball(p23, parts, 2), 2: Ball(p23, other, 3), 3: Ball(p23, parts, 2)}
         lists = {v: list(ball) for v, ball in balls.items()}
-        counters = {}
-        found = solve_bounded(eq, balls, mode="all", counters=counters)
+        images = []
+        with spy_image(images):
+            found = solve_bounded(eq, balls, mode="all")
         assert found == naive_all_solutions(eq, lists)
-        assert ("image_depth" in counters) == (other is parts and "x1^-1 x2" in text)
+        assert bool(images) == (other is parts and "x1^-1 x2" in text)
     # one subgroup as both parts: the ball is C3 at every depth, but B_6
     # forms 2 * 2^n products of n alternating part elements, 1 + 252 in all,
     # far more than the 9 pairs
@@ -895,9 +915,11 @@ def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
     assert Ball(p23, same, 6).products() == 1 + sum(2 * 2**n for n in range(1, 7))
     eq = parse_equation("x3 x1 x2 x3^-1 = b", p23)
     counters = {}
-    assert len(solve_bounded(eq, {v: Ball(p23, same, 3) for v in (1, 2, 3)}, mode="all",
-                             counters=counters)) == 3 * 3
-    assert counters == {"outer_tuples": 9, "outer_values": 3}
+    images = []
+    with spy_image(images):
+        assert len(solve_bounded(eq, {v: Ball(p23, same, 3) for v in (1, 2, 3)}, mode="all",
+                                 counters=counters)) == 3 * 3
+    assert counters == {"outer_tuples": 9, "outer_values": 3} and not images
 
 
 # -- re-verification that survives python -O ----------------------------------
