@@ -836,7 +836,7 @@ def solve_bounded(
 
     def key_of(assignment: dict) -> tuple:  # the runs' normal forms
         cache: dict = {}
-        return tuple([
+        return tuple([  # a list, not a generator: this runs once per tuple
             assignment[r[0].index].syllables if len(r) == 1  # read without a merge
             else tuple(_evaluate_syllables(r, group, assignment, cache))
             for r in runs
