@@ -28,6 +28,9 @@ CHECKS = [
     (["verify-theorem2", "--range", "6"], 0),
     # 8 * 17^3 = 39,304 substitutions, x2 and x3 bound once per (t, s)
     (["verify-theorem2", "--range", "8"], 0),
+    # 8 * 25^3 = 125,000 substitutions, each step merged once per distinct
+    # tuple of its input values in its epsilon case
+    (["verify-theorem2", "--range", "12"], 0),
     (["verify-lemma4", "--group", str(CASES / "p23.grp"),
       "--trials", "100", "--seed", "0"], 0),
     (["verify-lemma4", "--group", str(CASES / "example1.grp"),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from typing import Iterable, Mapping, Sequence
 
@@ -397,8 +397,9 @@ def _evaluate_syllables(
 ) -> list:
     """The value of ``items`` as a reduced syllable list: each item's
     syllables are one piece of a single seam merge, and a group (Pow with
-    k = 1) adds its body's pieces to that merge.  Given ``pieces``, the
-    pieces are appended to it, and it is returned unmerged."""
+    k = 1) adds its body's pieces to that merge; a power of one piece (such
+    as one letter) is not merged first.  Given ``pieces``, the pieces are
+    appended to it, and it is returned unmerged."""
     factors = group.factors
     merge = pieces is None
     if merge:
@@ -423,7 +424,8 @@ def _evaluate_syllables(
         elif item.k == 1:
             _evaluate_syllables(item.body, group, assignment, cache, pieces)
         else:
-            body = _evaluate_syllables(item.body, group, assignment, cache)
+            body = _evaluate_syllables(item.body, group, assignment, cache, [])
+            body = body[0] if len(body) == 1 else _seam_merge(factors, [], body)
             pieces.append(power_syllables(factors, body, item.k))
     return _seam_merge(factors, [], pieces) if merge else pieces
 
@@ -432,12 +434,22 @@ def _evaluate_syllables(
 # partial evaluation: a word compiled once, with one variable y left free
 
 
-def _execute(factors, vals: list, steps) -> list:
+def _execute(factors, vals: list, steps, memo: _Memo | None = None) -> list:
     """Append the value of each step to ``vals`` and return it.  A step
     (indices, refs) is one seam merge of values in ``vals``: those at
     ``indices`` when every exponent is 1 (``refs`` is None), else those of
     the references (index, k) in ``refs``, each powered by power_syllables
-    unless k == 1."""
+    unless k == 1.  Given a memo, and ``vals`` interned in it, a step whose
+    inputs are the values it had before reuses the value it gave then."""
+    if memo is not None:
+        for n, step in enumerate(steps):
+            indices, refs = step
+            key = (n, *[id(vals[i]) for i in indices or [i for i, _ in refs]])
+            out = memo.steps.get(key)
+            if out is None:
+                out = memo.steps[key] = memo.intern(_execute(factors, vals, (step,)).pop())
+            vals.append(out)
+        return vals
     for indices, refs in steps:
         if refs is None:
             pieces = [vals[i] for i in indices]
@@ -445,6 +457,22 @@ def _execute(factors, vals: list, steps) -> list:
             pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in refs]
         vals.append(_seam_merge(factors, [], pieces))
     return vals
+
+
+@dataclass(slots=True)
+class _Memo:
+    """The values one _Program has seen: ``values`` interns each reduced
+    syllable sequence as one tuple, and ``steps`` maps a step's index and
+    the identities of its interned inputs to its interned value (so
+    ``len(steps)`` counts the steps merged).  ``values`` holds every value
+    keyed by identity, so no identity is reused while the memo lives."""
+
+    values: dict = field(default_factory=dict)
+    steps: dict = field(default_factory=dict)
+
+    def intern(self, sylls: Sequence) -> tuple:
+        sylls = tuple(sylls)
+        return self.values.setdefault(sylls, sylls)
 
 
 class _Program:
@@ -576,22 +604,26 @@ class _Program:
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
 
-    def y_values(self, y: Sequence) -> list:
-        """y's part of the value list, for the reduced syllables ``y`` of y."""
+    def y_values(self, y: Sequence, memo: _Memo | None = None) -> list:
+        """y's part of the value list, for the reduced syllables ``y`` of y,
+        interned in ``memo`` if one is given."""
         factors = self.group.factors
         inverse = _inverse_syllables(factors, y) if self.needs_inverse else ()
-        return _execute(factors, [y, inverse, *self.consts], self.pure)
+        vals = _execute(factors, [y, inverse, *self.consts], self.pure)
+        return vals if memo is None else list(map(memo.intern, vals))
 
-    def bind(self, assignment) -> list:
+    def bind(self, assignment, memo: _Memo | None = None) -> list:
         """The runs' part of the value list, for a binding of every
-        variable but y."""
+        variable but y, interned in ``memo`` if one is given."""
         cache: dict = {}
-        return [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
+        vals = [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
+        return vals if memo is None else list(map(memo.intern, vals))
 
-    def run(self, y_values: list, bound: list) -> list:
-        """The word's value, as a reduced syllable list, from ``y_values``
-        and ``bound``."""
-        return _execute(self.group.factors, y_values + bound, self.steps)[self.result]
+    def run(self, y_values: list, bound: list, memo: _Memo | None = None) -> list:
+        """The word's value, as a reduced syllable sequence, from ``y_values``
+        and ``bound``; with a memo of this program that both are interned in,
+        each step is merged once per distinct tuple of its input values."""
+        return _execute(self.group.factors, y_values + bound, self.steps, memo)[self.result]
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1107,8 @@ THEOREM2_SIGN_VARIANTS: dict[tuple[int, int, int], tuple[int, int, int]] = {
 class Theorem2CaseResult:
     """One epsilon case of the sweep.  ``evaluations`` counts the
     substitutions evaluated, (2R+1)^3; ``bindings`` counts the (x2, x3)
-    values bound once each for all x1, (2R+1)^2."""
+    values bound once each for all x1, (2R+1)^2; ``merges`` counts the
+    steps of the compiled word merged, once per distinct tuple of inputs."""
 
     epsilons: tuple[int, int, int]
     exponent_coeffs: tuple[int, int, int]
@@ -1084,6 +1117,7 @@ class Theorem2CaseResult:
     mismatches: tuple[tuple[int, int, int], ...]
     sign_variant_coeffs: tuple[int, int, int] | None = None
     sign_variant_consistent: bool | None = None
+    merges: int = 0
 
 
 @dataclass(frozen=True)
@@ -1112,6 +1146,7 @@ class Theorem2Report:
                     "exponent_coeffs": list(c.exponent_coeffs),
                     "evaluations": c.evaluations,
                     "bindings": c.bindings,
+                    "merges": c.merges,
                     "mismatches": [list(m) for m in c.mismatches],
                     **(
                         {
@@ -1149,11 +1184,13 @@ def theorem2_report(k_range: int) -> Theorem2Report:
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
     _Program with x1 free: x1^3 and x1^-1 once per value of x1, the runs
-    free of x1 (such as x2^x3) once per (t, s), and per substitution one
-    seam merge for the commutator [x1, x2^x3], shared by its two uses, one
-    for the body x1^3 [x1, x2^x3] x2^3 and one joining the two powers.  By
-    associativity the value is the one a full evaluation gives.  Mismatches
-    and target hits are reported in (k, t, s) order.
+    free of x1 (such as x2^x3) once per (t, s), and three steps (the
+    commutator [x1, x2^x3], shared by its two uses, the body
+    x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per distinct
+    tuple of their input values, in a memo kept for one epsilon case.
+    Equal inputs reuse an exact value, so each value is the one a full
+    evaluation gives; each is compared with the closed form and the target.
+    Mismatches and target hits are reported in (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -1165,21 +1202,21 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     a = rank_two.generator("a")
     b = rank_two.generator("b")
     ba = b * a
-    target = list(parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables)
+    target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables
 
     span = range(-k_range, k_range + 1)
     powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
     subs = {(k, e): powers[k] * a if e else powers[k] for k in span for e in (0, 1)}
-    # the closed forms (ba)^n as syllable lists, compared with the values
-    closed = {n: list(p.syllables) for n, p in powers.items()}
-    # x1's part of the program's values, per parity e1
-    x1_values = {e: [(k, program.y_values(subs[k, e].syllables)) for k in span] for e in (0, 1)}
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
     total = 0
     for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
         e1, e2, e3 = eps
+        memo = _Memo()
+        # interned with the values, so that equal values are identical
+        closed = {n: memo.intern(p.syllables) for n, p in powers.items()}
+        x1_values = [(k, program.y_values(subs[k, e1].syllables, memo)) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)
@@ -1187,19 +1224,19 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         count = bindings = 0
         for t in span:
             for s in span:
-                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]})
+                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]}, memo)
                 bindings += 1
                 offset = ct * t + cs * s
-                for k, y_values in x1_values[e1]:
-                    value = program.run(y_values, bound)
+                for k, y_values in x1_values:
+                    value = program.run(y_values, bound, memo)
                     count += 1
-                    if value != closed[ck * k + offset]:
+                    if value is not closed[ck * k + offset]:
                         mismatches.append((k, t, s))
                     if value == target:
                         hits.append((k, t, s))
                     if variant is not None and variant_consistent:
                         vk, vt, vs = variant
-                        if value != closed[vk * k + vt * t + vs * s]:
+                        if value is not closed[vk * k + vt * t + vs * s]:
                             variant_consistent = False
         total += count
         target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))
@@ -1212,6 +1249,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
                 tuple(sorted(mismatches)),
                 variant,
                 variant_consistent,
+                len(memo.steps),
             )
         )
 

@@ -197,10 +197,12 @@ def test_cli_verify_theorem2(capsys):
     assert code == 0
     assert report["verdict"] == "verified"
     assert report["violations"] == []
-    # per case: 5^3 substitutions, with (x2, x3) bound once per (t, s)
+    # per case: 5^3 substitutions, with (x2, x3) bound once per (t, s), and
+    # the steps merged once per distinct tuple of input values
     cases = report["witnesses"][0]["cases"]
     assert len(cases) == 8
     assert all(c["evaluations"] == 125 and c["bindings"] == 25 for c in cases)
+    assert [c["merges"] for c in cases] == [59, 75, 115, 59, 235, 75, 115, 251]
 
 
 def test_cli_verify_lemma4(capsys, tmp_path):

@@ -785,10 +785,11 @@ def spy_image(depths: list):
 
 def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
     # With Ball candidates, F = x1 x2 runs over the image ball B_2d, so each
-    # of its values is decided once, from F alone: F^26 and F^-39 rhs are
-    # one power each, four seam merges in all.  One value is decided after
-    # each pair, so the walk ends after |B_2d| + 1 pairs, one merge each,
-    # when the image runs out; no pair has a hit and nothing is re-evaluated.
+    # of its values is decided once, from F alone: F^26 and F^-39 rhs each
+    # power F's syllables without merging them first, two seam merges in
+    # all.  One value is decided after each pair, so the walk ends after
+    # |B_2d| + 1 pairs, one merge each, when the image runs out; no pair has
+    # a hit and nothing is re-evaluated.
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
     parts = lemma5_desk_parts(z6z2)
     calls = spy_conjugator(monkeypatch)
@@ -821,7 +822,7 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
         assert len(calls) == values
         assert all(result is None for _, _, result in calls)
         assert counters == {"outer_tuples": size**2, "outer_values": values}
-        assert merges == 4 * values + (values + 1) + enumeration
+        assert merges == 2 * values + (values + 1) + enumeration
     assert not evaluated
 
 
@@ -1108,9 +1109,11 @@ def theorem2_report_reference(k_range):
 
 
 def without_bindings(report):
+    """The report as a dict without its work counts, ``bindings`` and
+    ``merges``, which the per-substitution reference does not share."""
     d = report.to_dict()
     for case in d["cases"]:
-        del case["bindings"]
+        del case["bindings"], case["merges"]
     return d
 
 
@@ -1140,13 +1143,21 @@ def test_theorem2_report_counts_its_bindings():
     rep = theorem2_report(2)
     assert [(c.evaluations, c.bindings) for c in rep.case_results] == [(125, 25)] * 8
     assert [(c["evaluations"], c["bindings"]) for c in rep.to_dict()["cases"]] == [(125, 25)] * 8
+    # steps merged, once per distinct tuple of input values in each case's
+    # own memo, of the 3 * 125 steps run per case
+    merges = [59, 75, 115, 59, 235, 75, 115, 251]
+    assert [c.merges for c in rep.case_results] == merges
+    assert [c["merges"] for c in rep.to_dict()["cases"]] == merges
 
 
 def test_theorem2_report_work(monkeypatch):
     # The compiled word merges the commutator [x1, x2^x3] once for its two
-    # uses and computes x1^3 once per value of x1, so each substitution
-    # costs 3 seam merges and 2 powers, plus the runs per (t, s).  Binding
-    # (x2, x3) without sharing made 4.29 merges and 3.06 powers each.
+    # uses and computes x1^3 once per value of x1, and each case's memo
+    # merges each of its 3 steps once per distinct tuple of input values:
+    # 18,648 of the 117,912 steps run.  With the runs per (t, s), that is
+    # 0.655 seam merges and 0.200 powers per substitution; merging every
+    # step made 3.24 and 2.06, and binding (x2, x3) without sharing 4.29
+    # and 3.06.
     counts = {"merge": 0, "power": 0}
     real_merge, real_power = free_product._seam_merge, free_product.power_syllables
 
@@ -1164,8 +1175,9 @@ def test_theorem2_report_work(monkeypatch):
     rep = theorem2_report(8)
     n = rep.total_evaluations
     assert rep.ok and n == 8 * 17**3
-    assert counts["merge"] <= 3.4 * n
-    assert counts["power"] <= 2.1 * n
+    assert sum(c.merges for c in rep.case_results) == 18648
+    assert counts["merge"] <= 0.66 * n
+    assert counts["power"] <= 0.2 * n
 
 
 # -- partial evaluation: a word compiled once with y free ----------------------
@@ -1219,6 +1231,56 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
     # and twice, as a group and as a power: one body, two references
     twice = MixedWord(group, (Pow(word.letters, 1), Var(y), Pow(word.letters, k)))
     assert_bind_matches_evaluate(twice, values, y)
+
+
+@pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
+                         ids=["p23", "s3z2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
+    # One memo for many bindings of values from a small pool, so that inputs
+    # repeat; each input is a new list, so reuse must come from interning by
+    # value, and running every binding again merges nothing new.
+    word = parse_word(data.draw(residual_texts(gens), label="word"), group)
+    pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
+    y = data.draw(st.sampled_from([1, 2, 3]), label="y")
+    index = st.integers(0, len(pool) - 1)
+    bindings = data.draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=10),
+                         label="bindings")
+    program = words._Program(word.letters, group, y)
+    memo = words._Memo()
+
+    def run(values):
+        outer = {i: FPElement(group, list(v.syllables)) for i, v in values.items() if i != y}
+        y_values = program.y_values(list(values[y].syllables), memo)
+        return tuple(program.run(y_values, program.bind(outer, memo), memo))
+
+    for again in (False, True):
+        merged = len(memo.steps)
+        for binding in bindings:
+            values = {i: pool[j] for i, j in zip((1, 2, 3), binding)}
+            assert run(values) == evaluate(word, values).syllables
+        assert not again or len(memo.steps) == merged
+    assert len(memo.steps) <= len(set(bindings)) * len(program.steps)
+
+
+def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
+    # (x1 x2)^2 x3 with y = x1 is two steps: x1 x2, then its square times
+    # x3.  (a, b) and (a b, 1) give x1 x2 the same value, so with x3 the same
+    # the second step is merged once: the first step's values are interned.
+    a, b, one = p23.generator("a"), p23.generator("b"), p23.identity()
+    word = parse_word("(x1 x2)^2 x3", p23)
+    program = words._Program(word.letters, p23, 1)
+    assert len(program.steps) == 2
+    memo = words._Memo()
+    for x1, x2 in ((a, b), (a * b, one), (a, b)):
+        values = {1: x1, 2: x2, 3: b}
+        bound = program.bind({2: x2, 3: b}, memo)
+        value = program.run(program.y_values(x1.syllables, memo), bound, memo)
+        assert value == evaluate(word, values).syllables
+    assert len(memo.steps) == 3
+    # without a memo, each run merges both steps again into a fresh list
+    assert program.run(program.y_values(a.syllables), program.bind({2: b, 3: b})) == list(value)
 
 
 def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
