@@ -619,7 +619,7 @@ class _Program:
         vals = [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
         return vals if memo is None else list(map(memo.intern, vals))
 
-    def run(self, y_values: list, bound: list, memo: _Memo | None = None) -> list:
+    def run(self, y_values: list, bound: list, memo: _Memo | None = None) -> Sequence:
         """The word's value, as a reduced syllable sequence, from ``y_values``
         and ``bound``; with a memo of this program that both are interned in,
         each step is merged once per distinct tuple of its input values."""

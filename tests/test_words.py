@@ -1239,8 +1239,9 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
 @given(data=st.data())
 def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
     # One memo for many bindings of values from a small pool, so that inputs
-    # repeat; each input is a new list, so reuse must come from interning by
-    # value, and running every binding again merges nothing new.
+    # repeat.  bind builds new lists and y is passed as a new list, so reuse
+    # must come from interning by value: running every binding again merges
+    # nothing new.
     word = parse_word(data.draw(residual_texts(gens), label="word"), group)
     pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
     y = data.draw(st.sampled_from([1, 2, 3]), label="y")
@@ -1251,7 +1252,7 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
     memo = words._Memo()
 
     def run(values):
-        outer = {i: FPElement(group, list(v.syllables)) for i, v in values.items() if i != y}
+        outer = {i: v for i, v in values.items() if i != y}
         y_values = program.y_values(list(values[y].syllables), memo)
         return tuple(program.run(y_values, program.bind(outer, memo), memo))
 
@@ -1279,7 +1280,7 @@ def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
         value = program.run(program.y_values(x1.syllables, memo), bound, memo)
         assert value == evaluate(word, values).syllables
     assert len(memo.steps) == 3
-    # without a memo, each run merges both steps again into a fresh list
+    # without a memo, run gives the same value as a list
     assert program.run(program.y_values(a.syllables), program.bind({2: b, 3: b})) == list(value)
 
 
