@@ -84,6 +84,16 @@ CHECKS = [
     # solutions are still listed and re-checked
     (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x3 x1 x2 x3^-1 = c a c",
       "--ball", "a,b;a,b@c", "--depth", "3", "--all"], 0),
+    # one subgroup given twice: the ball is the 6 elements of <a,b> at every
+    # depth from 1, and building it extends only new elements, where
+    # extending every sequence of alternating part elements would form about
+    # 6*10^8 products; all 36 commuting pairs
+    (["solve", "--group", str(CASES / "example2.grp"), "--eq", "[x1,x2] = 1",
+      "--ball", "a,b;a,b", "--depth", "12", "--all"], 0),
+    # the same overlapping parts under the image walk: x1 x2 runs over B_10,
+    # 6 values, none conjugate to c
+    (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x3 x1 x2 x3^-1 = c",
+      "--ball", "a,b;a,b", "--depth", "5"], 1),
     # numeric arguments out of range: usage errors
     (["verify-theorem2", "--range", "0"], 2),
     (["axis", "--group", str(CASES / "p23.grp"),

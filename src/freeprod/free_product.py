@@ -489,22 +489,28 @@ def enumerate_ball(
     the output is correct even when the parts fail to generate an actual
     free product.
     """
-    return list(_ball_elements(group, parts, depth))
+    return [FPElement(group, v) for v in _ball_elements(group, parts, depth)]
 
 
 def _ball_elements(
     group: FreeProduct,
     parts: Sequence[tuple[int, Iterable[int], FPElement]],
     depth: int,
-) -> Iterator[FPElement]:
-    """The elements of ``enumerate_ball(group, parts, depth)`` in its order,
-    each formed when the iteration reaches it."""
-    part_elems = _part_syllables(group, parts)
+) -> Iterator[tuple[Syllable, ...]]:
+    """The normal forms of ``enumerate_ball(group, parts, depth)`` in its
+    order, each formed when the iteration reaches it.
 
-    # The frontier and the seen set hold syllable tuples; each distinct
-    # element is wrapped as an FPElement once, when it is first reached.
+    A product joins the next level only when it is a new element.  That
+    keeps the order: a value v formed again was first formed, earlier, as a
+    product w * s ending in an element s of some part p.  Its extensions by
+    the other parts were formed from that first entry, earlier, and v * t
+    for t in p is w * (s t), a product of no more part elements than w * s,
+    formed at an earlier level.  So the levels hold each element at most
+    once, and building B_d forms at most |B_d| products per nonidentity
+    part element, however much the parts overlap."""
+    part_elems = _part_syllables(group, parts)
     factors = group.factors
-    yield group.identity()
+    yield ()
     seen = {()}
     level: list[tuple[int, tuple[Syllable, ...]]] = [(-1, ())]
     for d in range(depth):
@@ -516,12 +522,12 @@ def _ball_elements(
                     continue
                 for t in elems:
                     v = _product(factors, value, t)
-                    if extend:
-                        nxt.append((pi, v))
                     size = len(seen)
                     seen.add(v)  # one hash of v, not two: tuples do not cache it
                     if len(seen) > size:
-                        yield FPElement(group, v)
+                        if extend:
+                            nxt.append((pi, v))
+                        yield v
         level = nxt
 
 
@@ -597,19 +603,6 @@ class Ball(Sequence):
 
     def __bool__(self) -> bool:
         return True
-
-    def products(self) -> int:
-        """How many products building the ball forms: the sequences of up
-        to ``depth`` part elements with no two adjacent ones from one part,
-        the empty one included.  That is the ball's size when the parts
-        generate their free product, and can be far more when they overlap."""
-        sizes = [len(set(subgroup)) - 1 for _, subgroup, _ in self.parts]
-        ending, level, total = [0] * len(sizes), 1, 1
-        for _ in range(self.depth):
-            ending = [n * (level - e) for n, e in zip(sizes, ending)]
-            level = sum(ending)
-            total += level
-        return total
 
     def __contains__(self, element: object) -> bool:
         if not isinstance(element, FPElement) or element.group is not self.group:

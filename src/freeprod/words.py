@@ -43,6 +43,7 @@ from .free_product import (
     FreeProduct,
     _ball_elements,
     _centralizer,
+    _conjugator,
     _inverse_syllables,
     _product,
     _seam_merge,
@@ -376,30 +377,33 @@ def parse_equation(text: str, group: FreeProduct) -> Equation:
 # evaluation
 
 
-def _as_assignment(substitution) -> dict[int, FPElement]:
-    if isinstance(substitution, Substitution):
-        return substitution.as_dict()
-    return dict(substitution)
-
-
 def evaluate(word: MixedWord, substitution) -> FPElement:
-    """Substitute and reduce; the substitution must cover all free variables.
+    """Substitute and reduce; the substitution must cover all free variables,
+    and each of its values must be an element of the word's group.
 
     A Pow item's body is evaluated once and powered by power_syllables, so
     the cost does not grow with the exponent.
     """
-    out = _evaluate_syllables(word.letters, word.group, _as_assignment(substitution), {})
+    if isinstance(substitution, Substitution):
+        substitution = substitution.assignment
+    assignment = {}
+    for i, value in dict(substitution).items():
+        if not isinstance(value, FPElement) or value.group is not word.group:
+            raise MixedAmbientError(f"value for x{i} has wrong ambient")
+        assignment[i] = value.syllables
+    out = _evaluate_syllables(word.letters, word.group, assignment, {})
     return FPElement(word.group, tuple(out))
 
 
 def _evaluate_syllables(
     items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None
 ) -> list:
-    """The value of ``items`` as a reduced syllable list: each item's
-    syllables are one piece of a single seam merge, and a group (Pow with
-    k = 1) adds its body's pieces to that merge; a power of one piece (such
-    as one letter) is not merged first.  Given ``pieces``, the pieces are
-    appended to it, and it is returned unmerged."""
+    """The value of ``items`` as a reduced syllable list, each variable's
+    value given as a reduced syllable tuple: each item's syllables are one
+    piece of a single seam merge, and a group (Pow with k = 1) adds its
+    body's pieces to that merge; a power of one piece (such as one letter)
+    is not merged first.  Given ``pieces``, the pieces are appended to it,
+    and it is returned unmerged."""
     factors = group.factors
     merge = pieces is None
     if merge:
@@ -411,12 +415,11 @@ def _evaluate_syllables(
             sylls = cache.get(key)
             if sylls is None:
                 try:
-                    value = assignment[item.index]
+                    sylls = assignment[item.index]
                 except KeyError:
                     raise UnboundVariableError(f"x{item.index} is unbound") from None
-                if not isinstance(value, FPElement) or value.group is not group:
-                    raise MixedAmbientError(f"value for x{item.index} has wrong ambient")
-                sylls = value.syllables if item.sign > 0 else value.inverse().syllables
+                if item.sign < 0:
+                    sylls = _inverse_syllables(factors, sylls)
                 cache[key] = sylls
             pieces.append(sylls)
         elif kind is Const:
@@ -614,7 +617,8 @@ class _Program:
 
     def bind(self, assignment, memo: _Memo | None = None) -> list:
         """The runs' part of the value list, for a binding of every
-        variable but y, interned in ``memo`` if one is given."""
+        variable but y to reduced syllable tuples, interned in ``memo`` if
+        one is given."""
         cache: dict = {}
         vals = [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
         return vals if memo is None else list(map(memo.intern, vals))
@@ -716,8 +720,8 @@ def solve_bounded(
     equation holds iff y^s B y^-s = T with T = P^-1 rhs Q^-1.  For s = 1
     that is y B y^-1 = T; for s = -1 it is y T y^-1 = B, the same with B
     and T swapped.  By the conjugacy theorem for free products it has a
-    solution iff B and T are conjugate (FPElement.conjugator decides this
-    exactly and returns some c with c B c^-1 = T), and then its solutions
+    solution iff B and T are conjugate (free_product._conjugator decides
+    this exactly and returns some c with c B c^-1 = T), and then its solutions
     are exactly the coset c C(B) of the centralizer of B, since
     y B y^-1 = c B c^-1 iff c^-1 y commutes with B.  In a free product
     C(B) is known (Lyndon-Schupp, ch. IV, sec. 1; Magnus-Karrass-Solitar,
@@ -742,20 +746,21 @@ def solve_bounded(
 
     Fusion: the pieces free of y (W0 and W1; P, B and Q; the _Program's
     runs) are rewritten once over their fusion runs (see _fusion_runs), and
-    each solver decides an outer tuple from the runs' values: for F^39 x3
-    F^26 x3^-1 with F = x1 x2, B and T are one power of F each.  With fewer
-    runs than outer variables, those values are a key: only a new key is
-    decided, and every hit is still re-verified by record() for each tuple
-    that reaches it, so the solutions and their order are as without
+    each solver decides an outer tuple from its key, the runs' normal
+    forms: for F^39 x3 F^26 x3^-1 with F = x1 x2, B and T are one power of
+    F each.  With fewer runs than outer variables, keys repeat: only a new
+    key is decided, and every hit is still re-verified by record() for each
+    tuple that reaches it, so the solutions and their order are as without
     fusion.  When the only run is a product of the outer variables, each
     once with either sign, over Balls with one set of parts, its values are
     the ball of the summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a
-    (see Ball).  Unless building that image forms more products than there
-    are tuples (Ball.products), one of its values is decided after each
-    tuple until some value has hits; if the image runs out first, no tuple
-    has a solution and the walk ends, covering every tuple.  So at most two
+    (see Ball).  One value of that image is decided after each tuple until
+    some value has hits; if the image runs out first, no tuple has a
+    solution and the walk ends, covering every tuple.  So at most two
     values are decided per tuple walked, and an unsolvable search decides
-    each value of the image once.
+    each value of the image once.  Building the image forms at most one
+    product per element and part element (see _ball_elements), also when
+    the parts overlap.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -793,16 +798,13 @@ def solve_bounded(
 
     # The last variable y varies fastest; how often it occurs picks the
     # solver.  Each solver's pieces free of y are rewritten over the fusion
-    # runs, and its decide(bound) gives the candidates for y that solve the
-    # equation, in order, from the runs' values for an outer tuple.
+    # runs, and its decide(key) gives the candidates for y that solve the
+    # equation, in order, from the runs' normal forms for an outer tuple.
     inner = variables[-1]
     outer = variables[:-1]
     factors = group.factors
     inner_cands = candidates[inner]
     occurrences = _occurrences(eq.lhs.letters, inner)
-
-    def value(items: Sequence[Item], bound, cache: dict) -> FPElement:
-        return FPElement(group, tuple(_evaluate_syllables(items, group, bound, cache)))
 
     if occurrences in (1, 2):
         # lhs = W0 y^s1 W1 [y^s2 W2], with the powers that hold y written out
@@ -822,13 +824,13 @@ def solve_bounded(
         # which an index built per call would cost more than.
         in_ball = isinstance(inner_cands, Ball)
 
-        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
-            t = value(target, bound, {})
-            if signs[0] < 0:
-                t = t.inverse()
+        def decide(key: tuple) -> Sequence[FPElement]:
+            t = _evaluate_syllables(target, group, key, {})
+            t = tuple(t) if signs[0] > 0 else _inverse_syllables(factors, t)
             if in_ball:
-                return [t] if t in inner_cands else []
-            return [c for c in inner_cands if c.syllables == t.syllables]
+                u = FPElement(group, t)
+                return [u] if u in inner_cands else []
+            return [c for c in inner_cands if c.syllables == t]
 
     elif occurrences == 2 and signs[0] == -signs[1]:
         middle = pieces[1]
@@ -837,21 +839,21 @@ def solve_bounded(
             positions.setdefault(c.syllables, []).append(i)
         max_norm = max(map(len, positions))
 
-        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
+        def decide(key: tuple) -> Sequence[FPElement]:
             cache: dict = {}
-            b = value(middle, bound, cache)
-            t = value(target, bound, cache)
+            b = tuple(_evaluate_syllables(middle, group, key, cache))
+            t = tuple(_evaluate_syllables(target, group, key, cache))
             if signs[0] < 0:
                 b, t = t, b
-            c = b.conjugator(t)
+            c = _conjugator(factors, b, t)
             if c is None:
                 return ()
-            if b.is_identity:
+            if not b:
                 return inner_cands
             hits = sorted(
                 i
-                for z in _centralizer(factors, b.syllables, max_norm + c.norm)
-                for i in positions.get(_product(factors, c.syllables, z), ())
+                for z in _centralizer(factors, b, max_norm + len(c))
+                for i in positions.get(_product(factors, c, z), ())
             )
             return [inner_cands[i] for i in hits]
 
@@ -861,18 +863,10 @@ def solve_bounded(
         runs, pieces = _fusion_runs(program.runs)
         inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
 
-        def decide(bound: Sequence[FPElement]) -> Sequence[FPElement]:
+        def decide(key: tuple) -> Sequence[FPElement]:
             cache: dict = {}
-            vals = [_evaluate_syllables(piece, group, bound, cache) for piece in pieces]
+            vals = [_evaluate_syllables(piece, group, key, cache) for piece in pieces]
             return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs_syll]
-
-    def key_of(assignment: dict) -> tuple:  # the runs' normal forms
-        cache: dict = {}
-        return tuple([  # a list, not a generator: this runs once per tuple
-            assignment[r[0].index].syllables if len(r) == 1  # read without a merge
-            else tuple(_evaluate_syllables(r, group, assignment, cache))
-            for r in runs
-        ])
 
     fused = len(runs) < len(outer)
     outer_cands = [candidates[v] for v in outer]
@@ -884,25 +878,25 @@ def solve_bounded(
     if fused and letters == list(outer) and all(
         isinstance(c, Ball) and c.parts == outer_cands[0].parts for c in outer_cands
     ):
-        parts, depth = outer_cands[0].parts, sum(c.depth for c in outer_cands)
-        if Ball(group, parts, depth).products() <= math.prod(map(len, outer_cands)):
-            image = _ball_elements(group, parts, depth)
+        depth = sum(c.depth for c in outer_cands)
+        image = _ball_elements(group, outer_cands[0].parts, depth)
     tuples = 0
     for combo in _cartesian(*outer_cands):
         tuples += 1
-        assignment = dict(zip(outer, combo))
-        if fused:
-            key = key_of(assignment)
-            hits = decided.get(key)
-            if hits is None:
-                hits = decided[key] = decide([FPElement(group, v) for v in key])
-        else:  # a lone letter is passed on as it is
-            cache = {}
-            hits = decide([assignment[r[0].index] if len(r) == 1 else value(r, assignment, cache)
-                           for r in runs])
+        values = {v: c.syllables for v, c in zip(outer, combo)}
+        cache: dict = {}
+        key = tuple([  # a list, not a generator: this runs once per tuple
+            values[r[0].index] if len(r) == 1  # read without a merge
+            else tuple(_evaluate_syllables(r, group, values, cache))
+            for r in runs
+        ])
+        hits = decided.get(key)
+        if hits is None:
+            hits = decide(key)
+            if fused:
+                decided[key] = hits
         for c in hits:
-            assignment[inner] = c
-            record(assignment)
+            record({**dict(zip(outer, combo)), inner: c})
             if mode == "first":
                 break
         if results and mode == "first":
@@ -912,8 +906,8 @@ def solve_bounded(
             if u is None:  # every value decided, none with a hit
                 tuples = math.prod(map(len, outer_cands))
                 break
-            if (u.syllables,) not in decided:  # a value decided before has no hits
-                hits = decided[u.syllables,] = decide((u,))
+            if (u,) not in decided:  # a value decided before has no hits
+                hits = decided[u,] = decide((u,))
         if hits:
             image = None
     if counters is not None:
@@ -1206,7 +1200,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
 
     span = range(-k_range, k_range + 1)
     powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
-    subs = {(k, e): powers[k] * a if e else powers[k] for k in span for e in (0, 1)}
+    subs = {(k, e): (powers[k] * a if e else powers[k]).syllables for k in span for e in (0, 1)}
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
@@ -1216,7 +1210,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         memo = _Memo()
         # interned with the values, so that equal values are identical
         closed = {n: memo.intern(p.syllables) for n, p in powers.items()}
-        x1_values = [(k, program.y_values(subs[k, e1].syllables, memo)) for k in span]
+        x1_values = [(k, program.y_values(subs[k, e1], memo)) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)

@@ -1,6 +1,5 @@
-import itertools
-import math
 import random
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -791,11 +790,36 @@ def test_ball_products_are_the_ball_of_summed_depth(group, data):
     products = {(u * v).syllables for u in left for v in right}
     assert products == {w.syllables for w in enumerate_ball(group, parts, a + b)}
     assert {u.inverse().syllables for u in left} == {u.syllables for u in left}
-    # the products the image's enumeration forms: one per sequence of part
-    # elements, no two adjacent from one part
-    sizes = [len(set(sub)) - 1 for _, sub, _ in parts]
-    sequences = sum(math.prod(sizes[p] for p in seq)
-                    for n in range(a + b + 1)
-                    for seq in itertools.product(range(len(parts)), repeat=n)
-                    if all(p != q for p, q in zip(seq, seq[1:])))
-    assert Ball(group, parts, a + b).products() == sequences
+    # building the image extends only its new elements: at most one product
+    # per element and nonidentity part element, however the parts overlap
+    size, formed, part_elements = ball_products(group, parts, a + b)
+    assert formed <= size * part_elements
+
+
+def ball_products(group, parts, depth):
+    """(|B_depth|, the products enumerate_ball forms to build it, the number
+    of nonidentity part elements); the parts' own conjugations are made
+    before counting starts."""
+    part_elems = free_product._part_syllables(group, parts)
+    formed = 0
+    real = free_product._product
+
+    def spy(*args):
+        nonlocal formed
+        formed += 1
+        return real(*args)
+
+    with (patch.object(free_product, "_part_syllables", lambda *args: part_elems),
+          patch.object(free_product, "_product", spy)):
+        size = len(enumerate_ball(group, parts, depth))
+    return size, formed, sum(map(len, part_elems))
+
+
+def test_ball_forms_products_only_from_new_elements(p23):
+    # one C3 given twice: the ball is C3 at every depth.  Extending every
+    # sequence of alternating part elements would form 2 * 2^n products
+    # of n of them, 252 for B_6; extending only new elements forms 4 from
+    # the identity and 2 from each of a and a^2.
+    one = p23.identity()
+    same = [(1, (0, 1, 2), one), (1, (0, 1, 2), one)]
+    assert ball_products(p23, same, 6) == (3, 8, 4)
