@@ -31,6 +31,10 @@ CHECKS = [
     # 8 * 25^3 = 125,000 substitutions, each step merged once per distinct
     # tuple of its input values in its epsilon case
     (["verify-theorem2", "--range", "12"], 0),
+    # 8 * 33^3 = 287,496 substitutions, each row of 33 values of x1 decided
+    # once per distinct tuple of bound values: the four cases with e2 = 0
+    # collapse to 33 rows, the others have 33^2 = 1,089
+    (["verify-theorem2", "--range", "16"], 0),
     (["verify-lemma4", "--group", str(CASES / "p23.grp"),
       "--trials", "100", "--seed", "0"], 0),
     (["verify-lemma4", "--group", str(CASES / "example1.grp"),

@@ -614,12 +614,12 @@ class Ball(Sequence):
                 self._index = {u.syllables for u in self._elements}
             return t in self._index
         if self._halves is None:
-            larger = enumerate_ball(self.group, self.parts, (self.depth + 1) // 2)
+            larger = list(_ball_elements(self.group, self.parts, (self.depth + 1) // 2))
             smaller = (
                 larger if self.depth % 2 == 0
-                else enumerate_ball(self.group, self.parts, self.depth // 2)
+                else list(_ball_elements(self.group, self.parts, self.depth // 2))
             )
-            self._halves = ({u.syllables for u in larger}, [w.syllables for w in smaller])
+            self._halves = (set(larger), smaller)
         larger_set, smaller = self._halves
         factors = self.group.factors
         return any(_product(factors, t, w) in larger_set for w in smaller)

@@ -437,41 +437,42 @@ def _evaluate_syllables(
 # partial evaluation: a word compiled once, with one variable y left free
 
 
-def _execute(factors, vals: list, steps, memo: _Memo | None = None) -> list:
-    """Append the value of each step to ``vals`` and return it.  A step
-    (indices, refs) is one seam merge of values in ``vals``: those at
-    ``indices`` when every exponent is 1 (``refs`` is None), else those of
-    the references (index, k) in ``refs``, each powered by power_syllables
-    unless k == 1.  Given a memo, and ``vals`` interned in it, a step whose
-    inputs are the values it had before reuses the value it gave then."""
-    if memo is not None:
-        for n, step in enumerate(steps):
-            indices, refs = step
-            key = (n, *[id(vals[i]) for i in indices or [i for i, _ in refs]])
-            out = memo.steps.get(key)
-            if out is None:
-                out = memo.steps[key] = memo.intern(_execute(factors, vals, (step,)).pop())
-            vals.append(out)
-        return vals
-    for indices, refs in steps:
-        if refs is None:
-            pieces = [vals[i] for i in indices]
-        else:
-            pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in refs]
-        vals.append(_seam_merge(factors, [], pieces))
+def _merge_step(factors, vals: list, step) -> list:
+    """The value of one step (indices, refs): one seam merge of values in
+    ``vals``, those at ``indices`` when every exponent is 1 (``refs`` is
+    None), else those of the references (index, k) in ``refs``, each
+    powered by power_syllables unless k == 1."""
+    indices, refs = step
+    if refs is None:
+        pieces = [vals[i] for i in indices]
+    else:
+        pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in refs]
+    return _seam_merge(factors, [], pieces)
+
+
+def _execute(factors, vals: list, steps) -> list:
+    """Append the value of each step to ``vals`` and return it."""
+    for step in steps:
+        vals.append(_merge_step(factors, vals, step))
     return vals
 
 
 @dataclass(slots=True)
 class _Memo:
     """The values one _Program has seen: ``values`` interns each reduced
-    syllable sequence as one tuple, and ``steps`` maps a step's index and
+    syllable sequence as one tuple, ``steps`` maps a step's index and
     the identities of its interned inputs to its interned value (so
-    ``len(steps)`` counts the steps merged).  ``values`` holds every value
-    keyed by identity, so no identity is reused while the memo lives."""
+    ``len(steps)`` counts the steps merged), and ``rows`` maps the
+    identities of the interned values of y and of every run to the word's
+    values for those y (so ``len(rows)`` counts the rows decided).
+    ``values`` holds every value keyed by identity, so no identity is
+    reused while the memo lives; it also interns the tuple of y
+    identities a row is keyed by, so that the rows of one list of y
+    values share it."""
 
     values: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
 
     def intern(self, sylls: Sequence) -> tuple:
         sylls = tuple(sylls)
@@ -491,7 +492,7 @@ class _Program:
       binding of the other variables.
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
-      binding.
+      binding, and ``row`` for a list of values of y and one binding.
 
     Equal sub-words are one value, so a commutator used twice is merged
     once; a group (a Pow with k = 1) used once is spliced into its parent's
@@ -501,7 +502,7 @@ class _Program:
     the normal form ``evaluate`` gives for the same values.
     """
 
-    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse")
+    __slots__ = ("group", "consts", "pure", "runs", "steps", "inputs", "result", "needs_inverse")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
@@ -604,6 +605,10 @@ class _Program:
         self.pure = [compiled(i) for i in pure_ids]
         self.runs = [nodes[i][1] for i in run_ids]
         self.steps = [compiled(i) for i in step_ids]
+        # each step's input indices, the memo's key for it
+        self.inputs = [
+            indices if refs is None else tuple(j for j, _ in refs) for indices, refs in self.steps
+        ]
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
 
@@ -627,7 +632,30 @@ class _Program:
         """The word's value, as a reduced syllable sequence, from ``y_values``
         and ``bound``; with a memo of this program that both are interned in,
         each step is merged once per distinct tuple of its input values."""
-        return _execute(self.group.factors, y_values + bound, self.steps, memo)[self.result]
+        factors = self.group.factors
+        vals = y_values + bound
+        if memo is None:
+            return _execute(factors, vals, self.steps)[self.result]
+        known = memo.steps
+        for n, inputs in enumerate(self.inputs):
+            key = (n, *[id(vals[i]) for i in inputs])
+            out = known.get(key)
+            if out is None:
+                out = known[key] = memo.intern(_merge_step(factors, vals, self.steps[n]))
+            vals.append(out)
+        return vals[self.result]
+
+    def row(self, y_lists: Sequence[list], bound: list, memo: _Memo) -> list:
+        """The word's values, one per entry of ``y_lists`` (each a y part
+        from ``y_values``), for the runs' values ``bound``: all interned in
+        ``memo``.  The row is run once per distinct tuple of the values of y
+        and of every run, and looked up after that; the list returned is
+        the memo's own."""
+        key = (memo.intern([id(y[0]) for y in y_lists]), *map(id, bound))
+        out = memo.rows.get(key)
+        if out is None:
+            out = memo.rows[key] = [self.run(y, bound, memo) for y in y_lists]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1102,7 +1130,9 @@ class Theorem2CaseResult:
     """One epsilon case of the sweep.  ``evaluations`` counts the
     substitutions evaluated, (2R+1)^3; ``bindings`` counts the (x2, x3)
     values bound once each for all x1, (2R+1)^2; ``merges`` counts the
-    steps of the compiled word merged, once per distinct tuple of inputs."""
+    steps of the compiled word merged, once per distinct tuple of inputs;
+    ``rows`` counts the rows of all x1 values decided, once per distinct
+    tuple of bound values."""
 
     epsilons: tuple[int, int, int]
     exponent_coeffs: tuple[int, int, int]
@@ -1112,6 +1142,7 @@ class Theorem2CaseResult:
     sign_variant_coeffs: tuple[int, int, int] | None = None
     sign_variant_consistent: bool | None = None
     merges: int = 0
+    rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -1141,6 +1172,7 @@ class Theorem2Report:
                     "evaluations": c.evaluations,
                     "bindings": c.bindings,
                     "merges": c.merges,
+                    "rows": c.rows,
                     "mismatches": [list(m) for m in c.mismatches],
                     **(
                         {
@@ -1178,13 +1210,17 @@ def theorem2_report(k_range: int) -> Theorem2Report:
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
     _Program with x1 free: x1^3 and x1^-1 once per value of x1, the runs
-    free of x1 (such as x2^x3) once per (t, s), and three steps (the
-    commutator [x1, x2^x3], shared by its two uses, the body
+    free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), and three
+    steps (the commutator [x1, x2^x3], shared by its two uses, the body
     x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per distinct
-    tuple of their input values, in a memo kept for one epsilon case.
-    Equal inputs reuse an exact value, so each value is the one a full
-    evaluation gives; each is compared with the closed form and the target.
-    Mismatches and target hits are reported in (k, t, s) order.
+    tuple of their input values, in a memo kept for one epsilon case.  The
+    row of values for all 2R+1 values of x1 is decided once per distinct
+    tuple of the runs' values: with e2 = 0 the runs depend on t alone, so
+    those four cases have 2R+1 rows (17 at R = 8) and the others (2R+1)^2
+    (289); ``rows`` counts them.  Equal inputs reuse an exact value, so
+    each value is the one a full evaluation gives; every substitution's
+    value is compared with the closed form and the target.  Mismatches and
+    target hits are reported in (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -1210,7 +1246,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         memo = _Memo()
         # interned with the values, so that equal values are identical
         closed = {n: memo.intern(p.syllables) for n, p in powers.items()}
-        x1_values = [(k, program.y_values(subs[k, e1], memo)) for k in span]
+        x1_values = [program.y_values(subs[k, e1], memo) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)
@@ -1221,8 +1257,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
                 bound = program.bind({2: subs[t, e2], 3: subs[s, e3]}, memo)
                 bindings += 1
                 offset = ct * t + cs * s
-                for k, y_values in x1_values:
-                    value = program.run(y_values, bound, memo)
+                for k, value in zip(span, program.row(x1_values, bound, memo)):
                     count += 1
                     if value is not closed[ck * k + offset]:
                         mismatches.append((k, t, s))
@@ -1244,6 +1279,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
                 variant,
                 variant_consistent,
                 len(memo.steps),
+                len(memo.rows),
             )
         )
 

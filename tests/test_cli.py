@@ -203,6 +203,8 @@ def test_cli_verify_theorem2(capsys):
     assert len(cases) == 8
     assert all(c["evaluations"] == 125 and c["bindings"] == 25 for c in cases)
     assert [c["merges"] for c in cases] == [59, 75, 115, 59, 235, 75, 115, 251]
+    # one row of x1 values per distinct tuple of bound values
+    assert [c["rows"] for c in cases] == [5, 5, 25, 5, 25, 5, 25, 25]
 
 
 def test_cli_verify_lemma4(capsys, tmp_path):
@@ -465,13 +467,13 @@ def test_cli_solve_one_occurrence_does_not_build_the_ball(capsys, monkeypatch):
     # x1 = c over the 39,061-element depth-6 ball: one membership question,
     # answered from the depth-3 half balls.
     depths = []
-    real = free_product.enumerate_ball
+    real = free_product._ball_elements
 
     def spy(group, parts, depth):
         depths.append(depth)
         return real(group, parts, depth)
 
-    monkeypatch.setattr(free_product, "enumerate_ball", spy)
+    monkeypatch.setattr(free_product, "_ball_elements", spy)
     code, report = run_json(capsys, ["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"])
     assert depths and max(depths) <= 3
     assert code == 1

@@ -1127,11 +1127,12 @@ def theorem2_report_reference(k_range):
 
 
 def without_bindings(report):
-    """The report as a dict without its work counts, ``bindings`` and
-    ``merges``, which the per-substitution reference does not share."""
+    """The report as a dict without its work counts, ``bindings``,
+    ``merges`` and ``rows``, which the per-substitution reference, with no
+    memo, does not share."""
     d = report.to_dict()
     for case in d["cases"]:
-        del case["bindings"], case["merges"]
+        del case["bindings"], case["merges"], case["rows"]
     return d
 
 
@@ -1166,6 +1167,11 @@ def test_theorem2_report_counts_its_bindings():
     merges = [59, 75, 115, 59, 235, 75, 115, 251]
     assert [c.merges for c in rep.case_results] == merges
     assert [c["merges"] for c in rep.to_dict()["cases"]] == merges
+    # rows decided, one per distinct tuple of bound values: with e2 = 0 the
+    # runs x2^x3, (x2^-1)^x3 and x2^3 depend on t alone, so 5 of the 25
+    rows = [5, 5, 25, 5, 25, 5, 25, 25]
+    assert [c.rows for c in rep.case_results] == rows
+    assert [c["rows"] for c in rep.to_dict()["cases"]] == rows
 
 
 def test_theorem2_report_work(monkeypatch):
@@ -1175,7 +1181,9 @@ def test_theorem2_report_work(monkeypatch):
     # 18,648 of the 117,912 steps run.  With the runs per (t, s), that is
     # 0.655 seam merges and 0.200 powers per substitution; merging every
     # step made 3.24 and 2.06, and binding (x2, x3) without sharing 4.29
-    # and 3.06.
+    # and 3.06.  Each case runs a row of 17 values of x1 once per distinct
+    # tuple of bound values: 17 rows in each of the four cases with e2 = 0
+    # and 289 in the others.
     counts = {"merge": 0, "power": 0}
     real_merge, real_power = free_product._seam_merge, free_product.power_syllables
 
@@ -1194,6 +1202,8 @@ def test_theorem2_report_work(monkeypatch):
     n = rep.total_evaluations
     assert rep.ok and n == 8 * 17**3
     assert sum(c.merges for c in rep.case_results) == 18648
+    assert [c.rows for c in rep.case_results] == [17, 17, 289, 17, 289, 17, 289, 289]
+    assert sum(c.rows for c in rep.case_results) == 1224
     assert counts["merge"] <= 0.66 * n
     assert counts["power"] <= 0.2 * n
 
@@ -1283,6 +1293,48 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
             assert run(values) == evaluate(word, values).syllables
         assert not again or len(memo.steps) == merged
     assert len(memo.steps) <= len(set(bindings)) * len(program.steps)
+
+
+@pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
+                         ids=["p23", "s3z2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
+    # One memo, y values from two lists drawn from a small pool and
+    # bindings drawn from the same pool, so that rows repeat.  bind builds
+    # new lists, so reuse must come from interning by value: deciding every
+    # row again adds neither a row nor a step.
+    word = parse_word(data.draw(residual_texts(gens), label="word"), group)
+    pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
+    y = data.draw(st.sampled_from([1, 2, 3]), label="y")
+    index = st.integers(0, len(pool) - 1)
+    y_picks = st.lists(index, min_size=1, max_size=3)
+    y_lists = data.draw(st.lists(y_picks, min_size=1, max_size=2), label="y lists")
+    bindings = data.draw(
+        st.lists(st.tuples(st.integers(0, len(y_lists) - 1), index, index),
+                 min_size=1, max_size=10),
+        label="bindings")
+    program = words._Program(word.letters, group, y)
+    memo = words._Memo()
+    others = [i for i in (1, 2, 3) if i != y]
+    distinct = set()
+
+    for again in (False, True):
+        rows, merged = len(memo.rows), len(memo.steps)
+        for which, j2, j3 in bindings:
+            outer = dict(zip(others, (pool[j2], pool[j3])))
+            ys = [pool[j] for j in y_lists[which]]
+            y_values = [program.y_values(list(v.syllables), memo) for v in ys]
+            assignment = {i: v.syllables for i, v in outer.items()}
+            bound = program.bind(assignment, memo)
+            row = program.row(y_values, bound, memo)
+            distinct.add((tuple(v.syllables for v in ys), tuple(bound)))
+            plain = program.bind(assignment)
+            assert row == [tuple(program.run(program.y_values(v.syllables), plain)) for v in ys]
+            assert row == [evaluate(word, {y: v, **outer}).syllables for v in ys]
+        assert not again or (len(memo.rows), len(memo.steps)) == (rows, merged)
+    # one row per distinct tuple of y values and bound values
+    assert len(memo.rows) == len(distinct)
 
 
 def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
