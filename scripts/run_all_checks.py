@@ -83,6 +83,11 @@ CHECKS = [
     # compiled word merges its body once per tuple
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^2 x1 [x1,x2] = a",
       "--ball", "a;b", "--depth", "6", "--all"], 0),
+    # x2 occurs three times, once inside a power with exponent -2: the
+    # general path's compiled word refers to the step x2^-1 x1 squared and
+    # inverted; 22 solutions
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "(x2^-1 x1)^-2 x2 = b",
+      "--ball", "a;b", "--depth", "8", "--all"], 0),
     # x1 and x2 occur only as the product x1 x2: the 96,721 pairs of the
     # 311-element ball give 39,061 products, each decided once; all 3,096
     # solutions are still listed and re-checked

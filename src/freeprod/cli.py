@@ -163,9 +163,6 @@ def _cmd_check(args):
     t0 = time.perf_counter()
     ambient = _load_group(args.group)
     data = specfiles.parse_subgroup_spec(Path(args.subgroup).read_text(), ambient)
-    problems = checker.validate(data)
-    if problems:
-        raise problems[0]
     verdict = checker.check_all(data)
     vios = [_violation_dict(v, ambient) for v in verdict.violations]
     if verdict.passes_necessary:

@@ -96,7 +96,7 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
     c * core^k * c^-1, and for k < 0 it is (u^-1)^-k:
     - core of norm 0: u is the identity, and so is u^k;
     - core (f, e) of norm 1: the core is the syllable u[i], and u^k replaces
-      it by e^(k mod order), found by walking the factor's table;
+      it by e^k, found by square-and-multiply in the factor;
     - core of norm >= 2: the core is cyclically reduced, so its copies do not
       cancel and u^k = u[:i] + core * (k - 1) + u[i:] (u[i:] is one core
       followed by c^-1, merged at the seam when the scan merged a syllable).
@@ -112,13 +112,7 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
     if len(core) == 1:
         # No merged syllable: s = s[:i] + core + s[i + 1:], all reduced.
         (f, e), = core
-        table = factors[f].table
-        cycle = [0]
-        y = e
-        while y:
-            cycle.append(y)
-            y = table[y][e]
-        y = cycle[k % len(cycle)]
+        y = factors[f].power(e, k)
         return s[:i] + ((f, y),) + s[i + 1:] if y else ()
     size = len(s) + len(core) * (k - 1)
     if size > MAX_POWER_SYLLABLES:

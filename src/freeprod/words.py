@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterable, Mapping, Sequence
 
@@ -437,16 +437,11 @@ def _evaluate_syllables(
 # partial evaluation: a word compiled once, with one variable y left free
 
 
-def _merge_step(factors, vals: list, step) -> list:
-    """The value of one step (indices, refs): one seam merge of values in
-    ``vals``, those at ``indices`` when every exponent is 1 (``refs`` is
-    None), else those of the references (index, k) in ``refs``, each
-    powered by power_syllables unless k == 1."""
-    indices, refs = step
-    if refs is None:
-        pieces = [vals[i] for i in indices]
-    else:
-        pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in refs]
+def _merge_step(factors, vals, step) -> list:
+    """The value of one step: one seam merge of the values in ``vals`` of
+    its references (index, k), each powered by power_syllables unless
+    k == 1."""
+    pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in step]
     return _seam_merge(factors, [], pieces)
 
 
@@ -455,28 +450,6 @@ def _execute(factors, vals: list, steps) -> list:
     for step in steps:
         vals.append(_merge_step(factors, vals, step))
     return vals
-
-
-@dataclass(slots=True)
-class _Memo:
-    """The values one _Program has seen: ``values`` interns each reduced
-    syllable sequence as one tuple, ``steps`` maps a step's index and
-    the identities of its interned inputs to its interned value (so
-    ``len(steps)`` counts the steps merged), and ``rows`` maps the
-    identities of the interned values of y and of every run to the word's
-    values for those y (so ``len(rows)`` counts the rows decided).
-    ``values`` holds every value keyed by identity, so no identity is
-    reused while the memo lives; it also interns the tuple of y
-    identities a row is keyed by, so that the rows of one list of y
-    values share it."""
-
-    values: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
-    rows: dict = field(default_factory=dict)
-
-    def intern(self, sylls: Sequence) -> tuple:
-        sylls = tuple(sylls)
-        return self.values.setdefault(sylls, sylls)
 
 
 class _Program:
@@ -492,17 +465,18 @@ class _Program:
       binding of the other variables.
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
-      binding, and ``row`` for a list of values of y and one binding.
+      binding; a _Memo runs them over numbered values instead.
 
     Equal sub-words are one value, so a commutator used twice is merged
     once; a group (a Pow with k = 1) used once is spliced into its parent's
-    merge instead.  A reference to a sub-word applies the exponent of its
-    Pow with power_syllables, and (u^j)^k is u^(jk).  Each step is the
-    product of its references, so by associativity ``run`` gives exactly
-    the normal form ``evaluate`` gives for the same values.
+    merge instead.  Every step, pure or not, is a tuple of references
+    (index, k) to earlier values, each applying the exponent of its Pow
+    with power_syllables, and (u^j)^k is u^(jk).  A step is the product of
+    its references, so by associativity ``run`` gives exactly the normal
+    form ``evaluate`` gives for the same values.
     """
 
-    __slots__ = ("group", "consts", "pure", "runs", "steps", "inputs", "result", "needs_inverse")
+    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
@@ -596,65 +570,84 @@ class _Program:
         index = {i: n for n, i in enumerate([0, 1, *const_ids, *pure_ids, *run_ids, *step_ids])}
 
         def compiled(i: int) -> tuple:
-            pairs = tuple((index[j], k) for j, k in nodes[i][1])
-            if all(k == 1 for _, k in pairs):
-                return tuple(j for j, _ in pairs), None
-            return None, pairs
+            return tuple((index[j], k) for j, k in nodes[i][1])
 
         self.consts = [nodes[i][1] for i in const_ids]
         self.pure = [compiled(i) for i in pure_ids]
         self.runs = [nodes[i][1] for i in run_ids]
         self.steps = [compiled(i) for i in step_ids]
-        # each step's input indices, the memo's key for it
-        self.inputs = [
-            indices if refs is None else tuple(j for j, _ in refs) for indices, refs in self.steps
-        ]
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
 
-    def y_values(self, y: Sequence, memo: _Memo | None = None) -> list:
-        """y's part of the value list, for the reduced syllables ``y`` of y,
-        interned in ``memo`` if one is given."""
+    def y_values(self, y: Sequence) -> list:
+        """y's part of the value list, for the reduced syllables ``y`` of y."""
         factors = self.group.factors
         inverse = _inverse_syllables(factors, y) if self.needs_inverse else ()
-        vals = _execute(factors, [y, inverse, *self.consts], self.pure)
-        return vals if memo is None else list(map(memo.intern, vals))
+        return _execute(factors, [y, inverse, *self.consts], self.pure)
 
-    def bind(self, assignment, memo: _Memo | None = None) -> list:
+    def bind(self, assignment) -> list:
         """The runs' part of the value list, for a binding of every
-        variable but y to reduced syllable tuples, interned in ``memo`` if
-        one is given."""
+        variable but y to reduced syllable tuples."""
         cache: dict = {}
-        vals = [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
-        return vals if memo is None else list(map(memo.intern, vals))
+        return [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
 
-    def run(self, y_values: list, bound: list, memo: _Memo | None = None) -> Sequence:
-        """The word's value, as a reduced syllable sequence, from ``y_values``
-        and ``bound``; with a memo of this program that both are interned in,
-        each step is merged once per distinct tuple of its input values."""
-        factors = self.group.factors
-        vals = y_values + bound
-        if memo is None:
-            return _execute(factors, vals, self.steps)[self.result]
-        known = memo.steps
-        for n, inputs in enumerate(self.inputs):
-            key = (n, *[id(vals[i]) for i in inputs])
-            out = known.get(key)
-            if out is None:
-                out = known[key] = memo.intern(_merge_step(factors, vals, self.steps[n]))
-            vals.append(out)
-        return vals[self.result]
+    def run(self, y_values: list, bound: list) -> list:
+        """The word's value, as a reduced syllable list, from ``y_values``
+        and ``bound``."""
+        return _execute(self.group.factors, y_values + bound, self.steps)[self.result]
 
-    def row(self, y_lists: Sequence[list], bound: list, memo: _Memo) -> list:
-        """The word's values, one per entry of ``y_lists`` (each a y part
-        from ``y_values``), for the runs' values ``bound``: all interned in
-        ``memo``.  The row is run once per distinct tuple of the values of y
-        and of every run, and looked up after that; the list returned is
-        the memo's own."""
-        key = (memo.intern([id(y[0]) for y in y_lists]), *map(id, bound))
-        out = memo.rows.get(key)
+
+class _Memo:
+    """Value numbering for one _Program run over many bindings: ``number``
+    gives each distinct reduced syllable tuple a small int, and
+    ``values[n]`` is the tuple numbered n, so equal values have one number.
+    ``row`` works on numbers: ``steps`` maps a step's index and the numbers
+    of its inputs to the number of its value (so ``len(steps)`` counts the
+    steps merged), and ``rows`` maps the numbers of the values of y and of
+    every run to a row (so ``len(rows)`` counts the rows decided)."""
+
+    __slots__ = ("program", "inputs", "numbers", "values", "steps", "rows")
+
+    def __init__(self, program: _Program):
+        self.program = program
+        # each step's input indices, its key in ``steps`` with its index
+        self.inputs = [tuple(i for i, _ in step) for step in program.steps]
+        self.numbers: dict[tuple, int] = {}
+        self.values: list[tuple] = []
+        self.steps: dict[tuple, int] = {}
+        self.rows: dict[tuple, list[int]] = {}
+
+    def number(self, sylls: Sequence) -> int:
+        sylls = tuple(sylls)
+        n = self.numbers.get(sylls)
+        if n is None:
+            n = self.numbers[sylls] = len(self.values)
+            self.values.append(sylls)
+        return n
+
+    def row(self, y_lists: Sequence[list], bound: list) -> list:
+        """The numbers of the word's values, one per entry of ``y_lists``
+        (each a y part from ``y_values``, numbered), for the numbered runs'
+        values ``bound``.  The row is decided once per distinct tuple of the
+        values of y and of every run, and looked up after that, and each
+        step is merged once per distinct tuple of its input values; the
+        list returned is the memo's own."""
+        key = (tuple([y[0] for y in y_lists]), *bound)
+        out = self.rows.get(key)
         if out is None:
-            out = memo.rows[key] = [self.run(y, bound, memo) for y in y_lists]
+            program, known, values = self.program, self.steps, self.values
+            factors = program.group.factors
+            out = self.rows[key] = []
+            for y in y_lists:
+                nums = y + bound
+                for n, inputs in enumerate(self.inputs):
+                    step_key = (n, *[nums[i] for i in inputs])
+                    m = known.get(step_key)
+                    if m is None:
+                        merged = _merge_step(factors, [values[j] for j in nums], program.steps[n])
+                        m = known[step_key] = self.number(merged)
+                    nums.append(m)
+                out.append(nums[program.result])
         return out
 
 
@@ -1213,14 +1206,16 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), and three
     steps (the commutator [x1, x2^x3], shared by its two uses, the body
     x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per distinct
-    tuple of their input values, in a memo kept for one epsilon case.  The
-    row of values for all 2R+1 values of x1 is decided once per distinct
-    tuple of the runs' values: with e2 = 0 the runs depend on t alone, so
-    those four cases have 2R+1 rows (17 at R = 8) and the others (2R+1)^2
-    (289); ``rows`` counts them.  Equal inputs reuse an exact value, so
-    each value is the one a full evaluation gives; every substitution's
-    value is compared with the closed form and the target.  Mismatches and
-    target hits are reported in (k, t, s) order.
+    tuple of their input values, by a _Memo kept for one epsilon case that
+    numbers every value.  The row of values for all 2R+1 values of x1 is
+    decided once per distinct tuple of the runs' values: with e2 = 0 the
+    runs depend on t alone, so those four cases have 2R+1 rows (17 at
+    R = 8) and the others (2R+1)^2 (289); ``rows`` counts them.  Equal
+    inputs reuse an exact value, so each value is the one a full
+    evaluation gives.  The closed forms (ba)^n and the target are numbered
+    in the same memo, so every substitution's value is compared with both
+    by number, which is exact.  Mismatches and target hits are reported in
+    (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -1243,10 +1238,10 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     total = 0
     for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
         e1, e2, e3 = eps
-        memo = _Memo()
-        # interned with the values, so that equal values are identical
-        closed = {n: memo.intern(p.syllables) for n, p in powers.items()}
-        x1_values = [program.y_values(subs[k, e1], memo) for k in span]
+        memo = _Memo(program)
+        closed = {n: memo.number(p.syllables) for n, p in powers.items()}
+        goal = memo.number(target)
+        x1_values = [list(map(memo.number, program.y_values(subs[k, e1]))) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)
@@ -1254,18 +1249,18 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         count = bindings = 0
         for t in span:
             for s in span:
-                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]}, memo)
+                bound = list(map(memo.number, program.bind({2: subs[t, e2], 3: subs[s, e3]})))
                 bindings += 1
                 offset = ct * t + cs * s
-                for k, value in zip(span, program.row(x1_values, bound, memo)):
+                for k, value in zip(span, memo.row(x1_values, bound)):
                     count += 1
-                    if value is not closed[ck * k + offset]:
+                    if value != closed[ck * k + offset]:
                         mismatches.append((k, t, s))
-                    if value == target:
+                    if value == goal:
                         hits.append((k, t, s))
                     if variant is not None and variant_consistent:
                         vk, vt, vs = variant
-                        if value is not closed[vk * k + vt * t + vs * s]:
+                        if value != closed[vk * k + vt * t + vs * s]:
                             variant_consistent = False
         total += count
         target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))

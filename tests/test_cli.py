@@ -342,6 +342,18 @@ def test_cli_input_errors(capsys, tmp_path):
     assert cli.main(["eval", "--group", str(CASES / "p23.grp"), "--word", "z"]) == 2
     assert cli.main(["eval", "--group", "/nonexistent.grp", "--word", "a"]) == 2
     capsys.readouterr()
+    # decompositions that parse but break an invariant: check reports the
+    # first error checker.validate finds
+    sub = tmp_path / "bad.sub"
+    for text, message in (
+        ("free_rank: -1\npart: factor=0 gens=a", "free_rank must be nonnegative"),
+        ("free_rank: 0", "decomposition has no parts and no free part"),
+        ("part: factor=0 gens=1", "part 0: subgroup is trivial"),
+    ):
+        sub.write_text(text)
+        argv = ["check", "--group", str(CASES / "klein.grp"), "--subgroup", str(sub)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_huge_exponents(capsys):

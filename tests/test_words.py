@@ -1178,34 +1178,38 @@ def test_theorem2_report_work(monkeypatch):
     # The compiled word merges the commutator [x1, x2^x3] once for its two
     # uses and computes x1^3 once per value of x1, and each case's memo
     # merges each of its 3 steps once per distinct tuple of input values:
-    # 18,648 of the 117,912 steps run.  With the runs per (t, s), that is
-    # 0.655 seam merges and 0.200 powers per substitution; merging every
-    # step made 3.24 and 2.06, and binding (x2, x3) without sharing 4.29
-    # and 3.06.  Each case runs a row of 17 values of x1 once per distinct
-    # tuple of bound values: 17 rows in each of the four cases with e2 = 0
-    # and 289 in the others.
-    counts = {"merge": 0, "power": 0}
-    real_merge, real_power = free_product._seam_merge, free_product.power_syllables
+    # 18,648 of the 117,912 steps run.  With the runs per (t, s), the words
+    # module makes 25,725 seam merges and 7,653 powers, 0.65 and 0.19 per
+    # substitution (0.655 and 0.200 with free_product's own calls); merging
+    # every step made 3.24 and 2.06, and binding (x2, x3) without sharing
+    # 4.29 and 3.06.  Each case runs a row of 17 values of x1 once per
+    # distinct tuple of bound values: 17 rows in each of the four cases
+    # with e2 = 0 and 289 in the others.
+    counts = {}
+    reals = {name: getattr(free_product, name) for name in ("_seam_merge", "power_syllables")}
 
-    def merge(*args):
-        counts["merge"] += 1
-        return real_merge(*args)
+    def spy(module, name):
+        def counted(*args):
+            counts[module, name] = counts.get((module, name), 0) + 1
+            return reals[name](*args)
 
-    def power(*args):
-        counts["power"] += 1
-        return real_power(*args)
+        monkeypatch.setattr(module, name, counted)
 
     for module in (free_product, words):
-        monkeypatch.setattr(module, "_seam_merge", merge)
-        monkeypatch.setattr(module, "power_syllables", power)
+        for name in reals:
+            spy(module, name)
     rep = theorem2_report(8)
     n = rep.total_evaluations
     assert rep.ok and n == 8 * 17**3
     assert sum(c.merges for c in rep.case_results) == 18648
     assert [c.rows for c in rep.case_results] == [17, 17, 289, 17, 289, 17, 289, 289]
     assert sum(c.rows for c in rep.case_results) == 1224
-    assert counts["merge"] <= 0.66 * n
-    assert counts["power"] <= 0.2 * n
+    assert counts[words, "_seam_merge"] == 25725
+    assert counts[words, "power_syllables"] == 7653
+    merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
+    powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
+    assert merges <= 0.66 * n
+    assert powers <= 0.2 * n
 
 
 # -- partial evaluation: a word compiled once with y free ----------------------
@@ -1262,6 +1266,10 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
     assert_bind_matches_evaluate(twice, values, y)
 
 
+def numbered(memo, vals):
+    return list(map(memo.number, vals))
+
+
 @pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
                          ids=["p23", "s3z2"])
 @settings(max_examples=150, deadline=None)
@@ -1269,8 +1277,8 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
 def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
     # One memo for many bindings of values from a small pool, so that inputs
     # repeat.  bind builds new lists and y is passed as a new list, so reuse
-    # must come from interning by value: running every binding again merges
-    # nothing new.
+    # must come from numbering by value: running every binding again, with
+    # the rows forgotten, merges nothing new.
     word = parse_word(data.draw(residual_texts(gens), label="word"), group)
     pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
     y = data.draw(st.sampled_from([1, 2, 3]), label="y")
@@ -1278,16 +1286,17 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
     bindings = data.draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=10),
                          label="bindings")
     program = words._Program(word.letters, group, y)
-    memo = words._Memo()
+    memo = words._Memo(program)
 
     def run(values):
         outer = {i: v for i, v in values.items() if i != y}
-        y_values = program.y_values(list(values[y].syllables), memo)
-        bound = program.bind({i: v.syllables for i, v in outer.items()}, memo)
-        return tuple(program.run(y_values, bound, memo))
+        y_values = numbered(memo, program.y_values(list(values[y].syllables)))
+        bound = numbered(memo, program.bind({i: v.syllables for i, v in outer.items()}))
+        return memo.values[memo.row([y_values], bound)[0]]
 
     for again in (False, True):
         merged = len(memo.steps)
+        memo.rows.clear()
         for binding in bindings:
             values = {i: pool[j] for i, j in zip((1, 2, 3), binding)}
             assert run(values) == evaluate(word, values).syllables
@@ -1302,7 +1311,7 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
 def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
     # One memo, y values from two lists drawn from a small pool and
     # bindings drawn from the same pool, so that rows repeat.  bind builds
-    # new lists, so reuse must come from interning by value: deciding every
+    # new lists, so reuse must come from numbering by value: deciding every
     # row again adds neither a row nor a step.
     word = parse_word(data.draw(residual_texts(gens), label="word"), group)
     pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
@@ -1315,7 +1324,7 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
                  min_size=1, max_size=10),
         label="bindings")
     program = words._Program(word.letters, group, y)
-    memo = words._Memo()
+    memo = words._Memo(program)
     others = [i for i in (1, 2, 3) if i != y]
     distinct = set()
 
@@ -1324,12 +1333,11 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
         for which, j2, j3 in bindings:
             outer = dict(zip(others, (pool[j2], pool[j3])))
             ys = [pool[j] for j in y_lists[which]]
-            y_values = [program.y_values(list(v.syllables), memo) for v in ys]
+            y_values = [numbered(memo, program.y_values(list(v.syllables))) for v in ys]
             assignment = {i: v.syllables for i, v in outer.items()}
-            bound = program.bind(assignment, memo)
-            row = program.row(y_values, bound, memo)
-            distinct.add((tuple(v.syllables for v in ys), tuple(bound)))
             plain = program.bind(assignment)
+            row = [memo.values[n] for n in memo.row(y_values, numbered(memo, plain))]
+            distinct.add((tuple(v.syllables for v in ys), tuple(map(tuple, plain))))
             assert row == [tuple(program.run(program.y_values(v.syllables), plain)) for v in ys]
             assert row == [evaluate(word, {y: v, **outer}).syllables for v in ys]
         assert not again or (len(memo.rows), len(memo.steps)) == (rows, merged)
@@ -1340,16 +1348,17 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
 def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
     # (x1 x2)^2 x3 with y = x1 is two steps: x1 x2, then its square times
     # x3.  (a, b) and (a b, 1) give x1 x2 the same value, so with x3 the same
-    # the second step is merged once: the first step's values are interned.
+    # the second step is merged once: the first step's values are numbered.
     a, b, one = p23.generator("a"), p23.generator("b"), p23.identity()
     word = parse_word("(x1 x2)^2 x3", p23)
     program = words._Program(word.letters, p23, 1)
     assert len(program.steps) == 2
-    memo = words._Memo()
+    memo = words._Memo(program)
     for x1, x2 in ((a, b), (a * b, one), (a, b)):
         values = {1: x1, 2: x2, 3: b}
-        bound = program.bind({2: x2.syllables, 3: b.syllables}, memo)
-        value = program.run(program.y_values(x1.syllables, memo), bound, memo)
+        bound = numbered(memo, program.bind({2: x2.syllables, 3: b.syllables}))
+        y_values = numbered(memo, program.y_values(x1.syllables))
+        value = memo.values[memo.row([y_values], bound)[0]]
         assert value == evaluate(word, values).syllables
     assert len(memo.steps) == 3
     # without a memo, run gives the same value as a list
@@ -1383,7 +1392,7 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
     ]
     assert program.consts == [] and program.pure == []
     # values: y, y^-1, the three runs, then the steps
-    assert program.steps == [((0, 4), None), (None, ((2, 1), (0, 1), (3, 1), (5, -2)))]
+    assert program.steps == [((0, 1), (4, 1)), ((2, 1), (0, 1), (3, 1), (5, -2))]
     assert program.result == 6 and not program.needs_inverse
     # no y at all: the whole word is one run
     program = compiled("x2 a x3^2 b")
@@ -1394,19 +1403,19 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
     # a constant run is folded once; a power of y alone is a pure step
     program = compiled("x1 a b x1^-1 x1^3")
     assert program.consts == [(a * b).syllables] and program.runs == []
-    assert program.pure == [(None, ((0, 3),)), ((0, 2, 1, 3), None)]
+    assert program.pure == [((0, 3),), ((0, 1), (2, 1), (1, 1), (3, 1))]
     assert program.needs_inverse and program.steps == [] and program.result == 4
     # the Theorem-2 word: x1^3 once per value of x1, three runs per (x2, x3),
     # and one merge each for the shared commutator, the first power's body
     # and the whole word
     program = compiled(words.THEOREM2_WORD_TEXT)
-    assert program.pure == [(None, ((0, 3),))]
+    assert program.pure == [((0, 3),)]
     assert len(program.runs) == 3 and len(program.steps) == 3
-    assert program.steps[0] == ((0, 3, 1, 4), None)
-    assert program.steps[2] == (None, ((7, 2), (6, 3)))
+    assert program.steps[0] == ((0, 1), (3, 1), (1, 1), (4, 1))
+    assert program.steps[2] == ((7, 2), (6, 3))
     # a group and its inverse share one body
     program = compiled("[x1, x2] x3 [x1, x2]^-1")
-    assert program.steps == [((0, 2, 1, 3), None), (None, ((5, 1), (4, 1), (5, -1)))]
+    assert program.steps == [((0, 1), (2, 1), (1, 1), (3, 1)), ((5, 1), (4, 1), (5, -1))]
     with pytest.raises(UnboundVariableError):
         compiled("x1 x2").bind({})
 
