@@ -10,9 +10,12 @@ other than its documented verdict.  Useful as a quick end-to-end smoke run:
 import sys
 from pathlib import Path
 
-from freeprod import cli
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-CASES = Path(__file__).resolve().parent.parent / "cases"
+from freeprod import cli  # noqa: E402
+
+CASES = ROOT / "cases"
 
 # (argv, expected exit code)
 CHECKS = [
@@ -113,6 +116,9 @@ CHECKS = [
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a",
       "--ball", "a;b", "--depth", "-1"], 2),
     (["verify-lemma4", "--group", str(CASES / "p23.grp"), "--trials", "-1"], 2),
+    # a ball part in a factor the group does not have: an input error
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a",
+      "--ball", "factor=9 gens=1"], 2),
 ]
 
 

@@ -7,7 +7,6 @@ the geometry of the action on the associated tree.
 
 from .checker import (
     KuroshData,
-    Part,
     Verdict,
     Violation,
     check_all,
@@ -30,6 +29,7 @@ from .free_product import (
     CyclicReduction,
     FPElement,
     FreeProduct,
+    Part,
     enumerate_ball,
 )
 from .tree import (

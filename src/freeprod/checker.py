@@ -1,9 +1,11 @@
 """Necessary-condition checks on a decomposition of a subgroup.
 
 A subgroup of a free product is presented as a free rank plus a list of
-parts (factor index, subgroup of that factor, conjugator).  The checks are
-necessary for the subgroup to be verbally closed, never sufficient, so a
-passing verdict is always reported as inconclusive:
+parts, each a free_product.Part (factor index, subgroup of that factor,
+conjugator), the type balls are built from.  validate checks every part
+with free_product._check_part, the check Ball and enumerate_ball make.
+The checks are necessary for the subgroup to be verbally closed, never
+sufficient, so a passing verdict is always reported as inconclusive:
 
   condition 1: the free rank is zero;
   condition 2: no two same-factor parts admit a common "cyclic witness"
@@ -16,36 +18,13 @@ passing verdict is always reported as inconclusive:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    BadFactorIndexError,
-    GroupError,
-    MixedAmbientError,
-    NotASubgroupError,
-    TrivialSubgroupError,
-)
-from .free_product import FPElement, FreeProduct
+from .errors import GroupError, MixedAmbientError
+from .free_product import FPElement, FreeProduct, Part, _check_part
 
 CONDITION1 = "condition1"
 CONDITION2 = "condition2"
-
-
-@dataclass(frozen=True)
-class Part:
-    """One conjugated-subgroup part: subgroup of factors[factor], conjugated
-    by an arbitrary ambient element."""
-
-    factor: int
-    subgroup: tuple[int, ...]
-    conjugator: FPElement
-
-    @classmethod
-    def of(
-        cls, ambient: FreeProduct, factor: int, gens: Iterable[int], conj: FPElement | None = None
-    ) -> Part:
-        sub = ambient.factors[factor].generated_subgroup(gens)
-        return cls(factor, sub, conj if conj is not None else ambient.identity())
 
 
 @dataclass(frozen=True)
@@ -78,19 +57,6 @@ class Violation:
     k2: int | None = None
     free_rank: int | None = None
 
-    def describe(self, ambient: FreeProduct) -> str:
-        if self.kind == CONDITION1:
-            return f"free part has rank {self.free_rank}, expected 0"
-        g = ambient.factors[self.factor]
-        fw = " ".join(g.element_words[self.witness_f]) or "1"
-        gw = " ".join(g.element_words[self.witness_g]) or "1"
-        j1, j2 = self.part_indices
-        return (
-            f"parts {j1} and {j2} in factor {self.factor}: "
-            f"f = {fw} with f^{self.k1} in part {j1} and f^{self.k2} in "
-            f"conjugate of part {j2} by g = {gw}"
-        )
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -109,29 +75,19 @@ class Verdict:
 
 
 def validate(data: KuroshData) -> list[GroupError]:
-    """Collect every Part invariant violation (empty list means ok)."""
+    """Collect every invariant violation (empty list means ok); for each
+    part, the first one it breaks (see free_product._check_part), as
+    ``part j: ...``."""
     errors: list[GroupError] = []
-    n = len(data.ambient.factors)
     if data.free_rank < 0:
         errors.append(GroupError("free_rank must be nonnegative"))
     if not data.parts and data.free_rank == 0:
         errors.append(GroupError("decomposition has no parts and no free part"))
     for j, part in enumerate(data.parts):
-        if not 0 <= part.factor < n:
-            errors.append(BadFactorIndexError(f"part {j}: factor {part.factor} out of range"))
-            continue
-        g = data.ambient.factors[part.factor]
         try:
-            ok = g.is_subgroup(part.subgroup)
+            _check_part(data.ambient, part)
         except GroupError as exc:
-            errors.append(exc)
-            continue
-        if not ok:
-            errors.append(NotASubgroupError(f"part {j}: {list(part.subgroup)} is not a subgroup"))
-        elif len(set(part.subgroup)) < 2:
-            errors.append(TrivialSubgroupError(f"part {j}: subgroup is trivial"))
-        if not isinstance(part.conjugator, FPElement) or part.conjugator.group is not data.ambient:
-            errors.append(MixedAmbientError(f"part {j}: conjugator not in the ambient group"))
+            errors.append(type(exc)(f"part {j}: {exc}"))
     for basis_elem in data.free_basis:
         if basis_elem.group is not data.ambient:
             errors.append(MixedAmbientError("free basis element not in the ambient group"))
@@ -190,8 +146,9 @@ def _pair_witness(group, sub1: Sequence[int], sub2: Sequence[int]):
 def _same_factor_pairs(data: KuroshData):
     """Each ordered pair of distinct part positions in one factor, as
     (factor group, j1, part j1, j2, part j2), in position order."""
-    for j1, p1 in enumerate(data.parts):
-        for j2, p2 in enumerate(data.parts):
+    parts = [Part(*p) for p in data.parts]  # plain triples allowed
+    for j1, p1 in enumerate(parts):
+        for j2, p2 in enumerate(parts):
             if j1 != j2 and p1.factor == p2.factor:
                 yield data.ambient.factors[p1.factor], j1, p1, j2, p2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadFactorIndexError,
@@ -297,7 +298,7 @@ class FreeProduct:
 
     def _check_factor(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < len(self.factors):
-            raise BadFactorIndexError(f"factor index {i!r} out of range")
+            raise BadFactorIndexError(f"factor {i!r} out of range")
 
 
 class FPElement:
@@ -445,50 +446,77 @@ class CyclicReduction:
         return self.conjugator * self.core * self.conjugator.inverse()
 
 
-def _part_syllables(
-    group: FreeProduct, parts: Sequence[tuple[int, Iterable[int], FPElement]]
-) -> list[list[tuple[Syllable, ...]]]:
-    """Validate ball parts and return, per part, the normal forms of its
-    nonidentity elements conjugator * h * conjugator^-1."""
-    part_elems: list[list[tuple[Syllable, ...]]] = []
-    for factor, subgroup, conj in parts:
+class Part(NamedTuple):
+    """One part of a subgroup decomposition or of a ball: the subgroup
+    ``subgroup`` (element ids) of ``factors[factor]``, conjugated by the
+    ambient element ``conjugator``.  A plain (factor, subgroup, conjugator)
+    triple works wherever a Part is expected."""
+
+    factor: int
+    subgroup: tuple[int, ...]
+    conjugator: FPElement
+
+    @classmethod
+    def of(
+        cls, group: FreeProduct, factor: int, gens: Iterable[int], conj: FPElement | None = None
+    ) -> Part:
+        """The subgroup generated by ``gens`` in factor ``factor`` (range
+        checked), conjugated by ``conj``, the identity by default."""
         group._check_factor(factor)
-        g = group.factors[factor]
-        sub = tuple(sorted(set(subgroup)))
-        if not g.is_subgroup(sub):
-            raise NotASubgroupError(f"{list(sub)} is not a subgroup of factor {factor}")
-        if len(sub) < 2:
-            raise TrivialSubgroupError("ball parts must be nontrivial subgroups")
-        if not isinstance(conj, FPElement) or conj.group is not group:
-            raise MixedAmbientError("part conjugator must be an ambient element")
+        sub = group.factors[factor].generated_subgroup(gens)
+        return cls(factor, sub, conj if conj is not None else group.identity())
+
+
+def _check_part(group: FreeProduct, part: Part) -> None:
+    """Raise the first invariant ``part`` breaks: its factor is in range,
+    its subgroup is closed and nontrivial, and its conjugator lies in
+    ``group``."""
+    factor, subgroup, conj = part
+    group._check_factor(factor)
+    if not group.factors[factor].is_subgroup(subgroup):
+        raise NotASubgroupError(f"{sorted(set(subgroup))} is not a subgroup of factor {factor}")
+    if len(set(subgroup)) < 2:
+        raise TrivialSubgroupError("subgroup is trivial")
+    if not isinstance(conj, FPElement) or conj.group is not group:
+        raise MixedAmbientError("conjugator not in the ambient group")
+
+
+def _part_syllables(group: FreeProduct, parts: Sequence[Part]) -> list[list[tuple[Syllable, ...]]]:
+    """Check each part (see _check_part) and return, per part, the normal
+    forms of its nonidentity elements conjugator * h * conjugator^-1."""
+    part_elems: list[list[tuple[Syllable, ...]]] = []
+    for part in parts:
+        _check_part(group, part)
+        factor, subgroup, conj = part
         cinv = conj.inverse()
-        part_elems.append(
-            [(conj * group.factor_element(factor, h) * cinv).syllables for h in sub if h != 0]
-        )
+        part_elems.append([
+            (conj * group.factor_element(factor, h) * cinv).syllables
+            for h in sorted(set(subgroup)) if h != 0
+        ])
     return part_elems
 
 
 def enumerate_ball(
     group: FreeProduct,
-    parts: Sequence[tuple[int, Iterable[int], FPElement]],
+    parts: Sequence[Part],
     depth: int,
 ) -> list[FPElement]:
     """All products of up to ``depth`` nontrivial part elements.
 
-    Each part is (factor index, subgroup id set, conjugator); its elements
-    are conjugator * h * conjugator^-1 for nonidentity h.  Consecutive
-    elements of a product must come from different parts.  Results are
-    normal forms, deduplicated (first occurrence wins) and returned in
-    length-lexicographic order of the (part, element) index sequences, so
-    the output is correct even when the parts fail to generate an actual
-    free product.
+    Each part is a Part (factor index, subgroup id set, conjugator); its
+    elements are conjugator * h * conjugator^-1 for nonidentity h.
+    Consecutive elements of a product must come from different parts.
+    Results are normal forms, deduplicated (first occurrence wins) and
+    returned in length-lexicographic order of the (part, element) index
+    sequences, so the output is correct even when the parts fail to
+    generate an actual free product.
     """
     return [FPElement(group, v) for v in _ball_elements(group, parts, depth)]
 
 
 def _ball_elements(
     group: FreeProduct,
-    parts: Sequence[tuple[int, Iterable[int], FPElement]],
+    parts: Sequence[Part],
     depth: int,
 ) -> Iterator[tuple[Syllable, ...]]:
     """The normal forms of ``enumerate_ball(group, parts, depth)`` in its
@@ -557,10 +585,10 @@ class Ball(Sequence):
     def __init__(
         self,
         group: FreeProduct,
-        parts: Sequence[tuple[int, Iterable[int], FPElement]],
+        parts: Sequence[Part],
         depth: int,
     ):
-        self.parts = [(factor, tuple(subgroup), conj) for factor, subgroup, conj in parts]
+        self.parts = [Part(factor, tuple(subgroup), conj) for factor, subgroup, conj in parts]
         _part_syllables(group, self.parts)
         self.group = group
         self.depth = depth

@@ -1,4 +1,4 @@
-"""Plain-text spec files for groups and subgroup decompositions.
+"""Plain-text spec files for groups, subgroup decompositions and balls.
 
 Group spec grammar (line oriented, '#' starts a comment):
 
@@ -15,16 +15,22 @@ Subgroup spec:
     free_rank: <n>
     part: factor=<i> gens=<word>,<word> conj=<word>
 
-Each gens word must evaluate into the named factor; conj is any ambient
-word ('1' or omitted for the identity).
+Ball spec (``solve --ball``): ';'-separated parts, each either the
+key=value form of a ``part:`` line or ``<word>,<word>[@<conj word>]``.
+
+One parser turns the parts of both grammars into free_product.Part values.
+It range-checks a named factor first; each gens word must then evaluate
+into that factor, or in the ``@`` form into the factor of the first word
+that is not the identity.  conj is any ambient word ('1' or omitted for
+the identity).
 """
 
 from __future__ import annotations
 
 import re
 
-from .checker import KuroshData, Part
-from .errors import BadFactorIndexError, ForeignElementError, SpecSyntaxError
+from .checker import KuroshData
+from .errors import ForeignElementError, SpecSyntaxError
 from .finite_group import (
     FiniteGroup,
     direct_product,
@@ -32,7 +38,7 @@ from .finite_group import (
     make_cyclic,
     make_dihedral_reflections,
 )
-from .free_product import FreeProduct
+from .free_product import FreeProduct, Part
 from .words import parse_constant
 
 
@@ -141,15 +147,24 @@ def parse_group_spec(text: str) -> FreeProduct:
 _PART_RE = re.compile(r"factor=(\d+)\s+gens=(\S+)(?:\s+conj=(\S+))?")
 
 
-def _factor_element_id(ambient: FreeProduct, factor: int, word: str) -> int:
-    value = parse_constant(word, ambient)
-    if value.is_identity:
-        return 0
-    if value.norm != 1 or value.syllables[0][0] != factor:
-        raise ForeignElementError(
-            f"word {word!r} does not evaluate into factor {factor}"
-        )
-    return value.syllables[0][1]
+def _part(ambient: FreeProduct, factor: int | None, gens: str, conj: str | None) -> Part:
+    """The Part generated by the comma-separated words ``gens``, conjugated
+    by the word ``conj`` (the identity when empty or None).  Each generator
+    must evaluate into factor ``factor``, range-checked first; with None,
+    into the factor of the first one that is not the identity."""
+    if factor is not None:
+        ambient._check_factor(factor)
+    ids = []
+    for word in gens.split(","):
+        sylls = parse_constant(word, ambient).syllables
+        if factor is None and sylls:
+            factor = sylls[0][0]
+        if len(sylls) > 1 or (sylls and sylls[0][0] != factor):
+            raise ForeignElementError(f"word {word!r} does not evaluate into factor {factor}")
+        ids.append(sylls[0][1] if sylls else 0)
+    if factor is None:
+        raise SpecSyntaxError(f"part generators {gens!r} are all the identity")
+    return Part.of(ambient, factor, ids, parse_constant(conj, ambient) if conj else None)
 
 
 def parse_subgroup_spec(text: str, ambient: FreeProduct) -> KuroshData:
@@ -168,25 +183,13 @@ def parse_subgroup_spec(text: str, ambient: FreeProduct) -> KuroshData:
             m = _PART_RE.fullmatch(rest)
             if not m:
                 raise SpecSyntaxError(f"bad part line {line!r}")
-            factor = int(m.group(1))
-            if not 0 <= factor < len(ambient.factors):
-                raise BadFactorIndexError(f"factor {factor} out of range")
-            gen_ids = [
-                _factor_element_id(ambient, factor, w)
-                for w in m.group(2).split(",")
-            ]
-            conj = (
-                parse_constant(m.group(3), ambient)
-                if m.group(3)
-                else ambient.identity()
-            )
-            parts.append(Part.of(ambient, factor, gen_ids, conj))
+            parts.append(_part(ambient, int(m.group(1)), m.group(2), m.group(3)))
         else:
             raise SpecSyntaxError(f"unknown line {line!r} in subgroup spec")
     return KuroshData(ambient, free_rank, tuple(parts))
 
 
-def parse_ball_spec(text: str, ambient: FreeProduct):
+def parse_ball_spec(text: str, ambient: FreeProduct) -> list[Part]:
     """Parts for enumerate_ball from a ';'-separated list.
 
     Each part is either ``<gens>[@<conj word>]`` with comma-separated
@@ -196,38 +199,14 @@ def parse_ball_spec(text: str, ambient: FreeProduct):
     parts = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         if "=" in chunk:
             m = _PART_RE.fullmatch(chunk)
             if not m:
                 raise SpecSyntaxError(f"bad ball part {chunk!r}")
-            factor = int(m.group(1))
-            gens_text, conj_text = m.group(2), m.group(3)
-        else:
-            gens_text, _, conj_text = chunk.partition("@")
-            factor = None
-        gen_values = [parse_constant(w, ambient) for w in gens_text.split(",")]
-        if factor is None:
-            factors_hit = {s[0] for v in gen_values for s in v.syllables}
-            if len(factors_hit) != 1:
-                raise SpecSyntaxError(
-                    f"ball part {chunk!r} must generate inside a single factor"
-                )
-            factor = factors_hit.pop()
-        gen_ids = []
-        for v in gen_values:
-            if v.is_identity:
-                gen_ids.append(0)
-            elif v.norm == 1 and v.syllables[0][0] == factor:
-                gen_ids.append(v.syllables[0][1])
-            else:
-                raise ForeignElementError(
-                    f"ball part generator {v.as_word()!r} is not in factor {factor}"
-                )
-        conj = parse_constant(conj_text, ambient) if conj_text else ambient.identity()
-        subgroup = ambient.factors[factor].generated_subgroup(gen_ids)
-        parts.append((factor, subgroup, conj))
+            parts.append(_part(ambient, int(m.group(1)), m.group(2), m.group(3)))
+        elif chunk:
+            gens, _, conj = chunk.partition("@")
+            parts.append(_part(ambient, None, gens, conj))
     if not parts:
         raise SpecSyntaxError("ball spec is empty")
     return parts

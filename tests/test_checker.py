@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from freeprod import checker
 from freeprod.checker import CONDITION1, CONDITION2, KuroshData, Part
 from freeprod.errors import (
     BadFactorIndexError,
+    MixedAmbientError,
     NotASubgroupError,
     TrivialSubgroupError,
 )
@@ -12,7 +15,7 @@ from freeprod.finite_group import (
     make_cyclic,
     make_dihedral_reflections,
 )
-from freeprod.free_product import FreeProduct
+from freeprod.free_product import Ball, FreeProduct
 
 
 def example1_data(s3z2):
@@ -81,6 +84,26 @@ def test_validate_bad_factor_index(s3z2):
     assert any(isinstance(e, BadFactorIndexError) for e in errors)
 
 
+_P22 = FreeProduct([make_cyclic(2, "p"), make_cyclic(2, "q")])
+
+
+@pytest.mark.parametrize("broken, error", [
+    (lambda g: Part(5, (0, 1), g.identity()), BadFactorIndexError),
+    (lambda g: Part(0, (0, *[e for _, e in g.factors[0].generators]), g.identity()),
+     NotASubgroupError),
+    (lambda g: Part(0, (0,), g.identity()), TrivialSubgroupError),
+    (lambda g: Part(1, (0, 1), _P22.identity()), MixedAmbientError),
+], ids=["factor", "closed", "nontrivial", "conjugator"])
+def test_validate_and_ball_report_the_same_error(s3z2, broken, error):
+    # one check of a part's invariants serves the decomposition and the ball
+    parts = [Part.of(s3z2, 1, [1]), broken(s3z2)]
+    errors = checker.validate(KuroshData(s3z2, 0, tuple(parts)))
+    assert [type(e) for e in errors] == [error]
+    assert str(errors[0]).startswith("part 1: ")
+    with pytest.raises(error):
+        Ball(s3z2, parts, 1)
+
+
 # -- condition 1 ------------------------------------------------------------
 
 
@@ -107,6 +130,9 @@ def test_condition2_example1_witness(s3z2):
     assert first.k1 == first.k2 == 1
     # the conjugated subgroup really is <a>
     assert d3.conjugate_subgroup(d3.generated_subgroup([b]), first.witness_g) == (0, a)
+    # plain (factor, subgroup, conjugator) triples work as parts
+    triples = KuroshData(s3z2, 0, tuple(tuple(p) for p in example1_data(s3z2).parts))
+    assert checker.check_all(triples) == checker.check_all(example1_data(s3z2))
 
 
 def test_condition2_example2_witness(z6z2):

@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 
 from freeprod import cli, free_product, specfiles
+from freeprod.free_product import Part
 from freeprod.errors import (
+    BadFactorIndexError,
     ForeignElementError,
     OrderTooSmallError,
     SpecSyntaxError,
@@ -90,6 +92,10 @@ def test_parse_ball_spec(z6z2):
     assert parts[1][2] == z6z2.generator("c")
     kv = specfiles.parse_ball_spec("factor=0 gens=a conj=1; factor=0 gens=b conj=c", z6z2)
     assert [(p[0], p[1]) for p in kv] == [(p[0], p[1]) for p in parts]
+    # both forms go through one part parser, which range-checks the factor
+    assert kv[1] == parts[1] == Part.of(z6z2, 0, [z6z2.generator_map["b"][1]], z6z2.generator("c"))
+    with pytest.raises(BadFactorIndexError):
+        specfiles.parse_ball_spec("factor=9 gens=1", z6z2)
 
 
 # -- word round trip ----------------------------------------------------------
@@ -343,12 +349,14 @@ def test_cli_input_errors(capsys, tmp_path):
     assert cli.main(["eval", "--group", "/nonexistent.grp", "--word", "a"]) == 2
     capsys.readouterr()
     # decompositions that parse but break an invariant: check reports the
-    # first error checker.validate finds
+    # first error checker.validate finds; a factor out of range is found
+    # by the parser, before it reads the part's words
     sub = tmp_path / "bad.sub"
     for text, message in (
         ("free_rank: -1\npart: factor=0 gens=a", "free_rank must be nonnegative"),
         ("free_rank: 0", "decomposition has no parts and no free part"),
         ("part: factor=0 gens=1", "part 0: subgroup is trivial"),
+        ("part: factor=9 gens=a", "factor 9 out of range"),
     ):
         sub.write_text(text)
         argv = ["check", "--group", str(CASES / "klein.grp"), "--subgroup", str(sub)]
@@ -571,6 +579,69 @@ def test_cli_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error (ValueError: not a recognised state)\n"
+
+
+# -- the exit-code contract on malformed input ----------------------------------
+
+_FUZZ_TOKENS = ["a", "b", "c", "d", "1", "x1", "x2", "z", "(", ")", "[", "]", ",", "^", "-",
+                "2", "9", "0", " ", "@", "=", ";", ":", "#", "é", "factor=", "gens=", "conj="]
+
+
+def _fuzz_word(rng):
+    """A valid word with one token put in, or a string of up to 10 tokens."""
+    if rng.random() < 0.5:
+        word = rng.choice(["a b", "(a b)^3", "[a, b]^2", "b^-1 a", "a^b c"])
+        i = rng.randint(0, len(word))
+        return word[:i] + rng.choice(_FUZZ_TOKENS) + word[i:]
+    return "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 10)))
+
+
+def _fuzz_part(rng):
+    """One part of a ball or subgroup spec: the key=value form or the @ form,
+    with malformed pieces."""
+    gens = ",".join(rng.choice(["a", "b", "c", "1", "a b", _fuzz_word(rng)])
+                    for _ in range(rng.randint(1, 3)))
+    conj = rng.choice(["", "c", "1", "a b", _fuzz_word(rng)])
+    if rng.random() < 0.5:
+        factor = rng.choice(["0", "1", "2", "9", "x", ""])
+        return f"factor={factor} gens={gens}" + (f" conj={conj}" if conj else "")
+    return gens + (f"@{conj}" if conj else "")
+
+
+def _fuzz_subgroup_spec(rng):
+    lines = [rng.choice([f"free_rank: {rng.choice(['0', '1', '-1', 'x', ''])}",
+                         f"part: {_fuzz_part(rng)}", _fuzz_word(rng)])
+             for _ in range(rng.randint(0, 3))]
+    return "\n".join(lines)
+
+
+def test_cli_malformed_input_exits_0_1_or_2(capsys, tmp_path):
+    # Seeded malformed --ball texts, subgroup spec files and words: every run
+    # ends in exit 0, 1 or 2 (never 3, an internal error), and an input error
+    # prints exactly one line on stderr and nothing on stdout.
+    rng = random.Random(16)
+    groups = [str(CASES / name) for name in ("p23.grp", "example1.grp", "example2.grp",
+                                              "klein.grp")]
+    runs = [["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a",
+             "--ball", "factor=9 gens=1"]]
+    for i in range(600):
+        group = rng.choice(groups)
+        ball = ";".join(_fuzz_part(rng) for _ in range(rng.randint(0, 3)))
+        runs.append(["solve", "--group", group, "--eq", rng.choice(["x1 = a", "[x1,x2] = 1"]),
+                     f"--ball={ball}", "--depth", str(rng.randint(0, 2))])
+        path = tmp_path / f"fuzz{i}.sub"
+        path.write_text(_fuzz_subgroup_spec(rng))
+        runs.append(["check", "--group", group, "--subgroup", str(path)])
+        command = rng.choice(["eval", "order", "reduce", "axis"])
+        runs.append([command, "--group", group, f"--word={_fuzz_word(rng)}"])
+        runs.append(["solve", "--group", group, f"--eq={_fuzz_word(rng)} = {_fuzz_word(rng)}",
+                     "--ball", "a;b" if group == groups[0] else "a;c", "--depth", "1"])
+    for argv in runs:
+        code = cli.main(argv + rng.choice([[], ["--json"]]))
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, captured.err)
+        if code == 2:
+            assert captured.out == "" and len(captured.err.splitlines()) == 1, argv
 
 
 def test_importing_freeprod_makes_cli_an_attribute():

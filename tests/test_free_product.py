@@ -770,6 +770,8 @@ def test_ball_rejects_bad_parts_when_made(p23, s3z2):
         Ball(p23, [(1, (0, 1), one)], 1)
     with pytest.raises(MixedAmbientError):
         Ball(p23, [(0, (0, 1), s3z2.identity())], 1)
+    with pytest.raises(BadFactorIndexError):
+        Ball(p23, [(2, (0, 1), one)], 1)
     ball = Ball(p23, [(0, (0, 1), one)], 3)
     assert s3z2.identity() not in ball and "a" not in ball
     assert ball.membership_queries == 0
