@@ -341,6 +341,75 @@ def test_cli_axis(capsys):
     assert report["witnesses"][0] == {"type": "elliptic", "fixed_vertex": "C0:b"}
 
 
+# The exact text (no --json) of every subcommand: argv with group and
+# subgroup files named by their stem in cases/, exit code, stdout.
+GOLDEN_TEXT = [
+    (["eval", "--group", "p23", "--word", "a b b"], 0, "a b b  ->  a b^2   (norm 2)\n"),
+    (["order", "--group", "p23", "--word", "b"], 0, "order(b) = 3\n"),
+    # above the power cap: the order is read from the base
+    (["order", "--group", "p23", "--word", "(a b)^6833241672693788912"], 0,
+     "order((a b)^6833241672693788912) = infinite\n"),
+    (["reduce", "--group", "p23", "--word", "b a b^2"], 0,
+     "b a b^2 = c * core * c^-1 with c = b, core = a (norm 1)\n"),
+    (["check", "--group", "example1", "--subgroup", "example1"], 1,
+     "fails the necessary conditions:\n"
+     "  parts 0 and 1 in factor 0: f = a with f^1 in part 0 and f^1 in conjugate of part 1 "
+     "by g = b a\n"
+     "  parts 1 and 0 in factor 0: f = b with f^1 in part 1 and f^1 in conjugate of part 0 "
+     "by g = a b\n"),
+    (["check", "--group", "klein", "--subgroup", "klein"], 0,
+     "passes the necessary conditions (inconclusive: they are not sufficient)\n"),
+    (["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b", "--depth", "1"], 0,
+     "solution in the depth-1 ball (4 elements):\n  x1 = 1, x2 = 1\n"),
+    (["solve", "--group", "p23", "--eq", "x1^2 = a b", "--ball", "a;b", "--depth", "2"], 1,
+     "no solution among the 8 ball elements (depth 2)\n"),
+    # answered by membership alone: the ball is never built
+    (["solve", "--group", "example2", "--eq", "x1 = c a c b", "--ball", "a,b;a,b@c",
+      "--depth", "2"], 0, "solution in the depth-2 ball:\n  x1 = c a c b\n"),
+    (["solve", "--group", "example2", "--eq", "x1 = c", "--ball", "a,b;a,b@c", "--depth", "2"],
+     1, "no solution in the depth-2 ball\n"),
+    (["verify-theorem2", "--range", "2"], 0,
+     "1000 evaluations over k,t,s in [-2,2]: all case formulas confirmed, 0 matches against "
+     "the target\n"
+     "  note: case (1, 1, 0) sign-variant (-4, 4, -4) is excluded by direct evaluation; "
+     "verified form is (4, -4, -4)\n"
+     "  note: case (1, 1, 1) sign-variant (-4, 0, 4) is excluded by direct evaluation; "
+     "verified form is (4, 0, -4)\n"),
+    (["verify-lemma4", "--group", "p23", "--trials", "5", "--seed", "1"], 0,
+     "5 construction(s) verified, 1 infinite-order coefficient(s) checked against "
+     "cyclic-power substitutions (|n| <= 20): ok\n"),
+    (["verify-lemma4", "--group", "p23", "--trials", "5", "--f", "a b"], 0,
+     "1 construction(s) verified, 1 infinite-order coefficient(s) checked against "
+     "cyclic-power substitutions (|n| <= 20): ok\n"),
+    (["verify-lemma5", "--group", "example2", "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2",
+      "--depth", "2"], 0,
+     "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
+     "(8 elements): no F = x1 x2 in B_4 (22 values) has a solution; by B_2*B_2 = B_4 this "
+     "covers all 64 pairs\n"),
+    (["verify-lemma5", "--group", "example2", "--f", "b a b", "--g", "c", "--k1", "3",
+      "--k2", "2", "--depth", "2"], 0,
+     "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
+     "(8 elements): no solution\n"),
+    (["verify-lemma7", "--group", "p23", "--trials", "20", "--seed", "3"], 0,
+     "20 trials: core norm exceeded (N1+N2-4)*|A| in all cases (min margin 4)\n"),
+    (["axis", "--group", "p23", "--word", "b a b^2"], 0, "b a b^2 is elliptic; fixes C0:b\n"),
+    (["axis", "--group", "p23", "--word", "a b", "--window", "1"], 0,
+     "a b is hyperbolic; translation length 4 edges\n"
+     "axis window: E:b^2 a  C0:b^2  E:b^2  C1:1  E:1  C0:1  E:a  C1:a  E:a b  C0:a b  "
+     "E:a b a  C1:a b a\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", GOLDEN_TEXT,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _, _) in enumerate(GOLDEN_TEXT)])
+def test_cli_text_output_is_pinned(capsys, argv, code, out):
+    argv = [str(CASES / f"{a}.grp") if flag == "--group" else
+            str(CASES / f"{a}.sub") if flag == "--subgroup" else a
+            for flag, a in zip([None] + argv, argv)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_cli_input_errors(capsys, tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_text("factors: cyclic 1\nlabels: a")
