@@ -119,6 +119,10 @@ CHECKS = [
     # a ball part in a factor the group does not have: an input error
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 = a",
       "--ball", "factor=9 gens=1"], 2),
+    # f = a b has order 6, so --k1 6 makes the ball part <f^6> trivial: an
+    # input error that names the argument
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "c", "--k1", "6", "--k2", "2", "--depth", "2"], 2),
 ]
 
 

@@ -102,9 +102,11 @@ def _require_valid(data: KuroshData) -> None:
 
 def check_condition1(data: KuroshData) -> Violation | None:
     _require_valid(data)
-    if data.free_rank == 0:
-        return None
-    return Violation(kind=CONDITION1, free_rank=data.free_rank)
+    return _condition1(data)
+
+
+def _condition1(data: KuroshData) -> Violation | None:
+    return Violation(kind=CONDITION1, free_rank=data.free_rank) if data.free_rank else None
 
 
 def _powers(group, f: int) -> list[int]:
@@ -157,6 +159,10 @@ def check_condition2(data: KuroshData) -> list[Violation]:
     """One violation (first witness in scan order) per ordered same-factor
     pair of distinct part positions that admits a common cyclic witness."""
     _require_valid(data)
+    return _condition2(data)
+
+
+def _condition2(data: KuroshData) -> list[Violation]:
     out: list[Violation] = []
     for group, j1, p1, j2, p2 in _same_factor_pairs(data):
         found = _pair_witness(group, p1.subgroup, p2.subgroup)
@@ -207,10 +213,11 @@ def check_condition3(data: KuroshData) -> list[Violation]:
 
 
 def check_all(data: KuroshData) -> Verdict:
-    """Run conditions 1 and 2 (condition 3 is a special case of 2)."""
+    """Run conditions 1 and 2 (condition 3 is a special case of 2); validates once."""
+    _require_valid(data)
     violations: list[Violation] = []
-    v1 = check_condition1(data)
+    v1 = _condition1(data)
     if v1:
         violations.append(v1)
-    violations.extend(check_condition2(data))
+    violations.extend(_condition2(data))
     return Verdict(tuple(violations))

@@ -296,9 +296,9 @@ def from_cayley_table(
         _check_label(lab)
     if len(set(labels)) != len(labels):
         raise DuplicateLabelError(f"duplicate generator labels in {labels}")
-    for lab, g in generators:
+    for i, (_, g) in enumerate(generators):
         if not isinstance(g, int) or not 0 <= g < n:
-            raise ForeignElementError(f"generator {lab!r} has bad id {g!r}")
+            raise ForeignElementError(f"generator {i} (counting from 0) has bad id {g!r}")
 
     if len(closure) != n:
         raise GeneratorsDoNotGenerateError(

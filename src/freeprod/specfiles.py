@@ -1,6 +1,6 @@
 """Plain-text spec files for groups, subgroup decompositions and balls.
 
-Group spec grammar (line oriented, '#' starts a comment):
+Group spec grammar (line oriented, '#' starts a comment, each line once):
 
     factors: <descriptor> ; <descriptor> ; ...
     labels:  <l1,l2> ; <l> ; ...
@@ -10,7 +10,7 @@ A descriptor is ``cyclic <n>``, ``dihedral <n>``, ``product [<d>, <d>]``
 comma-separated row entries.  The labels line carries one comma-separated
 label list per factor, arity matching the factor's generator count.
 
-Subgroup spec:
+Subgroup spec (the same rules, but ``part:`` lines may repeat):
 
     free_rank: <n>
     part: factor=<i> gens=<word>,<word> conj=<word>
@@ -42,13 +42,21 @@ from .free_product import FreeProduct, Part
 from .words import parse_constant
 
 
-def _strip_lines(text: str) -> list[str]:
-    out = []
+def _spec_lines(text: str):
+    """(key, rest, line) for each line, '#' comments and blank lines
+    dropped; every key but 'part' may appear once."""
+    seen = set()
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+        if not line:
+            continue
+        key, _, rest = line.partition(":")
+        key = key.strip()
+        if key in seen:
+            raise SpecSyntaxError(f"repeated line {line!r}")
+        if key != "part":
+            seen.add(key)
+        yield key, rest.strip(), line
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -111,9 +119,7 @@ def _build_descriptor(text: str) -> FiniteGroup:
 def parse_group_spec(text: str) -> FreeProduct:
     """Build a FreeProduct from group spec text."""
     factors_line = labels_line = None
-    for line in _strip_lines(text):
-        key, _, rest = line.partition(":")
-        key = key.strip()
+    for key, rest, line in _spec_lines(text):
         if key == "factors":
             factors_line = rest
         elif key == "labels":
@@ -171,9 +177,7 @@ def parse_subgroup_spec(text: str, ambient: FreeProduct) -> KuroshData:
     """Build KuroshData from subgroup spec text over the given ambient."""
     free_rank = 0
     parts: list[Part] = []
-    for line in _strip_lines(text):
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
+    for key, rest, line in _spec_lines(text):
         if key == "free_rank":
             try:
                 free_rank = int(rest)

@@ -720,7 +720,8 @@ def solve_bounded(
     from scratch; a mismatch raises VerificationError.  Given a dict
     ``counters``, it is filled with the work counts ``outer_tuples`` (the
     tuples of the other variables covered) and ``outer_values`` (the
-    distinct fusion keys decided; ``outer_tuples`` when not fused).
+    distinct fusion keys decided; ``outer_tuples`` when not fused), and
+    ``image``, the image walk's run and depth (see below) or None.
 
     The occurrences of the last variable y are counted first, a power's
     body |k| times.  When y occurs once or twice, the left side is split
@@ -814,7 +815,7 @@ def solve_bounded(
         if evaluate(eq.lhs, {}).syllables == eq.rhs.syllables:
             record({})
         if counters is not None:
-            counters.update(outer_tuples=0, outer_values=0)
+            counters.update(outer_tuples=0, outer_values=0, image=None)
         return (results[0] if results else None) if mode == "first" else results
 
     # The last variable y varies fastest; how often it occurs picks the
@@ -894,13 +895,14 @@ def solve_bounded(
     decided: dict[tuple, Sequence[FPElement]] = {}
     # The image walk (see the docstring) needs one run that holds each outer
     # variable once and nothing else, over Balls with one set of parts.
-    image = None
+    image = walked = None
     letters = sorted(getattr(l, "index", -1) for l in runs[0]) if len(runs) == 1 else ()
     if fused and letters == list(outer) and all(
         isinstance(c, Ball) and c.parts == outer_cands[0].parts for c in outer_cands
     ):
         depth = sum(c.depth for c in outer_cands)
         image = _ball_elements(group, outer_cands[0].parts, depth)
+        walked = {"run": _render(runs[0]), "depth": depth}
     tuples = 0
     for combo in _cartesian(*outer_cands):
         tuples += 1
@@ -932,7 +934,8 @@ def solve_bounded(
         if hits:
             image = None
     if counters is not None:
-        counters.update(outer_tuples=tuples, outer_values=len(decided) if fused else tuples)
+        counters.update(outer_tuples=tuples, outer_values=len(decided) if fused else tuples,
+                        image=walked)
     return (results[0] if results else None) if mode == "first" else results
 
 

@@ -234,6 +234,20 @@ def test_check_all_reports_condition1_and_2(s3z2):
     assert kinds == {CONDITION1, CONDITION2}
 
 
+def test_check_all_validates_once(s3z2, monkeypatch):
+    # check_all validates its input once for both conditions; the public
+    # condition checks still validate on their own.
+    calls = []
+    real = checker.validate
+    monkeypatch.setattr(checker, "validate", lambda data: calls.append(data) or real(data))
+    data = KuroshData(s3z2, 2, example1_data(s3z2).parts)
+    assert len(checker.check_all(data).violations) == 3
+    assert calls == [data]
+    checker.check_condition1(data)
+    checker.check_condition2(data)
+    assert len(calls) == 3
+
+
 # -- randomized laws -----------------------------------------------------------
 
 

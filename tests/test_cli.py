@@ -224,6 +224,8 @@ def test_cli_verify_lemma4(capsys, tmp_path):
         "--trials", "1", "--f", "a b",
     ])
     assert report["witnesses"][0] == {"f": "a b", "p": 5, "k": [1, 2]}
+    # f = a b has infinite order, so its cyclic powers are checked
+    assert report["infinite_order_checked"] == 1
 
 
 def test_cli_verify_lemma5(capsys):
@@ -268,13 +270,22 @@ def test_cli_verify_lemma5_names_the_image_it_covers(capsys):
     code, report = run_json(capsys, argv + ["--f", "b a b", "--depth", "4"])
     w = report["witnesses"][0]
     assert (w["outer_tuples"], w["outer_values"]) == (22**2, 202)
-    # F is not the product of the other variables, each once: F = (x1 x2)^2,
-    # or F = x3 with g = x1 x2; or g = x1 x3 holds one of them, so x1 is a
-    # run of its own and the values decided are not those of F
+    # The line claims coverage exactly when the solver's image walk ran over
+    # F itself.  For F = (x1 x2)^2, and for F = x3 with g = x1 x2, it walks
+    # the run x1 x2, not F; g = x1 x3 makes x1 a run of its own, so there
+    # is no image walk.
+    code, report = run_json(capsys, argv + ["--f", "a b", "--depth", "6"])
+    w = report["witnesses"][0]
+    assert (w["F"], w["image"]) == ("x1 x2", {"run": "x1 x2", "depth": 12})
     lemma5 = ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--k1", "1", "--k2", "1"]
-    for f, g, depth in (("(a b)^2", "c", "4"), ("c", "a b", "4"), ("a b", "a c", "2")):
+    walked = {"run": "x1 x2", "depth": 8}
+    for f, g, depth, F, image in (("(a b)^2", "c", "4", "(x1 x2)^2", walked),
+                                  ("c", "a b", "4", "x3", walked),
+                                  ("a b", "a c", "2", "x1 x2", None)):
         assert cli.main(lemma5 + ["--f", f, "--g", g, "--depth", depth]) == 0
         assert capsys.readouterr().out.endswith(" elements): no solution\n")
+        code, report = run_json(capsys, lemma5 + ["--f", f, "--g", g, "--depth", depth])
+        assert (report["witnesses"][0]["F"], report["witnesses"][0]["image"]) == (F, image)
     # solve: no value of x1 x2 in B_6 has a hit, so the walk ends when the
     # image runs out, and the ball is reported as before
     code, report = run_json(capsys, ["solve", "--group", str(CASES / "p23.grp"),
@@ -282,7 +293,8 @@ def test_cli_verify_lemma5_names_the_image_it_covers(capsys):
                                      "--depth", "3"])
     assert code == 1
     assert report["counters"] == {"ball_size": 14, "membership_queries": 50,
-                                  "outer_tuples": 14**2, "outer_values": 50}
+                                  "outer_tuples": 14**2, "outer_values": 50,
+                                  "image": {"run": "x1 x2", "depth": 6}}
 
 
 def test_cli_solve_first_stops_at_the_first_pair_with_a_solution(capsys):
@@ -295,7 +307,8 @@ def test_cli_solve_first_stops_at_the_first_pair_with_a_solution(capsys):
         code, report = run_json(capsys, argv + ["--depth", str(depth)])
         assert code == 0 and report["witnesses"] == [{"x1": "1", "x2": "1", "x3": "a"}]
         assert report["counters"] == {"ball_size": size, "membership_queries": 1,
-                                      "outer_tuples": 1, "outer_values": 1}
+                                      "outer_tuples": 1, "outer_values": 1,
+                                      "image": {"run": "x1 x2", "depth": 2 * depth}}
 
 
 def test_cli_solve_reports_fused_work(capsys):
@@ -309,7 +322,8 @@ def test_cli_solve_reports_fused_work(capsys):
     code, report = run_json(capsys, argv + ["--eq", fused, "--all"])
     assert code == 0
     assert report["counters"] == {"ball_size": 22, "membership_queries": 0,
-                                  "outer_tuples": 22**2, "outer_values": 106}
+                                  "outer_tuples": 22**2, "outer_values": 106,
+                                  "image": {"run": "x1 x2", "depth": 8}}
     # x1 x2 = 1 gives F = 1, where every x3 solves it: 22 pairs x 22 values
     assert len(report["witnesses"]) == 22 * 22
     code, report = run_json(capsys, argv + ["--eq", fused])
@@ -431,6 +445,40 @@ def test_cli_input_errors(capsys, tmp_path):
         argv = ["check", "--group", str(CASES / "klein.grp"), "--subgroup", str(sub)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # f = a b has order 6 in example2, so f^6 = 1 and the part <f^6> is trivial
+    lemma5 = ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--f", "a b", "--g", "c",
+              "--depth", "2"]
+    for k1, k2, message in (("6", "2", "--k1 6: f^6 = 1"), ("3", "12", "--k2 12: f^12 = 1")):
+        assert cli.main(lemma5 + ["--k1", k1, "--k2", k2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} for f = a b, so its ball part is trivial\n"
+
+
+def test_cli_group_spec_errors(capsys, tmp_path):
+    # A table generator with a bad id is named by its position in gens=, the
+    # same on every call (not by a label made up while parsing).
+    grp = tmp_path / "bad.grp"
+    grp.write_text("factors: cyclic 2; table rows=0,1:1,0 gens=1,5\nlabels: a; b,c")
+    errors = []
+    for _ in range(2):
+        assert cli.main(["eval", "--group", str(grp), "--word", "a"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: generator 1 (counting from 0) has bad id 5\n"] * 2
+    # a line that may appear once, given twice
+    for text, where in (("factors: cyclic 2\nfactors: cyclic 3\nlabels: a", "group"),
+                        ("labels: a\nlabels: b\nfactors: cyclic 2", "group"),
+                        ("free_rank: 0\nfree_rank: 1\npart: factor=0 gens=a", "subgroup")):
+        spec = tmp_path / f"repeated.{where[:3]}"
+        spec.write_text(text)
+        argv = (["eval", "--group", str(spec), "--word", "a"] if where == "group" else
+                ["check", "--group", str(CASES / "p23.grp"), "--subgroup", str(spec)])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: repeated line {text.splitlines()[1]!r}\n"
+    with pytest.raises(SpecSyntaxError, match="repeated line"):
+        specfiles.parse_group_spec("factors: cyclic 2\nlabels: a\nfactors: cyclic 2")
 
 
 def test_cli_huge_exponents(capsys):
@@ -567,7 +615,7 @@ def test_cli_solve_one_occurrence_does_not_build_the_ball(capsys, monkeypatch):
     assert depths and max(depths) <= 3
     assert code == 1
     assert report.pop("counters") == {"ball_size": None, "membership_queries": 1,
-                                      "outer_tuples": 1, "outer_values": 1}
+                                      "outer_tuples": 1, "outer_values": 1, "image": None}
     report.pop("timings")
     assert report == {"verdict": "no-solution-in-set", "violations": [], "witnesses": []}
     assert cli.main(["solve", *EXAMPLE2_BALL, "--eq", "x1 = c", "--depth", "6"]) == 1
@@ -587,7 +635,7 @@ def test_cli_solve_at_depth_12(capsys):
                                          "--depth", "12"])
         assert code == expected
         assert report["counters"] == {"ball_size": None, "membership_queries": 1,
-                                      "outer_tuples": 1, "outer_values": 1}
+                                      "outer_tuples": 1, "outer_values": 1, "image": None}
         if expected == 0:
             assert report["verdict"] == "solved"
             assert report["witnesses"] == [{"x1": word}]
@@ -614,7 +662,7 @@ def test_cli_solve_renders_each_solution_once(capsys, monkeypatch):
     assert code == 0 and len(report["witnesses"]) == 4408
     # [x1,x2] = 1 is not fused: x1 and x1^-1 are its only runs
     assert report["counters"] == {"ball_size": 890, "membership_queries": 0,
-                                  "outer_tuples": 890, "outer_values": 890}
+                                  "outer_tuples": 890, "outer_values": 890, "image": None}
     assert calls == 2 * 4408
     calls = 0
     assert cli.main(argv + ["--depth", "4"]) == 0
@@ -684,10 +732,46 @@ def _fuzz_subgroup_spec(rng):
     return "\n".join(lines)
 
 
+def _fuzz_descriptor(rng, nested=False):
+    """A factor descriptor of order at most 12, or a malformed one."""
+    kind = rng.choice("ccccddtttx" + ("" if nested else "ppp"))
+    if kind == "c":
+        return f"cyclic {rng.choice(['0', '1', '2', '2', '3', '5', '12', 'x'])}"
+    if kind == "d":
+        return f"dihedral {rng.choice(['1', '2', '3', '6', 'b'])}"
+    if kind == "t":
+        rows = rng.choice(["0,1:1,0", "0,1,2:1,2,0:2,0,1", "1,0:0,1", "1,2,0:2,0,1:0,1,2",
+                           "0,1:0,1", "0,1,2:1,2,0", "0,1:1,x", "0"])
+        gens = rng.choice(["1", "2", "2", "5", "-1", "0", "1,1", "1,2", "x"])
+        return f"table rows={rows} gens={gens}"
+    if kind == "x":
+        return rng.choice(["", "free 2", "cyclic", "product []", "table rows=0,1:1,0"])
+    if rng.random() < 0.5:
+        return f"product [{_fuzz_descriptor(rng, True)}, cyclic 2]"
+    return "product [{}, {}]".format(*rng.choice(
+        [("cyclic 2", "cyclic 3"), ("cyclic 2", "cyclic 2"), ("cyclic 3", "cyclic 4"),
+         ("cyclic 2", "dihedral 3")]))
+
+
+def _fuzz_group_spec(rng):
+    """Group spec text of one to three factors, each of order at most 12,
+    with malformed descriptors, labels and lines."""
+    count = rng.randint(1, 3)
+    names = iter("abcdefghi")
+    labels = [",".join(next(names) if rng.random() < 0.9 else rng.choice(["a", "x1", "1a", ""])
+                       for _ in range(rng.choice([1, 1, 2, 2, 3]))) for _ in range(count)]
+    lines = [f"factors: {'; '.join(_fuzz_descriptor(rng) for _ in range(count))}",
+             f"labels: {'; '.join(labels)}"]
+    if rng.random() < 0.3:
+        lines.insert(rng.randint(0, 2), rng.choice(["factors: cyclic 2", "labels: a", "# note",
+                                                    "free_rank: 0", "junk"]))
+    return "\n".join(lines)
+
+
 def test_cli_malformed_input_exits_0_1_or_2(capsys, tmp_path):
-    # Seeded malformed --ball texts, subgroup spec files and words: every run
-    # ends in exit 0, 1 or 2 (never 3, an internal error), and an input error
-    # prints exactly one line on stderr and nothing on stdout.
+    # Seeded malformed --ball texts, subgroup and group spec files and words:
+    # every run ends in exit 0, 1 or 2 (never 3, an internal error), and an
+    # input error prints exactly one line on stderr and nothing on stdout.
     rng = random.Random(16)
     groups = [str(CASES / name) for name in ("p23.grp", "example1.grp", "example2.grp",
                                               "klein.grp")]
@@ -705,6 +789,11 @@ def test_cli_malformed_input_exits_0_1_or_2(capsys, tmp_path):
         runs.append([command, "--group", group, f"--word={_fuzz_word(rng)}"])
         runs.append(["solve", "--group", group, f"--eq={_fuzz_word(rng)} = {_fuzz_word(rng)}",
                      "--ball", "a;b" if group == groups[0] else "a;c", "--depth", "1"])
+    for i in range(400):
+        path = tmp_path / f"fuzz{i}.grp"
+        path.write_text(_fuzz_group_spec(rng))
+        runs.append([rng.choice(["eval", "order", "axis"]), "--group", str(path),
+                     "--word", rng.choice(["a b", "a", "b a c", _fuzz_word(rng)])])
     for argv in runs:
         code = cli.main(argv + rng.choice([[], ["--json"]]))
         captured = capsys.readouterr()

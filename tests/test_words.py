@@ -424,10 +424,10 @@ def test_solve_bounded_does_not_fuse_one_variable_per_run(p23):
         counters = {}
         solve_bounded(eq, {v: ball for v in (1, 2, 3)}, mode="all", counters=counters)
         tuples = len(ball) ** (len(eq.lhs.free_variables()) - 1)
-        assert counters == {"outer_tuples": tuples, "outer_values": tuples}
+        assert counters == {"outer_tuples": tuples, "outer_values": tuples, "image": None}
     counters = {}
     assert solve_bounded(parse_equation("a = a", p23), {}, counters=counters) is not None
-    assert counters == {"outer_tuples": 0, "outer_values": 0}
+    assert counters == {"outer_tuples": 0, "outer_values": 0, "image": None}
 
 
 def fused_texts():
@@ -789,7 +789,8 @@ def test_lemma5_gate_rejects_every_outer_tuple(z6z2, monkeypatch):
         assert found is None
         assert len(calls) == products
         assert all(result is None for _, _, result in calls)
-        assert counters == {"outer_tuples": size**2, "outer_values": products}
+        # plain lists, not Balls: no image walk
+        assert counters == {"outer_tuples": size**2, "outer_values": products, "image": None}
 
 
 def spy_image(depths: list):
@@ -841,7 +842,8 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
         assert images == [2 * depth]
         assert len(calls) == values
         assert all(result is None for _, _, result in calls)
-        assert counters == {"outer_tuples": size**2, "outer_values": values}
+        assert counters == {"outer_tuples": size**2, "outer_values": values,
+                            "image": {"run": "x1 x2", "depth": 2 * depth}}
         assert merges == 2 * values + (values + 1) + enumeration
     assert not evaluated
 
@@ -901,6 +903,8 @@ def test_image_and_pair_walks_agree(data):
             found = solve_bounded(eq, balls, mode=mode, counters=image_counters)
             assert found == solve_bounded(eq, lists, mode=mode, counters=pair_counters)
         assert images == [depths[0] + depths[1]]
+        assert image_counters.pop("image")["depth"] == depths[0] + depths[1]
+        assert pair_counters.pop("image") is None
         if mode == "all" or not found:
             assert image_counters == pair_counters
             assert pair_counters["outer_tuples"] == len(lists[1]) * len(lists[2])
@@ -938,7 +942,8 @@ def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
     with spy_image(images):
         assert len(solve_bounded(eq, {v: Ball(p23, same, 3) for v in (1, 2, 3)}, mode="all",
                                  counters=counters)) == 3 * 3
-    assert counters == {"outer_tuples": 9, "outer_values": 3} and images == [6]
+    assert counters == {"outer_tuples": 9, "outer_values": 3,
+                        "image": {"run": "x1 x2", "depth": 6}} and images == [6]
 
 
 # -- re-verification that survives python -O ----------------------------------
