@@ -28,6 +28,10 @@ CHECKS = [
     # an order-300 factor: its table is validated by Light's test
     (["check", "--group", str(CASES / "d150.grp"),
       "--subgroup", str(CASES / "d150.sub")], 0),
+    # every f of the order-276 factor scanned against a conjugate table
+    # per part order: O(|G| |H_2| + sum of ord f) per pair
+    (["check", "--group", str(CASES / "d138.grp"),
+      "--subgroup", str(CASES / "d138.sub")], 0),
     (["verify-theorem2", "--range", "6"], 0),
     # 8 * 17^3 = 39,304 substitutions, x2 and x3 bound once per (t, s)
     (["verify-theorem2", "--range", "8"], 0),

@@ -61,9 +61,14 @@ class Violation:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of check_all; passing is always inconclusive because the
-    conditions are necessary, not sufficient."""
+    conditions are necessary, not sufficient.  pairs counts the ordered
+    same-factor pairs condition 2 scanned, and table_entries the
+    conjugates g h g^-1 it computed for their first-conjugator tables,
+    |G| |H_2| per pair."""
 
     violations: tuple[Violation, ...]
+    pairs: int = 0
+    table_entries: int = 0
 
     @property
     def passes_necessary(self) -> bool:
@@ -127,21 +132,40 @@ def _first_power_in(powers: Sequence[int], target: set[int]) -> int | None:
     return None
 
 
+def _first_conjugator(group, sub: Sequence[int]) -> list[int]:
+    """first[x] = the least g with x in g sub g^-1, or group.order when
+    there is none; O(|G| |sub|).  Walking g downwards leaves the least
+    g written last."""
+    table, inverses = group.table, group.inverses
+    first = [group.order] * group.order
+    for g in range(group.order - 1, -1, -1):
+        row, gi = table[g], inverses[g]
+        for h in sub:
+            first[table[row[h]][gi]] = g
+    return first
+
+
+def _conjugate(group, sub: Sequence[int], g: int) -> set[int]:
+    table, gi = group.table, group.inverses[g]
+    return {table[table[g][h]][gi] for h in sub}
+
+
 def _pair_witness(group, sub1: Sequence[int], sub2: Sequence[int]):
-    """First (f, g, k1, k2) in scan order with f^k1 in sub1 \\ {1} and
-    f^k2 in g sub2 g^-1 \\ {1}; None when the pair is clean."""
+    """First (f, g, k1, k2) in scan order (f, then g, ascending) with f^k1
+    in sub1 \\ {1} and f^k2 in g sub2 g^-1 \\ {1}; None when the pair is
+    clean.  The least such g for f is the least _first_conjugator entry
+    over f's nonidentity powers, so each f costs O(ord f) once the table
+    is built."""
+    first = _first_conjugator(group, sub2)
     set1 = set(sub1)
     for f in range(1, group.order):
         powers = _powers(group, f)
         k1 = _first_power_in(powers, set1)
         if k1 is None:
             continue
-        for g in range(group.order):
-            gi = group.inverses[g]
-            conj = {group.table[group.table[g][h]][gi] for h in sub2}
-            k2 = _first_power_in(powers, conj)
-            if k2 is not None:
-                return f, g, k1, k2
+        g = min(map(first.__getitem__, powers[1:-1]))
+        if g < group.order:
+            return f, g, k1, _first_power_in(powers, _conjugate(group, sub2, g))
     return None
 
 
@@ -191,24 +215,21 @@ def check_condition3(data: KuroshData) -> list[Violation]:
     _require_valid(data)
     out: list[Violation] = []
     for group, j1, p1, j2, p2 in _same_factor_pairs(data):
-        set1 = set(p1.subgroup)
-        for g in range(group.order):
-            gi = group.inverses[g]
-            conj = {group.table[group.table[g][h]][gi] for h in p2.subgroup}
-            meet = (set1 & conj) - {0}
-            if meet:
-                out.append(
-                    Violation(
-                        kind=CONDITION2,
-                        factor=p1.factor,
-                        part_indices=(j1, j2),
-                        witness_f=min(meet),
-                        witness_g=g,
-                        k1=1,
-                        k2=1,
-                    )
+        first = _first_conjugator(group, p2.subgroup)
+        g = min(first[x] for x in p1.subgroup if x != 0)
+        if g < group.order:
+            meet = set(p1.subgroup) & _conjugate(group, p2.subgroup, g)
+            out.append(
+                Violation(
+                    kind=CONDITION2,
+                    factor=p1.factor,
+                    part_indices=(j1, j2),
+                    witness_f=min(meet - {0}),
+                    witness_g=g,
+                    k1=1,
+                    k2=1,
                 )
-                break
+            )
     return out
 
 
@@ -220,4 +241,9 @@ def check_all(data: KuroshData) -> Verdict:
     if v1:
         violations.append(v1)
     violations.extend(_condition2(data))
-    return Verdict(tuple(violations))
+    pairs = [(group, p2) for group, _, _, _, p2 in _same_factor_pairs(data)]
+    return Verdict(
+        tuple(violations),
+        pairs=len(pairs),
+        table_entries=sum(group.order * len(p2.subgroup) for group, p2 in pairs),
+    )

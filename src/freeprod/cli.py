@@ -12,7 +12,9 @@ handler, and prints the JSON with --json, else the lines of the command's
 formatter, a function of (args, report) alone.
 
 Keys beyond the fixed shape: solve's "counters", its work counts, where
-"image" is the run and depth of the image walk, or null; verify-lemma5's
+"image" is the run and depth of the image walk, or null; check's
+"counters", the same-factor "pairs" condition 2 scanned and the
+"table_entries" of their conjugate tables; verify-lemma5's
 witness "F" (f(x) in the variables) and "image"; verify-lemma4's
 "infinite_order_checked".
 
@@ -60,16 +62,19 @@ REPORT_SCHEMA = {
             "required": ["total_s"],
             "properties": {"total_s": {"type": "number"}},
         },
-        # solve only: its work counts, independent of the machine
+        # solve's and check's work counts, independent of the machine
         "counters": {
             "type": "object",
-            "required": ["ball_size", "membership_queries"],
+            "anyOf": [{"required": ["ball_size", "membership_queries"]},
+                      {"required": ["pairs", "table_entries"]}],
             "properties": {
                 "ball_size": {"type": ["integer", "null"]},
                 "membership_queries": {"type": "integer"},
                 "outer_tuples": {"type": "integer"},
                 "outer_values": {"type": "integer"},
                 "image": _IMAGE,
+                "pairs": {"type": "integer"},
+                "table_entries": {"type": "integer"},
             },
         },
         # verify-lemma4 only: the coefficients of infinite order checked
@@ -165,10 +170,11 @@ def _text_reduce(args, report):
 def _cmd_check(args, ambient):
     data = specfiles.parse_subgroup_spec(Path(args.subgroup).read_text(), ambient)
     verdict = checker.check_all(data)
-    if verdict.passes_necessary:
-        return 0, _report("passes-necessary-inconclusive")
     vios = [_violation_dict(v, ambient) for v in verdict.violations]
-    return 1, _report("fails-necessary", violations=vios)
+    report = _report("fails-necessary" if vios else "passes-necessary-inconclusive",
+                     violations=vios)
+    report["counters"] = {"pairs": verdict.pairs, "table_entries": verdict.table_entries}
+    return (1 if vios else 0), report
 
 
 def _text_check(args, report):

@@ -202,8 +202,8 @@ def _validate_table(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     for i, row in enumerate(table):
         if len(row) != n or sorted(row) != ids:
             raise NotLatinSquareError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if sorted(row[j] for row in table) != ids:
+    for j, col in enumerate(zip(*table)):
+        if sorted(col) != ids:
             raise NotLatinSquareError(f"column {j} is not a permutation of 0..{n - 1}")
     return table
 
@@ -327,13 +327,15 @@ def make_dihedral_reflections(
     if n < 2:
         raise OrderTooSmallError(f"dihedral group needs n >= 2, got {n}")
 
-    def mul(x: int, y: int) -> int:
-        r1, f1 = x % n, x // n
-        r2, f2 = y % n, y // n
-        rot = (r1 - r2) % n if f1 else (r1 + r2) % n
-        return rot + n * (f1 ^ f2)
-
-    rows = [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)]
+    # (r1,0)*(r2,f) = (r1+r2, f) and (r1,1)*(r2,f) = (r1-r2, 1-f): each half
+    # of a row is n consecutive entries of a doubled run of rotations or
+    # reflections, ascending from r1 for a rotation and descending from r1
+    # for a reflection (up[r] = down[n-1-r] = r).
+    up_rot, up_ref = list(range(n)) * 2, list(range(n, 2 * n)) * 2
+    down_rot, down_ref = up_rot[::-1], up_ref[::-1]
+    rows = [up_rot[r:r + n] + up_ref[r:r + n] for r in range(n)]
+    rows += [down_ref[n - 1 - r:2 * n - 1 - r] + down_rot[n - 1 - r:2 * n - 1 - r]
+             for r in range(n)]
     # a = reflection (0,1); b = (n-1,1) so that a*b is the basic rotation.
     gens = [(labels[0], n), (labels[1], 2 * n - 1)]
     return from_cayley_table(rows, gens, name or f"D{n}")

@@ -27,7 +27,9 @@ the identity).
 
 from __future__ import annotations
 
+import itertools
 import re
+from typing import Iterator
 
 from .checker import KuroshData
 from .errors import ForeignElementError, SpecSyntaxError
@@ -76,31 +78,24 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-_AUTO = 0
-
-
-def _fresh_label() -> str:
-    global _AUTO
-    _AUTO += 1
-    return f"tmp{_AUTO}"
-
-
-def _build_descriptor(text: str) -> FiniteGroup:
+def _build_descriptor(text: str, labels: Iterator[str]) -> FiniteGroup:
+    """The factor a descriptor names; each generator it makes up takes the
+    next label of ``labels`` (parse_group_spec relabels them afterwards)."""
     text = text.strip()
     m = re.fullmatch(r"cyclic\s+(\d+)", text)
     if m:
-        return make_cyclic(int(m.group(1)), _fresh_label())
+        return make_cyclic(int(m.group(1)), next(labels))
     m = re.fullmatch(r"dihedral\s+(\d+)", text)
     if m:
-        return make_dihedral_reflections(int(m.group(1)), (_fresh_label(), _fresh_label()))
+        return make_dihedral_reflections(int(m.group(1)), (next(labels), next(labels)))
     m = re.fullmatch(r"product\s*\[(.*)\]", text, re.S)
     if m:
         comps = _split_top(m.group(1), ",")
         if len(comps) < 2:
             raise SpecSyntaxError(f"product needs at least two components: {text!r}")
-        group = _build_descriptor(comps[0])
+        group = _build_descriptor(comps[0], labels)
         for comp in comps[1:]:
-            group = direct_product(group, _build_descriptor(comp))
+            group = direct_product(group, _build_descriptor(comp, labels))
         return group
     m = re.fullmatch(r"table\s+rows=(\S+)\s+gens=(\S+)", text)
     if m:
@@ -111,7 +106,7 @@ def _build_descriptor(text: str) -> FiniteGroup:
             gen_ids = [int(x) for x in m.group(2).split(",")]
         except ValueError as exc:
             raise SpecSyntaxError(f"bad table descriptor: {text!r}") from exc
-        gens = [(_fresh_label(), g) for g in gen_ids]
+        gens = [(next(labels), g) for g in gen_ids]
         return from_cayley_table(rows, gens)
     raise SpecSyntaxError(f"unknown factor descriptor {text!r}")
 
@@ -139,8 +134,9 @@ def parse_group_spec(text: str) -> FreeProduct:
             f"{len(descriptors)} factors but {len(label_lists)} label lists"
         )
     factors = []
+    made_up = (f"tmp{i}" for i in itertools.count(1))
     for desc, labels in zip(descriptors, label_lists):
-        group = _build_descriptor(desc)
+        group = _build_descriptor(desc, made_up)
         if len(labels) != len(group.generators):
             raise SpecSyntaxError(
                 f"factor {desc!r} has {len(group.generators)} generators, "

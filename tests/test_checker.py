@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from freeprod import checker
 from freeprod.checker import CONDITION1, CONDITION2, KuroshData, Part
@@ -234,6 +236,14 @@ def test_check_all_reports_condition1_and_2(s3z2):
     assert kinds == {CONDITION1, CONDITION2}
 
 
+def test_check_all_counts_pairs_and_table_entries(s3z2):
+    # two parts in factor 0 (order 6, subgroups of order 2): two ordered
+    # pairs, 6 * 2 conjugates each; a part alone in its factor adds none
+    data = KuroshData(s3z2, 0, (*example1_data(s3z2).parts, Part.of(s3z2, 1, [1])))
+    verdict = checker.check_all(data)
+    assert (verdict.pairs, verdict.table_entries) == (2, 24)
+
+
 def test_check_all_validates_once(s3z2, monkeypatch):
     # check_all validates its input once for both conditions; the public
     # condition checks still validate on their own.
@@ -355,3 +365,95 @@ def test_condition2_search_matches_brute_oracle():
         fast_pairs = {v.part_indices for v in fast}
         assert ((0, 1) in fast_pairs) == (slow01 is not None)
         assert ((1, 0) in fast_pairs) == (slow10 is not None)
+
+
+# -- the first-conjugator scans against the per-(f, g) scan ---------------------
+
+
+def scan_pair_witness(group, sub1, sub2):
+    """Brute-force oracle for checker._pair_witness: f ascending, f's first
+    power in sub1 \\ {1}, then g ascending with one conjugate set per
+    (f, g), and f's first power in it."""
+    set1 = set(sub1)
+    for f in range(1, group.order):
+        powers = [group.power(f, k) for k in range(1, group.element_order(f))]
+        k1 = next((k for k, x in enumerate(powers, 1) if x in set1), None)
+        if k1 is None:
+            continue
+        for g in range(group.order):
+            conj = set(group.conjugate_subgroup(sub2, g))
+            k2 = next((k for k, x in enumerate(powers, 1) if x in conj), None)
+            if k2 is not None:
+                return f, g, k1, k2
+    return None
+
+
+def scan_condition3(group, sub1, sub2):
+    """Brute-force oracle for one pair of check_condition3: the first g
+    with sub1 meeting g sub2 g^-1 nontrivially, and the least element of
+    that meet other than 1, as (f, g)."""
+    for g in range(group.order):
+        meet = set(sub1) & set(group.conjugate_subgroup(sub2, g)) - {0}
+        if meet:
+            return min(meet), g
+    return None
+
+
+_FACTORS = (
+    [make_dihedral_reflections(n) for n in range(2, 13)]
+    + [make_cyclic(n) for n in range(2, 13)]
+    + [direct_product(make_cyclic(2, "c"), make_dihedral_reflections(4)),
+       direct_product(make_cyclic(2, "c"), make_cyclic(6, "d")),
+       # f = t (a b) has f^2 = t^2 (a b)^2 central and is conjugate to
+       # t (a b)^-1, so for sub2 = <t (a b)^-1> its powers f and f^2 have
+       # different least conjugators; with sub1 = <f^2> only the least
+       # of them gives the scan's witness, and no factor above tells the
+       # least from the greatest
+       direct_product(make_cyclic(4, "t"), make_dihedral_reflections(4))]
+)
+_AMBIENTS = [FreeProduct([g, make_cyclic(2, "z")]) for g in _FACTORS]
+
+
+def _c4d4_case():
+    """(index, <f^2>, <t (a b)^-1>) for f = t (a b) in C4 x D4 (see _FACTORS)."""
+    i = len(_FACTORS) - 1
+    g = _FACTORS[i]
+    t, a, b = (e for _, e in g.generators)
+    ab = g.mul(a, b)
+    f = g.mul(t, ab)
+    return i, g.generated_subgroup([g.power(f, 2)]), g.generated_subgroup([g.mul(t, g.inv(ab))])
+
+
+@st.composite
+def factor_and_two_subgroups(draw):
+    i = draw(st.integers(0, len(_FACTORS) - 1))
+    group = _FACTORS[i]
+    gens = st.lists(st.integers(1, group.order - 1), min_size=1, max_size=2)
+    return i, group.generated_subgroup(draw(gens)), group.generated_subgroup(draw(gens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=factor_and_two_subgroups())
+@example(case=_c4d4_case())
+def test_pair_witness_is_the_scan_orders_first_witness(case):
+    i, sub1, sub2 = case
+    group = _FACTORS[i]
+    assert checker._pair_witness(group, sub1, sub2) == scan_pair_witness(group, sub1, sub2)
+    assert checker._pair_witness(group, sub2, sub1) == scan_pair_witness(group, sub2, sub1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=factor_and_two_subgroups())
+def test_condition3_is_the_scan_orders_first_meet(case):
+    i, sub1, sub2 = case
+    group, ambient = _FACTORS[i], _AMBIENTS[i]
+    c = ambient.generator("z")
+    data = KuroshData(ambient, 0, (Part(0, sub1, ambient.identity()), Part(0, sub2, c)))
+    expected = []
+    for j1, j2, s1, s2 in ((0, 1, sub1, sub2), (1, 0, sub2, sub1)):
+        found = scan_condition3(group, s1, s2)
+        if found:
+            expected.append(((j1, j2), *found))
+    got = checker.check_condition3(data)
+    assert [(v.part_indices, v.witness_f, v.witness_g) for v in got] == expected
+    assert all(v.kind == CONDITION2 and v.k1 == v.k2 == 1 for v in got)

@@ -70,6 +70,19 @@ def test_parse_group_spec_nested_product():
     assert g.factors[0].order == 8
 
 
+def test_parse_group_spec_makes_up_the_same_labels_each_time():
+    # Generators are labelled while a descriptor is built and relabelled
+    # from the labels line; the made-up labels are numbered per parse.
+    text = "factors: product [cyclic 2, dihedral 3]; table rows=0,1:1,0 gens=1\nlabels: a,b,c; d"
+    first, second = (specfiles.parse_group_spec(text) for _ in range(2))
+    assert [f.generators for f in first.factors] == [f.generators for f in second.factors]
+    built = [specfiles._build_descriptor("product [cyclic 2, dihedral 3]",
+                                         (f"tmp{i}" for i in range(1, 9)))
+             for _ in range(2)]
+    assert built[0].generators == built[1].generators
+    assert [label for label, _ in built[0].generators] == ["tmp1", "tmp2", "tmp3"]
+
+
 def test_parse_subgroup_spec(z6z2):
     data = specfiles.parse_subgroup_spec(
         (CASES / "example2.sub").read_text(), z6z2
@@ -177,6 +190,24 @@ def test_cli_check_klein_passes(capsys):
     assert code == 0
     assert report["verdict"] == "passes-necessary-inconclusive"
     assert report["violations"] == []
+
+
+@pytest.mark.parametrize("stem, counters", [
+    # order-300 factor, two parts of order 2: 2 * 300 * 2 conjugates
+    ("d150", {"pairs": 2, "table_entries": 1200}),
+    # <a> and <ab>^c in D138: 276 * 2 + 276 * 138 conjugates; every f of
+    # the order-276 factor is scanned in both part orders
+    ("d138", {"pairs": 2, "table_entries": 38640}),
+])
+def test_cli_check_dihedral_cases_pass(capsys, stem, counters):
+    code, report = run_json(capsys, [
+        "check", "--group", str(CASES / f"{stem}.grp"),
+        "--subgroup", str(CASES / f"{stem}.sub"),
+    ])
+    assert code == 0
+    assert report["verdict"] == "passes-necessary-inconclusive"
+    assert report["violations"] == []
+    assert report["counters"] == counters
 
 
 def test_cli_solve_found(capsys):

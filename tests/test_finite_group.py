@@ -38,7 +38,7 @@ def test_from_cayley_table_z2():
 
 
 def test_from_cayley_table_rejects_repeated_row():
-    with pytest.raises(NotLatinSquareError):
+    with pytest.raises(NotLatinSquareError, match="column 0 is not a permutation"):
         from_cayley_table([[0, 1], [0, 1]], [("a", 1)])
 
 
@@ -106,6 +106,26 @@ def test_make_dihedral_reflections(n):
     assert g.element_order(a) == 2
     assert g.element_order(b) == 2
     assert g.element_order(g.mul(a, b)) == n
+
+
+def test_make_dihedral_reflections_matches_the_product_rule():
+    # The rows are built in closed form; the reference multiplies cell by
+    # cell, (r1,f1)*(r2,f2) = (r1 + (-1)^f1 r2, f1 + f2) with (r, f) = r + n f.
+    for n in range(2, 65):
+        def mul(x, y):
+            r1, f1 = x % n, x // n
+            r2, f2 = y % n, y // n
+            rot = (r1 - r2) % n if f1 else (r1 + r2) % n
+            return rot + n * (f1 ^ f2)
+
+        reference = from_cayley_table(
+            [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)],
+            [("a", n), ("b", 2 * n - 1)],
+        )
+        g = make_dihedral_reflections(n)
+        assert g.table == reference.table, n
+        assert g.inverses == reference.inverses, n
+        assert g.generators == reference.generators, n
 
 
 def test_dihedral_two_is_klein_four():
