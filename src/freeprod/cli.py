@@ -200,7 +200,15 @@ def _cmd_solve(args, ambient):
     found = words.solve_bounded(eq, candidates, mode="all" if args.all else "first",
                                 counters=work)
     solutions = found if args.all else ([found] if found else [])
-    witnesses = [{f"x{i}": v.as_word() for i, v in sub.assignment} for sub in solutions]
+    texts: dict[tuple, str] = {}  # each distinct value is rendered once
+
+    def render(v) -> str:
+        text = texts.get(v.syllables)
+        if text is None:
+            text = texts[v.syllables] = v.as_word()
+        return text
+
+    witnesses = [{f"x{i}": render(v) for i, v in sub.assignment} for sub in solutions]
     report = _report("solved" if solutions else "no-solution-in-set", witnesses=witnesses)
     # The search enumerates the ball unless a lone one-occurrence variable
     # is answered by membership alone.

@@ -348,14 +348,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     preserved (they must not clash).
     """
     nb = b.order
-
-    def mul(x: int, y: int) -> int:
-        x1, x2 = divmod(x, nb)
-        y1, y2 = divmod(y, nb)
-        return a.table[x1][y1] * nb + b.table[x2][y2]
-
-    order = a.order * nb
-    rows = [[mul(i, j) for j in range(order)] for i in range(order)]
+    # (x1, x2) * (y1, y2) = (x1 y1, x2 y2): row x1*#B + x2 is A's row x1,
+    # scaled by #B, with B's row x2 added to each entry.
+    rows = []
+    for a_row in a.table:
+        scaled = [p * nb for p in a_row]
+        rows += [[p + q for p in scaled for q in b_row] for b_row in b.table]
     gens = [(lab, g * nb) for lab, g in a.generators]
     gens += [(lab, g) for lab, g in b.generators]
     return from_cayley_table(rows, gens, name or f"{a.name}x{b.name}")

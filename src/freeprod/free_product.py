@@ -169,7 +169,10 @@ def _conjugator(
       for some h, and c = v * h * u^-1;
     - norm >= 2: core_t = core_b[k:] + core_b[:k] = p^-1 * core_b * p with
       p = core_b[:k], and c = v * p^-1 * u^-1.
+    When b == t, c = 1 is returned at once, without the cyclic splits.
     """
+    if b == t:
+        return ()
     i, core_b = _cyclic_split(factors, b)
     j, core_t = _cyclic_split(factors, t)
     n = len(core_b)

@@ -717,7 +717,11 @@ def solve_bounded(
     Returns a Substitution or None in mode "first", the full list of
     solutions in mode "all"; an empty result certifies that no candidate
     tuple satisfies the equation.  Every returned solution is re-evaluated
-    from scratch; a mismatch raises VerificationError.  Given a dict
+    from scratch: the whole left side, from the equation's letters and the
+    solution's own values only (never a solver's intermediate results), as
+    one seam merge compared with rhs; a mismatch raises VerificationError.
+    The inverse of each value is computed once per search and shared by
+    the re-checks of every solution that uses it.  Given a dict
     ``counters``, it is filled with the work counts ``outer_tuples`` (the
     tuples of the other variables covered) and ``outer_values`` (the
     distinct fusion keys decided; ``outer_tuples`` when not fused), and
@@ -802,18 +806,27 @@ def solve_bounded(
         if wrong:
             raise MixedAmbientError(f"candidate for x{v} has wrong ambient")
 
+    factors = group.factors
+    rhs = list(eq.rhs.syllables)
+    inverses: dict[tuple, tuple] = {}  # each value's inverse, once per search
     results: list[Substitution] = []
 
-    def record(assignment: dict[int, FPElement]) -> Substitution:
-        sub = Substitution.of(assignment)
-        if evaluate(eq.lhs, sub) != eq.rhs:
+    def record(pairs: tuple[tuple[int, FPElement], ...]) -> None:
+        cache = {}
+        for v, c in pairs:
+            s = c.syllables
+            inv = inverses.get(s)
+            if inv is None:
+                inv = inverses[s] = _inverse_syllables(factors, s)
+            cache[v, 1], cache[v, -1] = s, inv
+        sub = Substitution(pairs)
+        if _evaluate_syllables(eq.lhs.letters, group, {}, cache) != rhs:
             raise VerificationError(f"search returned a non-solution {sub!r}")
         results.append(sub)
-        return sub
 
     if not variables:
-        if evaluate(eq.lhs, {}).syllables == eq.rhs.syllables:
-            record({})
+        if _evaluate_syllables(eq.lhs.letters, group, {}, {}) == rhs:
+            record(())
         if counters is not None:
             counters.update(outer_tuples=0, outer_values=0, image=None)
         return (results[0] if results else None) if mode == "first" else results
@@ -824,7 +837,6 @@ def solve_bounded(
     # equation, in order, from the runs' normal forms for an outer tuple.
     inner = variables[-1]
     outer = variables[:-1]
-    factors = group.factors
     inner_cands = candidates[inner]
     occurrences = _occurrences(eq.lhs.letters, inner)
 
@@ -880,7 +892,6 @@ def solve_bounded(
             return [inner_cands[i] for i in hits]
 
     else:
-        rhs_syll = list(eq.rhs.syllables)
         program = _Program(eq.lhs.letters, group, inner)
         runs, pieces = _fusion_runs(program.runs)
         inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
@@ -888,7 +899,7 @@ def solve_bounded(
         def decide(key: tuple) -> Sequence[FPElement]:
             cache: dict = {}
             vals = [_evaluate_syllables(piece, group, key, cache) for piece in pieces]
-            return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs_syll]
+            return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs]
 
     fused = len(runs) < len(outer)
     outer_cands = [candidates[v] for v in outer]
@@ -918,10 +929,12 @@ def solve_bounded(
             hits = decide(key)
             if fused:
                 decided[key] = hits
-        for c in hits:
-            record({**dict(zip(outer, combo)), inner: c})
-            if mode == "first":
-                break
+        if hits:  # variables are sorted, so (inner, c) comes last
+            pairs = tuple(zip(outer, combo))
+            for c in hits:
+                record(pairs + ((inner, c),))
+                if mode == "first":
+                    break
         if results and mode == "first":
             break
         if image is not None and not hits:

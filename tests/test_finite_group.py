@@ -128,6 +128,33 @@ def test_make_dihedral_reflections_matches_the_product_rule():
         assert g.generators == reference.generators, n
 
 
+def test_direct_product_matches_the_product_rule():
+    # The rows are built from the factors' rows; the reference multiplies
+    # cell by cell, (x1,x2)*(y1,y2) = (x1 y1, x2 y2) with (x1, x2) = x1*#B + x2.
+    factors = [make_cyclic(2, "a"), make_cyclic(3, "b"), make_cyclic(4, "c"),
+               make_dihedral_reflections(3, ("d", "e")), make_dihedral_reflections(4, ("f", "g")),
+               direct_product(make_cyclic(2, "h"), make_cyclic(2, "i"))]
+    for a in factors:
+        for b in factors:
+            if {lab for lab, _ in a.generators} & {lab for lab, _ in b.generators}:
+                continue
+            nb = b.order
+
+            def mul(x, y):
+                (x1, x2), (y1, y2) = divmod(x, nb), divmod(y, nb)
+                return a.table[x1][y1] * nb + b.table[x2][y2]
+
+            order = a.order * nb
+            gens = [(lab, g * nb) for lab, g in a.generators] + list(b.generators)
+            reference = from_cayley_table(
+                [[mul(i, j) for j in range(order)] for i in range(order)], gens
+            )
+            g = direct_product(a, b)
+            assert g.table == reference.table, (a.name, b.name)
+            assert g.inverses == reference.inverses, (a.name, b.name)
+            assert g.generators == reference.generators, (a.name, b.name)
+
+
 def test_dihedral_two_is_klein_four():
     g = make_dihedral_reflections(2)
     assert g.order == 4

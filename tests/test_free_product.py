@@ -30,7 +30,7 @@ from freeprod.sampling import (
     random_noncommuting_conjugator,
     random_reduced,
 )
-from freeprod.words import Const, MixedWord, evaluate
+from freeprod.words import Const, MixedWord, evaluate, parse_constant
 
 
 @pytest.fixture(scope="module")
@@ -596,6 +596,19 @@ def test_conjugator_conjugates_and_matches_the_reference(group, data):
         if len(other) == len(core):
             found = free_product._is_rotation(core, other)
             assert (found is not None) is is_rotation_reference(core, other)
+
+
+def test_conjugator_of_an_element_and_itself_is_one(p23, s3z2, monkeypatch):
+    # c = 1 conjugates b to itself; it is returned without a cyclic split,
+    # for the identity, a norm-1 core (also in S3, whose factor conjugator
+    # is not trivial) and norm >= 2 cores, with and without a conjugator u.
+    cases = [(group, parse_constant(text, group).syllables) for group, texts in (
+        (p23, ["1", "a", "b^2", "a b", "b a b a b^2", "(a b)^3 a b^2", "a b a b a"]),
+        (s3z2, ["1", "a", "a b", "c a c", "c a b c a", "b c a b c b a"]),
+    ) for text in texts]
+    monkeypatch.setattr(free_product, "_cyclic_split", None)
+    for group, b in cases:
+        assert free_product._conjugator(group.factors, b, b) == (), b
 
 
 def test_centralizer_matches_brute_force(p23, s3z2):

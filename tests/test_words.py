@@ -951,8 +951,9 @@ def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
 
 def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
     # The search reads the left side through _expand, the re-check in
-    # record() through evaluate: a broken expansion that makes x1 = b look
-    # like a solution of x1 = a must be caught.
+    # record() from the equation's own letters and the solution's values: a
+    # broken expansion that makes x1 = b look like a solution of x1 = a
+    # must be caught.
     eq = parse_equation("x1 = a", p23)
     a, b = p23.generator("a"), p23.generator("b")
     monkeypatch.setattr(
@@ -960,6 +961,26 @@ def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
     )
     with pytest.raises(VerificationError):
         solve_bounded(eq, {1: [b]}, mode="first")
+
+
+def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch):
+    # [x1,x2] = 1 takes the coset path: x2 ranges over c C(B) with
+    # B = T = x1^-1 and c = 1.  A centralizer widened by both generators
+    # holds, for every x1 != 1, a generator that does not commute with it;
+    # the re-check in record() must catch the hit it brings.
+    eq = parse_equation("[x1,x2] = 1", p23)
+    one = p23.identity()
+    ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 4)
+    commuting = sum(x * y == y * x for x in ball for y in ball)
+    assert len(solve_bounded(eq, {1: ball, 2: ball}, mode="all")) == commuting == 98
+    real = words._centralizer
+
+    def widened(factors, b, bound):
+        return real(factors, b, bound) + [((0, 1),), ((1, 1),)]
+
+    monkeypatch.setattr(words, "_centralizer", widened)
+    with pytest.raises(VerificationError):
+        solve_bounded(eq, {1: ball, 2: ball}, mode="all")
 
 
 def test_constructions_reverify_their_solutions(p23, z6z2, monkeypatch):
