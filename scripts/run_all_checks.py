@@ -46,6 +46,10 @@ CHECKS = [
       "--trials", "100", "--seed", "0"], 0),
     (["verify-lemma4", "--group", str(CASES / "example1.grp"),
       "--trials", "100", "--seed", "0"], 0),
+    # 2 * 80 * (letters) + 1 exponent sums per coefficient of infinite
+    # order, each decided from the norm of f^n without building it
+    (["verify-lemma4", "--group", str(CASES / "p23.grp"),
+      "--trials", "100", "--seed", "0", "--power-bound", "80"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "6"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
@@ -61,6 +65,11 @@ CHECKS = [
       "--trials", "1000", "--seed", "0"], 0),
     (["axis", "--group", str(CASES / "p23.grp"),
       "--word", "a b", "--window", "1"], 0),
+    # a conjugate of 16,004 syllables: its 8,000-syllable conjugator is
+    # rendered once, and each of the 24 window vertices adds its own few
+    # syllables after it
+    (["axis", "--group", str(CASES / "p23.grp"),
+      "--word", "(a b)^4000 b a b^2 a (a b)^-4000", "--window", "1"], 0),
     (["order", "--group", str(CASES / "p23.grp"),
       "--word", "a^100000000000"], 0),
     # infinite order, read from the base; the normal form is above the cap

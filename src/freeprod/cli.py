@@ -16,7 +16,9 @@ Keys beyond the fixed shape: solve's "counters", its work counts, where
 "counters", the same-factor "pairs" condition 2 scanned and the
 "table_entries" of their conjugate tables; verify-lemma5's
 witness "F" (f(x) in the variables) and "image"; verify-lemma4's
-"infinite_order_checked".
+"infinite_order_checked" and "counters", the exponent sums tried
+("candidates") and the powers built to compare ("powers_built"); axis's
+"counters", the "syllables_rendered" into text.
 
 Exit codes: 0 = pass/solved, 1 = violation or no solution found, 2 =
 input/usage error or a resource limit (out of memory, recursion too deep),
@@ -62,11 +64,14 @@ REPORT_SCHEMA = {
             "required": ["total_s"],
             "properties": {"total_s": {"type": "number"}},
         },
-        # solve's and check's work counts, independent of the machine
+        # solve's, check's, verify-lemma4's and axis's work counts,
+        # independent of the machine
         "counters": {
             "type": "object",
             "anyOf": [{"required": ["ball_size", "membership_queries"]},
-                      {"required": ["pairs", "table_entries"]}],
+                      {"required": ["pairs", "table_entries"]},
+                      {"required": ["candidates", "powers_built"]},
+                      {"required": ["syllables_rendered"]}],
             "properties": {
                 "ball_size": {"type": ["integer", "null"]},
                 "membership_queries": {"type": "integer"},
@@ -75,6 +80,9 @@ REPORT_SCHEMA = {
                 "image": _IMAGE,
                 "pairs": {"type": "integer"},
                 "table_entries": {"type": "integer"},
+                "candidates": {"type": "integer"},
+                "powers_built": {"type": "integer"},
+                "syllables_rendered": {"type": "integer"},
             },
         },
         # verify-lemma4 only: the coefficients of infinite order checked
@@ -266,14 +274,16 @@ def _cmd_verify_lemma4(args, ambient):
     failures = []
     samples = []
     infinite_checked = 0
+    work = {"candidates": 0, "powers_built": 0}
     for _ in range(args.trials):
         f_word = args.f or random_word_text(rng, ambient, 1, args.max_len)
         cons = words.build_lemma4(ambient, f_word)
         if words.evaluate(cons.equation.lhs, cons.g_solution) != cons.equation.rhs:
             failures.append({"kind": "construction", "f": f_word})
-        if cons.equation.rhs.order() == INFINITE:
+        reduction = cons.equation.rhs.cyclic_reduce()
+        if reduction.order() == INFINITE:
             infinite_checked += 1
-            if words.cyclic_power_solution_exists(cons, args.power_bound):
+            if words.cyclic_power_solution_exists(cons, args.power_bound, reduction, work):
                 failures.append({"kind": "cyclic-power-solution", "f": f_word})
         if len(samples) < 3:
             samples.append({"f": f_word, "p": cons.prime, "k": list(cons.exponents)})
@@ -281,6 +291,7 @@ def _cmd_verify_lemma4(args, ambient):
             break
     report = _report("verified" if not failures else "failed", failures, samples)
     report["infinite_order_checked"] = infinite_checked
+    report["counters"] = work
     return (0 if not failures else 1), report
 
 
@@ -383,15 +394,22 @@ def _cmd_axis(args, ambient):
     cls = tree.classify(value)
     if isinstance(cls, tree.Elliptic):
         witness = {"type": "elliptic", "fixed_vertex": cls.fixed_vertex.render()}
-        return 0, _report("elliptic", witnesses=[witness])
+        report = _report("elliptic", witnesses=[witness])
+        report["counters"] = {"syllables_rendered": tree._vertex_rep(cls.fixed_vertex).norm}
+        return 0, report
+    axis = cls.axis
+    conjugator, vertices, rendered = tree._render_window(
+        axis.conjugator, tree._axis_window(axis, args.window))
     witness = {
         "type": "hyperbolic",
-        "translation_edges": cls.axis.translation_length_edges,
-        "conjugator": cls.axis.conjugator.as_word(),
-        "core": cls.axis.core.as_word(),
-        "vertices": [v.render() for v in tree.axis_vertices(value, args.window)],
+        "translation_edges": axis.translation_length_edges,
+        "conjugator": conjugator,
+        "core": axis.core.as_word(),
+        "vertices": vertices,
     }
-    return 0, _report("hyperbolic", witnesses=[witness])
+    report = _report("hyperbolic", witnesses=[witness])
+    report["counters"] = {"syllables_rendered": rendered + axis.core.norm}
+    return 0, report
 
 
 def _text_axis(args, report):

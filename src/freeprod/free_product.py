@@ -115,12 +115,23 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
         (f, e), = core
         y = factors[f].power(e, k)
         return s[:i] + ((f, y),) + s[i + 1:] if y else ()
-    size = len(s) + len(core) * (k - 1)
+    size = _power_norm(factors, len(s), core, k)
     if size > MAX_POWER_SYLLABLES:
         raise PowerTooLargeError(
             f"power has {size} syllables, above the cap of {MAX_POWER_SYLLABLES}"
         )
     return s[:i] + core * (k - 1) + s[i:]
+
+
+def _power_norm(factors, norm: int, core: Sequence[Syllable], k: int) -> int:
+    """Norm of u^k, k >= 1, for u of the given norm with cyclic core
+    ``core``, without building u^k: a one-syllable core (f, e) becomes
+    e^k, and u^k has u's norm, or 0 when e^k = 1; copies of a core of norm
+    >= 2 never cancel, so each of the k - 1 extra ones adds its norm."""
+    if len(core) == 1:
+        (f, e), = core
+        return norm if factors[f].power(e, k) else 0
+    return norm + len(core) * (k - 1)
 
 
 def _failure(b: Sequence[Syllable]) -> list[int]:
@@ -409,13 +420,7 @@ class FPElement:
 
     def order(self) -> int | float:
         """Order of the element; INFINITE when the cyclic core has norm >= 2."""
-        core = self.cyclic_reduce().core
-        if core.norm == 0:
-            return 1
-        if core.norm == 1:
-            f, e = core.syllables[0]
-            return self.group.factors[f].element_order(e)
-        return INFINITE
+        return self.cyclic_reduce().order()
 
     # -- rendering ---------------------------------------------------------
 
@@ -447,6 +452,17 @@ class CyclicReduction:
 
     def rebuild(self) -> FPElement:
         return self.conjugator * self.core * self.conjugator.inverse()
+
+    def order(self) -> int | float:
+        """Order of the original, read from the core: 1 for norm 0, the
+        order of the syllable in its factor for norm 1, else INFINITE."""
+        core = self.core
+        if core.norm == 0:
+            return 1
+        if core.norm == 1:
+            f, e = core.syllables[0]
+            return core.group.factors[f].element_order(e)
+        return INFINITE
 
 
 class Part(NamedTuple):

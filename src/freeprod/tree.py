@@ -56,8 +56,13 @@ class CosetVertex:
 TreeVertex = Union[ElementVertex, CosetVertex]
 
 
+def _vertex_rep(v: TreeVertex) -> FPElement:
+    """The element of an element vertex, the canonical rep of a coset one."""
+    return v.element if isinstance(v, ElementVertex) else v.rep
+
+
 def _vertex_group(v: TreeVertex) -> FreeProduct:
-    return v.element.group if isinstance(v, ElementVertex) else v.rep.group
+    return _vertex_rep(v).group
 
 
 def act(h: FPElement, v: TreeVertex) -> TreeVertex:
@@ -161,9 +166,13 @@ def axis_vertices(u: FPElement, window: int) -> list[TreeVertex]:
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    axis = _require_hyperbolic(u)
-    group = u.group
+    return _axis_window(_require_hyperbolic(u), window)
+
+
+def _axis_window(axis: AxisInfo, window: int) -> list[TreeVertex]:
+    """axis_vertices for an element already classified as hyperbolic."""
     c, core = axis.conjugator, axis.core
+    group = c.group
     out: list[TreeVertex] = []
     base = c * core.power(-window)
     for _ in range(-window, window + 1):
@@ -174,6 +183,45 @@ def axis_vertices(u: FPElement, window: int) -> list[TreeVertex]:
             current = current * FPElement(group, ((f, e),))
         base = current
     return out
+
+
+def _render_window(
+    conjugator: FPElement, vertices: list[TreeVertex]
+) -> tuple[str, list[str], int]:
+    """(conjugator.as_word(), [v.render() for v in vertices], syllables
+    rendered) for a window of the axis of c * core * c^-1, with c the
+    conjugator.
+
+    Every vertex of such a window starts with the head c minus its last
+    syllable: c * core^k * (d_1..d_j) extends c for k >= 0, and for k < 0
+    the last syllable of c merges with the first of core^-1 without
+    cancelling (the split is reduced).  The head is rendered once, and each
+    vertex as the head's text plus its remaining syllables; that the vertex
+    starts with the head is checked per vertex, and a vertex that does not
+    is rendered in full.
+    """
+    texts = [g.element_texts for g in conjugator.group.factors]
+    head = conjugator.syllables[:-1]
+    n = len(head)
+    head_text = " ".join([texts[f][e] for f, e in head])
+    rendered = conjugator.norm
+    if n:
+        f, e = conjugator.syllables[-1]
+        conj_text = f"{head_text} {texts[f][e]}"
+    else:
+        conj_text = conjugator.as_word()  # at most one syllable
+    out = []
+    for v in vertices:
+        sylls = _vertex_rep(v).syllables
+        if n and sylls[:n] == head:
+            tag = "E:" if isinstance(v, ElementVertex) else f"C{v.factor}:"
+            rest = sylls[n:]
+            out.append("".join([tag, head_text, *[" " + texts[f][e] for f, e in rest]]))
+            rendered += len(rest)
+        else:
+            out.append(v.render())
+            rendered += len(sylls)
+    return conj_text, out, rendered
 
 
 def axes_intersection(u: FPElement, v: FPElement, window: int) -> int | None:

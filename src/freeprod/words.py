@@ -39,12 +39,14 @@ from .errors import (
 from .free_product import (
     MAX_POWER_SYLLABLES,
     Ball,
+    CyclicReduction,
     FPElement,
     FreeProduct,
     _ball_elements,
     _centralizer,
     _conjugator,
     _inverse_syllables,
+    _power_norm,
     _product,
     _seam_merge,
     power_syllables,
@@ -1014,21 +1016,44 @@ def build_lemma4(group: FreeProduct, f_word: str) -> Lemma4Construction:
 
 
 def cyclic_power_solution_exists(
-    cons: Lemma4Construction, bound: int = 20
+    cons: Lemma4Construction,
+    bound: int = 20,
+    reduction: CyclicReduction | None = None,
+    counters: dict | None = None,
 ) -> bool:
     """Whether some substitution x_j = f^{n_j}, |n_j| <= bound, solves the
     power equation (only meaningful when f has infinite order).
 
     With x_j = f^{n_j} the left side is f^(p * sum n_j), so the search space
-    collapses to the possible exponent sums; each sum is checked exactly.
+    collapses to the possible exponent sums n.  f is split once (or
+    ``reduction``, f's cyclic reduction, is used), and f^n = f needs f^n to
+    have f's norm, which the split gives exactly for every n (see
+    free_product._power_norm; f^-n has the norm of f^n); f^n is built and
+    compared with f only when the norms agree.  For f of infinite order no
+    candidate other than n = +-1 has f's norm, so nothing is built.
+    ``counters``, when given, gets ``candidates`` (exponent sums tried) and
+    ``powers_built`` (powers built and compared) added to it.
     """
     f = cons.equation.rhs
+    if reduction is None:
+        reduction = f.cyclic_reduce()
+    factors, norm, core = f.group.factors, f.norm, reduction.core.syllables
     m = len(cons.exponents)
     p = cons.prime
+    found, candidates, built = False, 0, 0
     for total in range(-bound * m, bound * m + 1):
-        if f.power(p * total) == f:
-            return True
-    return False
+        n = p * total
+        candidates += 1
+        if (_power_norm(factors, norm, core, abs(n)) if n else 0) != norm:
+            continue
+        built += 1
+        if f.power(n) == f:
+            found = True
+            break
+    if counters is not None:
+        counters["candidates"] = counters.get("candidates", 0) + candidates
+        counters["powers_built"] = counters.get("powers_built", 0) + built
+    return found
 
 
 def _variables_for_generators(group: FreeProduct) -> dict[str, int]:

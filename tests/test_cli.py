@@ -486,6 +486,149 @@ def test_cli_solve_all_output_is_pinned(capsys, ball, depth):
     assert tuple(digests) == GOLDEN_SOLVE_ALL[ball, depth]
 
 
+
+def _output_digests(capsys, argv):
+    """Exit code and the sha256 of the text output and of the JSON report
+    with timings.total_s set to 0 and any counters dropped."""
+    digests = []
+    for extra in ([], ["--json"]):
+        code = cli.main(argv + extra)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out
+        if extra:
+            report = json.loads(out)
+            report.pop("counters", None)
+            report["timings"]["total_s"] = 0
+            out = json.dumps(report, indent=2) + "\n"
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    return code, tuple(digests)
+
+
+AXIS_SHAPES = ("(a b)^{n} b a b^2 a (a b)^-{n}", "(a b^2)^{n} a b^2 a b (a b^2)^-{n}")
+
+# sha256 of the output of axis on p23, text and JSON (see _output_digests):
+# (index into AXIS_SHAPES, n, window) -> (text, json).
+GOLDEN_AXIS = {
+    (0, 1, 0): ("d20131b25c4144ccb4f2b191b0ef9b4c33876e018f1de9fc32fc11deed7db8cb",
+                "89aa5093cba91cc09d6e5f0dc27d6cb92db17212abb6660e09c84b8e5de020a4"),
+    (0, 1, 1): ("66e41c8a94b5c89d3697a9675490f4711cb04d237efa46ecdc875812aed9de85",
+                "a0e22f64b4265831a1d79973536e5853aa87b5ac06a43320c4084217462085bf"),
+    (0, 1, 2): ("5f3ebc2a736152f24d722707e41f403da652e7db19837740d3db73b9b77e5561",
+                "ada0dc39f5f90b005429b9df9f2f88f7c0485ecec2eb2365d4ae8829175ed343"),
+    (0, 2, 0): ("6f8524c8e402eef50b1f7defba912184a045ec21019e930c0717bbdef2a3ff42",
+                "a2fb624b6ae749333b4caaac62ce693b7b740600d33247dc54a558e715100498"),
+    (0, 2, 1): ("eac2b05577f327a0bc269cd6aebaf365c8640d07ba46166db495860151579112",
+                "1cf9e2c866d356ffcf128759edf95f2eea4888706dbadc2f2545ec00655fd4ec"),
+    (0, 2, 2): ("ce19033c650858adb71d8a56b3ba2c8ea46c160cf526ee1ac637e30968b67971",
+                "fcf8a8bf4862e2c46e01024983e38a2fdb185f845c58200fb442d3a394e41701"),
+    (0, 1854, 0): ("86c414e42cf82107c3e1969c14a4d76b18d4f56bf260c6b6e8323dac3a2f695c",
+                   "d81a03bb5f5a1ab4b590fe953aca7bd7bba725593f5fec1bdea2f5bc1a5902f9"),
+    (0, 1854, 1): ("a3509cb4cf5fcdfec4e5321e9052485a41eb1e58afb88176f61209bec7f45e7c",
+                   "832b8920a50b9dc1e25864675879d3a99aee3e672875e47f683bd932ee389a2e"),
+    (0, 1854, 2): ("2b5a2cb9e4b7ec6fc2fa1bb40a40aef923fe5080be18e14a6199cee0d2b29af4",
+                   "8d472bf4d9dc54b7bce81ac84afe738ae36d3231cb66b5ac9f96386885d92cb5"),
+    (1, 1, 0): ("4191e82fd6a8fb3ce476c21fba85a928029e3424792f58ecf06bca065e405e3d",
+                "89aa5093cba91cc09d6e5f0dc27d6cb92db17212abb6660e09c84b8e5de020a4"),
+    (1, 1, 1): ("2f05ee1bb9b6237a92c4cd3adc9f156beee540d98cfd6a6645f4999ba2ef3025",
+                "a0e22f64b4265831a1d79973536e5853aa87b5ac06a43320c4084217462085bf"),
+    (1, 1, 2): ("34598084753d0ca0f8ddaf3e33e8f8596602b929bd373ebec3e0ababbfabac5e",
+                "ada0dc39f5f90b005429b9df9f2f88f7c0485ecec2eb2365d4ae8829175ed343"),
+    (1, 2, 0): ("693e745eeba2407bba2744b92950d9b2b6946b72cdee6d2dcf0100090a149aff",
+                "55700942fa6d0efc470453e13e7970eab9dedb7a95a206e06552d21a53267bdb"),
+    (1, 2, 1): ("eb7082b1386be0acbb75eaade1bf5407a9fc599649d7571c304352a91318d375",
+                "57c5a9a360399a8a33caf0a7e6ed57e1bfd188943ddd939300a7b3470aafb895"),
+    (1, 2, 2): ("73c95ae5bdbb771df00bfc540fc03113118c2633ed651f030f247e04e6abee95",
+                "13f78bb508c45e97f91df07d86b847fb8a3601fba394445bd8a39ab7e1f90a1d"),
+    (1, 1854, 0): ("daf5855527df7110f10aaa7c57a402b056cb22169bed2952b296571a24970461",
+                   "f4eb19ecfef62078ec1aab8cecbeba0e28213815320fa74b8554d0258587f65a"),
+    (1, 1854, 1): ("55a6c6ac243308f55dc285a42a5d35d9589eedae61466973959d6b17c89e1979",
+                   "0826381ba34efa0e31364d358500588d0ee187ac4ca0211d68563ca4bdceddfc"),
+    (1, 1854, 2): ("21def36bc4072f67644b6b8614e8000bc21f784ec629302398ce641aa9d71868",
+                   "8c7737010b085de6706b64a24a5ea67755187ba3699b7ab2f6d6a2ce06a0ef5b"),
+}
+
+
+# The same for verify-lemma4 --trials 20: (group, seed, power bound) -> (text, json).
+GOLDEN_LEMMA4 = {
+    ("p23", 0, 0): ("6cd5df346ea88027d825d1e7e20fbe5ce4a687af9b24e643d75e8f2d30dc758b",
+                    "80fee888df3166f39f89309ca9f77471003d99ffbd23cf530c43c218183d3a06"),
+    ("p23", 0, 20): ("f9f9cb6dc531bbfe51692ca68668230cf34097b398d9fa3b402f2406f2e739fe",
+                     "80fee888df3166f39f89309ca9f77471003d99ffbd23cf530c43c218183d3a06"),
+    ("p23", 0, 80): ("8986b9486083cb2a892a70fa0e9a83949ecbd5d38956ee52dd2c292071ce7b5c",
+                     "80fee888df3166f39f89309ca9f77471003d99ffbd23cf530c43c218183d3a06"),
+    ("p23", 1, 0): ("d814e3d9974992d5364857d24248c12fcc7268702f2f9ae8fc37febdb357804b",
+                    "056715ca201d036f2f7317d8d5eb8789ef0bfda61325c676279714009638d484"),
+    ("p23", 1, 20): ("57cf126bd1ef35bc39029c4fa0013840725562aefb9415f185667099da07b7e9",
+                     "056715ca201d036f2f7317d8d5eb8789ef0bfda61325c676279714009638d484"),
+    ("p23", 1, 80): ("e85b9cc3c73827859a219bcb88e03e4918db29bcfe0ddf8c2718d862e7787b1c",
+                     "056715ca201d036f2f7317d8d5eb8789ef0bfda61325c676279714009638d484"),
+    ("example1", 2, 0): ("404179b9a5a346941526cfa51727824c7e28d23d85d22c0ab180474a93b6bc30",
+                         "b9d4bdc4fc6b553e5c5cb8eb8511627ccd48318d6e8fc5d0367d77c7a858b3ec"),
+    ("example1", 2, 20): ("6d8e0acc2a6030c75d2fb04b90705ef742d7554b6e05abb250c6d02560871bad",
+                          "b9d4bdc4fc6b553e5c5cb8eb8511627ccd48318d6e8fc5d0367d77c7a858b3ec"),
+    ("example1", 2, 80): ("e4395c647e508ab30f1739e7a05e48c2a53e430beb5f0956c84f3d62bcbb90f0",
+                          "b9d4bdc4fc6b553e5c5cb8eb8511627ccd48318d6e8fc5d0367d77c7a858b3ec"),
+}
+
+
+@pytest.mark.parametrize("shape, n, window", GOLDEN_AXIS)
+def test_cli_axis_output_is_pinned(capsys, shape, n, window):
+    # Every vertex of the window, its order and its rendering, byte for byte.
+    argv = ["axis", "--group", str(CASES / "p23.grp"), "--word",
+            AXIS_SHAPES[shape].format(n=n), "--window", str(window)]
+    assert _output_digests(capsys, argv) == (0, GOLDEN_AXIS[shape, n, window])
+
+
+@pytest.mark.parametrize("group, seed, bound", GOLDEN_LEMMA4)
+def test_cli_verify_lemma4_output_is_pinned(capsys, group, seed, bound):
+    argv = ["verify-lemma4", "--group", str(CASES / f"{group}.grp"), "--trials", "20",
+            "--seed", str(seed), "--power-bound", str(bound)]
+    assert _output_digests(capsys, argv) == (0, GOLDEN_LEMMA4[group, seed, bound])
+
+
+def test_cli_axis_renders_linearly(capsys):
+    # The conjugator is rendered once and each vertex adds only its own few
+    # syllables, so the count grows with the conjugator, not with the
+    # vertices times the conjugator.
+    counts = []
+    for n in (500, 1000, 2000, 4000):
+        code, report = run_json(capsys, ["axis", "--group", str(CASES / "p23.grp"), "--word",
+                                         AXIS_SHAPES[0].format(n=n), "--window", "2"])
+        assert code == 0 and report["verdict"] == "hyperbolic"
+        counts.append(report["counters"]["syllables_rendered"])
+    assert all(big <= 2.1 * small for small, big in zip(counts, counts[1:]))
+    # the conjugator has 2n syllables, the core 4, and the 40 vertices of a
+    # window of 2 add 220 syllables after the shared head, whatever n is
+    assert counts == [2 * n + 4 + 220 for n in (500, 1000, 2000, 4000)]
+
+    code, report = run_json(capsys, ["axis", "--group", str(CASES / "p23.grp"),
+                                     "--word", "b a b^2"])
+    assert report["counters"] == {"syllables_rendered": 1}
+
+
+def test_cli_verify_lemma4_decides_candidates_without_powers(capsys):
+    def counters(bound, *extra):
+        code, report = run_json(capsys, ["verify-lemma4", "--group", str(CASES / "p23.grp"),
+                                         "--power-bound", str(bound), *extra])
+        assert code == 0
+        return report["infinite_order_checked"], report["counters"]
+
+    # f = a b has infinite order: 2 * bound * 2 + 1 exponent sums, decided
+    # from their norms alone
+    for bound in (0, 5, 10, 20, 40, 80):
+        assert counters(bound, "--f", "a b") == (
+            1, {"candidates": 4 * bound + 1, "powers_built": 0})
+    # every f checked has infinite order: candidates grow linearly in the
+    # bound, 2 * bound * (letters) + 1 per f, and no power is built
+    runs = {bound: counters(bound, "--trials", "40", "--seed", "7") for bound in (10, 20, 40)}
+    checked = runs[10][0]
+    assert checked > 0 and all(r[1]["powers_built"] == 0 for r in runs.values())
+    letters = (runs[10][1]["candidates"] - checked) // 20
+    for bound, (_, work) in runs.items():
+        assert work["candidates"] == 2 * bound * letters + checked
+
+
 def test_cli_input_errors(capsys, tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_text("factors: cyclic 1\nlabels: a")

@@ -1,10 +1,13 @@
 import random
 from collections import deque
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from freeprod import tree
 from freeprod.errors import MixedAmbientError, NotHyperbolicError, VerificationError
+from conftest import raw_syllable_lists
 from freeprod.free_product import INFINITE
 from freeprod.sampling import (
     random_cyclically_reduced,
@@ -22,6 +25,7 @@ from freeprod.tree import (
     classify,
     vertex_distance,
 )
+from freeprod.words import parse_constant
 
 
 def test_coset_vertex_canonicalizes(p23):
@@ -301,3 +305,59 @@ def test_axes_intersection_rejects_non_contiguous_windows(p23, monkeypatch):
     monkeypatch.setattr(tree, "axis_vertices", lambda w, n: [1, 2, 3] if w is u else [1, 3])
     with pytest.raises(VerificationError):
         axes_intersection(u, v, 2)
+
+
+def _shared_head_matches_full_rendering(u, window):
+    """The shared-head rendering of u's axis window against a full render
+    of every vertex; returns whether the conjugator's last syllable merged
+    with the first syllable of core^-1."""
+    axis = classify(u).axis
+    c = axis.conjugator.syllables
+    verts = axis_vertices(u, window)
+    window_verts = tree._axis_window(axis, window)
+    conj_text, texts, rendered = tree._render_window(axis.conjugator, window_verts)
+    assert conj_text == axis.conjugator.as_word()
+    assert texts == [v.render() for v in verts]
+    # Every vertex starts with the head, c minus its last syllable, so only
+    # the syllables after it are rendered per vertex.
+    head = max(len(c) - 1, 0)
+    assert rendered == len(c) + sum(tree._vertex_rep(v).norm - head for v in verts)
+    core_inv = axis.core.inverse().syllables
+    return bool(c) and c[-1][0] == core_inv[0][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["p23", "s3z2", "p222"]),
+       window=st.integers(0, 3))
+def test_shared_head_rendering_matches_full_render(p23, s3z2, p222, data, which, window):
+    # Random hyperbolic c * core * c^-1 in C2 * C3, S3 * Z2 (cases/example1)
+    # and C2 * C2 * C2.
+    group = {"p23": p23, "s3z2": s3z2, "p222": p222}[which]
+    n = len(group.factors)
+    # a cyclically reduced core of norm 2..6: consecutive factors differ,
+    # and a last syllable in the first one's factor is dropped
+    fs = [data.draw(st.integers(0, n - 1))]
+    for _ in range(data.draw(st.integers(1, 5))):
+        fs.append((fs[-1] + data.draw(st.integers(1, n - 1))) % n)
+    if fs[-1] == fs[0]:
+        fs.pop()
+    core = group.element([(f, data.draw(st.integers(1, group.factors[f].order - 1)))
+                          for f in fs])
+    c = group.element(data.draw(raw_syllable_lists(group, 10)))
+    u = c * core * c.inverse()
+    assert isinstance(classify(u), Hyperbolic)
+    _shared_head_matches_full_rendering(u, window)
+
+
+def test_shared_head_rendering_covers_merging_conjugators(p23, s3z2):
+    # Conjugators whose last syllable merges with the first of core^-1, as
+    # on every axis in a product of two factors, and one whose split merged
+    # a syllable into the end of the core (b a b^2 a b = b (a b^2 a b^2) b^2).
+    merging = 0
+    for group, text in ((p23, "(a b)^3 b a b^2 a (a b)^-3"),
+                        (p23, "(a b^2)^5 a b^2 a b (a b^2)^-5"),
+                        (p23, "b a b^2 a b"), (p23, "a b"),
+                        (s3z2, "(a c b)^4 a c b c (a c b)^-4"), (s3z2, "c a c b c")):
+        for window in range(4):
+            merging += _shared_head_matches_full_rendering(parse_constant(text, group), window)
+    assert merging >= 16

@@ -721,6 +721,53 @@ def test_lemma4_cyclic_power_check_agrees_with_evaluate(p23):
         assert value != f
 
 
+
+def _cyclic_power_oracle(cons, bound):
+    """Every exponent sum's power built and compared with f."""
+    f = cons.equation.rhs
+    m = len(cons.exponents)
+    return any(f.power(cons.prime * total) == f for total in range(-bound * m, bound * m + 1))
+
+
+def _check_cyclic_power_against_oracle(cons, bound):
+    f = cons.equation.rhs
+    work: dict = {}
+    found = words.cyclic_power_solution_exists(cons, bound, f.cyclic_reduce(), work)
+    assert found == _cyclic_power_oracle(cons, bound)
+    assert words.cyclic_power_solution_exists(cons, bound) == found
+    span = 2 * bound * len(cons.exponents) + 1
+    assert work["powers_built"] <= work["candidates"] <= span
+    assert work["candidates"] == span or found
+    if f.order() == INFINITE:
+        assert work["powers_built"] == 0
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bound=st.integers(0, 6))
+def test_cyclic_power_norm_first_matches_building_every_power(p23, s3z2, p222, data, bound):
+    group = data.draw(st.sampled_from([p23, s3z2, p222]))
+    labels = data.draw(st.lists(st.sampled_from(group.generator_labels), min_size=1,
+                                max_size=5))
+    _check_cyclic_power_against_oracle(build_lemma4(group, " ".join(labels)), bound)
+
+
+def test_cyclic_power_norm_first_finds_finite_order_solutions(p23, s3z2):
+    # f of finite order: f^(p n) = f for p n = 1 modulo the order of f, so
+    # candidates with f's norm do solve, and the answer is True.
+    # Answers at bounds 0, 1 and 3; at bound 0 only n = 0 is tried, which
+    # solves for f = 1 alone.
+    solvable, unsolvable, identity = (False, True, True), (False,) * 3, (True,) * 3
+    for group, text, expected in (
+        (p23, "b", solvable), (p23, "b a b b", solvable), (p23, "a a", identity),
+        (s3z2, "a b", solvable), (s3z2, "c a b a c", solvable),
+        (p23, "a b", unsolvable), (p23, "b a b", unsolvable), (s3z2, "a c", unsolvable),
+    ):
+        cons = build_lemma4(group, text)
+        assert tuple(_check_cyclic_power_against_oracle(cons, bound)
+                     for bound in (0, 1, 3)) == expected
+
+
 # -- twisted power equation --------------------------------------------------
 
 
