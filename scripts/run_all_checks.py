@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Drive every verification command over the shipped case files.
 
-Prints one line per check and exits nonzero if any check lands somewhere
-other than its documented verdict.  Useful as a quick end-to-end smoke run:
+Prints each command, its output (a line longer than LINE_CHARS is cut,
+with its length noted) and its exit code, and exits nonzero if any check
+lands somewhere other than its documented verdict.  Useful as a quick
+end-to-end smoke run:
 
     python3 scripts/run_all_checks.py
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -16,6 +20,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from freeprod import cli  # noqa: E402
 
 CASES = ROOT / "cases"
+LINE_CHARS = 400
+
+# a conjugate of 100,003 syllables in D150 * Z2, whose 300 syllable ids do
+# not fit in one byte: b is id 298
+D150_CONJUGATE = "(b c a)^25000 b c (b c a)^-25000"
 
 # (argv, expected exit code)
 CHECKS = [
@@ -70,6 +79,14 @@ CHECKS = [
     # syllables after it
     (["axis", "--group", str(CASES / "p23.grp"),
       "--word", "(a b)^4000 b a b^2 a (a b)^-4000", "--window", "1"], 0),
+    (["reduce", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE], 0),
+    (["order", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE], 0),
+    (["axis", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE,
+      "--window", "1"], 0),
+    # 10^7 syllables, the power cap, are built and rendered; one more
+    # period is refused before anything is built: a resource limit, exit 2
+    (["eval", "--group", str(CASES / "p23.grp"), "--word", "(a b)^5000000"], 0),
+    (["eval", "--group", str(CASES / "p23.grp"), "--word", "(a b)^5000001"], 2),
     (["order", "--group", str(CASES / "p23.grp"),
       "--word", "a^100000000000"], 0),
     # infinite order, read from the base; the normal form is above the cap
@@ -143,7 +160,13 @@ def main() -> int:
     failures = 0
     for argv, expected in CHECKS:
         print(f"$ freeprod {' '.join(argv)}")
-        code = cli.main(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        for line in out.getvalue().splitlines():
+            if len(line) > LINE_CHARS:
+                line = f"{line[:LINE_CHARS]} ... ({len(line):,} characters)"
+            print(line)
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             failures += 1

@@ -208,12 +208,12 @@ def _cmd_solve(args, ambient):
     found = words.solve_bounded(eq, candidates, mode="all" if args.all else "first",
                                 counters=work)
     solutions = found if args.all else ([found] if found else [])
-    texts: dict[tuple, str] = {}  # each distinct value is rendered once
+    texts: dict[str, str] = {}  # each distinct value is rendered once
 
     def render(v) -> str:
-        text = texts.get(v.syllables)
+        text = texts.get(v.ids)
         if text is None:
-            text = texts[v.syllables] = v.as_word()
+            text = texts[v.ids] = v.as_word()
         return text
 
     witnesses = [{f"x{i}": render(v) for i, v in sub.assignment} for sub in solutions]

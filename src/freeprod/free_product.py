@@ -4,6 +4,12 @@ An element is a reduced alternating sequence of syllables; a syllable is a
 pair (factor_index, element_id) with a nonidentity element.  The reduced
 sequence is the unique canonical representative, so syllable-sequence
 equality is the equality oracle for the whole group.
+
+Each FreeProduct numbers the syllables of all its factors 0..A-1 (see
+Codec), and a normal form is stored as one immutable ``str`` whose code
+points are those syllable ids.  Inverse, concatenation, slicing, equality
+and hashing of normal forms then run in C; ``FPElement.syllables`` gives the
+(factor, element) pairs as a tuple, built on demand.
 """
 
 from __future__ import annotations
@@ -36,62 +42,185 @@ Syllable = tuple[int, int]
 MAX_POWER_SYLLABLES = 10**7
 
 
-def _inverse_syllables(factors, s: Sequence[Syllable]) -> tuple[Syllable, ...]:
-    return tuple([(f, factors[f].inverses[e]) for f, e in reversed(s)])
+class Codec:
+    """The syllable ids of one free product, built in O(A) for A ids.
 
+    The nonidentity elements of factor 0 get ids 0.., then those of factor
+    1, and so on; a syllable is the one-character string ``chr(id)``, and a
+    normal form is the string of its syllables.  ``str`` holds any number of
+    ids (``bytes`` would stop at 256).  For a syllable x:
 
-def _seam_merge(factors, out: list, pieces: Iterable[Sequence[Syllable]]) -> list:
-    """Append the reduced syllable tuples ``pieces``, in order, to the
-    reduced list ``out`` and return it.
+    - ``factor[x]`` and ``element[x]`` are its factor index and element id;
+    - ``symbols[f][e]`` is the syllable (f, e), and ``symbols[f][0]`` is
+      ``""``, so a product read from ``tables[f]``, the factor's own Cayley
+      table, is a syllable or nothing;
+    - ``inverse`` is the ``str.translate`` table to each syllable's inverse.
 
-    Both sides are reduced, so cancellation happens only at the seam (the
-    normal form theorem, Lyndon-Schupp, ch. IV, sec. 1).
+    ``texts()`` maps each syllable to its rendering, built on first use.
     """
-    for sylls in pieces:
-        i, n = 0, len(sylls)
-        while out and i < n:
-            f, e = sylls[i]
-            lf, le = out[-1]
-            if lf != f:
+
+    __slots__ = ("factors", "factor", "element", "symbols", "tables", "inverse", "_texts")
+
+    def __init__(self, factors: Sequence[FiniteGroup]):
+        self.factors = factors
+        self.factor: dict[str, int] = {}
+        self.element: dict[str, int] = {}
+        self.symbols: list[list[str]] = []
+        self.tables = [g.table for g in factors]
+        for f, g in enumerate(factors):
+            first = len(self.factor)  # the id of (f, 1)
+            row = [""] + [chr(first + e - 1) for e in range(1, g.order)]
+            self.symbols.append(row)
+            for e, x in enumerate(row[1:], 1):
+                self.factor[x] = f
+                self.element[x] = e
+        self.inverse = str.maketrans({
+            x: self.symbols[f][factors[f].inverses[self.element[x]]]
+            for x, f in self.factor.items()
+        })
+        self._texts: dict[str, str] | None = None
+
+    def decode(self, ids: str) -> tuple[Syllable, ...]:
+        """The (factor, element) pairs of an id string."""
+        factor, element = self.factor, self.element
+        return tuple([(factor[x], element[x]) for x in ids])
+
+    def texts(self) -> dict[str, str]:
+        """Each syllable's rendering, its factor's element text."""
+        if self._texts is None:
+            self._texts = {
+                x: self.factors[f].element_texts[self.element[x]] for x, f in self.factor.items()
+            }
+        return self._texts
+
+
+def _inverse_syllables(codec: Codec, s: str) -> str:
+    return s.translate(codec.inverse)[::-1]
+
+
+def _cancelled(s: str, q: str) -> int:
+    """The largest k with s ending in q[len(q) - k:], given that k >= 1
+    holds and k = len(q) does not: galloping, then bisection, over slice
+    comparisons.  The property is monotone in k when q[len(q) - k:] is the
+    inverse of the first k syllables of a reduced sequence."""
+    h = len(q)
+    lo, step = 1, 2
+    while step < h and s.endswith(q[h - step:]):
+        lo, step = step, 2 * step
+    hi = min(step, h)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s.endswith(q[h - mid:]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+#: Longest end of the output that _seam_merge copies to change it; the
+#: rest waits, uncopied, until cancellation reaches it.
+SEAM_TAIL = 512
+
+
+def _seam_merge(codec: Codec, out: str, pieces: Iterable[str]) -> str:
+    """The normal form of ``out`` followed by ``pieces``, all reduced id
+    strings.
+
+    Both sides of each seam are reduced, so cancellation happens only at
+    the seam (the normal form theorem, Lyndon-Schupp, ch. IV, sec. 1): two
+    syllables of different factors join; two of one factor whose product is
+    not 1 merge into one; otherwise the k syllables of ``out`` that cancel
+    against the piece's first k are found by slice comparisons with the
+    piece's inverse (the whole piece first), and the syllables left on
+    either side of them meet at a new seam.
+
+    A string is changed by copying it, so an output longer than SEAM_TAIL
+    is set aside as a view (string, end) before its end is changed or a
+    piece is joined to it, and only its last SEAM_TAIL syllables are
+    copied.  So each seam costs at most SEAM_TAIL plus the piece's length,
+    and a merge of many pieces stays linear in its input.
+    """
+    factor, element, symbols, tables = codec.factor, codec.element, codec.symbols, codec.tables
+    inverse = codec.inverse
+    views: list[tuple[str, int]] = []  # the output before ``out``: s[:end] each
+    for p in pieces:
+        while p:
+            if not out:
+                if not views:
+                    out = p
+                    break
+                s, end = views.pop()
+                if end > SEAM_TAIL:
+                    views.append((s, end - SEAM_TAIL))
+                out = s[max(end - SEAM_TAIL, 0):end]
+                continue
+            x, y = out[-1], p[0]
+            f = factor[x]
+            if f != factor[y]:
+                if len(out) > SEAM_TAIL:
+                    views.append((out, len(out)))
+                    out = p
+                else:
+                    out += p
                 break
-            m = factors[f].table[le][e]
-            i += 1
+            if len(out) > SEAM_TAIL:
+                views.append((out, len(out) - SEAM_TAIL))
+                out = out[-SEAM_TAIL:]
+            m = symbols[f][tables[f][element[x]][element[y]]]
             if m:
-                out[-1] = (f, m)
+                out = out[:-1] + m + p[1:]
                 break
-            out.pop()
-        out.extend(sylls[i:] if i else sylls)
+            h = min(len(p), len(out))
+            q = p[:h].translate(inverse)[::-1]  # q[h - k:] is the inverse of p[:k]
+            k = h if out.endswith(q) else _cancelled(out, q)
+            out, p = out[:-k], p[k:]
+    if views:
+        views.append((out, len(out)))
+        return "".join([s[:end] for s, end in views])
     return out
 
 
-def _product(factors, a: tuple[Syllable, ...], b: tuple[Syllable, ...]) -> tuple[Syllable, ...]:
-    """Normal form of a * b for reduced syllable tuples: plain concatenation
+def _product(codec: Codec, a: str, b: str) -> str:
+    """Normal form of a * b for reduced id strings: plain concatenation
     unless the seam joins two syllables of one factor."""
-    if a and b and a[-1][0] == b[0][0]:
-        return tuple(_seam_merge(factors, list(a), (b,)))
+    if a and b and codec.factor[a[-1]] == codec.factor[b[0]]:
+        return _seam_merge(codec, a, (b,))
     return a + b
 
 
-def _cyclic_split(factors, s: tuple[Syllable, ...]) -> tuple[int, tuple[Syllable, ...]]:
+def _cyclic_split(codec: Codec, s: str) -> tuple[int, str]:
     """(i, core) with s = c * core * c^-1 for the conjugator c = s[:i] and a
-    cyclically reduced core; see FPElement.cyclic_reduce."""
-    i, j = 0, len(s)
-    tail: tuple[Syllable, ...] = ()
-    while j - i >= 2 and s[i][0] == s[j - 1][0]:
-        f, e = s[i]
-        m = factors[f].table[s[j - 1][1]][e]
-        i += 1
-        j -= 1
-        if m:
+    cyclically reduced core; see FPElement.cyclic_reduce.  The syllables
+    that cancel are the longest prefix whose inverse ends s, found by slice
+    comparisons; the next pair, when it shares a factor, merges into the
+    core's last syllable."""
+    n = len(s)
+    if n < 2:
+        return 0, s
+    factor, element, symbols, tables = codec.factor, codec.element, codec.symbols, codec.tables
+    x, y = s[0], s[-1]
+    f = factor[x]
+    if f != factor[y]:
+        return 0, s
+    m = symbols[f][tables[f][element[y]][element[x]]]
+    if m:
+        return 1, s[1:-1] + m
+    h = n // 2
+    q = s[:h].translate(codec.inverse)[::-1]
+    i = h if s.endswith(q) else _cancelled(s, q)
+    j = n - i
+    if j - i >= 2:
+        x, y = s[i], s[j - 1]
+        f = factor[x]
+        if f == factor[y]:
             # The merged syllable ends the core; the next front syllable
             # lies in another factor, so the scan stops here.
-            tail = ((f, m),)
-            break
-    return i, s[i:j] + tail
+            return i + 1, s[i + 1:j - 1] + symbols[f][tables[f][element[y]][element[x]]]
+    return i, s[i:j]
 
 
-def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllable, ...]:
-    """Normal form of u^k for a reduced syllable sequence u.
+def power_syllables(codec: Codec, s: str, k: int) -> str:
+    """Normal form of u^k for a reduced id string u.
 
     With u = c * core * c^-1 its cyclic reduction (c = u[:i]), u^k is
     c * core^k * c^-1, and for k < 0 it is (u^-1)^-k:
@@ -104,18 +233,17 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
     The output size is checked against MAX_POWER_SYLLABLES before the result
     is built.
     """
-    s = tuple(sylls)
     if k < 0:
-        s, k = _inverse_syllables(factors, s), -k
+        s, k = _inverse_syllables(codec, s), -k
     if not s or k == 0:
-        return ()
-    i, core = _cyclic_split(factors, s)
+        return ""
+    i, core = _cyclic_split(codec, s)
     if len(core) == 1:
         # No merged syllable: s = s[:i] + core + s[i + 1:], all reduced.
-        (f, e), = core
-        y = factors[f].power(e, k)
-        return s[:i] + ((f, y),) + s[i + 1:] if y else ()
-    size = _power_norm(factors, len(s), core, k)
+        f = codec.factor[core]
+        y = codec.factors[f].power(codec.element[core], k)
+        return s[:i] + codec.symbols[f][y] + s[i + 1:] if y else ""
+    size = _power_norm(codec, len(s), core, k)
     if size > MAX_POWER_SYLLABLES:
         raise PowerTooLargeError(
             f"power has {size} syllables, above the cap of {MAX_POWER_SYLLABLES}"
@@ -123,51 +251,24 @@ def power_syllables(factors, sylls: Sequence[Syllable], k: int) -> tuple[Syllabl
     return s[:i] + core * (k - 1) + s[i:]
 
 
-def _power_norm(factors, norm: int, core: Sequence[Syllable], k: int) -> int:
+def _power_norm(codec: Codec, norm: int, core: str, k: int) -> int:
     """Norm of u^k, k >= 1, for u of the given norm with cyclic core
     ``core``, without building u^k: a one-syllable core (f, e) becomes
     e^k, and u^k has u's norm, or 0 when e^k = 1; copies of a core of norm
     >= 2 never cancel, so each of the k - 1 extra ones adds its norm."""
     if len(core) == 1:
-        (f, e), = core
-        return norm if factors[f].power(e, k) else 0
+        return norm if codec.factors[codec.factor[core]].power(codec.element[core], k) else 0
     return norm + len(core) * (k - 1)
 
 
-def _failure(b: Sequence[Syllable]) -> list[int]:
-    """Knuth-Morris-Pratt failure table: fail[i] is the length of the
-    longest proper prefix of b[:i + 1] that is also its suffix."""
-    fail = [0] * len(b)
-    k = 0
-    for i in range(1, len(b)):
-        while k and b[i] != b[k]:
-            k = fail[k - 1]
-        if b[i] == b[k]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
-def _is_rotation(a: tuple[Syllable, ...], b: tuple[Syllable, ...]) -> int | None:
+def _is_rotation(a: str, b: str) -> int | None:
     """The least k with b == a[k:] + a[:k] (a and b nonempty and equally
-    long), or None: a Knuth-Morris-Pratt search for b in a + a, linear
-    time."""
-    n = len(b)
-    fail = _failure(b)
-    k = 0
-    for i, x in enumerate(a + a[:-1]):
-        while k and x != b[k]:
-            k = fail[k - 1]
-        if x == b[k]:
-            k += 1
-            if k == n:
-                return i - n + 1
-    return None
+    long), or None: str.find of b in a + a, in C."""
+    k = (a + a[:-1]).find(b)
+    return None if k < 0 else k
 
 
-def _conjugator(
-    factors, b: tuple[Syllable, ...], t: tuple[Syllable, ...]
-) -> tuple[Syllable, ...] | None:
+def _conjugator(codec: Codec, b: str, t: str) -> str | None:
     """Normal form of some c with c * b * c^-1 = t, or None when b and t
     are not conjugate.
 
@@ -183,31 +284,30 @@ def _conjugator(
     When b == t, c = 1 is returned at once, without the cyclic splits.
     """
     if b == t:
-        return ()
-    i, core_b = _cyclic_split(factors, b)
-    j, core_t = _cyclic_split(factors, t)
+        return ""
+    i, core_b = _cyclic_split(codec, b)
+    j, core_t = _cyclic_split(codec, t)
     n = len(core_b)
     if n != len(core_t):
         return None
     if n == 0:
-        return ()
+        return ""
     if n == 1:
-        (f, x), (g, y) = core_b[0], core_t[0]
-        h = factors[f].conjugator(x, y) if f == g else None
+        f, element = codec.factor[core_b], codec.element
+        h = (codec.factors[f].conjugator(element[core_b], element[core_t])
+             if f == codec.factor[core_t] else None)
         if h is None:
             return None
-        middle = ((f, h),) if h else ()
+        middle = codec.symbols[f][h]
     else:
         k = _is_rotation(core_b, core_t)
         if k is None:
             return None
-        middle = _inverse_syllables(factors, core_b[:k])
-    return tuple(
-        _seam_merge(factors, list(t[:j]), (middle, _inverse_syllables(factors, b[:i])))
-    )
+        middle = _inverse_syllables(codec, core_b[:k])
+    return _seam_merge(codec, t[:j], (middle, _inverse_syllables(codec, b[:i])))
 
 
-def _centralizer(factors, b: tuple[Syllable, ...], bound: int) -> list[tuple[Syllable, ...]]:
+def _centralizer(codec: Codec, b: str, bound: int) -> list[str]:
     """Normal forms of the elements of norm <= bound in C(b), the
     centralizer of b != 1.
 
@@ -220,28 +320,29 @@ def _centralizer(factors, b: tuple[Syllable, ...], bound: int) -> list[tuple[Syl
       generated by r = u * rho * u^-1, and its elements are the powers
       r^k, whose norm grows with |k|.
     """
-    i, core = _cyclic_split(factors, b)
+    i, core = _cyclic_split(codec, b)
     if len(core) == 1:
-        (f, x), = core
         if 2 * i + 1 > bound:
-            return [()]
+            return [""]
+        f = codec.factor[core]
+        symbols = codec.symbols[f]
         u, u_inv = b[:i], b[i + 1:]
-        return [u + ((f, z),) + u_inv if z else () for z in factors[f].centralizer(x)]
+        return [u + symbols[z] + u_inv if z else ""
+                for z in codec.factors[f].centralizer(codec.element[core])]
     n = len(core)
-    period = n - _failure(core)[-1]
-    if n % period:
-        period = n
+    # the least rotation that fixes the core is the length of its root
+    period = (core + core).find(core, 1)
     # b is u, then the core (its last syllable merged into the next one when
     # the cyclic reduction merged one), then the last len(u) syllables.
     # Dropping m - 1 copies of rho from just before those leaves r.
     end = len(b) - i
     r = b[: end - (n - period)] + b[end:]
-    out = [()]
+    out = [""]
     k, rk = 1, r
     while len(rk) <= bound:
-        out += [rk, _inverse_syllables(factors, rk)]
+        out += [rk, _inverse_syllables(codec, rk)]
         k += 1
-        rk = power_syllables(factors, r, k)
+        rk = power_syllables(codec, r, k)
     return out
 
 
@@ -249,10 +350,11 @@ class FreeProduct:
     """Ambient group G = G_0 * ... * G_{n-1} with a generator namespace.
 
     Generator labels must be unique across all factors; each label denotes
-    one element of one factor.
+    one element of one factor.  ``codec`` numbers the syllables of all
+    factors (see Codec).
     """
 
-    __slots__ = ("factors", "generator_map", "name", "__weakref__")
+    __slots__ = ("factors", "generator_map", "name", "codec", "__weakref__")
 
     def __init__(self, factors: Sequence[FiniteGroup], name: str | None = None):
         factors = tuple(factors)
@@ -270,6 +372,7 @@ class FreeProduct:
         self.factors = factors
         self.generator_map = gen_map
         self.name = name or " * ".join(g.name for g in factors)
+        self.codec = Codec(factors)
 
     def __repr__(self) -> str:
         return f"FreeProduct({self.name!r})"
@@ -279,18 +382,18 @@ class FreeProduct:
         return tuple(self.generator_map)
 
     def identity(self) -> FPElement:
-        return FPElement(self, ())
+        return FPElement(self, "")
 
     def generator(self, label: str) -> FPElement:
         if label not in self.generator_map:
             raise UnknownGeneratorError(f"unknown generator {label!r} in {self.name}")
         i, e = self.generator_map[label]
-        return FPElement(self, ((i, e),))
+        return FPElement(self, self.codec.symbols[i][e])
 
     def factor_element(self, factor: int, elem: int) -> FPElement:
         self._check_factor(factor)
         self.factors[factor].check_element(elem)
-        return FPElement(self, ((factor, elem),)) if elem else FPElement(self, ())
+        return FPElement(self, self.codec.symbols[factor][elem])
 
     def element(self, pairs: Iterable[tuple[int, int]]) -> FPElement:
         """Normal form of a raw syllable sequence.
@@ -299,16 +402,15 @@ class FreeProduct:
         left-to-right pass, which gives the same result as merging adjacent
         same-factor syllables until nothing changes.
         """
-        factors = self.factors
+        factors, symbols = self.factors, self.codec.symbols
 
         def pieces():
             for f, e in pairs:
                 self._check_factor(f)
                 factors[f].check_element(e)
-                if e:
-                    yield ((f, e),)
+                yield symbols[f][e]
 
-        return FPElement(self, tuple(_seam_merge(factors, [], pieces())))
+        return FPElement(self, _seam_merge(self.codec, "", pieces()))
 
     def _check_factor(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < len(self.factors):
@@ -319,33 +421,40 @@ class FPElement:
     """An element of a FreeProduct in canonical normal form.
 
     Immutable; construct through FreeProduct methods or the arithmetic
-    operators, never by mutating ``syllables``.
+    operators.  ``ids`` is the normal form as a string of syllable ids (see
+    Codec); ``syllables`` is the same as (factor, element) pairs.
     """
 
-    __slots__ = ("group", "syllables")
+    __slots__ = ("group", "ids")
 
-    def __init__(self, group: FreeProduct, syllables: tuple[tuple[int, int], ...]):
+    def __init__(self, group: FreeProduct, ids: str):
         self.group = group
-        self.syllables = syllables
+        self.ids = ids
 
     # -- equality is normal-form equality within one ambient group --------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FPElement):
             return NotImplemented
-        return self.group is other.group and self.syllables == other.syllables
+        return self.group is other.group and self.ids == other.ids
 
     def __hash__(self) -> int:
-        return hash(self.syllables)
+        return hash(self.ids)
+
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        """The normal form as (factor_index, element_id) pairs, built on
+        each access."""
+        return self.group.codec.decode(self.ids)
 
     @property
     def norm(self) -> int:
         """Syllable length of the normal form; the identity has norm 0."""
-        return len(self.syllables)
+        return len(self.ids)
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self.ids
 
     def _require_same_group(self, other: FPElement) -> None:
         if not isinstance(other, FPElement) or other.group is not self.group:
@@ -355,10 +464,10 @@ class FPElement:
         if not isinstance(other, FPElement):
             return NotImplemented
         self._require_same_group(other)
-        return FPElement(self.group, _product(self.group.factors, self.syllables, other.syllables))
+        return FPElement(self.group, _product(self.group.codec, self.ids, other.ids))
 
     def inverse(self) -> FPElement:
-        return FPElement(self.group, _inverse_syllables(self.group.factors, self.syllables))
+        return FPElement(self.group, _inverse_syllables(self.group.codec, self.ids))
 
     def __invert__(self) -> FPElement:
         return self.inverse()
@@ -366,7 +475,7 @@ class FPElement:
     def power(self, k: int) -> FPElement:
         """k-th power from the cyclic reduction (see power_syllables);
         PowerTooLargeError when the result would exceed MAX_POWER_SYLLABLES."""
-        return FPElement(self.group, power_syllables(self.group.factors, self.syllables, k))
+        return FPElement(self.group, power_syllables(self.group.codec, self.ids, k))
 
     def __pow__(self, k: int) -> FPElement:
         return self.power(k)
@@ -388,14 +497,12 @@ class FPElement:
         tail).  Any conjugator differing by a power of the core would be
         equally valid; this one is pinned so results are reproducible.
 
-        Linear time: two indices close in from both ends.  The conjugator is
-        the prefix they pass, and the core is the middle, plus the merged
-        syllable when the last merge leaves one.
+        Linear time: the conjugator is the longest prefix whose inverse ends
+        the normal form, found by slice comparisons, and the core is the
+        middle, plus the merged syllable when the last pair merges.
         """
-        i, core = _cyclic_split(self.group.factors, self.syllables)
-        return CyclicReduction(
-            FPElement(self.group, self.syllables[:i]), FPElement(self.group, core)
-        )
+        i, core = _cyclic_split(self.group.codec, self.ids)
+        return CyclicReduction(FPElement(self.group, self.ids[:i]), FPElement(self.group, core))
 
     def conjugator(self, other: FPElement) -> FPElement | None:
         """Some g with g * self * g^-1 = other, or None when there is none.
@@ -410,7 +517,7 @@ class FPElement:
         cyclic reductions and the factor conjugator or rotation offset.
         """
         self._require_same_group(other)
-        c = _conjugator(self.group.factors, self.syllables, other.syllables)
+        c = _conjugator(self.group.codec, self.ids, other.ids)
         return None if c is None else FPElement(self.group, c)
 
     def is_conjugate(self, other: FPElement) -> bool:
@@ -431,10 +538,9 @@ class FPElement:
         factor, so the rendering is unambiguous).  A run of equal labels
         never crosses a syllable boundary, so each syllable renders alone.
         """
-        if not self.syllables:
+        if not self.ids:
             return "1"
-        texts = [g.element_texts for g in self.group.factors]
-        return " ".join([texts[f][e] for f, e in self.syllables])
+        return " ".join(map(self.group.codec.texts().__getitem__, self.ids))
 
     def __str__(self) -> str:
         return self.as_word()
@@ -460,8 +566,8 @@ class CyclicReduction:
         if core.norm == 0:
             return 1
         if core.norm == 1:
-            f, e = core.syllables[0]
-            return core.group.factors[f].element_order(e)
+            codec = core.group.codec
+            return core.group.factors[codec.factor[core.ids]].element_order(codec.element[core.ids])
         return INFINITE
 
 
@@ -500,16 +606,17 @@ def _check_part(group: FreeProduct, part: Part) -> None:
         raise MixedAmbientError("conjugator not in the ambient group")
 
 
-def _part_syllables(group: FreeProduct, parts: Sequence[Part]) -> list[list[tuple[Syllable, ...]]]:
+def _part_syllables(group: FreeProduct, parts: Sequence[Part]) -> list[list[str]]:
     """Check each part (see _check_part) and return, per part, the normal
-    forms of its nonidentity elements conjugator * h * conjugator^-1."""
-    part_elems: list[list[tuple[Syllable, ...]]] = []
+    forms (id strings) of its nonidentity elements
+    conjugator * h * conjugator^-1."""
+    part_elems: list[list[str]] = []
     for part in parts:
         _check_part(group, part)
         factor, subgroup, conj = part
         cinv = conj.inverse()
         part_elems.append([
-            (conj * group.factor_element(factor, h) * cinv).syllables
+            (conj * group.factor_element(factor, h) * cinv).ids
             for h in sorted(set(subgroup)) if h != 0
         ])
     return part_elems
@@ -537,9 +644,9 @@ def _ball_elements(
     group: FreeProduct,
     parts: Sequence[Part],
     depth: int,
-) -> Iterator[tuple[Syllable, ...]]:
-    """The normal forms of ``enumerate_ball(group, parts, depth)`` in its
-    order, each formed when the iteration reaches it.
+) -> Iterator[str]:
+    """The normal forms (id strings) of ``enumerate_ball(group, parts,
+    depth)`` in its order, each formed when the iteration reaches it.
 
     A product joins the next level only when it is a new element.  That
     keeps the order: a value v formed again was first formed, earlier, as a
@@ -550,21 +657,21 @@ def _ball_elements(
     once, and building B_d forms at most |B_d| products per nonidentity
     part element, however much the parts overlap."""
     part_elems = _part_syllables(group, parts)
-    factors = group.factors
-    yield ()
-    seen = {()}
-    level: list[tuple[int, tuple[Syllable, ...]]] = [(-1, ())]
+    codec = group.codec
+    yield ""
+    seen = {""}
+    level: list[tuple[int, str]] = [(-1, "")]
     for d in range(depth):
         extend = d + 1 < depth  # the last level is not extended: do not keep it
-        nxt: list[tuple[int, tuple[Syllable, ...]]] = []
+        nxt: list[tuple[int, str]] = []
         for last, value in level:
             for pi, elems in enumerate(part_elems):
                 if pi == last:
                     continue
                 for t in elems:
-                    v = _product(factors, value, t)
+                    v = _product(codec, value, t)
                     size = len(seen)
-                    seen.add(v)  # one hash of v, not two: tuples do not cache it
+                    seen.add(v)  # one set lookup of v, not two
                     if len(seen) > size:
                         if extend:
                             nxt.append((pi, v))
@@ -619,7 +726,7 @@ class Ball(Sequence):
         #: the search did.
         self.enumerated = False
         self._elements: list[FPElement] | None = None
-        self._index: set[tuple[Syllable, ...]] | None = None
+        self._index: set[str] | None = None
         self._halves: tuple[set, list] | None = None  # (B_a normal forms, B_b's)
 
     def __repr__(self) -> str:
@@ -649,10 +756,10 @@ class Ball(Sequence):
         if not isinstance(element, FPElement) or element.group is not self.group:
             return False
         self.membership_queries += 1
-        t = element.syllables
+        t = element.ids
         if self._elements is not None:
             if self._index is None:
-                self._index = {u.syllables for u in self._elements}
+                self._index = {u.ids for u in self._elements}
             return t in self._index
         if self._halves is None:
             larger = list(_ball_elements(self.group, self.parts, (self.depth + 1) // 2))
@@ -662,5 +769,5 @@ class Ball(Sequence):
             )
             self._halves = (set(larger), smaller)
         larger_set, smaller = self._halves
-        factors = self.group.factors
-        return any(_product(factors, t, w) in larger_set for w in smaller)
+        codec = self.group.codec
+        return any(_product(codec, t, w) in larger_set for w in smaller)

@@ -36,8 +36,8 @@ def random_cyclically_reduced(
     assert min_norm >= 2
     while True:
         u = random_reduced(rng, group, min_norm, max_norm)
-        s = u.syllables
-        if len(s) >= 2 and s[0][0] != s[-1][0]:
+        s, factor = u.ids, group.codec.factor
+        if len(s) >= 2 and factor[s[0]] != factor[s[-1]]:
             return u
 
 

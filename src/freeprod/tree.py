@@ -45,9 +45,9 @@ class CosetVertex:
         group = self.rep.group
         if not 0 <= self.factor < len(group.factors):
             raise BadFactorIndexError(f"factor index {self.factor} out of range")
-        sylls = self.rep.syllables
-        if sylls and sylls[-1][0] == self.factor:
-            object.__setattr__(self, "rep", FPElement(group, sylls[:-1]))
+        ids = self.rep.ids
+        if ids and group.codec.factor[ids[-1]] == self.factor:
+            object.__setattr__(self, "rep", FPElement(group, ids[:-1]))
 
     def render(self) -> str:
         return f"C{self.factor}:{self.rep.as_word()}"
@@ -90,16 +90,17 @@ def vertex_distance(v: TreeVertex, w: TreeVertex) -> int:
             return 2 * (v.element.inverse() * w.element).norm
         u = v.element.inverse() * w.rep
         k = u.norm
-        if u.syllables and u.syllables[-1][0] == w.factor:
+        if u.ids and u.group.codec.factor[u.ids[-1]] == w.factor:
             k -= 1
         return 2 * k + 1
     if v == w:
         return 0
     u = v.rep.inverse() * w.rep
     k = u.norm
-    if u.syllables and u.syllables[0][0] == v.factor:
+    factor = u.group.codec.factor
+    if u.ids and factor[u.ids[0]] == v.factor:
         k -= 1
-    if u.syllables and u.syllables[-1][0] == w.factor:
+    if u.ids and factor[u.ids[-1]] == w.factor:
         k -= 1
     return 2 * k + 2
 
@@ -143,8 +144,7 @@ def classify(u: FPElement) -> Classification:
     if core.norm == 0:
         return Elliptic(ElementVertex(u.group.identity()))
     if core.norm == 1:
-        factor = core.syllables[0][0]
-        return Elliptic(CosetVertex(factor, red.conjugator))
+        return Elliptic(CosetVertex(u.group.codec.factor[core.ids], red.conjugator))
     return Hyperbolic(AxisInfo(red.conjugator, core))
 
 
@@ -173,14 +173,15 @@ def _axis_window(axis: AxisInfo, window: int) -> list[TreeVertex]:
     """axis_vertices for an element already classified as hyperbolic."""
     c, core = axis.conjugator, axis.core
     group = c.group
+    factor = group.codec.factor
     out: list[TreeVertex] = []
     base = c * core.power(-window)
     for _ in range(-window, window + 1):
         current = base
-        for f, e in core.syllables:
+        for x in core.ids:
             out.append(ElementVertex(current))
-            out.append(CosetVertex(f, current))
-            current = current * FPElement(group, ((f, e),))
+            out.append(CosetVertex(factor[x], current))
+            current = current * FPElement(group, x)
         base = current
     return out
 
@@ -200,27 +201,26 @@ def _render_window(
     starts with the head is checked per vertex, and a vertex that does not
     is rendered in full.
     """
-    texts = [g.element_texts for g in conjugator.group.factors]
-    head = conjugator.syllables[:-1]
+    texts = conjugator.group.codec.texts()
+    head = conjugator.ids[:-1]
     n = len(head)
-    head_text = " ".join([texts[f][e] for f, e in head])
+    head_text = " ".join(map(texts.__getitem__, head))
     rendered = conjugator.norm
     if n:
-        f, e = conjugator.syllables[-1]
-        conj_text = f"{head_text} {texts[f][e]}"
+        conj_text = f"{head_text} {texts[conjugator.ids[-1]]}"
     else:
         conj_text = conjugator.as_word()  # at most one syllable
     out = []
     for v in vertices:
-        sylls = _vertex_rep(v).syllables
-        if n and sylls[:n] == head:
+        ids = _vertex_rep(v).ids
+        if n and ids.startswith(head):
             tag = "E:" if isinstance(v, ElementVertex) else f"C{v.factor}:"
-            rest = sylls[n:]
-            out.append("".join([tag, head_text, *[" " + texts[f][e] for f, e in rest]]))
+            rest = ids[n:]
+            out.append("".join([tag, head_text, *[" " + texts[x] for x in rest]]))
             rendered += len(rest)
         else:
             out.append(v.render())
-            rendered += len(sylls)
+            rendered += len(ids)
     return conj_text, out, rendered
 
 

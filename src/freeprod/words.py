@@ -392,21 +392,20 @@ def evaluate(word: MixedWord, substitution) -> FPElement:
     for i, value in dict(substitution).items():
         if not isinstance(value, FPElement) or value.group is not word.group:
             raise MixedAmbientError(f"value for x{i} has wrong ambient")
-        assignment[i] = value.syllables
-    out = _evaluate_syllables(word.letters, word.group, assignment, {})
-    return FPElement(word.group, tuple(out))
+        assignment[i] = value.ids
+    return FPElement(word.group, _evaluate_syllables(word.letters, word.group, assignment, {}))
 
 
 def _evaluate_syllables(
     items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None
-) -> list:
-    """The value of ``items`` as a reduced syllable list, each variable's
-    value given as a reduced syllable tuple: each item's syllables are one
+):
+    """The value of ``items`` as a reduced id string, each variable's
+    value given as a reduced id string: each item's normal form is one
     piece of a single seam merge, and a group (Pow with k = 1) adds its
     body's pieces to that merge; a power of one piece (such as one letter)
     is not merged first.  Given ``pieces``, the pieces are appended to it,
     and it is returned unmerged."""
-    factors = group.factors
+    codec = group.codec
     merge = pieces is None
     if merge:
         pieces = []
@@ -421,42 +420,42 @@ def _evaluate_syllables(
                 except KeyError:
                     raise UnboundVariableError(f"x{item.index} is unbound") from None
                 if item.sign < 0:
-                    sylls = _inverse_syllables(factors, sylls)
+                    sylls = _inverse_syllables(codec, sylls)
                 cache[key] = sylls
             pieces.append(sylls)
         elif kind is Const:
-            pieces.append(item.value.syllables)
+            pieces.append(item.value.ids)
         elif item.k == 1:
             _evaluate_syllables(item.body, group, assignment, cache, pieces)
         else:
             body = _evaluate_syllables(item.body, group, assignment, cache, [])
-            body = body[0] if len(body) == 1 else _seam_merge(factors, [], body)
-            pieces.append(power_syllables(factors, body, item.k))
-    return _seam_merge(factors, [], pieces) if merge else pieces
+            body = body[0] if len(body) == 1 else _seam_merge(codec, "", body)
+            pieces.append(power_syllables(codec, body, item.k))
+    return _seam_merge(codec, "", pieces) if merge else pieces
 
 
 # ---------------------------------------------------------------------------
 # partial evaluation: a word compiled once, with one variable y left free
 
 
-def _merge_step(factors, vals, step) -> list:
+def _merge_step(codec, vals, step) -> str:
     """The value of one step: one seam merge of the values in ``vals`` of
     its references (index, k), each powered by power_syllables unless
     k == 1."""
-    pieces = [vals[i] if k == 1 else power_syllables(factors, vals[i], k) for i, k in step]
-    return _seam_merge(factors, [], pieces)
+    pieces = [vals[i] if k == 1 else power_syllables(codec, vals[i], k) for i, k in step]
+    return _seam_merge(codec, "", pieces)
 
 
-def _execute(factors, vals: list, steps) -> list:
+def _execute(codec, vals: list, steps) -> list:
     """Append the value of each step to ``vals`` and return it."""
     for step in steps:
-        vals.append(_merge_step(factors, vals, step))
+        vals.append(_merge_step(codec, vals, step))
     return vals
 
 
 class _Program:
     """A word compiled for evaluation with one variable y left free: a
-    straight-line program over reduced syllable sequences, whose values sit
+    straight-line program over reduced id strings, whose values sit
     in one list of three parts.
 
     - y's values: y, y^-1, the constant sub-words and the pure steps, which
@@ -467,7 +466,8 @@ class _Program:
       binding of the other variables.
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
-      binding; a _Memo runs them over numbered values instead.
+      binding; a _Memo runs them once per distinct tuple of input values
+      instead.
 
     Equal sub-words are one value, so a commutator used twice is merged
     once; a group (a Pow with k = 1) used once is spliced into its parent's
@@ -483,7 +483,7 @@ class _Program:
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
         # Nodes are hash-consed by (kind, data): "y" (y and y^-1, ids 0 and
-        # 1), "const" (syllables), "run" (items) and "step" (references).
+        # 1), "const" (id strings), "run" (items) and "step" (references).
         nodes: list[tuple[str, object]] = [("y", 1), ("y", -1)]
         pure = [True, True]
         ids: dict[tuple[str, object], int] = {}
@@ -529,7 +529,7 @@ class _Program:
                 if _variables(run_items):
                     out.append((node("run", run_items, False), 1))
                 else:
-                    sylls = tuple(_evaluate_syllables(run_items, group, {}, {}))
+                    sylls = _evaluate_syllables(run_items, group, {}, {})
                     if sylls:
                         out.append((node("const", sylls, True), 1))
 
@@ -581,75 +581,62 @@ class _Program:
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
 
-    def y_values(self, y: Sequence) -> list:
-        """y's part of the value list, for the reduced syllables ``y`` of y."""
-        factors = self.group.factors
-        inverse = _inverse_syllables(factors, y) if self.needs_inverse else ()
-        return _execute(factors, [y, inverse, *self.consts], self.pure)
+    def y_values(self, y: str) -> list:
+        """y's part of the value list, for the reduced id string ``y`` of y."""
+        codec = self.group.codec
+        inverse = _inverse_syllables(codec, y) if self.needs_inverse else ""
+        return _execute(codec, [y, inverse, *self.consts], self.pure)
 
     def bind(self, assignment) -> list:
         """The runs' part of the value list, for a binding of every
-        variable but y to reduced syllable tuples."""
+        variable but y to reduced id strings."""
         cache: dict = {}
         return [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
 
-    def run(self, y_values: list, bound: list) -> list:
-        """The word's value, as a reduced syllable list, from ``y_values``
-        and ``bound``."""
-        return _execute(self.group.factors, y_values + bound, self.steps)[self.result]
+    def run(self, y_values: list, bound: list) -> str:
+        """The word's value, as a reduced id string, from ``y_values`` and
+        ``bound``."""
+        return _execute(self.group.codec, y_values + bound, self.steps)[self.result]
 
 
 class _Memo:
-    """Value numbering for one _Program run over many bindings: ``number``
-    gives each distinct reduced syllable tuple a small int, and
-    ``values[n]`` is the tuple numbered n, so equal values have one number.
-    ``row`` works on numbers: ``steps`` maps a step's index and the numbers
-    of its inputs to the number of its value (so ``len(steps)`` counts the
-    steps merged), and ``rows`` maps the numbers of the values of y and of
-    every run to a row (so ``len(rows)`` counts the rows decided)."""
+    """Memo for one _Program run over many bindings, keyed by the values
+    themselves (id strings hash once and compare in C): ``steps`` maps a
+    step's index and the values of its inputs to its value (so
+    ``len(steps)`` counts the steps merged), and ``rows`` maps the values of
+    y and of every run to a row (so ``len(rows)`` counts the rows
+    decided)."""
 
-    __slots__ = ("program", "inputs", "numbers", "values", "steps", "rows")
+    __slots__ = ("program", "inputs", "steps", "rows")
 
     def __init__(self, program: _Program):
         self.program = program
         # each step's input indices, its key in ``steps`` with its index
         self.inputs = [tuple(i for i, _ in step) for step in program.steps]
-        self.numbers: dict[tuple, int] = {}
-        self.values: list[tuple] = []
-        self.steps: dict[tuple, int] = {}
-        self.rows: dict[tuple, list[int]] = {}
-
-    def number(self, sylls: Sequence) -> int:
-        sylls = tuple(sylls)
-        n = self.numbers.get(sylls)
-        if n is None:
-            n = self.numbers[sylls] = len(self.values)
-            self.values.append(sylls)
-        return n
+        self.steps: dict[tuple, str] = {}
+        self.rows: dict[tuple, list[str]] = {}
 
     def row(self, y_lists: Sequence[list], bound: list) -> list:
-        """The numbers of the word's values, one per entry of ``y_lists``
-        (each a y part from ``y_values``, numbered), for the numbered runs'
-        values ``bound``.  The row is decided once per distinct tuple of the
-        values of y and of every run, and looked up after that, and each
-        step is merged once per distinct tuple of its input values; the
-        list returned is the memo's own."""
+        """The word's values, one per entry of ``y_lists`` (each a y part
+        from ``y_values``), for the runs' values ``bound``.  The row is
+        decided once per distinct tuple of the values of y and of every run,
+        and looked up after that, and each step is merged once per distinct
+        tuple of its input values; the list returned is the memo's own."""
         key = (tuple([y[0] for y in y_lists]), *bound)
         out = self.rows.get(key)
         if out is None:
-            program, known, values = self.program, self.steps, self.values
-            factors = program.group.factors
+            program, known = self.program, self.steps
+            codec = program.group.codec
             out = self.rows[key] = []
             for y in y_lists:
-                nums = y + bound
+                vals = y + bound
                 for n, inputs in enumerate(self.inputs):
-                    step_key = (n, *[nums[i] for i in inputs])
+                    step_key = (n, *[vals[i] for i in inputs])
                     m = known.get(step_key)
                     if m is None:
-                        merged = _merge_step(factors, [values[j] for j in nums], program.steps[n])
-                        m = known[step_key] = self.number(merged)
-                    nums.append(m)
-                out.append(nums[program.result])
+                        m = known[step_key] = _merge_step(codec, vals, program.steps[n])
+                    vals.append(m)
+                out.append(vals[program.result])
         return out
 
 
@@ -808,18 +795,18 @@ def solve_bounded(
         if wrong:
             raise MixedAmbientError(f"candidate for x{v} has wrong ambient")
 
-    factors = group.factors
-    rhs = list(eq.rhs.syllables)
-    inverses: dict[tuple, tuple] = {}  # each value's inverse, once per search
+    codec = group.codec
+    rhs = eq.rhs.ids
+    inverses: dict[str, str] = {}  # each value's inverse, once per search
     results: list[Substitution] = []
 
     def record(pairs: tuple[tuple[int, FPElement], ...]) -> None:
         cache = {}
         for v, c in pairs:
-            s = c.syllables
+            s = c.ids
             inv = inverses.get(s)
             if inv is None:
-                inv = inverses[s] = _inverse_syllables(factors, s)
+                inv = inverses[s] = _inverse_syllables(codec, s)
             cache[v, 1], cache[v, -1] = s, inv
         sub = Substitution(pairs)
         if _evaluate_syllables(eq.lhs.letters, group, {}, cache) != rhs:
@@ -862,41 +849,42 @@ def solve_bounded(
 
         def decide(key: tuple) -> Sequence[FPElement]:
             t = _evaluate_syllables(target, group, key, {})
-            t = tuple(t) if signs[0] > 0 else _inverse_syllables(factors, t)
+            if signs[0] < 0:
+                t = _inverse_syllables(codec, t)
             if in_ball:
                 u = FPElement(group, t)
                 return [u] if u in inner_cands else []
-            return [c for c in inner_cands if c.syllables == t]
+            return [c for c in inner_cands if c.ids == t]
 
     elif occurrences == 2 and signs[0] == -signs[1]:
         middle = pieces[1]
-        positions: dict[tuple, list[int]] = {}
+        positions: dict[str, list[int]] = {}
         for i, c in enumerate(inner_cands):
-            positions.setdefault(c.syllables, []).append(i)
+            positions.setdefault(c.ids, []).append(i)
         max_norm = max(map(len, positions))
 
         def decide(key: tuple) -> Sequence[FPElement]:
             cache: dict = {}
-            b = tuple(_evaluate_syllables(middle, group, key, cache))
-            t = tuple(_evaluate_syllables(target, group, key, cache))
+            b = _evaluate_syllables(middle, group, key, cache)
+            t = _evaluate_syllables(target, group, key, cache)
             if signs[0] < 0:
                 b, t = t, b
-            c = _conjugator(factors, b, t)
+            c = _conjugator(codec, b, t)
             if c is None:
                 return ()
             if not b:
                 return inner_cands
             hits = sorted(
                 i
-                for z in _centralizer(factors, b, max_norm + len(c))
-                for i in positions.get(_product(factors, c, z), ())
+                for z in _centralizer(codec, b, max_norm + len(c))
+                for i in positions.get(_product(codec, c, z), ())
             )
             return [inner_cands[i] for i in hits]
 
     else:
         program = _Program(eq.lhs.letters, group, inner)
         runs, pieces = _fusion_runs(program.runs)
-        inner_values = [(c, program.y_values(c.syllables)) for c in inner_cands]
+        inner_values = [(c, program.y_values(c.ids)) for c in inner_cands]
 
         def decide(key: tuple) -> Sequence[FPElement]:
             cache: dict = {}
@@ -919,11 +907,11 @@ def solve_bounded(
     tuples = 0
     for combo in _cartesian(*outer_cands):
         tuples += 1
-        values = {v: c.syllables for v, c in zip(outer, combo)}
+        values = {v: c.ids for v, c in zip(outer, combo)}
         cache: dict = {}
         key = tuple([  # a list, not a generator: this runs once per tuple
             values[r[0].index] if len(r) == 1  # read without a merge
-            else tuple(_evaluate_syllables(r, group, values, cache))
+            else _evaluate_syllables(r, group, values, cache)
             for r in runs
         ])
         hits = decided.get(key)
@@ -1037,14 +1025,14 @@ def cyclic_power_solution_exists(
     f = cons.equation.rhs
     if reduction is None:
         reduction = f.cyclic_reduce()
-    factors, norm, core = f.group.factors, f.norm, reduction.core.syllables
+    codec, norm, core = f.group.codec, f.norm, reduction.core.ids
     m = len(cons.exponents)
     p = cons.prime
     found, candidates, built = False, 0, 0
     for total in range(-bound * m, bound * m + 1):
         n = p * total
         candidates += 1
-        if (_power_norm(factors, norm, core, abs(n)) if n else 0) != norm:
+        if (_power_norm(codec, norm, core, abs(n)) if n else 0) != norm:
             continue
         built += 1
         if f.power(n) == f:
@@ -1247,15 +1235,15 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), and three
     steps (the commutator [x1, x2^x3], shared by its two uses, the body
     x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per distinct
-    tuple of their input values, by a _Memo kept for one epsilon case that
-    numbers every value.  The row of values for all 2R+1 values of x1 is
+    tuple of their input values, by a _Memo kept for one epsilon case and
+    keyed by the values.  The row of values for all 2R+1 values of x1 is
     decided once per distinct tuple of the runs' values: with e2 = 0 the
     runs depend on t alone, so those four cases have 2R+1 rows (17 at
     R = 8) and the others (2R+1)^2 (289); ``rows`` counts them.  Equal
     inputs reuse an exact value, so each value is the one a full
-    evaluation gives.  The closed forms (ba)^n and the target are numbered
-    in the same memo, so every substitution's value is compared with both
-    by number, which is exact.  Mismatches and target hits are reported in
+    evaluation gives, and it is compared with the closed form (ba)^n and
+    the target as normal forms, which is exact.  Mismatches and target
+    hits are reported in
     (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
@@ -1268,11 +1256,11 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     a = rank_two.generator("a")
     b = rank_two.generator("b")
     ba = b * a
-    target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).syllables
+    target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).ids
 
     span = range(-k_range, k_range + 1)
     powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
-    subs = {(k, e): (powers[k] * a if e else powers[k]).syllables for k in span for e in (0, 1)}
+    subs = {(k, e): (powers[k] * a if e else powers[k]).ids for k in span for e in (0, 1)}
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
@@ -1280,9 +1268,8 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
         e1, e2, e3 = eps
         memo = _Memo(program)
-        closed = {n: memo.number(p.syllables) for n, p in powers.items()}
-        goal = memo.number(target)
-        x1_values = [list(map(memo.number, program.y_values(subs[k, e1]))) for k in span]
+        closed = {n: p.ids for n, p in powers.items()}
+        x1_values = [program.y_values(subs[k, e1]) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
         variant = THEOREM2_SIGN_VARIANTS.get(eps)
@@ -1290,14 +1277,14 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         count = bindings = 0
         for t in span:
             for s in span:
-                bound = list(map(memo.number, program.bind({2: subs[t, e2], 3: subs[s, e3]})))
+                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]})
                 bindings += 1
                 offset = ct * t + cs * s
                 for k, value in zip(span, memo.row(x1_values, bound)):
                     count += 1
                     if value != closed[ck * k + offset]:
                         mismatches.append((k, t, s))
-                    if value == goal:
+                    if value == target:
                         hits.append((k, t, s))
                     if variant is not None and variant_consistent:
                         vk, vt, vs = variant

@@ -24,7 +24,12 @@ from freeprod.free_product import (
     enumerate_ball,
     power_syllables,
 )
-from freeprod.finite_group import direct_product, make_cyclic, make_dihedral_reflections
+from freeprod.finite_group import (
+    direct_product,
+    from_cayley_table,
+    make_cyclic,
+    make_dihedral_reflections,
+)
 from freeprod.sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
@@ -49,6 +54,15 @@ def test_normalize_cascades(p23):
 
 def test_normalize_merges_same_factor(p23):
     assert p23.element([(1, 1), (1, 1)]) == p23.element([(1, 2)])
+
+
+def test_a_generator_labelling_the_identity_is_the_identity():
+    # a label may name a factor's identity; its letter has norm 0 and
+    # vanishes from every normal form it occurs in
+    z2 = from_cayley_table([[0, 1], [1, 0]], [("a", 1), ("e", 0)])
+    group = FreeProduct([z2, make_cyclic(3, "b")])
+    assert group.generator("e").is_identity
+    assert parse_constant("e b e", group) == group.generator("b")
 
 
 def test_normalize_rejects_bad_input(p23):
@@ -377,7 +391,7 @@ def test_power_matches_square_and_multiply_reference(p23, s3z2, z6z2, p222):
                 for k in ks:
                     expected = power_square_and_multiply(v, k)
                     assert v.power(k) == expected
-                    assert power_syllables(group.factors, v.syllables, k) == expected.syllables
+                    assert power_syllables(group.codec, v.ids, k) == expected.ids
 
 
 def test_power_size_cap(p23, gens):
@@ -571,9 +585,9 @@ _D4Z2 = FreeProduct([make_dihedral_reflections(4), make_cyclic(2, "c")])
 def test_conjugator_conjugates_and_matches_the_reference(group, data):
     u = data.draw(elements(group), label="u")
     g = data.draw(elements(group, 5), label="g")
-    core = u.cyclic_reduce().core.syllables
+    core = u.cyclic_reduce().core.ids
     k = data.draw(st.integers(0, max(len(core) - 1, 0)), label="rotation")
-    rotated = group.element(core[k:] + core[:k])
+    rotated = FPElement(group, core[k:] + core[:k])
     others = [
         u.conjugate(g),
         rotated.conjugate(g),
@@ -589,10 +603,10 @@ def test_conjugator_conjugates_and_matches_the_reference(group, data):
             assert c * u * c.inverse() == v
     if len(core) >= 2:
         # the offset is the least rotation that matches
-        rot = rotated.syllables
+        rot = rotated.ids
         offset = free_product._is_rotation(core, rot)
         assert offset == min(i for i in range(len(core)) if core[i:] + core[:i] == rot)
-        other = others[-1].cyclic_reduce().core.syllables
+        other = others[-1].cyclic_reduce().core.ids
         if len(other) == len(core):
             found = free_product._is_rotation(core, other)
             assert (found is not None) is is_rotation_reference(core, other)
@@ -602,13 +616,13 @@ def test_conjugator_of_an_element_and_itself_is_one(p23, s3z2, monkeypatch):
     # c = 1 conjugates b to itself; it is returned without a cyclic split,
     # for the identity, a norm-1 core (also in S3, whose factor conjugator
     # is not trivial) and norm >= 2 cores, with and without a conjugator u.
-    cases = [(group, parse_constant(text, group).syllables) for group, texts in (
+    cases = [(group, parse_constant(text, group).ids) for group, texts in (
         (p23, ["1", "a", "b^2", "a b", "b a b a b^2", "(a b)^3 a b^2", "a b a b a"]),
         (s3z2, ["1", "a", "a b", "c a c", "c a b c a", "b c a b c b a"]),
     ) for text in texts]
     monkeypatch.setattr(free_product, "_cyclic_split", None)
     for group, b in cases:
-        assert free_product._conjugator(group.factors, b, b) == (), b
+        assert free_product._conjugator(group.codec, b, b) == "", b
 
 
 def test_centralizer_matches_brute_force(p23, s3z2):
@@ -621,9 +635,9 @@ def test_centralizer_matches_brute_force(p23, s3z2):
         ball = enumerate_ball(group, parts, depth)
         for b in enumerate_ball(group, parts, b_depth)[1:]:
             for bound in (depth - 2, depth):
-                got = free_product._centralizer(group.factors, b.syllables, bound)
+                got = free_product._centralizer(group.codec, b.ids, bound)
                 assert len(set(got)) == len(got)
-                expected = {z.syllables for z in ball if z.norm <= bound and z * b == b * z}
+                expected = {z.ids for z in ball if z.norm <= bound and z * b == b * z}
                 assert set(got) == expected
 
 

@@ -274,13 +274,13 @@ def assert_ball_matches_oracle(eq, make_ball):
 
 
 def spy_conjugator(monkeypatch):
-    """Record (b, t, result) as syllable tuples for every conjugacy test
-    the solver makes; result is None when b and t are not conjugate."""
+    """Record (b, t, result) as id strings for every conjugacy test the
+    solver makes; result is None when b and t are not conjugate."""
     calls = []
     real = words._conjugator
 
-    def spy(factors, b, t):
-        result = real(factors, b, t)
+    def spy(codec, b, t):
+        result = real(codec, b, t)
         calls.append((b, t, result))
         return result
 
@@ -458,7 +458,7 @@ def test_fused_and_plain_walks_agree(data):
     lhs = parse_word(text, group)
     pool = data.draw(st.lists(elements(group, 3), min_size=1, max_size=5), label="pool")
     picks = data.draw(st.lists(st.sampled_from(pool), max_size=3), label="copies")
-    cands = pool + [FPElement(group, c.syllables) for c in picks]
+    cands = pool + [FPElement(group, c.ids) for c in picks]
     # the right side: a random element, or a value the left side takes
     if data.draw(st.booleans(), label="reachable"):
         sub = {v: data.draw(st.sampled_from(cands)) for v in (1, 2, 3)}
@@ -500,7 +500,7 @@ def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
     assert assert_matches_oracle(eq, ball)
     a = s3z2.generator("a")
     rejected = [(b, t) for b, t, result in calls if result is None]
-    assert (a.syllables, eq.rhs.syllables) in rejected
+    assert (a.ids, eq.rhs.ids) in rejected
     assert a.cyclic_reduce().core.syllables[0][0] == eq.rhs.syllables[0][0]
 
 
@@ -531,7 +531,7 @@ def test_centralizer_coset_lookup_matches_brute_force(group, data):
         coset = [g * b.power(k) for k in (-1, 0, 1, 2)]
     pool = data.draw(st.lists(elements(group, 6), max_size=12)) + coset
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
-    cands = data.draw(st.permutations(pool + [FPElement(group, pool[i].syllables) for i in picks]))
+    cands = data.draw(st.permutations(pool + [FPElement(group, pool[i].ids) for i in picks]))
     letters = (Var(1, sign), Const(b), Var(1, -sign))
     eq = Equation(MixedWord(group, letters), t)
     found = solve_bounded(eq, {1: cands}, mode="all")
@@ -1022,8 +1022,8 @@ def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch):
     assert len(solve_bounded(eq, {1: ball, 2: ball}, mode="all")) == commuting == 98
     real = words._centralizer
 
-    def widened(factors, b, bound):
-        return real(factors, b, bound) + [((0, 1),), ((1, 1),)]
+    def widened(codec, b, bound):
+        return real(codec, b, bound) + [codec.symbols[0][1], codec.symbols[1][1]]
 
     monkeypatch.setattr(words, "_centralizer", widened)
     with pytest.raises(VerificationError):
@@ -1311,13 +1311,13 @@ def residual_texts(gens, depth=3):
 
 def bind_and_run(word, outer, y, value):
     program = words._Program(word.letters, word.group, y)
-    bound = program.bind({i: v.syllables for i, v in outer.items()})
-    return tuple(program.run(program.y_values(value.syllables), bound))
+    bound = program.bind({i: v.ids for i, v in outer.items()})
+    return program.run(program.y_values(value.ids), bound)
 
 
 def assert_bind_matches_evaluate(word, values, y):
     outer = {i: v for i, v in values.items() if i != y}
-    assert bind_and_run(word, outer, y, values[y]) == evaluate(word, values).syllables
+    assert bind_and_run(word, outer, y, values[y]) == evaluate(word, values).ids
 
 
 @pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
@@ -1339,8 +1339,10 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
     assert_bind_matches_evaluate(twice, values, y)
 
 
-def numbered(memo, vals):
-    return list(map(memo.number, vals))
+def copied(ids):
+    """An id string equal to ``ids`` but, from two syllables up, another
+    object: a memo must reuse values by equality, not identity."""
+    return "".join(list(ids))
 
 
 @pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
@@ -1349,9 +1351,9 @@ def numbered(memo, vals):
 @given(data=st.data())
 def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
     # One memo for many bindings of values from a small pool, so that inputs
-    # repeat.  bind builds new lists and y is passed as a new list, so reuse
-    # must come from numbering by value: running every binding again, with
-    # the rows forgotten, merges nothing new.
+    # repeat.  bind builds new values and y is passed as a copy, so reuse
+    # must come from keying by value: running every binding again, with the
+    # rows forgotten, merges nothing new.
     word = parse_word(data.draw(residual_texts(gens), label="word"), group)
     pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
     y = data.draw(st.sampled_from([1, 2, 3]), label="y")
@@ -1363,16 +1365,16 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
 
     def run(values):
         outer = {i: v for i, v in values.items() if i != y}
-        y_values = numbered(memo, program.y_values(list(values[y].syllables)))
-        bound = numbered(memo, program.bind({i: v.syllables for i, v in outer.items()}))
-        return memo.values[memo.row([y_values], bound)[0]]
+        y_values = program.y_values(copied(values[y].ids))
+        bound = program.bind({i: v.ids for i, v in outer.items()})
+        return memo.row([y_values], bound)[0]
 
     for again in (False, True):
         merged = len(memo.steps)
         memo.rows.clear()
         for binding in bindings:
             values = {i: pool[j] for i, j in zip((1, 2, 3), binding)}
-            assert run(values) == evaluate(word, values).syllables
+            assert run(values) == evaluate(word, values).ids
         assert not again or len(memo.steps) == merged
     assert len(memo.steps) <= len(set(bindings)) * len(program.steps)
 
@@ -1384,7 +1386,7 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
 def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
     # One memo, y values from two lists drawn from a small pool and
     # bindings drawn from the same pool, so that rows repeat.  bind builds
-    # new lists, so reuse must come from numbering by value: deciding every
+    # new values, so reuse must come from keying by value: deciding every
     # row again adds neither a row nor a step.
     word = parse_word(data.draw(residual_texts(gens), label="word"), group)
     pool = data.draw(st.lists(elements(group, 4), min_size=1, max_size=3), label="pool")
@@ -1406,13 +1408,13 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
         for which, j2, j3 in bindings:
             outer = dict(zip(others, (pool[j2], pool[j3])))
             ys = [pool[j] for j in y_lists[which]]
-            y_values = [numbered(memo, program.y_values(list(v.syllables))) for v in ys]
-            assignment = {i: v.syllables for i, v in outer.items()}
+            y_values = [program.y_values(copied(v.ids)) for v in ys]
+            assignment = {i: v.ids for i, v in outer.items()}
             plain = program.bind(assignment)
-            row = [memo.values[n] for n in memo.row(y_values, numbered(memo, plain))]
-            distinct.add((tuple(v.syllables for v in ys), tuple(map(tuple, plain))))
-            assert row == [tuple(program.run(program.y_values(v.syllables), plain)) for v in ys]
-            assert row == [evaluate(word, {y: v, **outer}).syllables for v in ys]
+            row = list(memo.row(y_values, plain))
+            distinct.add((tuple(v.ids for v in ys), tuple(plain)))
+            assert row == [program.run(program.y_values(v.ids), plain) for v in ys]
+            assert row == [evaluate(word, {y: v, **outer}).ids for v in ys]
         assert not again or (len(memo.rows), len(memo.steps)) == (rows, merged)
     # one row per distinct tuple of y values and bound values
     assert len(memo.rows) == len(distinct)
@@ -1421,7 +1423,7 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
 def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
     # (x1 x2)^2 x3 with y = x1 is two steps: x1 x2, then its square times
     # x3.  (a, b) and (a b, 1) give x1 x2 the same value, so with x3 the same
-    # the second step is merged once: the first step's values are numbered.
+    # the second step is merged once: steps are keyed by their input values.
     a, b, one = p23.generator("a"), p23.generator("b"), p23.identity()
     word = parse_word("(x1 x2)^2 x3", p23)
     program = words._Program(word.letters, p23, 1)
@@ -1429,14 +1431,14 @@ def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
     memo = words._Memo(program)
     for x1, x2 in ((a, b), (a * b, one), (a, b)):
         values = {1: x1, 2: x2, 3: b}
-        bound = numbered(memo, program.bind({2: x2.syllables, 3: b.syllables}))
-        y_values = numbered(memo, program.y_values(x1.syllables))
-        value = memo.values[memo.row([y_values], bound)[0]]
-        assert value == evaluate(word, values).syllables
+        bound = program.bind({2: x2.ids, 3: b.ids})
+        y_values = program.y_values(x1.ids)
+        value = memo.row([y_values], bound)[0]
+        assert value == evaluate(word, values).ids
     assert len(memo.steps) == 3
-    # without a memo, run gives the same value as a list
-    bound = program.bind({2: b.syllables, 3: b.syllables})
-    assert program.run(program.y_values(a.syllables), bound) == list(value)
+    # without a memo, run gives the same value
+    bound = program.bind({2: b.ids, 3: b.ids})
+    assert program.run(program.y_values(a.ids), bound) == value
 
 
 def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
@@ -1470,12 +1472,12 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
     # no y at all: the whole word is one run
     program = compiled("x2 a x3^2 b")
     assert program.runs == [parse_word("x2 a x3^2 b", p23).letters]
-    bound = program.bind({2: values[2].syllables, 3: values[3].syllables})
-    assert tuple(program.run(program.y_values(()), bound)) == (
-        values[2] * a * values[3].power(2) * b).syllables
+    bound = program.bind({2: values[2].ids, 3: values[3].ids})
+    assert program.run(program.y_values(""), bound) == (
+        values[2] * a * values[3].power(2) * b).ids
     # a constant run is folded once; a power of y alone is a pure step
     program = compiled("x1 a b x1^-1 x1^3")
-    assert program.consts == [(a * b).syllables] and program.runs == []
+    assert program.consts == [(a * b).ids] and program.runs == []
     assert program.pure == [((0, 3),), ((0, 1), (2, 1), (1, 1), (3, 1))]
     assert program.needs_inverse and program.steps == [] and program.result == 4
     # the Theorem-2 word: x1^3 once per value of x1, three runs per (x2, x3),
