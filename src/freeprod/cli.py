@@ -518,6 +518,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _flat_dicts(obj) -> bool:
+    """Whether ``obj`` is a list of two or more non-empty dicts whose
+    values are all scalars, such as the witnesses of ``solve --all``."""
+    return isinstance(obj, list) and len(obj) > 1 and all(
+        isinstance(d, dict) and d and all(isinstance(v, _SCALARS) for v in d.values())
+        for d in obj
+    )
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte.  ``indent`` turns
+    the C encoder off, so each value of the report that is a list of flat
+    dicts (see _flat_dicts) is encoded by it in one call with the item
+    separator "\\x1f", which ensure_ascii escapes inside strings, and each
+    separator is then replaced: one preceded by "}" and followed by "{"
+    ends a dict (a value inside a dict is a scalar and never ends with
+    "}"), any other is inside one.  Every other value is
+    ``json.dumps(value, indent=2)`` indented by replacing its newlines,
+    which that text holds only between lines (strings escape theirs)."""
+    flat = [k for k, v in report.items() if _flat_dicts(v)] if isinstance(report, dict) else []
+    if not flat:
+        return json.dumps(report, indent=2)
+    out = []
+    for n, (k, v) in enumerate(report.items()):
+        out += (",\n  " if n else "{\n  ", json.dumps(k), ": ")  # a report's keys are strings
+        if k in flat:
+            text = json.dumps(v, separators=("\x1f", ": "))[2:-2]
+            text = text.replace("}\x1f{", "\n    },\n    {\n      ").replace("\x1f", ",\n      ")
+            out += ("[\n    {\n      ", text, "\n    }\n  ]")
+        else:
+            out.append(json.dumps(v, indent=2).replace("\n", "\n  "))
+    out.append("\n}")
+    return "".join(out)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -530,7 +568,7 @@ def main(argv=None) -> int:
         ambient = _load_group(args.group) if "group" in args else None
         code, report = args.handler(args, ambient)
         report["timings"] = {"total_s": time.perf_counter() - t0}
-        print(json.dumps(report, indent=2) if args.json else "\n".join(args.text(args, report)))
+        print(_json_text(report) if args.json else "\n".join(args.text(args, report)))
     except (GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,15 +166,11 @@ class FiniteGroup:
             frontier = nxt
         return tuple(words[x] for x in range(self.order))
 
-    @cached_property
-    def element_texts(self) -> tuple[str, ...]:
-        """element_words rendered with each run of equal labels as a power,
-        e.g. ``a b^2``; the identity is ``1``."""
-        texts = []
-        for word in self.element_words:
-            runs = [(label, len(list(run))) for label, run in groupby(word)]
-            texts.append(" ".join(l if n == 1 else f"{l}^{n}" for l, n in runs) or "1")
-        return tuple(texts)
+    def element_text(self, x: int) -> str:
+        """element_words[x] rendered with each run of equal labels as a
+        power, e.g. ``a b^2``; the identity is ``1``."""
+        runs = [(label, len(list(run))) for label, run in groupby(self.element_words[x])]
+        return " ".join(l if n == 1 else f"{l}^{n}" for l, n in runs) or "1"
 
     def relabeled(self, labels: Sequence[str]) -> FiniteGroup:
         """Same group with generator labels replaced, in declaration order."""

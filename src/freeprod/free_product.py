@@ -56,10 +56,11 @@ class Codec:
       table, is a syllable or nothing;
     - ``inverse`` is the ``str.translate`` table to each syllable's inverse.
 
-    ``texts()`` maps each syllable to its rendering, built on first use.
+    ``texts`` maps each syllable to its rendering, its factor element's
+    text, rendered the first time it is looked up.
     """
 
-    __slots__ = ("factors", "factor", "element", "symbols", "tables", "inverse", "_texts")
+    __slots__ = ("factors", "factor", "element", "symbols", "tables", "inverse", "texts")
 
     def __init__(self, factors: Sequence[FiniteGroup]):
         self.factors = factors
@@ -78,20 +79,27 @@ class Codec:
             x: self.symbols[f][factors[f].inverses[self.element[x]]]
             for x, f in self.factor.items()
         })
-        self._texts: dict[str, str] | None = None
+        self.texts = _Texts(self)
 
     def decode(self, ids: str) -> tuple[Syllable, ...]:
         """The (factor, element) pairs of an id string."""
         factor, element = self.factor, self.element
         return tuple([(factor[x], element[x]) for x in ids])
 
-    def texts(self) -> dict[str, str]:
-        """Each syllable's rendering, its factor's element text."""
-        if self._texts is None:
-            self._texts = {
-                x: self.factors[f].element_texts[self.element[x]] for x, f in self.factor.items()
-            }
-        return self._texts
+
+class _Texts(dict):
+    """Syllable -> text for one Codec; a missing text is rendered and kept.
+    It holds the codec's maps, not the codec, so the two form no cycle and
+    are freed as soon as their group is."""
+
+    __slots__ = ("factors", "factor", "element")
+
+    def __init__(self, codec: Codec):
+        self.factors, self.factor, self.element = codec.factors, codec.factor, codec.element
+
+    def __missing__(self, x: str) -> str:
+        text = self[x] = self.factors[self.factor[x]].element_text(self.element[x])
+        return text
 
 
 def _inverse_syllables(codec: Codec, s: str) -> str:
@@ -540,7 +548,7 @@ class FPElement:
         """
         if not self.ids:
             return "1"
-        return " ".join(map(self.group.codec.texts().__getitem__, self.ids))
+        return " ".join(map(self.group.codec.texts.__getitem__, self.ids))
 
     def __str__(self) -> str:
         return self.as_word()

@@ -201,7 +201,7 @@ def _render_window(
     starts with the head is checked per vertex, and a vertex that does not
     is rendered in full.
     """
-    texts = conjugator.group.codec.texts()
+    texts = conjugator.group.codec.texts
     head = conjugator.ids[:-1]
     n = len(head)
     head_text = " ".join(map(texts.__getitem__, head))

@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -438,18 +439,36 @@ def _evaluate_syllables(
 # partial evaluation: a word compiled once, with one variable y left free
 
 
-def _merge_step(codec, vals, step) -> str:
-    """The value of one step: one seam merge of the values in ``vals`` of
-    its references (index, k), each powered by power_syllables unless
-    k == 1."""
-    pieces = [vals[i] if k == 1 else power_syllables(codec, vals[i], k) for i, k in step]
-    return _seam_merge(codec, "", pieces)
-
-
-def _execute(codec, vals: list, steps) -> list:
-    """Append the value of each step to ``vals`` and return it."""
+def _compile(steps) -> list[tuple]:
+    """Each step, a tuple of references (index, k), as (gather, powers):
+    gather(vals) is the tuple of its input values, gathered in C by an
+    itemgetter, and powers holds (position, k) for each input with k != 1."""
+    ops = []
     for step in steps:
-        vals.append(_merge_step(codec, vals, step))
+        inputs = [i for i, _ in step]
+        if len(inputs) >= 2:
+            gather = itemgetter(*inputs)
+        else:  # an itemgetter of one index returns the value, not a tuple
+            gather = lambda vals, inputs=inputs: tuple([vals[i] for i in inputs])  # noqa: E731
+        ops.append((gather, tuple((j, k) for j, (_, k) in enumerate(step) if k != 1)))
+    return ops
+
+
+def _merge(codec, args: tuple, powers: tuple) -> str:
+    """The value of one step from its input values ``args``: one seam
+    merge of them, the inputs in ``powers`` first powered by
+    power_syllables."""
+    if powers:
+        args = list(args)
+        for j, k in powers:
+            args[j] = power_syllables(codec, args[j], k)
+    return _seam_merge(codec, "", args)
+
+
+def _execute(codec, vals: list, ops) -> list:
+    """Append the value of each compiled step to ``vals`` and return it."""
+    for gather, powers in ops:
+        vals.append(_merge(codec, gather(vals), powers))
     return vals
 
 
@@ -463,7 +482,10 @@ class _Program:
       value of y.
     - The runs: the maximal sub-words free of y that hold another variable,
       one per distinct tuple of items.  ``bind`` evaluates them once per
-      binding of the other variables.
+      binding of the other variables.  A run that is the item-wise inverse
+      of an earlier one (``inverse_of`` names that run, else None) is
+      taken as the inverse of its value, with no merge: the inverse of a
+      reduced id string is the string reversed and translated.
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
       binding; a _Memo runs them once per distinct tuple of input values
@@ -475,10 +497,13 @@ class _Program:
     (index, k) to earlier values, each applying the exponent of its Pow
     with power_syllables, and (u^j)^k is u^(jk).  A step is the product of
     its references, so by associativity ``run`` gives exactly the normal
-    form ``evaluate`` gives for the same values.
+    form ``evaluate`` gives for the same values.  Each step is compiled
+    once (see _compile) into ``pure_ops`` and ``step_ops``, which
+    ``y_values``, ``run`` and a _Memo execute.
     """
 
-    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse")
+    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse",
+                 "inverse_of", "pure_ops", "step_ops")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
@@ -580,40 +605,50 @@ class _Program:
         self.steps = [compiled(i) for i in step_ids]
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
+        earlier: dict[tuple[Item, ...], int] = {}
+        self.inverse_of: list[int | None] = []
+        for n, run in enumerate(self.runs):
+            self.inverse_of.append(earlier.get(_invert(run)))
+            earlier[run] = n
+        self.pure_ops = _compile(self.pure)
+        self.step_ops = _compile(self.steps)
 
     def y_values(self, y: str) -> list:
         """y's part of the value list, for the reduced id string ``y`` of y."""
         codec = self.group.codec
         inverse = _inverse_syllables(codec, y) if self.needs_inverse else ""
-        return _execute(codec, [y, inverse, *self.consts], self.pure)
+        return _execute(codec, [y, inverse, *self.consts], self.pure_ops)
 
     def bind(self, assignment) -> list:
         """The runs' part of the value list, for a binding of every
         variable but y to reduced id strings."""
-        cache: dict = {}
-        return [_evaluate_syllables(run, self.group, assignment, cache) for run in self.runs]
+        group, cache = self.group, {}
+        vals: list[str] = []
+        for run, j in zip(self.runs, self.inverse_of):
+            vals.append(_evaluate_syllables(run, group, assignment, cache) if j is None
+                        else _inverse_syllables(group.codec, vals[j]))
+        return vals
 
     def run(self, y_values: list, bound: list) -> str:
         """The word's value, as a reduced id string, from ``y_values`` and
         ``bound``."""
-        return _execute(self.group.codec, y_values + bound, self.steps)[self.result]
+        return _execute(self.group.codec, y_values + bound, self.step_ops)[self.result]
 
 
 class _Memo:
     """Memo for one _Program run over many bindings, keyed by the values
-    themselves (id strings hash once and compare in C): ``steps`` maps a
-    step's index and the values of its inputs to its value (so
-    ``len(steps)`` counts the steps merged), and ``rows`` maps the values of
-    y and of every run to a row (so ``len(rows)`` counts the rows
-    decided)."""
+    themselves (id strings hash once and compare in C): ``steps`` holds one
+    dict per step, from the tuple of its input values (as its gather
+    returns it) to its value, ``merges`` counts the steps merged, and
+    ``rows`` maps the values of y and of every run to a row (so
+    ``len(rows)`` counts the rows decided)."""
 
-    __slots__ = ("program", "inputs", "steps", "rows")
+    __slots__ = ("program", "steps", "merges", "rows")
 
     def __init__(self, program: _Program):
         self.program = program
-        # each step's input indices, its key in ``steps`` with its index
-        self.inputs = [tuple(i for i, _ in step) for step in program.steps]
-        self.steps: dict[tuple, str] = {}
+        self.steps: list[dict[tuple, str]] = [{} for _ in program.step_ops]
+        self.merges = 0
         self.rows: dict[tuple, list[str]] = {}
 
     def row(self, y_lists: Sequence[list], bound: list) -> list:
@@ -625,18 +660,20 @@ class _Memo:
         key = (tuple([y[0] for y in y_lists]), *bound)
         out = self.rows.get(key)
         if out is None:
-            program, known = self.program, self.steps
-            codec = program.group.codec
+            program = self.program
+            codec, result = program.group.codec, program.result
+            ops = list(zip(self.steps, program.step_ops))
             out = self.rows[key] = []
             for y in y_lists:
                 vals = y + bound
-                for n, inputs in enumerate(self.inputs):
-                    step_key = (n, *[vals[i] for i in inputs])
-                    m = known.get(step_key)
+                for known, (gather, powers) in ops:
+                    args = gather(vals)
+                    m = known.get(args)
                     if m is None:
-                        m = known[step_key] = _merge_step(codec, vals, program.steps[n])
+                        m = known[args] = _merge(codec, args, powers)
+                        self.merges += 1
                     vals.append(m)
-                out.append(vals[program.result])
+                out.append(vals[result])
         return out
 
 
@@ -1232,19 +1269,21 @@ def theorem2_report(k_range: int) -> Theorem2Report:
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
     _Program with x1 free: x1^3 and x1^-1 once per value of x1, the runs
-    free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), and three
-    steps (the commutator [x1, x2^x3], shared by its two uses, the body
-    x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per distinct
-    tuple of their input values, by a _Memo kept for one epsilon case and
-    keyed by the values.  The row of values for all 2R+1 values of x1 is
-    decided once per distinct tuple of the runs' values: with e2 = 0 the
-    runs depend on t alone, so those four cases have 2R+1 rows (17 at
-    R = 8) and the others (2R+1)^2 (289); ``rows`` counts them.  Equal
-    inputs reuse an exact value, so each value is the one a full
-    evaluation gives, and it is compared with the closed form (ba)^n and
-    the target as normal forms, which is exact.  Mismatches and target
-    hits are reported in
-    (k, t, s) order.
+    free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), with
+    (x2^-1)^x3 = (x2^x3)^-1 taken as the inverse of x2^x3 rather than
+    merged, and three steps (the commutator [x1, x2^x3], shared by its two
+    uses, the body x1^3 [x1, x2^x3] x2^3 and the two powers joined) once
+    per distinct tuple of their input values, by a _Memo kept for one
+    epsilon case and keyed by the values.  The row of values for all 2R+1
+    values of x1 is decided once per distinct tuple of the runs' values:
+    with e2 = 0 the runs depend on t alone, so those four cases have 2R+1
+    rows (17 at R = 8) and the others (2R+1)^2 (289); ``rows`` counts
+    them.  Equal inputs reuse an exact value, so each value is the one a
+    full evaluation gives.  Each row is compared whole with the row of
+    closed forms (ba)^n, a slice of one list of them, and searched for
+    the target, as normal forms, which is exact; only a row that fails is
+    scanned value by value, so mismatches and target hits are reported
+    in (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -1259,8 +1298,24 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     target = parse_constant(THEOREM2_TARGET_TEXT, rank_two).ids
 
     span = range(-k_range, k_range + 1)
-    powers = {k: ba.power(k) for k in range(-12 * k_range - 1, 12 * k_range + 2)}
-    subs = {(k, e): (powers[k] * a if e else powers[k]).ids for k in span for e in (0, 1)}
+    n = len(span)
+    # closed[reach + m] is (ba)^m for every exponent a closed form reaches
+    reach = k_range * max(
+        sum(map(abs, c))
+        for c in (*THEOREM2_CASE_EXPONENTS.values(), *THEOREM2_SIGN_VARIANTS.values())
+    )
+    powers = [ba.power(m) for m in range(-reach, reach + 1)]
+    closed = [p.ids for p in powers]
+    subs = {(k, e): (powers[reach + k] * a if e else powers[reach + k]).ids
+            for k in span for e in (0, 1)}
+
+    def progression(c: int, offset: int) -> list[str]:
+        """The closed forms (ba)^(c*k + offset) for k in span."""
+        start = reach + offset - c * k_range
+        if c == 0:
+            return [closed[start]] * n
+        stop = start + c * n
+        return closed[start:stop if stop >= 0 else None:c]
 
     case_results = []
     target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
@@ -1268,7 +1323,6 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
         e1, e2, e3 = eps
         memo = _Memo(program)
-        closed = {n: p.ids for n, p in powers.items()}
         x1_values = [program.y_values(subs[k, e1]) for k in span]
         mismatches: list[tuple[int, int, int]] = []
         hits: list[tuple[int, int, int]] = []
@@ -1279,17 +1333,20 @@ def theorem2_report(k_range: int) -> Theorem2Report:
             for s in span:
                 bound = program.bind({2: subs[t, e2], 3: subs[s, e3]})
                 bindings += 1
-                offset = ct * t + cs * s
-                for k, value in zip(span, memo.row(x1_values, bound)):
-                    count += 1
-                    if value != closed[ck * k + offset]:
-                        mismatches.append((k, t, s))
-                    if value == target:
-                        hits.append((k, t, s))
-                    if variant is not None and variant_consistent:
-                        vk, vt, vs = variant
-                        if value != closed[vk * k + vt * t + vs * s]:
-                            variant_consistent = False
+                count += n
+                # Each row is compared whole, in C; only a row that fails
+                # is scanned, for its (k, t, s).
+                row = memo.row(x1_values, bound)
+                expected = progression(ck, ct * t + cs * s)
+                if row != expected:
+                    mismatches.extend(
+                        (k, t, s) for k, v, w in zip(span, row, expected) if v != w
+                    )
+                if target in row:
+                    hits.extend((k, t, s) for k, v in zip(span, row) if v == target)
+                if variant_consistent:
+                    vk, vt, vs = variant
+                    variant_consistent = row == progression(vk, vt * t + vs * s)
         total += count
         target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))
         case_results.append(
@@ -1301,7 +1358,7 @@ def theorem2_report(k_range: int) -> Theorem2Report:
                 tuple(sorted(mismatches)),
                 variant,
                 variant_consistent,
-                len(memo.steps),
+                memo.merges,
                 len(memo.rows),
             )
         )

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from freeprod import cli, free_product, specfiles
 from freeprod.free_product import Part
@@ -484,6 +486,68 @@ def test_cli_solve_all_output_is_pinned(capsys, ball, depth):
         out = re.sub(r'"total_s": [-+0-9.e]+', '"total_s": 0', captured.out)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == GOLDEN_SOLVE_ALL[ball, depth]
+
+
+# JSON values whose text exercises the encoder: strings holding braces,
+# quotes, the separator "\x1f" and non-ASCII characters, and containers
+# empty, flat, lists of flat dicts, and mixed.
+_json_strings = st.text(st.one_of(st.sampled_from('{}[]",:\x1f\\ \n\té☃'), st.characters()),
+                        max_size=6)
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_strings)
+_flat_dicts = st.lists(st.dictionaries(_json_strings, _json_scalars, min_size=1, max_size=3),
+                       max_size=4)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_json_strings, inner, max_size=4), _flat_dicts),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=st.one_of(_json_trees, st.dictionaries(  # reports: dicts, some values flat dicts
+    _json_strings, st.one_of(_flat_dicts, _json_trees), max_size=5)))
+def test_json_text_is_the_indented_dump(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_cli_json_output_is_the_indented_dump_of_every_report(capsys, monkeypatch):
+    # every subcommand, and solve --all with its list of witness dicts
+    real, checked = cli._json_text, []
+
+    def spy(report, *rest):
+        text = real(report, *rest)
+        if not rest:
+            checked.append(text == json.dumps(report, indent=2))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    solve_all = ["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b",
+                 "--depth", "4", "--all"]
+    runs = [(argv, code) for argv, code, _ in GOLDEN_TEXT] + [(solve_all, 0)]
+    for argv, code in runs:
+        argv = [str(CASES / f"{a}.grp") if flag == "--group" else
+                str(CASES / f"{a}.sub") if flag == "--subgroup" else a
+                for flag, a in zip([None] + argv, argv)]
+        assert cli.main(argv + ["--json"]) == code
+        capsys.readouterr()
+    assert checked == [True] * len(runs)
+    assert {argv[0] for argv, _ in runs} == {
+        "eval", "order", "reduce", "check", "solve", "verify-theorem2", "verify-lemma4",
+        "verify-lemma5", "verify-lemma7", "axis"}
+
+
+def test_cli_verify_theorem2_output_is_pinned(capsys):
+    # verify-theorem2 --range 8, text and JSON with timings.total_s set to 0
+    digests = []
+    for extra in ([], ["--json"]):
+        assert cli.main(["verify-theorem2", "--range", "8"] + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = re.sub(r'"total_s": [-+0-9.e]+', '"total_s": 0', captured.out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests == ["b882a8ccebab2fa25b47486ca9974a7664f5c6e716bf365d41a5974d666c50e1",
+                       "b748fce0ec1be87755d6ca49c69e10db4804505d24d90db00a686288bd263f8c"]
 
 
 

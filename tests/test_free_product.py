@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -35,7 +36,10 @@ from freeprod.sampling import (
     random_noncommuting_conjugator,
     random_reduced,
 )
+from freeprod.specfiles import parse_group_spec
 from freeprod.words import Const, MixedWord, evaluate, parse_constant
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +677,22 @@ def test_as_word_matches_label_run_reference(p23, s3z2, z6z2):
                  for f, g in enumerate(group.factors) for e in g.elements()]
         for u in every:
             assert u.as_word() == as_word_label_runs(u)
+
+
+def test_syllable_texts_are_rendered_on_first_use():
+    # Each syllable's text is rendered when it is first looked up, and
+    # equals the eager rendering of its element's word, on every factor
+    # of every group in cases/.
+    for path in sorted(CASES.glob("*.grp")):
+        group = parse_group_spec(path.read_text())
+        texts = group.codec.texts
+        last = group.factors[0].order - 1
+        group.factor_element(0, last).as_word()
+        assert list(texts) == [group.codec.symbols[0][last]], path.name
+        for f, g in enumerate(group.factors):
+            for e in range(1, g.order):
+                text = texts[group.codec.symbols[f][e]]
+                assert text == as_word_label_runs(group.factor_element(f, e)), path.name
 
 
 def enumerate_ball_elementwise(group, parts, depth):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product as cartesian
 from unittest.mock import patch
@@ -1222,13 +1224,39 @@ def test_theorem2_report_matches_per_substitution_reference(monkeypatch):
     table[(1, 1, 0)] = (4, -4, 4)
     monkeypatch.setattr(words, "THEOREM2_CASE_EXPONENTS", table)
     monkeypatch.setattr(words, "THEOREM2_TARGET_TEXT", "(b a)^6")
+    # a sign variant that is the verified form of its case is consistent
+    variants = dict(words.THEOREM2_SIGN_VARIANTS)
+    variants[(1, 0, 1)] = (0, 6, 0)
+    monkeypatch.setattr(words, "THEOREM2_SIGN_VARIANTS", variants)
     fast = theorem2_report(2)
     d = without_bindings(fast)
     assert d == without_bindings(theorem2_report_reference(2))
     mismatched = {tuple(c["epsilons"]) for c in d["cases"] if c["mismatches"]}
     assert mismatched == {(0, 0, 0), (1, 1, 0)}
+    consistent = {tuple(c["epsilons"]) for c in d["cases"] if c.get("sign_variant_consistent")}
+    assert consistent == {(1, 0, 1)}
     assert len({h[3] for h in fast.target_hits}) > 1 and len(fast.target_hits) > 2
     assert not fast.ok
+
+
+# sha256 of json.dumps(theorem2_report(R).to_dict(), sort_keys=True) for
+# R = 1 ... 8: every case's counts, mismatches and hits, byte for byte.
+GOLDEN_THEOREM2 = [
+    "2f3608680bd6aa0f84fba34ec05da5849c5544aaad60e6446e8ed999b8729857",
+    "7b0e000e2ca004c7f4a965697f255ec97b2fd027ce40bd5d61cdf37262de8218",
+    "f07770ba0de2990894bba54c0f9f255c2b4d27bed09baf8ef3ee823f82e9c818",
+    "6a26241ae29dca55ba63c6851eea189180656551fc5f0f5cd2b1f1f7983bd8de",
+    "d837f5fa4027ecd0a1a30eef5e680e888310e5a8f772491c4e4fb0e875722e4d",
+    "c2d19c004ff5e0fcf6f1d741dc12dbd97ce55f29c94bde1d3f3476aa5d9dce6b",
+    "0b7bcf36fb3b1156558bcb3787a9f76da98c868c94c381c1bb08a9b5e7472bff",
+    "b609324f025023c59bf8049d23725997638524af645c2ed3cb3f902bdc852dc4",
+]
+
+
+def test_theorem2_report_is_pinned():
+    for k_range, digest in enumerate(GOLDEN_THEOREM2, start=1):
+        text = json.dumps(theorem2_report(k_range).to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k_range
 
 
 def test_theorem2_report_counts_its_bindings():
@@ -1251,9 +1279,10 @@ def test_theorem2_report_work(monkeypatch):
     # The compiled word merges the commutator [x1, x2^x3] once for its two
     # uses and computes x1^3 once per value of x1, and each case's memo
     # merges each of its 3 steps once per distinct tuple of input values:
-    # 18,648 of the 117,912 steps run.  With the runs per (t, s), the words
-    # module makes 25,725 seam merges and 7,653 powers, 0.65 and 0.19 per
-    # substitution (0.655 and 0.200 with free_product's own calls); merging
+    # 18,648 of the 117,912 steps run.  With the runs per (t, s), and
+    # (x2^-1)^x3 taken as the inverse of x2^x3 rather than merged, the words
+    # module makes 23,413 seam merges and 7,653 powers, 0.596 and 0.195 per
+    # substitution (0.596 and 0.200 with free_product's own calls); merging
     # every step made 3.24 and 2.06, and binding (x2, x3) without sharing
     # 4.29 and 3.06.  Each case runs a row of 17 values of x1 once per
     # distinct tuple of bound values: 17 rows in each of the four cases
@@ -1277,7 +1306,7 @@ def test_theorem2_report_work(monkeypatch):
     assert sum(c.merges for c in rep.case_results) == 18648
     assert [c.rows for c in rep.case_results] == [17, 17, 289, 17, 289, 17, 289, 289]
     assert sum(c.rows for c in rep.case_results) == 1224
-    assert counts[words, "_seam_merge"] == 25725
+    assert counts[words, "_seam_merge"] == 23413
     assert counts[words, "power_syllables"] == 7653
     merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
     powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
@@ -1339,6 +1368,27 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
     assert_bind_matches_evaluate(twice, values, y)
 
 
+@pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
+                         ids=["p23", "s3z2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bind_inverts_a_run_whose_inverse_came_first(group, gens, data):
+    # [u, v] y w y [u, v]^-1 with u, v free of y = x4: the commutator and its
+    # inverse are two runs, the second the item-wise inverse of the first,
+    # and bind takes its value as the inverse of the first run's value.
+    u, v, w = (data.draw(residual_texts(gens, 2), label=name) for name in "uvw")
+    word = parse_word(f"[{u}, {v}] x4 {w} x4 [{u}, {v}]^-1", group)
+    values = {i: data.draw(elements(group, 6), label=f"x{i}") for i in (1, 2, 3, 4)}
+    assert_bind_matches_evaluate(word, values, 4)
+    program = words._Program(word.letters, group, 4)
+    (commutator,) = parse_word(f"[{u}, {v}]", group).letters or (None,)
+    if commutator is not None and words._variables(commutator.body):
+        first = program.runs.index((commutator,))
+        assert program.inverse_of[program.runs.index(words._invert((commutator,)))] == first
+    for n, j in enumerate(program.inverse_of):
+        assert j is None or j < n and program.runs[n] == words._invert(program.runs[j])
+
+
 def copied(ids):
     """An id string equal to ``ids`` but, from two syllables up, another
     object: a memo must reuse values by equality, not identity."""
@@ -1370,13 +1420,15 @@ def test_run_with_a_shared_memo_matches_evaluate(group, gens, data):
         return memo.row([y_values], bound)[0]
 
     for again in (False, True):
-        merged = len(memo.steps)
+        merged = memo.merges
         memo.rows.clear()
         for binding in bindings:
             values = {i: pool[j] for i, j in zip((1, 2, 3), binding)}
             assert run(values) == evaluate(word, values).ids
-        assert not again or len(memo.steps) == merged
-    assert len(memo.steps) <= len(set(bindings)) * len(program.steps)
+        assert not again or memo.merges == merged
+    assert memo.merges <= len(set(bindings)) * len(program.steps)
+    # one stored value per merge
+    assert sum(map(len, memo.steps)) == memo.merges
 
 
 @pytest.mark.parametrize("group, gens", [(_P23, ("a", "b")), (_S3Z2, ("a", "b", "c"))],
@@ -1404,7 +1456,7 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
     distinct = set()
 
     for again in (False, True):
-        rows, merged = len(memo.rows), len(memo.steps)
+        rows, merged = len(memo.rows), memo.merges
         for which, j2, j3 in bindings:
             outer = dict(zip(others, (pool[j2], pool[j3])))
             ys = [pool[j] for j in y_lists[which]]
@@ -1415,7 +1467,7 @@ def test_row_with_a_shared_memo_matches_run_and_evaluate(group, gens, data):
             distinct.add((tuple(v.ids for v in ys), tuple(plain)))
             assert row == [program.run(program.y_values(v.ids), plain) for v in ys]
             assert row == [evaluate(word, {y: v, **outer}).ids for v in ys]
-        assert not again or (len(memo.rows), len(memo.steps)) == (rows, merged)
+        assert not again or (len(memo.rows), memo.merges) == (rows, merged)
     # one row per distinct tuple of y values and bound values
     assert len(memo.rows) == len(distinct)
 
@@ -1435,7 +1487,7 @@ def test_run_memo_reuses_a_step_whose_inputs_were_merged_to_equal_values(p23):
         y_values = program.y_values(x1.ids)
         value = memo.row([y_values], bound)[0]
         assert value == evaluate(word, values).ids
-    assert len(memo.steps) == 3
+    assert memo.merges == 3
     # without a memo, run gives the same value
     bound = program.bind({2: b.ids, 3: b.ids})
     assert program.run(program.y_values(a.ids), bound) == value
@@ -1486,6 +1538,8 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
     program = compiled(words.THEOREM2_WORD_TEXT)
     assert program.pure == [((0, 3),)]
     assert len(program.runs) == 3 and len(program.steps) == 3
+    # (x2^-1)^x3 is the item-wise inverse of x2^x3: bind inverts its value
+    assert program.inverse_of == [None, 0, None]
     assert program.steps[0] == ((0, 1), (3, 1), (1, 1), (4, 1))
     assert program.steps[2] == ((7, 2), (6, 3))
     # a group and its inverse share one body
