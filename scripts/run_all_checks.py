@@ -34,7 +34,12 @@ CHECKS = [
       "--subgroup", str(CASES / "example2.sub")], 1),
     (["check", "--group", str(CASES / "klein.grp"),
       "--subgroup", str(CASES / "klein.sub")], 0),
-    # an order-300 factor: its table is validated by Light's test
+    # the factor of example1 given as a Cayley table: the one descriptor
+    # whose table is validated (Latin square, identity, Light's
+    # associativity test, closure); the verdict is example1's
+    (["check", "--group", str(CASES / "s3table.grp"),
+      "--subgroup", str(CASES / "example1.sub")], 1),
+    # an order-300 factor, built with its inverses in closed form
     (["check", "--group", str(CASES / "d150.grp"),
       "--subgroup", str(CASES / "d150.sub")], 0),
     # every f of the order-276 factor scanned against a conjugate table
@@ -105,6 +110,8 @@ CHECKS = [
     (["solve", "--group", str(CASES / "example2.grp"),
       "--eq", "x1 = " + " ".join(["a", "c b c"] * 6) + " b^2",
       "--ball", "a,b;a,b@c", "--depth", "12"], 1),
+    # a factor of order 10^9: refused before its table is built, exit 2
+    (["order", "--group", str(CASES / "refused" / "oversized.grp"), "--word", "a"], 2),
     # nested deeper than the parser's recursion can go: an input error
     (["eval", "--group", str(CASES / "p23.grp"),
       "--word", "(" * 400 + "a" + ")" * 400], 2),

@@ -91,3 +91,7 @@ class VerificationError(GroupError):
 
 class PowerTooLargeError(GroupError):
     """A power's normal form or expansion would exceed the size cap."""
+
+
+class GroupTooLargeError(GroupError):
+    """A group spec's tables or a free product's syllable ids exceed their cap."""

@@ -1,11 +1,14 @@
-"""Finite groups as validated Cayley tables.
+"""Finite groups as Cayley tables.
 
 Elements are integer ids in [0, order); id 0 is always the identity
-(constructors relabel to enforce this).  Tables are validated eagerly:
-Latin square, identity, inverses, associativity and generator closure are
-all checked at construction time.  Associativity is checked by Light's
-test over the generators, O(order^2 * generators); only a table whose
-generators do not generate it pays the full O(order^3) check.
+(constructors relabel to enforce this).  A table given as rows
+(``from_cayley_table``) is validated eagerly: Latin square, identity,
+inverses, associativity and generator closure are all checked at
+construction time.  Associativity is checked by Light's test over the
+generators, O(order^2 * generators); only a table whose generators do not
+generate it pays the full O(order^3) check.  ``make_cyclic``,
+``make_dihedral_reflections`` and ``direct_product`` build their tables and
+inverses in closed form, so only their labels are checked.
 """
 
 from __future__ import annotations
@@ -178,12 +181,8 @@ class FiniteGroup:
             raise InvalidLabelError(
                 f"{self.name} has {len(self.generators)} generators, got {len(labels)} labels"
             )
-        for label in labels:
-            _check_label(label)
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"duplicate labels in {list(labels)}")
-        gens = tuple((lab, g) for lab, (_, g) in zip(labels, self.generators))
-        return FiniteGroup(self.name, self.table, self.inverses, gens)
+        gens = [(lab, g) for lab, (_, g) in zip(labels, self.generators)]
+        return _group(self.name, self.table, self.inverses, gens)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -256,6 +255,23 @@ def _relabel_identity_first(
     return tuple(tuple(p[table[p[i]][p[j]]] for j in range(n)) for i in range(n))
 
 
+def _group(
+    name: str,
+    table: tuple[tuple[int, ...], ...],
+    inverses: tuple[int, ...],
+    generators: Sequence[tuple[str, int]],
+) -> FiniteGroup:
+    """The group on ``table``, which the caller has shown to be a group
+    with identity 0, these inverses, and generated by ``generators``; only
+    the labels, which come from outside, are checked here."""
+    labels = [lab for lab, _ in generators]
+    for lab in labels:
+        _check_label(lab)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabelError(f"duplicate labels in {labels}")
+    return FiniteGroup(name, table, inverses, tuple(generators))
+
+
 def from_cayley_table(
     rows: Sequence[Sequence[int]],
     generators: Sequence[tuple[str, int]],
@@ -287,29 +303,24 @@ def from_cayley_table(
     # Latin + identity + associativity already force two-sided inverses.
     inverses = tuple(row.index(0) for row in table)
 
-    labels = [lab for lab, _ in generators]
-    for lab in labels:
-        _check_label(lab)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabelError(f"duplicate generator labels in {labels}")
     for i, (_, g) in enumerate(generators):
         if not isinstance(g, int) or not 0 <= g < n:
             raise ForeignElementError(f"generator {i} (counting from 0) has bad id {g!r}")
-
     if len(closure) != n:
         raise GeneratorsDoNotGenerateError(
             f"generators reach only {len(closure)} of {n} elements"
         )
-    labeled = tuple((lab, remap[g]) for lab, g in generators)
-    return FiniteGroup(name, table, inverses, labeled)
+    return _group(name, table, inverses, [(lab, remap[g]) for lab, g in generators])
 
 
 def make_cyclic(n: int, label: str = "a", name: str | None = None) -> FiniteGroup:
     """Cyclic group of order n >= 2 with one generator of order n."""
     if n < 2:
         raise OrderTooSmallError(f"cyclic group needs order >= 2, got {n}")
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return from_cayley_table(rows, [(label, 1)], name or f"C{n}")
+    # row i is 0..n-1 rotated left by i; the inverse of x is -x mod n
+    ids = tuple(range(n))
+    table = tuple(ids[i:] + ids[:i] for i in range(n))
+    return _group(name or f"C{n}", table, tuple(-x % n for x in ids), [(label, 1)])
 
 
 def make_dihedral_reflections(
@@ -327,14 +338,16 @@ def make_dihedral_reflections(
     # of a row is n consecutive entries of a doubled run of rotations or
     # reflections, ascending from r1 for a rotation and descending from r1
     # for a reflection (up[r] = down[n-1-r] = r).
-    up_rot, up_ref = list(range(n)) * 2, list(range(n, 2 * n)) * 2
+    up_rot, up_ref = tuple(range(n)) * 2, tuple(range(n, 2 * n)) * 2
     down_rot, down_ref = up_rot[::-1], up_ref[::-1]
-    rows = [up_rot[r:r + n] + up_ref[r:r + n] for r in range(n)]
-    rows += [down_ref[n - 1 - r:2 * n - 1 - r] + down_rot[n - 1 - r:2 * n - 1 - r]
-             for r in range(n)]
+    table = tuple(up_rot[r:r + n] + up_ref[r:r + n] for r in range(n))
+    table += tuple(down_ref[n - 1 - r:2 * n - 1 - r] + down_rot[n - 1 - r:2 * n - 1 - r]
+                   for r in range(n))
+    # a rotation r is inverted by -r mod n; a reflection is its own inverse
+    inverses = tuple(-r % n for r in range(n)) + up_ref[:n]
     # a = reflection (0,1); b = (n-1,1) so that a*b is the basic rotation.
     gens = [(labels[0], n), (labels[1], 2 * n - 1)]
-    return from_cayley_table(rows, gens, name or f"D{n}")
+    return _group(name or f"D{n}", table, inverses, gens)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -349,7 +362,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     rows = []
     for a_row in a.table:
         scaled = [p * nb for p in a_row]
-        rows += [[p + q for p in scaled for q in b_row] for b_row in b.table]
+        rows += [tuple([p + q for p in scaled for q in b_row]) for b_row in b.table]
+    inverses = tuple(x * nb + y for x in a.inverses for y in b.inverses)
     gens = [(lab, g * nb) for lab, g in a.generators]
     gens += [(lab, g) for lab, g in b.generators]
-    return from_cayley_table(rows, gens, name or f"{a.name}x{b.name}")
+    return _group(name or f"{a.name}x{b.name}", tuple(rows), inverses, gens)

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .errors import (
     BadFactorIndexError,
     DuplicateLabelError,
+    GroupTooLargeError,
     MixedAmbientError,
     NotASubgroupError,
     OrderTooSmallError,
@@ -47,8 +48,8 @@ class Codec:
 
     The nonidentity elements of factor 0 get ids 0.., then those of factor
     1, and so on; a syllable is the one-character string ``chr(id)``, and a
-    normal form is the string of its syllables.  ``str`` holds any number of
-    ids (``bytes`` would stop at 256).  For a syllable x:
+    normal form is the string of its syllables.  ``str`` holds 0x110000 ids
+    (``bytes`` would stop at 256); more are refused.  For a syllable x:
 
     - ``factor[x]`` and ``element[x]`` are its factor index and element id;
     - ``symbols[f][e]`` is the syllable (f, e), and ``symbols[f][0]`` is
@@ -63,6 +64,11 @@ class Codec:
     __slots__ = ("factors", "factor", "element", "symbols", "tables", "inverse", "texts")
 
     def __init__(self, factors: Sequence[FiniteGroup]):
+        count = sum(g.order - 1 for g in factors)
+        if count > 0x110000:
+            raise GroupTooLargeError(
+                f"{count:,} syllable ids, more than the {0x110000:,} a normal form can hold"
+            )
         self.factors = factors
         self.factor: dict[str, int] = {}
         self.element: dict[str, int] = {}

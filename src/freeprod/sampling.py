@@ -16,17 +16,30 @@ def random_reduced(
 ) -> FPElement:
     """Random element whose normal form has norm in [min_norm, max_norm]."""
     n = len(group.factors)
-    while True:
-        length = rng.randint(min_norm, max_norm)
-        sylls = []
-        factor = rng.randrange(n)
-        for _ in range(length):
-            sylls.append((factor, rng.randrange(1, group.factors[factor].order)))
-            if n > 1:
-                factor = rng.choice([i for i in range(n) if i != factor])
-        u = group.element(sylls)
-        if u.norm == length:
-            return u
+    if n == 1:
+        # all syllables merge into one: redraw until the norm is the length
+        while True:
+            length = rng.randint(min_norm, max_norm)
+            sylls = []
+            factor = rng.randrange(n)  # always 0, but a draw of the seed
+            for _ in range(length):
+                sylls.append((factor, rng.randrange(1, group.factors[factor].order)))
+            u = group.element(sylls)
+            if u.norm == length:
+                return u
+    # Nonidentity syllables in alternating factors are a normal form as
+    # drawn.  The factor after each syllable, the last one included, is drawn
+    # from the others, which keeps each seed's sequence of draws (checked
+    # against an element()-based sampler in tests/test_sampling.py).
+    symbols, orders = group.codec.symbols, [g.order for g in group.factors]
+    others = [[i for i in range(n) if i != f] for f in range(n)]
+    length = rng.randint(min_norm, max_norm)
+    ids = []
+    factor = rng.randrange(n)
+    for _ in range(length):
+        ids.append(symbols[factor][rng.randrange(1, orders[factor])])
+        factor = rng.choice(others[factor])
+    return FPElement(group, "".join(ids))
 
 
 def random_cyclically_reduced(

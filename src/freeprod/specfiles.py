@@ -8,7 +8,9 @@ Group spec grammar (line oriented, '#' starts a comment, each line once):
 A descriptor is ``cyclic <n>``, ``dihedral <n>``, ``product [<d>, <d>]``
 (components may nest) or ``table rows=<r0>:<r1>:... gens=<id,id>`` with
 comma-separated row entries.  The labels line carries one comma-separated
-label list per factor, arity matching the factor's generator count.
+label list per factor, arity matching the factor's generator count.  The
+tables of one spec may hold MAX_SPEC_CELLS cells in all; a descriptor over
+that is refused before its table is built.
 
 Subgroup spec (the same rules, but ``part:`` lines may repeat):
 
@@ -32,7 +34,7 @@ import re
 from typing import Iterator
 
 from .checker import KuroshData
-from .errors import ForeignElementError, SpecSyntaxError
+from .errors import ForeignElementError, GroupTooLargeError, SpecSyntaxError
 from .finite_group import (
     FiniteGroup,
     direct_product,
@@ -78,27 +80,59 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _build_descriptor(text: str, labels: Iterator[str]) -> FiniteGroup:
+# Table cells one group spec may build, summed over all its tables, a
+# product's components included.  The largest table of any case or
+# benchmark workload has 90,000 (D150).  A table of order n >= 2 takes
+# n^2 >= 2n cells, so a spec within the cap has at most 2^20 syllable ids,
+# which a normal form can hold.
+MAX_SPEC_CELLS = 1 << 21
+
+
+def _order(digits: str) -> int:
+    # int() refuses more than 4,300 digits; such an order is over the cap, so
+    # the cap stands in for it
+    return int(digits) if len(digits) <= 4300 else MAX_SPEC_CELLS
+
+
+def _charge(budget: list[int], order: int, text: str) -> None:
+    """Take a table's order^2 cells from budget[0] before its rows are
+    built, or refuse the spec."""
+    budget[0] -= order * order
+    if budget[0] < 0:
+        raise GroupTooLargeError(
+            f"factor {text!r} exceeds the {MAX_SPEC_CELLS:,} table cells a group spec may build"
+        )
+
+
+def _build_descriptor(text: str, labels: Iterator[str], budget: list[int]) -> FiniteGroup:
     """The factor a descriptor names; each generator it makes up takes the
-    next label of ``labels`` (parse_group_spec relabels them afterwards)."""
+    next label of ``labels`` (parse_group_spec relabels them afterwards).
+    Every table it builds is charged to ``budget`` (see MAX_SPEC_CELLS)."""
     text = text.strip()
     m = re.fullmatch(r"cyclic\s+(\d+)", text)
     if m:
-        return make_cyclic(int(m.group(1)), next(labels))
+        n = _order(m.group(1))
+        _charge(budget, n, text)
+        return make_cyclic(n, next(labels))
     m = re.fullmatch(r"dihedral\s+(\d+)", text)
     if m:
-        return make_dihedral_reflections(int(m.group(1)), (next(labels), next(labels)))
+        n = _order(m.group(1))
+        _charge(budget, 2 * n, text)
+        return make_dihedral_reflections(n, (next(labels), next(labels)))
     m = re.fullmatch(r"product\s*\[(.*)\]", text, re.S)
     if m:
         comps = _split_top(m.group(1), ",")
         if len(comps) < 2:
             raise SpecSyntaxError(f"product needs at least two components: {text!r}")
-        group = _build_descriptor(comps[0], labels)
+        group = _build_descriptor(comps[0], labels, budget)
         for comp in comps[1:]:
-            group = direct_product(group, _build_descriptor(comp, labels))
+            other = _build_descriptor(comp, labels, budget)
+            _charge(budget, group.order * other.order, text)
+            group = direct_product(group, other)
         return group
     m = re.fullmatch(r"table\s+rows=(\S+)\s+gens=(\S+)", text)
     if m:
+        _charge(budget, m.group(1).count(":") + 1, text)
         try:
             rows = [
                 [int(x) for x in row.split(",")] for row in m.group(1).split(":")
@@ -135,8 +169,9 @@ def parse_group_spec(text: str) -> FreeProduct:
         )
     factors = []
     made_up = (f"tmp{i}" for i in itertools.count(1))
+    budget = [MAX_SPEC_CELLS]
     for desc, labels in zip(descriptors, label_lists):
-        group = _build_descriptor(desc, made_up)
+        group = _build_descriptor(desc, made_up, budget)
         if len(labels) != len(group.generators):
             raise SpecSyntaxError(
                 f"factor {desc!r} has {len(group.generators)} generators, "

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -81,7 +83,8 @@ def test_parse_group_spec_makes_up_the_same_labels_each_time():
     first, second = (specfiles.parse_group_spec(text) for _ in range(2))
     assert [f.generators for f in first.factors] == [f.generators for f in second.factors]
     built = [specfiles._build_descriptor("product [cyclic 2, dihedral 3]",
-                                         (f"tmp{i}" for i in range(1, 9)))
+                                         (f"tmp{i}" for i in range(1, 9)),
+                                         [specfiles.MAX_SPEC_CELLS])
              for _ in range(2)]
     assert built[0].generators == built[1].generators
     assert [label for label, _ in built[0].generators] == ["tmp1", "tmp2", "tmp3"]
@@ -748,6 +751,35 @@ def test_cli_group_spec_errors(capsys, tmp_path):
         assert captured.err == f"error: repeated line {text.splitlines()[1]!r}\n"
     with pytest.raises(SpecSyntaxError, match="repeated line"):
         specfiles.parse_group_spec("factors: cyclic 2\nlabels: a\nfactors: cyclic 2")
+
+
+def test_cli_refuses_oversized_group_specs(capsys, tmp_path):
+    # Every table is charged to the spec's cell budget before its rows are
+    # built, so each of these is refused at once with one line.
+    side = math.isqrt(specfiles.MAX_SPEC_CELLS)
+    grp = tmp_path / "big.grp"
+    for factors, labels in (
+        ("cyclic 1000000000", "a"),
+        ("dihedral 1000000000", "a,b"),
+        (f"cyclic {side + 1}", "a"),
+        ("cyclic " + "9" * 5000, "a"),
+        ("product [cyclic 1000, cyclic 1000]", "a,b"),
+        ("cyclic 1000; cyclic 1000; cyclic 1000", "a; b; c"),
+        ("table rows=" + ":".join(["0"] * (side + 1)) + " gens=1", "a"),
+    ):
+        grp.write_text(f"factors: {factors}\nlabels: {labels}")
+        start = time.perf_counter()
+        assert cli.main(["order", "--group", str(grp), "--word", "a"]) == 2, factors
+        assert time.perf_counter() - start < 5, factors
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: factor ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(
+            f" exceeds the {specfiles.MAX_SPEC_CELLS:,} table cells a group spec may build\n")
+    # the largest cyclic table within the budget is built
+    grp.write_text(f"factors: cyclic {side}; cyclic 2\nlabels: a; b")
+    assert cli.main(["order", "--group", str(grp), "--word", "a b"]) == 0
+    assert capsys.readouterr().out == "order(a b) = infinite\n"
 
 
 def test_cli_huge_exponents(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -80,13 +81,38 @@ def test_identity_relabelled_to_zero():
     assert g.element_order(g.generators[0][1]) == 3
 
 
+def constructed_groups(max_order):
+    """Every group make_cyclic, make_dihedral_reflections and direct_product
+    build up to max_order: all cyclic and dihedral orders, every product of
+    two of those, and products nested on either side."""
+    labels = (f"g{i}" for i in itertools.count())
+
+    def fresh(g):
+        return g.relabeled([next(labels) for _ in g.generators])
+
+    base = [make_cyclic(n, next(labels)) for n in range(2, max_order + 1)]
+    base += [make_dihedral_reflections(n, (next(labels), next(labels)))
+             for n in range(2, max_order // 2 + 1)]
+    products = [direct_product(fresh(a), fresh(b))
+                for a in base for b in base if a.order * b.order <= max_order]
+    nested = [direct_product(fresh(p), fresh(b)) for p in products for b in base
+              if p.order * b.order <= max_order]
+    nested += [direct_product(fresh(b), fresh(p)) for p in products for b in base
+               if p.order * b.order <= max_order]
+    return base + products + nested
+
+
 def test_round_trip_identity_first_tables():
-    for g in (make_cyclic(6), make_dihedral_reflections(4),
-              direct_product(make_cyclic(2, "a"), make_cyclic(3, "b"))):
+    # The constructors build tables and inverses in closed form; the full
+    # validation of from_cayley_table must rebuild exactly the same group,
+    # for every group they build up to order 40, nested products included.
+    groups = constructed_groups(40)
+    assert any(g.name.count("x") == 2 for g in groups)
+    for g in groups:
         h = from_cayley_table(g.table, g.generators, g.name)
-        assert h.table == g.table
-        assert h.inverses == g.inverses
-        assert h.generators == g.generators
+        assert h.table == g.table, g.name
+        assert h.inverses == g.inverses, g.name
+        assert h.generators == g.generators, g.name
 
 
 def test_make_cyclic():

@@ -11,6 +11,8 @@ from freeprod import free_product
 from freeprod.errors import (
     BadFactorIndexError,
     ForeignElementError,
+    GroupError,
+    GroupTooLargeError,
     MixedAmbientError,
     NotASubgroupError,
     PowerTooLargeError,
@@ -74,6 +76,16 @@ def test_normalize_rejects_bad_input(p23):
         p23.element([(7, 1)])
     with pytest.raises(ForeignElementError):
         p23.element([(0, 5)])
+
+
+def test_free_product_refuses_more_syllable_ids_than_a_string_holds():
+    # 1,200 copies of C1000 share one table and would need 1,198,800 ids,
+    # each a str character; they are refused before the codec is built
+    c1000 = make_cyclic(1000)
+    copies = [c1000.relabeled([f"a{i}"]) for i in range(1200)]
+    with pytest.raises(GroupTooLargeError, match="^1,198,800 syllable ids"):
+        FreeProduct(copies)
+    assert issubclass(GroupTooLargeError, GroupError)
 
 
 def test_multiply_examples(p23, gens):
