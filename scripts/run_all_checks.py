@@ -119,6 +119,14 @@ CHECKS = [
     # in the centralizer of x1
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2] = 1",
       "--ball", "a;b", "--depth", "14", "--all"], 0),
+    # the commutator's inverse is spliced into the compiled word, inverted,
+    # so it takes the centralizer-coset path too, with the same witnesses
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^-1 = 1",
+      "--ball", "a;b", "--depth", "8", "--all"], 0),
+    # x1 twice with one sign is searched, not looked up as x1 = a b: a b is
+    # not a square, so no ball element solves it
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1^2 = a b",
+      "--ball", "a;b", "--depth", "8"], 1),
     # a commutator used twice, with exponents 2 and 1: the general path's
     # compiled word merges its body once per tuple
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^2 x1 [x1,x2] = a",

@@ -180,13 +180,12 @@ def _power(items: tuple[Item, ...], k: int) -> tuple[Item, ...]:
     return (Pow(items, k),)
 
 
-def _expand(items: Sequence[Item], var: int | None = None) -> tuple[Item, ...]:
-    """The items with each Pow written out as copies of its body; only the
-    Pows that contain variable ``var`` when it is given."""
+def _expand(items: Sequence[Item]) -> tuple[Item, ...]:
+    """The items with each Pow written out as copies of its body."""
     out: list[Item] = []
     for l in items:
-        if isinstance(l, Pow) and (var is None or var in _variables(l.body)):
-            body = _expand(l.body, var)
+        if isinstance(l, Pow):
+            body = _expand(l.body)
             if l.k < 0:
                 body = _invert(body)
             size = len(body) * abs(l.k)
@@ -492,14 +491,15 @@ class _Program:
       instead.
 
     Equal sub-words are one value, so a commutator used twice is merged
-    once; a group (a Pow with k = 1) used once is spliced into its parent's
-    merge instead.  Every step, pure or not, is a tuple of references
-    (index, k) to earlier values, each applying the exponent of its Pow
-    with power_syllables, and (u^j)^k is u^(jk).  A step is the product of
-    its references, so by associativity ``run`` gives exactly the normal
-    form ``evaluate`` gives for the same values.  Each step is compiled
-    once (see _compile) into ``pure_ops`` and ``step_ops``, which
-    ``y_values``, ``run`` and a _Memo execute.
+    once; a group or its inverse (a Pow with k = +-1) used once is spliced
+    into its parent's merge instead, the body inverted when k = -1.  Every
+    step, pure or not, is a tuple of references (index, k) to earlier
+    values, each applying the exponent of its Pow with power_syllables, and
+    (u^j)^k is u^(jk).  A step is the product of its references, so by
+    associativity ``run`` gives exactly the normal form ``evaluate`` gives
+    for the same values.  Each step is compiled once (see _compile) into
+    ``pure_ops`` and ``step_ops``, which ``y_values``, ``run`` and a _Memo
+    execute.
     """
 
     __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse",
@@ -537,8 +537,8 @@ class _Program:
 
         def inline(body: Sequence[Item]):
             for item in body:
-                if type(item) is Pow and item.k == 1 and holds(item) and uses[item.body] == 1:
-                    yield from inline(item.body)
+                if type(item) is Pow and abs(item.k) == 1 and holds(item) and uses[item.body] == 1:
+                    yield from inline(_power(item.body, item.k))
                 else:
                     yield item
 
@@ -681,18 +681,6 @@ class _Memo:
 # bounded exhaustive solving
 
 
-def _occurrences(items: Sequence[Item], var: int) -> int:
-    """How often variable ``var`` occurs in ``items``, a power's body
-    counted |k| times."""
-    n = 0
-    for item in items:
-        if type(item) is Var:
-            n += item.index == var
-        elif type(item) is Pow:
-            n += abs(item.k) * _occurrences(item.body, var)
-    return n
-
-
 def _fusion_runs(pieces: Iterable[Sequence[Item]]) -> tuple[list, list]:
     """The fusion runs of ``pieces``, and each piece rewritten over them.
 
@@ -753,9 +741,14 @@ def solve_bounded(
     distinct fusion keys decided; ``outer_tuples`` when not fused), and
     ``image``, the image walk's run and depth (see below) or None.
 
-    The occurrences of the last variable y are counted first, a power's
-    body |k| times.  When y occurs once or twice, the left side is split
-    into runs between them, with the powers that hold y written out.
+    The left side is compiled first, once, into a _Program with the last
+    variable y free.  When it is one step whose references all have
+    exponent 1, every power that holds y was a group or its inverse used
+    once and is spliced in, so the step is the left side itself: its
+    references to y and y^-1 split it, and its other references, constants
+    and runs free of y, are the pieces between them.  y occurring once, or
+    twice with opposite signs (a power's body counted |k| times), compiles
+    to such a step; y^2 or a power of a sub-word that holds y does not.
 
     Single occurrence: when y occurs once, the left side is W0 y^s W1 with
     W0, W1 free of y, and the equation holds iff y^s = W0^-1 rhs W1^-1.
@@ -790,20 +783,19 @@ def solve_bounded(
     T is evaluated from the word P^-1 rhs Q^-1, so a power in P or Q
     inverts its short base, not its long value.
 
-    Any other occurrence pattern tries every inner candidate.  The left
-    side is compiled once into a _Program with y free, which keeps powers
-    as powers: its sub-words that depend on y alone are evaluated once per
-    candidate, its runs free of y once per outer tuple, and the rest once
-    per (outer tuple, candidate).
+    Any other shape tries every inner candidate with the _Program, which
+    keeps powers as powers: its sub-words that depend on y alone are
+    evaluated once per candidate, its runs free of y once per outer tuple,
+    and the rest once per (outer tuple, candidate).
 
-    Fusion: the pieces free of y (W0 and W1; P, B and Q; the _Program's
-    runs) are rewritten once over their fusion runs (see _fusion_runs), and
-    each solver decides an outer tuple from its key, the runs' normal
-    forms: for F^39 x3 F^26 x3^-1 with F = x1 x2, B and T are one power of
-    F each.  With fewer runs than outer variables, keys repeat: only a new
-    key is decided, and every hit is still re-verified by record() for each
-    tuple that reaches it, so the solutions and their order are as without
-    fusion.  When the only run is a product of the outer variables, each
+    Fusion: the _Program's runs are rewritten once over their fusion runs
+    (see _fusion_runs), and so are the pieces built from them (W0 and W1;
+    P, B and Q); each solver decides an outer tuple from its key, the runs'
+    normal forms: for F^39 x3 F^26 x3^-1 with F = x1 x2, B and T are one
+    power of F each.  With fewer runs than outer variables, keys repeat:
+    only a new key is decided, and every hit is still re-verified by
+    record() for each tuple that reaches it, so the solutions and their
+    order are as without fusion.  When the only run is a product of the outer variables, each
     once with either sign, over Balls with one set of parts, its values are
     the ball of the summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a
     (see Ball).  One value of that image is decided after each tuple until
@@ -857,29 +849,32 @@ def solve_bounded(
             counters.update(outer_tuples=0, outer_values=0, image=None)
         return (results[0] if results else None) if mode == "first" else results
 
-    # The last variable y varies fastest; how often it occurs picks the
-    # solver.  Each solver's pieces free of y are rewritten over the fusion
-    # runs, and its decide(key) gives the candidates for y that solve the
-    # equation, in order, from the runs' normal forms for an outer tuple.
+    # The last variable y varies fastest.  The left side is compiled once
+    # with y free, and its runs are rewritten over the fusion runs; the
+    # compiled shape picks the solver, whose decide(key) gives the
+    # candidates for y that solve the equation, in order, from the runs'
+    # normal forms for an outer tuple.
     inner = variables[-1]
     outer = variables[:-1]
     inner_cands = candidates[inner]
-    occurrences = _occurrences(eq.lhs.letters, inner)
-
-    if occurrences in (1, 2):
-        # lhs = W0 y^s1 W1 [y^s2 W2], with the powers that hold y written out
-        segments: list[list[Item]] = [[]]
-        signs: list[int] = []
-        for item in _expand(eq.lhs.letters, inner):
-            if isinstance(item, Var) and item.index == inner:
-                signs.append(item.sign)
-                segments.append([])
+    program = _Program(eq.lhs.letters, group, inner)
+    runs, pieces = _fusion_runs(program.runs)
+    steps = program.pure + program.steps
+    split: list[list[Item]] = [[]]
+    signs: list[int] = []
+    if len(steps) == 1 and all(k == 1 for _, k in steps[0]):
+        # lhs = W0 y^s1 W1 [y^s2 W2 ...]: values 0 and 1 are y and y^-1,
+        # then the constants and, as no other step comes first, the runs
+        items = [(), (), *[(Const(FPElement(group, c)),) for c in program.consts], *pieces]
+        for i, _ in steps[0]:
+            if i < 2:
+                signs.append(1 - 2 * i)
+                split.append([])
             else:
-                segments[-1].append(item)
-        runs, pieces = _fusion_runs(segments)
-        target = _invert(pieces[0]) + (Const(eq.rhs),) + _invert(pieces[-1])
+                split[-1].extend(items[i])
+        target = _invert(split[0]) + (Const(eq.rhs),) + _invert(split[-1])
 
-    if occurrences == 1:
+    if len(signs) == 1:
         # A scan of a plain sequence keeps candidate order and duplicates,
         # which an index built per call would cost more than.
         in_ball = isinstance(inner_cands, Ball)
@@ -893,8 +888,8 @@ def solve_bounded(
                 return [u] if u in inner_cands else []
             return [c for c in inner_cands if c.ids == t]
 
-    elif occurrences == 2 and signs[0] == -signs[1]:
-        middle = pieces[1]
+    elif len(signs) == 2 and signs[0] == -signs[1]:
+        middle = split[1]
         positions: dict[str, list[int]] = {}
         for i, c in enumerate(inner_cands):
             positions.setdefault(c.ids, []).append(i)
@@ -919,8 +914,6 @@ def solve_bounded(
             return [inner_cands[i] for i in hits]
 
     else:
-        program = _Program(eq.lhs.letters, group, inner)
-        runs, pieces = _fusion_runs(program.runs)
         inner_values = [(c, program.y_values(c.ids)) for c in inner_cands]
 
         def decide(key: tuple) -> Sequence[FPElement]:

@@ -344,7 +344,7 @@ def test_solve_bounded_all_matches_naive_oracle(p23, s3z2, monkeypatch):
         "x2^-1 b a b^2 x2 x1 = a",
         # y twice with the same sign: the gate does not apply
         "x2 x1 x2 = b",
-        # y inside a power: the power is written out for the split
+        # y inside a power with |k| >= 2: the power stays a power, so the scan
         "(x1 x2)^2 = a b a b",
         "x2^2 x1 = a",
         "(x2 x1 x2^-1)^3 = b",
@@ -999,15 +999,15 @@ def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
 
 
 def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
-    # The search reads the left side through _expand, the re-check in
-    # record() from the equation's own letters and the solution's values: a
-    # broken expansion that makes x1 = b look like a solution of x1 = a
-    # must be caught.
+    # The search reads the left side through its compiled _Program, the
+    # re-check in record() from the equation's own letters and the
+    # solution's values: a broken compilation that makes x1 = b look like a
+    # solution of x1 = a must be caught.
     eq = parse_equation("x1 = a", p23)
     a, b = p23.generator("a"), p23.generator("b")
-    monkeypatch.setattr(
-        words, "_expand", lambda items, var=None: (Var(1), Const(b.inverse() * a))
-    )
+    real = words._Program
+    monkeypatch.setattr(words, "_Program",
+                        lambda items, group, y: real((*items, Const(b.inverse() * a)), group, y))
     with pytest.raises(VerificationError):
         solve_bounded(eq, {1: [b]}, mode="first")
 
@@ -1550,8 +1550,8 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
 
 
 def test_solve_bounded_general_path_with_inverted_y_inside_a_power(p23):
-    # y^-1 occurs only inside a negative power, which the written-out split
-    # reads as y: the residual still needs each candidate's inverse.
+    # y^-1 occurs only inside a negative power, which written out reads as
+    # y: the compiled word still needs each candidate's inverse.
     rng = random.Random(8)
     cand = [random_reduced(rng, p23, 0, 3) for _ in range(12)]
     for text in ("(x2^-1 x1)^-2 x2 = b", "x1 (x2^-1)^-2 = a b", "(x2^-1 a)^-3 x2 = 1"):
@@ -1584,3 +1584,88 @@ def test_solve_bounded_answers_y_in_deeply_nested_powers(p23, monkeypatch):
     assert solve_bounded(parse_equation(f"x2 {word} = a", p23), {1: [one, a], 2: [a, one]},
                          mode="all") == [Substitution.of({1: one, 2: a}),
                                          Substitution.of({1: a, 2: one})]
+
+
+def test_inverted_commutator_takes_the_coset_path(p23, monkeypatch):
+    # [x1,x2]^-1 is a group with k = -1, used once: the compiled word splices
+    # it in, inverted, so x2 is looked up in a coset once per x1, as for
+    # [x1,x2], with the same solutions.
+    calls = spy_conjugator(monkeypatch)
+    ball = enumerate_ball(p23, [(0, (0, 1), p23.identity()), (1, (0, 1, 2), p23.identity())], 8)
+    found = solve_bounded(parse_equation("[x1,x2]^-1 = 1", p23), {1: ball, 2: ball}, mode="all")
+    assert len(calls) == len(ball)
+    assert found == solve_bounded(parse_equation("[x1,x2] = 1", p23), {1: ball, 2: ball},
+                                  mode="all")
+
+
+def y_signs(items, y):
+    """The signs of y's occurrences in ``items``, in order, every power
+    written out (a power's body |k| times, inverted when k < 0)."""
+    out = []
+    for item in items:
+        if type(item) is Var:
+            if item.index == y:
+                out.append(item.sign)
+        elif type(item) is Pow:
+            body = y_signs(item.body, y)
+            if item.k < 0:
+                body = [-s for s in reversed(body)]
+            out += body * abs(item.k)
+    return out
+
+
+def split_texts():
+    """Left sides over C2 * C3 for the solver's split: residual words, a
+    commutator's inverse, y twice with one sign, and groups nested inside
+    groups, inverted or not."""
+    inner = residual_texts(("a", "b"), 1)
+    nested = st.sampled_from([
+        "[[{u}, {v}], {w}]", "[[{u}, {v}]^-1, {w}]^-1", "{u} [{v}, [{w}, {u}]^-1]",
+        "[{u}, {v}]^-1 {w}", "{w} [{u} {v}, {w}]^-1 [{u}, {v}]",
+    ])
+    return st.one_of(
+        residual_texts(("a", "b")),
+        st.sampled_from(["[x1,x2]^-1", "[x1,x2]", "x1^2", "x2 x1 x2", "x1 [a, x2^b]^-1",
+                         "[x1, a x2]^-1 b", "[x1, [a, x2]]", "[[x1, x2], a]^-1"]),
+        st.builds(lambda t, u, v, w: t.format(u=u, v=v, w=w), nested, inner, inner, inner),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_solver_split_follows_the_occurrences_of_y(data):
+    # The branch is read from the compiled left side; it must be the one
+    # the occurrences of y give, a power's body counted |k| times: y once
+    # is solved from W0 y^s W1, y twice with opposite signs by the coset
+    # lookup (the only caller of _conjugator), anything else by the scan
+    # (the only caller of _Program.run).
+    group = _P23
+    lhs = parse_word(data.draw(split_texts(), label="lhs"), group)
+    variables = lhs.free_variables()
+    pool = data.draw(st.lists(elements(group, 3), min_size=1, max_size=4), label="pool")
+    if variables and data.draw(st.booleans(), label="reachable"):
+        rhs = evaluate(lhs, {v: data.draw(st.sampled_from(pool)) for v in variables})
+    else:
+        rhs = data.draw(elements(group, 4), label="rhs")
+    eq = Equation(lhs, rhs)
+    candidates = {v: pool for v in variables}
+    calls = {"conjugator": 0, "run": 0}
+    real_conjugator, real_run = words._conjugator, words._Program.run
+
+    def conjugator(*args):
+        calls["conjugator"] += 1
+        return real_conjugator(*args)
+
+    def run(self, *args):
+        calls["run"] += 1
+        return real_run(self, *args)
+
+    with patch.object(words, "_conjugator", conjugator), \
+            patch.object(words._Program, "run", run):
+        found = solve_bounded(eq, candidates, mode="all")
+    signs = y_signs(lhs.letters, variables[-1]) if variables else []
+    coset = len(signs) == 2 and signs[0] == -signs[1]
+    scan = bool(variables) and len(signs) != 1 and not coset
+    assert (calls["conjugator"] > 0) == coset
+    assert (calls["run"] > 0) == scan
+    assert found == naive_all_solutions(eq, candidates)
