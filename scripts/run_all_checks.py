@@ -131,6 +131,10 @@ CHECKS = [
     # compiled word merges its body once per tuple
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "[x1,x2]^2 x1 [x1,x2] = a",
       "--ball", "a;b", "--depth", "6", "--all"], 0),
+    # x3 occurs once, squared, so each of its candidates is tried, but once
+    # per value of the run x1 x2, not once per pair; 2,472 solutions
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "(x1 x2)^2 x3^2 = 1",
+      "--ball", "a;b", "--depth", "6", "--all"], 0),
     # x2 occurs three times, once inside a power with exponent -2: the
     # general path's compiled word refers to the step x2^-1 x1 squared and
     # inverted; 22 solutions

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -401,9 +402,10 @@ def _evaluate_syllables(
 ):
     """The value of ``items`` as a reduced id string, each variable's
     value given as a reduced id string: each item's normal form is one
-    piece of a single seam merge, and a group (Pow with k = 1) adds its
-    body's pieces to that merge; a power of one piece (such as one letter)
-    is not merged first.  Given ``pieces``, the pieces are appended to it,
+    piece of a single seam merge, a group (Pow with k = 1) adds its body's
+    pieces to that merge, and its inverse (k = -1) adds them in reverse
+    order, each inverted; a power of one piece (such as one letter) is not
+    merged first.  Given ``pieces``, the pieces are appended to it,
     and it is returned unmerged."""
     codec = group.codec
     merge = pieces is None
@@ -427,6 +429,9 @@ def _evaluate_syllables(
             pieces.append(item.value.ids)
         elif item.k == 1:
             _evaluate_syllables(item.body, group, assignment, cache, pieces)
+        elif item.k == -1:
+            body = _evaluate_syllables(item.body, group, assignment, cache, [])
+            pieces.extend([_inverse_syllables(codec, p) for p in reversed(body)])
         else:
             body = _evaluate_syllables(item.body, group, assignment, cache, [])
             body = body[0] if len(body) == 1 else _seam_merge(codec, "", body)
@@ -455,13 +460,28 @@ def _compile(steps) -> list[tuple]:
 
 def _merge(codec, args: tuple, powers: tuple) -> str:
     """The value of one step from its input values ``args``: one seam
-    merge of them, the inputs in ``powers`` first powered by
-    power_syllables."""
+    merge of them, the inputs in ``powers`` first raised to their k (an
+    inversion for k = -1, with no power_syllables call); one input raised
+    is the value itself, with no merge."""
     if powers:
         args = list(args)
         for j, k in powers:
-            args[j] = power_syllables(codec, args[j], k)
+            s = args[j]
+            args[j] = _inverse_syllables(codec, s) if k == -1 else power_syllables(codec, s, k)
+        if len(args) == 1:
+            return args[0]
     return _seam_merge(codec, "", args)
+
+
+def _product_of(codec, vals: list, refs) -> str:
+    """The product of the references ``refs`` (index, k) into ``vals``,
+    each value raised as _merge raises it; one reference is not merged."""
+    args = []
+    for i, k in refs:
+        s = vals[i]
+        args.append(s if k == 1 else _inverse_syllables(codec, s) if k == -1
+                    else power_syllables(codec, s, k))
+    return args[0] if len(args) == 1 else _seam_merge(codec, "", args)
 
 
 def _execute(codec, vals: list, ops) -> list:
@@ -479,42 +499,42 @@ class _Program:
     - y's values: y, y^-1, the constant sub-words and the pure steps, which
       depend on y alone (such as y^3).  ``y_values`` computes them once per
       value of y.
-    - The runs: the maximal sub-words free of y that hold another variable,
-      one per distinct tuple of items.  ``bind`` evaluates them once per
-      binding of the other variables.  A run that is the item-wise inverse
-      of an earlier one (``inverse_of`` names that run, else None) is
-      taken as the inverse of its value, with no merge: the inverse of a
-      reduced id string is the string reversed and translated.
+    - The runs, the maximal runs of letters (Var and Const items) free of y
+      that hold another variable, at every nesting level, each kept once up
+      to inversion (a lone letter with sign 1), and the bound steps, what
+      lies between them (such as a run's inverse or power).  ``bind``
+      computes both once per binding of the other variables.
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
       binding; a _Memo runs them once per distinct tuple of input values
       instead.
 
     Equal sub-words are one value, so a commutator used twice is merged
-    once; a group or its inverse (a Pow with k = +-1) used once is spliced
-    into its parent's merge instead, the body inverted when k = -1.  Every
-    step, pure or not, is a tuple of references (index, k) to earlier
-    values, each applying the exponent of its Pow with power_syllables, and
-    (u^j)^k is u^(jk).  A step is the product of its references, so by
-    associativity ``run`` gives exactly the normal form ``evaluate`` gives
-    for the same values.  Each step is compiled once (see _compile) into
+    once; a group or its inverse (a Pow with k = +-1) that holds y and is
+    used once is spliced into its parent's merge instead, the body
+    inverted when k = -1; a sub-word free of y is one reference with k = 1.
+    Every step is a tuple of references (index, k) to earlier values, each
+    applying the exponent of its Pow (see _merge), and (u^j)^k is u^(jk).
+    A step is the product of its references, so by associativity ``run``
+    gives exactly the normal form ``evaluate`` gives for the same values.
+    The pure steps and the steps are compiled once (see _compile) into
     ``pure_ops`` and ``step_ops``, which ``y_values``, ``run`` and a _Memo
     execute.
     """
 
-    __slots__ = ("group", "consts", "pure", "runs", "steps", "result", "needs_inverse",
-                 "inverse_of", "pure_ops", "step_ops")
+    __slots__ = ("group", "consts", "pure", "runs", "bound", "steps", "result", "needs_inverse",
+                 "head", "pure_ops", "step_ops")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
-        # Nodes are hash-consed by (kind, data): "y" (y and y^-1, ids 0 and
-        # 1), "const" (id strings), "run" (items) and "step" (references).
+        # Nodes are hash-consed by (kind, data): "y" (ids 0 and 1), "const"
+        # (id strings), "run" (letters), "bound" and "step" (references).
         nodes: list[tuple[str, object]] = [("y", 1), ("y", -1)]
         pure = [True, True]
         ids: dict[tuple[str, object], int] = {}
         uses: dict[tuple[Item, ...], int] = {}
 
-        def node(kind: str, data, is_pure: bool) -> int:
+        def node(kind: str, data, is_pure: bool = False) -> int:
             key = (kind, data)
             i = ids.get(key)
             if i is None:
@@ -542,37 +562,50 @@ class _Program:
                 else:
                     yield item
 
+        def free(body: Sequence[Item]) -> list[tuple[int, int]]:
+            """References whose product is ``body``, a sub-word free of y:
+            its runs, each kept once up to inversion, the powers between
+            them, and its parts free of variables, folded into constants."""
+            if not _variables(body):
+                sylls = _evaluate_syllables(body, group, {}, {})
+                return [(node("const", sylls, True), 1)] if sylls else []
+            out: list[tuple[int, int]] = []
+            for is_pow, items in groupby(body, lambda item: type(item) is Pow):
+                for part in [(item,) for item in items] if is_pow else [tuple(items)]:
+                    if not _variables(part):
+                        out += free(part)
+                    elif is_pow:  # (u^j)^k is u^(jk)
+                        found, k = free(part[0].body), part[0].k
+                        out.append((found[0][0], found[0][1] * k) if len(found) == 1
+                                   else (node("bound", tuple(found)), k))
+                    elif ("run", part) not in ids and (
+                        ("run", _invert(part)) in ids or len(part) == 1 and part[0].sign < 0
+                    ):
+                        out.append((node("run", _invert(part)), -1))
+                    else:
+                        out.append((node("run", part), 1))
+            return out
+
         def refs(body: Sequence[Item]) -> list[tuple[int, int]]:
             out: list[tuple[int, int]] = []
-            run: list[Item] = []
-
-            def flush() -> None:
-                if not run:
-                    return
-                run_items = tuple(run)
-                run.clear()
-                if _variables(run_items):
-                    out.append((node("run", run_items, False), 1))
-                else:
-                    sylls = _evaluate_syllables(run_items, group, {}, {})
-                    if sylls:
-                        out.append((node("const", sylls, True), 1))
-
-            for item in inline(body):
-                if not holds(item):
-                    run.append(item)
+            for held, items in groupby(inline(body), holds):
+                if not held:  # a stretch free of y: one reference with k = 1
+                    found = free(tuple(items))
+                    if len(found) == 1 and found[0][1] == 1:
+                        out += found
+                    elif found:
+                        out.append((node("bound", tuple(found)), 1))
                     continue
-                flush()
-                if type(item) is Var:
-                    out.append((0 if item.sign > 0 else 1, 1))
-                    continue
-                i, j = value(item.body)
-                k = j * item.k
-                if pure[i] and k != 1:
-                    # a power of a value that depends on y alone: a pure step
-                    i, k = node("step", ((i, k),), True), 1
-                out.append((i, k))
-            flush()
+                for item in items:
+                    if type(item) is Var:
+                        out.append((0 if item.sign > 0 else 1, 1))
+                        continue
+                    i, j = value(item.body)
+                    k = j * item.k
+                    if pure[i] and k != 1:
+                        # a power of a value that depends on y alone: a pure step
+                        i, k = node("step", ((i, k),), True), 1
+                    out.append((i, k))
             return out
 
         def value(body: Sequence[Item]) -> tuple[int, int]:
@@ -587,29 +620,19 @@ class _Program:
         if nodes[root][0] != "step" or k != 1:
             root = node("step", ((root, k),), pure[root])
 
-        def kind_ids(kind: str, is_pure: bool) -> list[int]:
-            return [i for i, (kd, _) in enumerate(nodes) if kd == kind and pure[i] == is_pure]
-
-        const_ids = kind_ids("const", True)
-        pure_ids = kind_ids("step", True)
-        run_ids = kind_ids("run", False)
-        step_ids = kind_ids("step", False)
-        index = {i: n for n, i in enumerate([0, 1, *const_ids, *pure_ids, *run_ids, *step_ids])}
-
-        def compiled(i: int) -> tuple:
-            return tuple((index[j], k) for j, k in nodes[i][1])
-
-        self.consts = [nodes[i][1] for i in const_ids]
-        self.pure = [compiled(i) for i in pure_ids]
-        self.runs = [nodes[i][1] for i in run_ids]
-        self.steps = [compiled(i) for i in step_ids]
+        const_ids, pure_ids, run_ids, bound_ids, step_ids = (
+            [i for i, (kd, _) in enumerate(nodes) if (kd, pure[i]) == part] for part in
+            (("const", True), ("step", True), ("run", False), ("bound", False), ("step", False)))
+        order = [0, 1, *const_ids, *pure_ids, *run_ids, *bound_ids, *step_ids]
+        index = {i: n for n, i in enumerate(order)}
+        self.consts, self.runs = ([nodes[i][1] for i in part] for part in (const_ids, run_ids))
+        self.pure, self.bound, self.steps = (
+            [tuple((index[j], k) for j, k in nodes[i][1]) for i in part]
+            for part in (pure_ids, bound_ids, step_ids))
         self.result = index[root]
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
-        earlier: dict[tuple[Item, ...], int] = {}
-        self.inverse_of: list[int | None] = []
-        for n, run in enumerate(self.runs):
-            self.inverse_of.append(earlier.get(_invert(run)))
-            earlier[run] = n
+        # y's part of the value list, as the bound steps read it
+        self.head = ["", "", *self.consts, *[""] * len(pure_ids)]
         self.pure_ops = _compile(self.pure)
         self.step_ops = _compile(self.steps)
 
@@ -619,15 +642,28 @@ class _Program:
         inverse = _inverse_syllables(codec, y) if self.needs_inverse else ""
         return _execute(codec, [y, inverse, *self.consts], self.pure_ops)
 
+    def run_values(self, assignment) -> tuple:
+        """The runs' values, for a binding of every variable but y to
+        reduced id strings; a lone letter is read, not merged."""
+        runs, cache = self.runs, {}
+        try:
+            return tuple([assignment[r[0].index] if len(r) == 1 else
+                          _evaluate_syllables(r, self.group, assignment, cache) for r in runs])
+        except KeyError as e:
+            raise UnboundVariableError(f"x{e.args[0]} is unbound") from None
+
+    def bound_values(self, runs: Sequence[str]) -> list:
+        """The runs' part of the value list, from the runs' values: the
+        runs, then the bound steps."""
+        codec, head = self.group.codec, self.head
+        vals = [*head, *runs]
+        for step in self.bound:
+            vals.append(_product_of(codec, vals, step))
+        return vals[len(head):]
+
     def bind(self, assignment) -> list:
-        """The runs' part of the value list, for a binding of every
-        variable but y to reduced id strings."""
-        group, cache = self.group, {}
-        vals: list[str] = []
-        for run, j in zip(self.runs, self.inverse_of):
-            vals.append(_evaluate_syllables(run, group, assignment, cache) if j is None
-                        else _inverse_syllables(group.codec, vals[j]))
-        return vals
+        """The runs' part of the value list, for a binding (see run_values)."""
+        return self.bound_values(self.run_values(assignment))
 
     def run(self, y_values: list, bound: list) -> str:
         """The word's value, as a reduced id string, from ``y_values`` and
@@ -640,7 +676,7 @@ class _Memo:
     themselves (id strings hash once and compare in C): ``steps`` holds one
     dict per step, from the tuple of its input values (as its gather
     returns it) to its value, ``merges`` counts the steps merged, and
-    ``rows`` maps the values of y and of every run to a row (so
+    ``rows`` maps the values of y and the runs' part to a row (so
     ``len(rows)`` counts the rows decided)."""
 
     __slots__ = ("program", "steps", "merges", "rows")
@@ -653,8 +689,8 @@ class _Memo:
 
     def row(self, y_lists: Sequence[list], bound: list) -> list:
         """The word's values, one per entry of ``y_lists`` (each a y part
-        from ``y_values``), for the runs' values ``bound``.  The row is
-        decided once per distinct tuple of the values of y and of every run,
+        from ``y_values``), for the runs' part ``bound`` (see bind).  The row
+        is decided once per distinct tuple of the values of y and of ``bound``,
         and looked up after that, and each step is merged once per distinct
         tuple of its input values; the list returned is the memo's own."""
         key = (tuple([y[0] for y in y_lists]), *bound)
@@ -681,43 +717,6 @@ class _Memo:
 # bounded exhaustive solving
 
 
-def _fusion_runs(pieces: Iterable[Sequence[Item]]) -> tuple[list, list]:
-    """The fusion runs of ``pieces``, and each piece rewritten over them.
-
-    The fusion runs are the maximal runs of letters (Var and Const items)
-    that hold a variable, at every nesting level, each once up to
-    inversion; a lone letter is kept with sign 1.  A rewritten piece holds
-    Var(i) for each occurrence of the i-th run, Var(i, -1) for its inverse,
-    and every other item as it was, so its value is a function of the
-    runs' values."""
-    runs: dict[tuple[Item, ...], int] = {}
-
-    def rewrite(items: Sequence[Item]) -> tuple[Item, ...]:
-        out: list[Item] = []
-        run: list[Item] = []
-        for item in (*items, None):
-            if item is not None and type(item) is not Pow:
-                run.append(item)
-                continue
-            letters = tuple(run)
-            run.clear()
-            if any(type(l) is Var for l in letters):
-                sign = 1
-                if letters not in runs:
-                    inverse = _invert(letters)
-                    if inverse in runs or len(letters) == 1 and letters[0].sign < 0:
-                        letters, sign = inverse, -1
-                out.append(Var(runs.setdefault(letters, len(runs)), sign))
-            else:
-                out.extend(letters)
-            if item is not None:
-                out.append(Pow(rewrite(item.body), item.k))
-        return tuple(out)
-
-    rewritten = [rewrite(piece) for piece in pieces]
-    return list(runs), rewritten
-
-
 def solve_bounded(
     eq: Equation,
     candidates: Mapping[int, Sequence[FPElement]],
@@ -738,17 +737,18 @@ def solve_bounded(
     the re-checks of every solution that uses it.  Given a dict
     ``counters``, it is filled with the work counts ``outer_tuples`` (the
     tuples of the other variables covered) and ``outer_values`` (the
-    distinct fusion keys decided; ``outer_tuples`` when not fused), and
+    distinct keys decided; ``outer_tuples`` when not fused), and
     ``image``, the image walk's run and depth (see below) or None.
 
     The left side is compiled first, once, into a _Program with the last
     variable y free.  When it is one step whose references all have
     exponent 1, every power that holds y was a group or its inverse used
     once and is spliced in, so the step is the left side itself: its
-    references to y and y^-1 split it, and its other references, constants
-    and runs free of y, are the pieces between them.  y occurring once, or
-    twice with opposite signs (a power's body counted |k| times), compiles
-    to such a step; y^2 or a power of a sub-word that holds y does not.
+    references to y and y^-1 split it, and its other references (to
+    constants, runs and bound steps) are the pieces between them.  y
+    occurring once, or twice with opposite signs (a power's body counted
+    |k| times), compiles to such a step; y^2 or a power of a sub-word that
+    holds y does not.
 
     Single occurrence: when y occurs once, the left side is W0 y^s W1 with
     W0, W1 free of y, and the equation holds iff y^s = W0^-1 rhs W1^-1.
@@ -780,31 +780,31 @@ def solve_bounded(
     conjugate has no solution and is skipped.  Every candidate outside the
     coset provably fails, so the certificate stays exhaustive, and both
     modes return the same solutions in the same order as the plain search.
-    T is evaluated from the word P^-1 rhs Q^-1, so a power in P or Q
-    inverts its short base, not its long value.
+    T = P^-1 rhs Q^-1 is one product of references, and a power of a run
+    in P or Q is inverted by negating its exponent, not by inverting its
+    long value.
 
     Any other shape tries every inner candidate with the _Program, which
     keeps powers as powers: its sub-words that depend on y alone are
     evaluated once per candidate, its runs free of y once per outer tuple,
     and the rest once per (outer tuple, candidate).
 
-    Fusion: the _Program's runs are rewritten once over their fusion runs
-    (see _fusion_runs), and so are the pieces built from them (W0 and W1;
-    P, B and Q); each solver decides an outer tuple from its key, the runs'
-    normal forms: for F^39 x3 F^26 x3^-1 with F = x1 x2, B and T are one
-    power of F each.  With fewer runs than outer variables, keys repeat:
-    only a new key is decided, and every hit is still re-verified by
-    record() for each tuple that reaches it, so the solutions and their
-    order are as without fusion.  When the only run is a product of the outer variables, each
-    once with either sign, over Balls with one set of parts, its values are
-    the ball of the summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a
-    (see Ball).  One value of that image is decided after each tuple until
-    some value has hits; if the image runs out first, no tuple has a
-    solution and the walk ends, covering every tuple.  So at most two
-    values are decided per tuple walked, and an unsolvable search decides
-    each value of the image once.  Building the image forms at most one
-    product per element and part element (see _ball_elements), also when
-    the parts overlap.
+    Fusion: each solver decides an outer tuple from its key, the values
+    of the _Program's runs, and computes what else it needs from the key
+    alone (see _Program.bound_values): for F^39 x3 F^26 x3^-1 with
+    F = x1 x2, F is the only run, B = F^26 and T = F^-39 rhs.  With fewer
+    runs than outer variables, keys repeat: only a new key is decided, and
+    every hit is still re-verified by record() for each tuple that reaches
+    it, so the solutions and their order are as without fusion.  When the
+    only run is a product of the outer variables, each once with either
+    sign, over Balls with one set of parts, its values are the ball of the
+    summed depth, as B_a B_b = B_(a+b) and B_a^-1 = B_a (see Ball).  One
+    value of that image is decided after each tuple until some value has
+    hits; if the image runs out first, no tuple has a solution and the
+    walk ends, covering every tuple.  So at most two values are decided
+    per tuple walked, and an unsolvable search decides each value of the
+    image once.  Building the image forms at most one product per element
+    and part element (see _ball_elements), also when the parts overlap.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', not {mode!r}")
@@ -850,29 +850,36 @@ def solve_bounded(
         return (results[0] if results else None) if mode == "first" else results
 
     # The last variable y varies fastest.  The left side is compiled once
-    # with y free, and its runs are rewritten over the fusion runs; the
-    # compiled shape picks the solver, whose decide(key) gives the
-    # candidates for y that solve the equation, in order, from the runs'
-    # normal forms for an outer tuple.
+    # with y free, and its shape picks the solver, whose decide(key) gives
+    # the candidates for y that solve the equation, in order, from the
+    # runs' normal forms for an outer tuple.
     inner = variables[-1]
     outer = variables[:-1]
     inner_cands = candidates[inner]
     program = _Program(eq.lhs.letters, group, inner)
-    runs, pieces = _fusion_runs(program.runs)
+    runs = program.runs
     steps = program.pure + program.steps
-    split: list[list[Item]] = [[]]
+    split: list[list[tuple[int, int]]] = [[]]
     signs: list[int] = []
     if len(steps) == 1 and all(k == 1 for _, k in steps[0]):
         # lhs = W0 y^s1 W1 [y^s2 W2 ...]: values 0 and 1 are y and y^-1,
-        # then the constants and, as no other step comes first, the runs
-        items = [(), (), *[(Const(FPElement(group, c)),) for c in program.consts], *pieces]
+        # then the constants, runs and bound steps; a bound step of one
+        # reference is read through, and only another needs bound_values.
+        # rhs takes y^-1's place, so T = W0^-1 rhs W1^-1 is one product.
+        first = len(program.head) + len(runs)  # the first bound step
         for i, _ in steps[0]:
             if i < 2:
                 signs.append(1 - 2 * i)
                 split.append([])
             else:
-                split[-1].extend(items[i])
-        target = _invert(split[0]) + (Const(eq.rhs),) + _invert(split[-1])
+                step = program.bound[i - first] if i >= first else ()
+                split[-1].append(step[0] if len(step) == 1 else (i, 1))
+        target = [(i, -k) for i, k in reversed(split[0])] + [(1, 1)]
+        target += [(i, -k) for i, k in reversed(split[-1])]
+        deep = any(i >= first for i, _ in target + split[1])
+
+        def split_values(key: tuple) -> list:
+            return ["", rhs, *program.consts, *(program.bound_values(key) if deep else key)]
 
     if len(signs) == 1:
         # A scan of a plain sequence keeps candidate order and duplicates,
@@ -880,7 +887,7 @@ def solve_bounded(
         in_ball = isinstance(inner_cands, Ball)
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            t = _evaluate_syllables(target, group, key, {})
+            t = _product_of(codec, split_values(key), target)
             if signs[0] < 0:
                 t = _inverse_syllables(codec, t)
             if in_ball:
@@ -896,9 +903,9 @@ def solve_bounded(
         max_norm = max(map(len, positions))
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            cache: dict = {}
-            b = _evaluate_syllables(middle, group, key, cache)
-            t = _evaluate_syllables(target, group, key, cache)
+            vals = split_values(key)
+            b = _product_of(codec, vals, middle)
+            t = _product_of(codec, vals, target)
             if signs[0] < 0:
                 b, t = t, b
             c = _conjugator(codec, b, t)
@@ -917,9 +924,8 @@ def solve_bounded(
         inner_values = [(c, program.y_values(c.ids)) for c in inner_cands]
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            cache: dict = {}
-            vals = [_evaluate_syllables(piece, group, key, cache) for piece in pieces]
-            return [c for c, y_values in inner_values if program.run(y_values, vals) == rhs]
+            bound = program.bound_values(key)
+            return [c for c, y_values in inner_values if program.run(y_values, bound) == rhs]
 
     fused = len(runs) < len(outer)
     outer_cands = [candidates[v] for v in outer]
@@ -937,13 +943,7 @@ def solve_bounded(
     tuples = 0
     for combo in _cartesian(*outer_cands):
         tuples += 1
-        values = {v: c.ids for v, c in zip(outer, combo)}
-        cache: dict = {}
-        key = tuple([  # a list, not a generator: this runs once per tuple
-            values[r[0].index] if len(r) == 1  # read without a merge
-            else _evaluate_syllables(r, group, values, cache)
-            for r in runs
-        ])
+        key = program.run_values({v: c.ids for v, c in zip(outer, combo)})
         hits = decided.get(key)
         if hits is None:
             hits = decide(key)
@@ -1261,22 +1261,21 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     equation's left side matches the closed form and never hits (a b)^2.
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
-    _Program with x1 free: x1^3 and x1^-1 once per value of x1, the runs
-    free of x1 (x2^x3, (x2^-1)^x3 and x2^3) once per (t, s), with
-    (x2^-1)^x3 = (x2^x3)^-1 taken as the inverse of x2^x3 rather than
-    merged, and three steps (the commutator [x1, x2^x3], shared by its two
-    uses, the body x1^3 [x1, x2^x3] x2^3 and the two powers joined) once
-    per distinct tuple of their input values, by a _Memo kept for one
-    epsilon case and keyed by the values.  The row of values for all 2R+1
-    values of x1 is decided once per distinct tuple of the runs' values:
-    with e2 = 0 the runs depend on t alone, so those four cases have 2R+1
-    rows (17 at R = 8) and the others (2R+1)^2 (289); ``rows`` counts
-    them.  Equal inputs reuse an exact value, so each value is the one a
-    full evaluation gives.  Each row is compared whole with the row of
-    closed forms (ba)^n, a slice of one list of them, and searched for
-    the target, as normal forms, which is exact; only a row that fails is
-    scanned value by value, so mismatches and target hits are reported
-    in (k, t, s) order.
+    _Program with x1 free: x1^3 and x1^-1 once per value of x1; the runs
+    x2^x3 and x2 and the bound steps (x2^-1)^x3, the inverse of x2^x3, and
+    x2^3 once per (t, s); and three steps (the commutator [x1, x2^x3],
+    shared by its two uses, the body x1^3 [x1, x2^x3] x2^3 and the two
+    powers joined) once per distinct tuple of their input values, by a
+    _Memo kept for one epsilon case and keyed by the values.  The row of
+    values for all 2R+1 values of x1 is decided once per distinct tuple of
+    the runs' values: with e2 = 0 the runs depend on t alone, so those four
+    cases have 2R+1 rows (17 at R = 8) and the others (2R+1)^2 (289);
+    ``rows`` counts them.  Equal inputs reuse an exact value, so each value
+    is the one a full evaluation gives.  Each row is compared whole with
+    the row of closed forms (ba)^n, a slice of one list of them, and
+    searched for the target, as normal forms, which is exact; only a row
+    that fails is scanned value by value, so mismatches and target hits are
+    reported in (k, t, s) order.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.

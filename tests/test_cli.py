@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -449,6 +450,16 @@ GOLDEN_TEXT = [
      "a b is hyperbolic; translation length 4 edges\n"
      "axis window: E:b^2 a  C0:b^2  E:b^2  C1:1  E:1  C0:1  E:a  C1:a  E:a b  C0:a b  "
      "E:a b a  C1:a b a\n"),
+    # one solve per solver path (see GOLDEN_SOLVE_PATHS)
+    (["solve", "--group", "example2", "--eq", "x1 x2 x3 = a", "--ball", "a,b;a,b@c",
+      "--depth", "2"], 0, "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = 1, x3 = a\n"),
+    (["solve", "--group", "example2", "--eq", "x3 x1 x2 x3^-1 = c a c", "--ball", "a,b;a,b@c",
+      "--depth", "2"], 0,
+     "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = c a c, x3 = 1\n"),
+    (["solve", "--group", "p23", "--eq", "(x1 x2)^2 x3^2 = 1", "--ball", "a;b", "--depth", "3"],
+     0, "solution in the depth-3 ball (14 elements):\n  x1 = 1, x2 = 1, x3 = 1\n"),
+    (["solve", "--group", "p23", "--eq", "[x1,x2]^-1 = 1", "--ball", "a;b", "--depth", "4"], 0,
+     "solution in the depth-4 ball (22 elements):\n  x1 = 1, x2 = 1\n"),
 ]
 
 
@@ -489,6 +500,41 @@ def test_cli_solve_all_output_is_pinned(capsys, ball, depth):
         out = re.sub(r'"total_s": [-+0-9.e]+', '"total_s": 0', captured.out)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == GOLDEN_SOLVE_ALL[ball, depth]
+
+
+# sha256 of the output of solve --all, text and JSON with timings.total_s
+# set to 0 and the counters kept, for one equation per solver path:
+# (group, equation, ball, depth) -> (text, json).
+GOLDEN_SOLVE_PATHS = {
+    # fused single occurrence: x3 = (x1 x2)^-1 a, one value per x1 x2
+    ("example2", "x1 x2 x3 = a", "a,b;a,b@c", 2):
+        ("89e152f08fd9a915b2060edd2b40b5c4dc2a30ea31a42c91688fecb40b99d481",
+         "634c784ec14d23e58b64b44b3808f539f50c51766ac656dfd2a1821402b0597a"),
+    # fused centralizer coset: B = x1 x2
+    ("example2", "x3 x1 x2 x3^-1 = c a c", "a,b;a,b@c", 2):
+        ("6709f075eca854a0b28d273afb55bad4ed221337fdae7a530565e669e156400f",
+         "5600fadb62f6e0406f17042b0830de36c76a531cb896bad13e23291592d2b346"),
+    # fused scan: x3 occurs once, squared, so every candidate is tried
+    ("p23", "(x1 x2)^2 x3^2 = 1", "a;b", 3):
+        ("79d0947ae15dd339acbf07ed23e79734cee197017b12624a63989c3fea0e56c9",
+         "c39543822fa70544f898b07507496ab0b5cfbc36551df9372d5fed6f3c779f77"),
+    # the coset path through an inverted group: the bytes of [x1,x2] = 1
+    ("p23", "[x1,x2]^-1 = 1", "a;b", 4): GOLDEN_SOLVE_ALL["a;b", 4],
+}
+
+
+@pytest.mark.parametrize("group, eq, ball, depth", GOLDEN_SOLVE_PATHS)
+def test_cli_solve_paths_output_is_pinned(capsys, group, eq, ball, depth):
+    argv = ["solve", "--group", str(CASES / f"{group}.grp"), "--eq", eq,
+            "--ball", ball, "--depth", str(depth), "--all"]
+    digests = []
+    for extra in ([], ["--json"]):
+        assert cli.main(argv + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = re.sub(r'"total_s": [-+0-9.e]+', '"total_s": 0', captured.out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_SOLVE_PATHS[group, eq, ball, depth]
 
 
 # JSON values whose text exercises the encoder: strings holding braces,
@@ -1131,3 +1177,15 @@ def test_python_m_freeprod_runs_the_command():
     result = run("order", "--group", str(CASES / "p23.grp"))
     assert result.returncode == 2
     assert "--word" in result.stderr
+
+
+def test_run_all_checks_reproduces_every_documented_verdict(capsys):
+    # scripts/run_all_checks.py drives every subcommand over the shipped
+    # cases; main() returns 0 only when each check exits as documented.
+    path = CASES.parent / "scripts" / "run_all_checks.py"
+    spec = importlib.util.spec_from_file_location("run_all_checks", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    code = script.main()
+    out = capsys.readouterr().out
+    assert code == 0, [line for line in out.splitlines() if "UNEXPECTED" in line]

@@ -469,27 +469,16 @@ def test_fused_and_plain_walks_agree(data):
         rhs = data.draw(elements(group, 4), label="rhs")
     eq = Equation(lhs, rhs)
     candidates = {v: cands for v in (1, 2, 3)}
-    fused_counters = {}
-    fused = solve_bounded(eq, candidates, mode="all", counters=fused_counters)
-    fused_first = solve_bounded(eq, candidates, mode="first")
-    # the plain walk: more runs than outer variables, so nothing is fused
-    real_runs = words._fusion_runs
-
-    def unfused(pieces):
-        runs, rewritten = real_runs(pieces)
-        return runs + [()] * 3, rewritten
-
-    with patch.object(words, "_fusion_runs", unfused):
-        plain_counters = {}
-        plain = solve_bounded(eq, candidates, mode="all", counters=plain_counters)
-        plain_first = solve_bounded(eq, candidates, mode="first")
-    assert fused == plain
-    assert fused_first == plain_first == (plain[0] if plain else None)
-    assert fused_counters["outer_tuples"] == plain_counters["outer_tuples"] == len(cands) ** 2
-    assert plain_counters["outer_values"] == plain_counters["outer_tuples"]
+    counters = {}
+    fused = solve_bounded(eq, candidates, mode="all", counters=counters)
+    # the plain walk is the oracle's, with nothing fused
+    assert fused == naive_all_solutions(eq, candidates)
+    assert solve_bounded(eq, candidates, mode="first") == (fused[0] if fused else None)
+    assert counters["outer_tuples"] == len(cands) ** 2
+    assert counters["outer_values"] <= counters["outer_tuples"]
     # a copied candidate gives the same run values as its original
     if picks:
-        assert fused_counters["outer_values"] < fused_counters["outer_tuples"]
+        assert counters["outer_values"] < counters["outer_tuples"]
 
 
 def test_solve_bounded_gate_separates_factor_classes(s3z2, monkeypatch):
@@ -571,6 +560,13 @@ def test_commuting_pairs_work(p23, monkeypatch):
     found = solve_bounded(parse_equation("[x1,x2] = 1", p23), {1: ball, 2: ball}, mode="all")
     assert len(found) == 4408
     assert merges < 10 * len(ball)
+    # the inverted commutator has the same solutions, found and re-checked
+    # with as many merges: its re-check splices the inverted group's body
+    # into one merge, as it splices the group's
+    plain, merges = merges, 0
+    inverted = parse_equation("[x1,x2]^-1 = 1", p23)
+    assert solve_bounded(inverted, {1: ball, 2: ball}, mode="all") == found
+    assert merges == plain
 
 
 def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
@@ -605,9 +601,10 @@ def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
         assert solve_bounded(eq, {1: ball}, mode="all") == []
         assert solve_bounded(eq, {1: ball}, mode="first") is None
     assert counts["merge"] < 10 and counts["inverse"] < 10
-    # y twice with one sign: a seam merge per candidate, but no inverse
+    # y twice with one sign: each candidate is squared, one step of one
+    # input, which is a power and not a seam merge, and nothing is inverted
     assert solve_bounded(parse_equation("x1^2 = c", z6z2), {1: ball}) is None
-    assert counts["merge"] > len(ball) and counts["inverse"] < 10
+    assert counts["merge"] < 10 and counts["inverse"] < 10
     # a target inside the ball is found at its first index
     w = ball[-1]
     eq = Equation(MixedWord(z6z2, (Var(1, -1),)), w.inverse())
@@ -855,11 +852,11 @@ def spy_image(depths: list):
 
 def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
     # With Ball candidates, F = x1 x2 runs over the image ball B_2d, so each
-    # of its values is decided once, from F alone: F^26 and F^-39 rhs each
-    # power F's syllables without merging them first, two seam merges in
-    # all.  One value is decided after each pair, so the walk ends after
-    # |B_2d| + 1 pairs, one merge each, when the image runs out; no pair has
-    # a hit and nothing is re-evaluated.
+    # of its values is decided once, from F alone: B = F^26 is F's power,
+    # with no merge, and T = F^-39 rhs is one seam merge, F's syllables
+    # powered without merging them first.  One value is decided after each
+    # pair, so the walk ends after |B_2d| + 1 pairs, one merge each, when the
+    # image runs out; no pair has a hit and nothing is re-evaluated.
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
     parts = lemma5_desk_parts(z6z2)
     calls = spy_conjugator(monkeypatch)
@@ -893,7 +890,7 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
         assert all(result is None for _, _, result in calls)
         assert counters == {"outer_tuples": size**2, "outer_values": values,
                             "image": {"run": "x1 x2", "depth": 2 * depth}}
-        assert merges == 2 * values + (values + 1) + enumeration
+        assert merges == values + (values + 1) + enumeration
     assert not evaluated
 
 
@@ -1279,10 +1276,11 @@ def test_theorem2_report_work(monkeypatch):
     # The compiled word merges the commutator [x1, x2^x3] once for its two
     # uses and computes x1^3 once per value of x1, and each case's memo
     # merges each of its 3 steps once per distinct tuple of input values:
-    # 18,648 of the 117,912 steps run.  With the runs per (t, s), and
-    # (x2^-1)^x3 taken as the inverse of x2^x3 rather than merged, the words
-    # module makes 23,413 seam merges and 7,653 powers, 0.596 and 0.195 per
-    # substitution (0.596 and 0.200 with free_product's own calls); merging
+    # 18,648 of the 117,912 steps run.  With the runs and bound steps per
+    # (t, s), (x2^-1)^x3 taken as the inverse of x2^x3 rather than merged,
+    # and x2^3 and x1^3 taken as powers with no merge, the words module
+    # makes 20,965 seam merges and 7,653 powers, 0.533 and 0.195 per
+    # substitution (0.534 and 0.200 with free_product's own calls); merging
     # every step made 3.24 and 2.06, and binding (x2, x3) without sharing
     # 4.29 and 3.06.  Each case runs a row of 17 values of x1 once per
     # distinct tuple of bound values: 17 rows in each of the four cases
@@ -1306,7 +1304,7 @@ def test_theorem2_report_work(monkeypatch):
     assert sum(c.merges for c in rep.case_results) == 18648
     assert [c.rows for c in rep.case_results] == [17, 17, 289, 17, 289, 17, 289, 289]
     assert sum(c.rows for c in rep.case_results) == 1224
-    assert counts[words, "_seam_merge"] == 23413
+    assert counts[words, "_seam_merge"] == 20965
     assert counts[words, "power_syllables"] == 7653
     merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
     powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
@@ -1373,9 +1371,9 @@ def test_bind_and_plan_match_evaluate(group, gens, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_bind_inverts_a_run_whose_inverse_came_first(group, gens, data):
-    # [u, v] y w y [u, v]^-1 with u, v free of y = x4: the commutator and its
-    # inverse are two runs, the second the item-wise inverse of the first,
-    # and bind takes its value as the inverse of the first run's value.
+    # [u, v] y w y [u, v]^-1 with u, v free of y = x4: the commutator is one
+    # value, a run or a bound step, and its inverse is a bound step that
+    # inverts that value, with no merge.
     u, v, w = (data.draw(residual_texts(gens, 2), label=name) for name in "uvw")
     word = parse_word(f"[{u}, {v}] x4 {w} x4 [{u}, {v}]^-1", group)
     values = {i: data.draw(elements(group, 6), label=f"x{i}") for i in (1, 2, 3, 4)}
@@ -1383,10 +1381,14 @@ def test_bind_inverts_a_run_whose_inverse_came_first(group, gens, data):
     program = words._Program(word.letters, group, 4)
     (commutator,) = parse_word(f"[{u}, {v}]", group).letters or (None,)
     if commutator is not None and words._variables(commutator.body):
-        first = program.runs.index((commutator,))
-        assert program.inverse_of[program.runs.index(words._invert((commutator,)))] == first
-    for n, j in enumerate(program.inverse_of):
-        assert j is None or j < n and program.runs[n] == words._invert(program.runs[j])
+        first = len(program.head) + len(program.runs)  # the first bound step
+        root = program.steps[program.result - first - len(program.bound)]
+        (i, k), (j, m) = root[0], root[-1]
+        assert k == m == 1 and program.bound[j - first] == ((i, -1),)
+    # each run is kept once up to inversion, and a lone letter with sign 1
+    for run in program.runs:
+        assert run == words._invert(run) or words._invert(run) not in program.runs
+        assert len(run) > 1 or run[0].sign == 1
 
 
 def copied(ids):
@@ -1514,37 +1516,40 @@ def test_bind_folds_runs_and_keeps_powers_that_hold_y(p23):
 
     # runs between the letters of y, and a power of a step that holds y
     program = compiled("x2 a x1 x3^2 b (x1 x2)^-2")
-    assert program.runs == [
-        (Var(2), Const(a)), (Pow((Var(3),), 2), Const(b)), (Var(2),),
-    ]
-    assert program.consts == [] and program.pure == []
-    # values: y, y^-1, the three runs, then the steps
-    assert program.steps == [((0, 1), (4, 1)), ((2, 1), (0, 1), (3, 1), (5, -2))]
-    assert program.result == 6 and not program.needs_inverse
-    # no y at all: the whole word is one run
+    assert program.runs == [(Var(2), Const(a)), (Var(3),), (Var(2),)]
+    assert program.consts == [b.ids] and program.pure == []
+    # values: y, y^-1, b, the three runs, the bound step x3^2 b, the steps
+    assert program.bound == [((4, 2), (2, 1))]
+    assert program.steps == [((0, 1), (5, 1)), ((3, 1), (0, 1), (6, 1), (7, -2))]
+    assert program.result == 8 and not program.needs_inverse
+    # no y at all: the word is one bound step over its runs
     program = compiled("x2 a x3^2 b")
-    assert program.runs == [parse_word("x2 a x3^2 b", p23).letters]
+    assert program.runs == [(Var(2), Const(a)), (Var(3),)]
+    assert program.bound == [((3, 1), (4, 2), (2, 1))] and program.steps == [((5, 1),)]
     bound = program.bind({2: values[2].ids, 3: values[3].ids})
     assert program.run(program.y_values(""), bound) == (
         values[2] * a * values[3].power(2) * b).ids
     # a constant run is folded once; a power of y alone is a pure step
     program = compiled("x1 a b x1^-1 x1^3")
-    assert program.consts == [(a * b).ids] and program.runs == []
+    assert program.consts == [(a * b).ids] and program.runs == [] == program.bound
     assert program.pure == [((0, 3),), ((0, 1), (2, 1), (1, 1), (3, 1))]
     assert program.needs_inverse and program.steps == [] and program.result == 4
-    # the Theorem-2 word: x1^3 once per value of x1, three runs per (x2, x3),
-    # and one merge each for the shared commutator, the first power's body
-    # and the whole word
+    # the Theorem-2 word: x1^3 once per value of x1, two runs and two bound
+    # steps per (x2, x3), and one merge each for the shared commutator, the
+    # first power's body and the whole word
     program = compiled(words.THEOREM2_WORD_TEXT)
     assert program.pure == [((0, 3),)]
-    assert len(program.runs) == 3 and len(program.steps) == 3
-    # (x2^-1)^x3 is the item-wise inverse of x2^x3: bind inverts its value
-    assert program.inverse_of == [None, 0, None]
-    assert program.steps[0] == ((0, 1), (3, 1), (1, 1), (4, 1))
-    assert program.steps[2] == ((7, 2), (6, 3))
+    assert program.runs == [parse_word("x2^x3", p23).letters, (Var(2),)]
+    # (x2^-1)^x3 is the inverse of the run x2^x3, and x2^3 a power of the
+    # run x2: one reference each, with no merge
+    assert program.bound == [((3, -1),), ((4, 3),)]
+    assert len(program.steps) == 3
+    assert program.steps[0] == ((0, 1), (3, 1), (1, 1), (5, 1))
+    assert program.steps[2] == ((8, 2), (7, 3))
     # a group and its inverse share one body
     program = compiled("[x1, x2] x3 [x1, x2]^-1")
-    assert program.steps == [((0, 1), (2, 1), (1, 1), (3, 1)), ((5, 1), (4, 1), (5, -1))]
+    assert program.runs == [(Var(2),), (Var(3),)] and program.bound == [((2, -1),)]
+    assert program.steps == [((0, 1), (2, 1), (1, 1), (4, 1)), ((5, 1), (3, 1), (5, -1))]
     with pytest.raises(UnboundVariableError):
         compiled("x1 x2").bind({})
 
