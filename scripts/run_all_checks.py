@@ -172,6 +172,18 @@ CHECKS = [
     # input error that names the argument
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "6", "--k2", "2", "--depth", "2"], 2),
+    # g in f's factor: the two ball parts fix one vertex of the Bass-Serre
+    # tree and generate the finite group <f>, not their free product
+    (["verify-lemma5", "--group", str(CASES / "example2.grp"),
+      "--f", "a b", "--g", "a b", "--k1", "3", "--k2", "2", "--depth", "3"], 2),
+    # f = a b has infinite order in C2 * C3, so f^N != f: refused before the
+    # equation is built
+    (["verify-lemma5", "--group", str(CASES / "p23.grp"),
+      "--f", "a b", "--g", "b", "--k1", "1", "--k2", "1"], 2),
+    # one factor: no element of infinite order to sample
+    (["verify-lemma7", "--group", str(CASES / "one_factor.grp"), "--trials", "1"], 2),
+    # C2 * C2: each element of infinite order commutes with its conjugates
+    (["verify-lemma7", "--group", str(CASES / "c2c2.grp"), "--trials", "1"], 2),
 ]
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GroupError, MixedAmbientError
-from .free_product import FPElement, FreeProduct, Part, _check_part
+from .errors import GroupError
+from .free_product import FreeProduct, Part, _check_part
 
 CONDITION1 = "condition1"
 CONDITION2 = "condition2"
@@ -29,13 +29,11 @@ CONDITION2 = "condition2"
 
 @dataclass(frozen=True)
 class KuroshData:
-    """A subgroup given by free rank + parts; the optional free basis is
-    documentation only and plays no role in the checks."""
+    """A subgroup given by free rank + parts."""
 
     ambient: FreeProduct
     free_rank: int
     parts: tuple[Part, ...]
-    free_basis: tuple[FPElement, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,6 @@ def validate(data: KuroshData) -> list[GroupError]:
             _check_part(data.ambient, part)
         except GroupError as exc:
             errors.append(type(exc)(f"part {j}: {exc}"))
-    for basis_elem in data.free_basis:
-        if basis_elem.group is not data.ambient:
-            errors.append(MixedAmbientError("free basis element not in the ambient group"))
     return errors
 
 

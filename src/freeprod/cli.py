@@ -278,8 +278,6 @@ def _cmd_verify_lemma4(args, ambient):
     for _ in range(args.trials):
         f_word = args.f or random_word_text(rng, ambient, 1, args.max_len)
         cons = words.build_lemma4(ambient, f_word)
-        if words.evaluate(cons.equation.lhs, cons.g_solution) != cons.equation.rhs:
-            failures.append({"kind": "construction", "f": f_word})
         reduction = cons.equation.rhs.cyclic_reduce()
         if reduction.order() == INFINITE:
             infinite_checked += 1
@@ -304,16 +302,10 @@ def _text_verify_lemma4(args, report):
 
 def _cmd_verify_lemma5(args, ambient):
     cons = words.build_lemma5(ambient, args.f, args.g, args.k1, args.k2)
-    sol_ok = words.evaluate(cons.equation.lhs, cons.g_solution) == cons.equation.rhs
-
-    f_elem = words.parse_constant(args.f, ambient)
-    if f_elem.norm != 1:
-        raise GroupError(f"coefficient {args.f!r} must lie in a single factor")
-    factor, fe = f_elem.syllables[0]
+    factor, fe = cons.f.syllables[0]
     power = ambient.factors[factor].power
     parts = []
-    for flag, k, conj in (("--k1", args.k1, None),
-                          ("--k2", args.k2, words.parse_constant(args.g, ambient))):
+    for flag, k, conj in (("--k1", args.k1, None), ("--k2", args.k2, cons.g)):
         if power(fe, k) == 0:
             raise TrivialSubgroupError(f"{flag} {k}: f^{k} = 1 for f = {args.f}, so its ball "
                                        "part is trivial")
@@ -323,23 +315,21 @@ def _cmd_verify_lemma5(args, ambient):
     work: dict = {}
     found = words.solve_bounded(cons.equation, candidates, mode="first", counters=work)
 
-    ok = sol_ok and found is None
+    # build_lemma5 has re-checked the generator substitution
     witness = {
         "N": cons.N,
         "rhs": cons.equation.rhs.as_word(),
         "F": str(cons.f_word),
-        "generator_solution_ok": sol_ok,
+        "generator_solution_ok": True,
         "ball_size": len(ball),
         "ball_search": "no-solution-in-set" if found is None else "solved",
         **work,
     }
-    violations = []
-    if not sol_ok:
-        violations.append({"kind": "generator-solution-fails"})
-    if found is not None:
-        violations.append({"kind": "unexpected-solution",
-                           "solution": {f"x{i}": v.as_word() for i, v in found.assignment}})
-    return (0 if ok else 1), _report("verified" if ok else "failed", violations, [witness])
+    if found is None:
+        return 0, _report("verified", witnesses=[witness])
+    violation = {"kind": "unexpected-solution",
+                 "solution": {f"x{i}": v.as_word() for i, v in found.assignment}}
+    return 1, _report("failed", [violation], [witness])
 
 
 def _text_verify_lemma5(args, report):
@@ -356,8 +346,7 @@ def _text_verify_lemma5(args, report):
         outcome = (f"no F = {w['F']} in B_{md} ({w['outer_values']:,} values) has a solution; "
                    f"by {'*'.join([f'B_{d}'] * m)} = B_{md} this covers all "
                    f"{w['outer_tuples']:,} {'pairs' if m == 2 else 'tuples'}")
-    return [f"N = {w['N']}; generator substitution "
-            f"{'satisfies' if w['generator_solution_ok'] else 'FAILS'} the equation; "
+    return [f"N = {w['N']}; generator substitution satisfies the equation; "
             f"search over the depth-{d} ball ({w['ball_size']} elements): {outcome}"]
 
 

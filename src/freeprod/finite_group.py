@@ -134,10 +134,6 @@ class FiniteGroup:
         t, inv = self.table, self.inverses
         return next((g for g in range(self.order) if t[t[g][x]][inv[g]] == y), None)
 
-    def are_conjugate(self, x: int, y: int) -> bool:
-        """Whether y = g*x*g^-1 for some g in the group."""
-        return self.conjugator(x, y) is not None
-
     def centralizer(self, x: int) -> tuple[int, ...]:
         """{g : g*x = x*g}, sorted."""
         self.check_element(x)

@@ -8,15 +8,21 @@ from __future__ import annotations
 
 import random
 
-from .free_product import FPElement, FreeProduct
+from .errors import GroupError
+from .free_product import INFINITE, FPElement, FreeProduct
 
 
 def random_reduced(
     rng: random.Random, group: FreeProduct, min_norm: int = 0, max_norm: int = 6
 ) -> FPElement:
-    """Random element whose normal form has norm in [min_norm, max_norm]."""
+    """Random element whose normal form has norm in [min_norm, max_norm].
+    Every element of a one-factor free product has norm at most 1, so
+    there a min_norm above 1 is a GroupError, raised before any draw."""
     n = len(group.factors)
     if n == 1:
+        if min_norm > 1:
+            raise GroupError(f"a free product of one factor has no element of norm {min_norm} "
+                             "or more")
         # all syllables merge into one: redraw until the norm is the length
         while True:
             length = rng.randint(min_norm, max_norm)
@@ -61,12 +67,21 @@ def random_noncommuting_conjugator(
     max_norm: int = 4,
     attempts: int = 1000,
 ) -> FPElement:
-    """Random g such that element and g*element*g^-1 do not commute."""
+    """Random g such that element and g*element*g^-1 do not commute.
+
+    In C2 * C2 the elements of infinite order are the nontrivial powers of
+    a b, which form an abelian normal subgroup, so such an element is
+    refused before any draw.  A GroupError is also raised when no draw of
+    ``attempts`` succeeds.
+    """
+    if [f.order for f in group.factors] == [2, 2] and element.order() == INFINITE:
+        raise GroupError("in C2 * C2 every element of infinite order commutes with all its "
+                         "conjugates")
     for _ in range(attempts):
         g = random_reduced(rng, group, 0, max_norm)
         if not element.commutes_with(element.conjugate(g)):
             return g
-    raise RuntimeError("could not find a non-commuting conjugate; ambient too small?")
+    raise GroupError(f"could not find a non-commuting conjugate in {attempts} draws")
 
 
 def random_word_text(

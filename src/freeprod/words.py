@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     EmptyCandidatesError,
     EmptyWordError,
+    GroupError,
     MixedAmbientError,
     PowerTooLargeError,
     UnboundVariableError,
@@ -222,9 +223,6 @@ class Substitution:
     @classmethod
     def of(cls, mapping: Mapping[int, FPElement]) -> Substitution:
         return cls(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[int, FPElement]:
-        return dict(self.assignment)
 
     def __getitem__(self, index: int) -> FPElement:
         for i, v in self.assignment:
@@ -1100,33 +1098,43 @@ class Lemma5Construction:
         f(x)^(k1*N) g(x) f(x)^(k2*N) g(x)^-1  =  f^k1 g f^k2 g^-1
 
     with N = 1 + product of the factor orders; substituting the ambient
-    generators for x1..xt solves it.
+    generators for x1..xt solves it.  f lies in a single factor, so
+    f^N = f, and g lies outside f's factor, so the ball parts <f^k1> and
+    g <f^k2> g^-1 fix distinct vertices of the Bass-Serre tree and
+    generate their free product (edge stabilisers are trivial).
     """
 
     equation: Equation
     N: int
     g_solution: Substitution
-    f_word: MixedWord  # f(x) and g(x), with x_i for the i-th generator
-    g_word: MixedWord
+    f_word: MixedWord  # f(x), with x_i for the i-th generator
+    f: FPElement
+    g: FPElement
 
 
 def build_lemma5(
     group: FreeProduct, f_word: str, g_word: str, k1: int, k2: int
 ) -> Lemma5Construction:
+    """Build the twisted power equation for f = ``f_word`` and
+    g = ``g_word``.  An f outside every single factor, or a g inside f's
+    factor, is refused with a GroupError before anything is built."""
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be positive")
-    n_const = 1
-    for g in group.factors:
-        n_const *= g.order
-    n_const += 1
-
     fx = _to_variable_word(f_word, group)
     gx = _to_variable_word(g_word, group)
-    lhs = fx.repeat(k1 * n_const).concat(gx).concat(fx.repeat(k2 * n_const)).concat(gx.inverse())
+    f = parse_constant(f_word, group)
+    if f.norm != 1:
+        raise GroupError(f"coefficient {f_word!r} must lie in a single factor")
+    g = parse_constant(g_word, group)
+    if g.norm == 0 or (g.norm == 1 and g.syllables[0][0] == f.syllables[0][0]):
+        raise GroupError(f"twist {g_word!r} must lie outside the factor of coefficient {f_word!r}")
 
-    f_elem = parse_constant(f_word, group)
-    g_elem = parse_constant(g_word, group)
-    rhs = f_elem.power(k1) * g_elem * f_elem.power(k2) * g_elem.inverse()
+    n_const = 1
+    for factor in group.factors:
+        n_const *= factor.order
+    n_const += 1
+    lhs = fx.repeat(k1 * n_const).concat(gx).concat(fx.repeat(k2 * n_const)).concat(gx.inverse())
+    rhs = f.power(k1) * g * f.power(k2) * g.inverse()
 
     assignment = {
         i: group.generator(label)
@@ -1136,7 +1144,7 @@ def build_lemma5(
     sol = Substitution.of(assignment)
     if evaluate(eq.lhs, sol) != eq.rhs:
         raise VerificationError("generator substitution does not solve the twisted equation")
-    return Lemma5Construction(eq, n_const, sol, fx, gx)
+    return Lemma5Construction(eq, n_const, sol, fx, f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -773,6 +773,48 @@ def test_cli_input_errors(capsys, tmp_path):
         assert captured.err == f"error: {message} for f = a b, so its ball part is trivial\n"
 
 
+def test_cli_refuses_inputs_outside_the_lemma_hypotheses(capsys):
+    # Lemma 5 needs f in one factor and g outside it.  With g in f's factor
+    # the ball parts <f^3> and g <f^2> g^-1 fix one vertex of the
+    # Bass-Serre tree, and their "ball" is the finite group <f>.
+    lemma5 = ["verify-lemma5", "--group", str(CASES / "example2.grp"), "--f", "a b",
+              "--k1", "3", "--k2", "2", "--depth", "3"]
+    for g in ("a b", "1", "b^2"):
+        assert cli.main(lemma5 + ["--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: twist {g!r} must lie outside the factor of "
+                                "coefficient 'a b'\n")
+    assert cli.main(lemma5 + ["--g", "c a"]) == 0
+    capsys.readouterr()
+    # f = a b has infinite order in C2 * C3: refused before the construction
+    argv = ["verify-lemma5", "--group", str(CASES / "p23.grp"), "--f", "a b", "--g", "b",
+            "--k1", "1", "--k2", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: coefficient 'a b' must lie in a single factor\n"
+    # Lemma 7 samples A of infinite order and a conjugate of A that does not
+    # commute with it; C2 * C2 has the first but never the second
+    assert cli.main(["verify-lemma7", "--group", str(CASES / "c2c2.grp"), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: in C2 * C2 every element of infinite order commutes with "
+                            "all its conjugates\n")
+
+
+def test_cli_verify_lemma7_refuses_a_one_factor_group():
+    # A one-factor group has no element of infinite order.  Run in a child
+    # with a timeout, so that a sampler that redraws forever fails the test
+    # instead of hanging the suite.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "freeprod", "verify-lemma7", "--group",
+         str(CASES / "one_factor.grp"), "--trials", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: a free product of one factor has no element of norm 2 or more\n"
+
+
 def test_cli_group_spec_errors(capsys, tmp_path):
     # A table generator with a bad id is named by its position in gens=, the
     # same on every call (not by a label made up while parsing).

@@ -2,9 +2,14 @@ import random
 
 import pytest
 
+from freeprod.errors import GroupError
 from freeprod.finite_group import make_cyclic, make_dihedral_reflections
 from freeprod.free_product import FreeProduct
-from freeprod.sampling import random_reduced
+from freeprod.sampling import (
+    random_cyclically_reduced,
+    random_noncommuting_conjugator,
+    random_reduced,
+)
 
 
 def element_sampler(rng, group, min_norm=0, max_norm=6):
@@ -40,3 +45,30 @@ def test_random_reduced_matches_the_element_sampler(name, p23, s3z2):
             assert u == element_sampler(old, group, lo, hi), (seed, lo, hi)
             assert lo <= u.norm <= hi
             assert new.getstate() == old.getstate(), (seed, lo, hi)
+
+
+def test_samplers_refuse_what_the_group_cannot_give(p22, p23):
+    # One factor: every element has norm at most 1, so norm 2 is refused
+    # before any draw instead of redrawn forever.
+    rng = random.Random(0)
+    state = rng.getstate()
+    for draw in (lambda: random_reduced(rng, ONE, 2, 6),
+                 lambda: random_cyclically_reduced(rng, ONE, 2, 6)):
+        with pytest.raises(GroupError, match="^a free product of one factor has no element "
+                                             "of norm 2 or more$"):
+            draw()
+        assert rng.getstate() == state
+    # C2 * C2: an element of infinite order lies in the abelian <a b>, as do
+    # all its conjugates; refused before any draw.  Finite-order elements
+    # still get a conjugator.
+    ab = p22.generator("a") * p22.generator("b")
+    for a in (ab, ab.power(3), ab.conjugate(p22.generator("a"))):
+        with pytest.raises(GroupError, match=r"^in C2 \* C2 every element of infinite order"):
+            random_noncommuting_conjugator(rng, p22, a)
+        assert rng.getstate() == state
+    a = p22.generator("a")
+    g = random_noncommuting_conjugator(rng, p22, a)
+    assert not a.commutes_with(a.conjugate(g))
+    # no draw can succeed for the identity
+    with pytest.raises(GroupError, match="^could not find a non-commuting conjugate in 5 draws$"):
+        random_noncommuting_conjugator(rng, p23, p23.identity(), attempts=5)

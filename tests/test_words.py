@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import product as cartesian
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from freeprod import free_product, words
 from freeprod.errors import (
     EmptyCandidatesError,
     EmptyWordError,
+    GroupError,
     MixedAmbientError,
     PowerTooLargeError,
     UnboundVariableError,
@@ -787,6 +789,30 @@ def test_build_lemma5_generator_solution(z6z2):
     # one variable per ambient generator, in declaration order
     assert [i for i, _ in cons.g_solution.assignment] == [1, 2, 3]
     assert cons.g_solution[1] == z6z2.generator("a")
+
+
+def test_build_lemma5_keeps_f_and_g(z6z2):
+    cons = build_lemma5(z6z2, "a b", "c a", 3, 2)
+    assert cons.f == parse_constant("a b", z6z2)
+    assert cons.g == parse_constant("c a", z6z2)
+    assert cons.equation.rhs == cons.f.power(3) * cons.g * cons.f.power(2) * cons.g.inverse()
+
+
+def test_build_lemma5_refuses_inputs_outside_its_hypotheses(p23, z6z2, monkeypatch):
+    # f must lie in one factor (else f^N != f) and g outside it (else the
+    # two ball parts fix one vertex of the Bass-Serre tree).  Both are
+    # refused before the left side is built.
+    monkeypatch.setattr(MixedWord, "repeat", lambda self, k: pytest.fail("built"))
+    with pytest.raises(GroupError, match=r"^coefficient 'a b' must lie in a single factor$"):
+        build_lemma5(p23, "a b", "b", 1, 1)
+    with pytest.raises(GroupError, match=r"^coefficient 'c a c' must lie in a single factor$"):
+        build_lemma5(z6z2, "c a c", "c", 1, 1)
+    for g in ("a b", "1", "b^2", "a^2"):
+        with pytest.raises(GroupError, match=rf"^twist '{re.escape(g)}' must lie outside the "
+                                             "factor of coefficient 'a b'$"):
+            build_lemma5(z6z2, "a b", g, 3, 2)
+    with pytest.raises(GroupError, match="^twist 'a\\^3' must lie outside"):
+        build_lemma5(p23, "a", "a^3", 1, 1)
 
 
 def lemma5_desk_parts(z6z2):
