@@ -108,6 +108,54 @@ class _Texts(dict):
         return text
 
 
+#: Syllables per block of _render.  A form whose period divides it repeats
+#: block by block; 840 = lcm(1, ..., 8), so every period up to 8 does.
+RENDER_BLOCK = 840
+
+
+def _render(codec: Codec, ids: str) -> str:
+    """The texts of the syllables of ``ids``, joined by single spaces.
+
+    ``ids`` is walked in blocks of RENDER_BLOCK syllables.  Where the block
+    ending at i repeats at i (one str.startswith), its texts are looked up
+    once, and its text serves every consecutive copy and the part of one
+    more copy that agrees with it; every other stretch is one " ".join.
+    A block boundary falls between syllables, and each syllable renders
+    alone, so the text is the same as joining syllable by syllable.
+    """
+    texts = codec.texts
+    n, size = len(ids), RENDER_BLOCK
+    out = []
+    start, i = 0, size  # ids[:start] is rendered into out
+    while i + size <= n:
+        block = ids[i - size:i]
+        if not ids.startswith(block, i):
+            i += size
+            continue
+        if start < i - size:
+            out.append(" ".join(map(texts.__getitem__, ids[start:i - size])))
+        block_texts = list(map(texts.__getitem__, block))
+        copies, i = 2, i + size
+        while ids.startswith(block, i):
+            copies, i = copies + 1, i + size
+        out.append(" ".join([" ".join(block_texts)] * copies))
+        # the copy at i agrees with the block on its first r < size syllables
+        r, hi = 0, size
+        while hi - r > 1:
+            mid = (r + hi) // 2
+            if ids.startswith(block[:mid], i):
+                r = mid
+            else:
+                hi = mid
+        if r:
+            out.append(" ".join(block_texts[:r]))
+        start = i + r
+        i = start + size
+    if start < n:
+        out.append(" ".join(map(texts.__getitem__, ids[start:])))
+    return " ".join(out)
+
+
 def _inverse_syllables(codec: Codec, s: str) -> str:
     return s.translate(codec.inverse)[::-1]
 
@@ -551,10 +599,15 @@ class FPElement:
         Reparses to the identical normal form (each label binds to one
         factor, so the rendering is unambiguous).  A run of equal labels
         never crosses a syllable boundary, so each syllable renders alone.
+        A form longer than one block is rendered block by block (see
+        _render); a shorter one holds no repeat and is one join.
         """
-        if not self.ids:
+        ids = self.ids
+        if not ids:
             return "1"
-        return " ".join(map(self.group.codec.texts.__getitem__, self.ids))
+        if len(ids) > RENDER_BLOCK:
+            return _render(self.group.codec, ids)
+        return " ".join(map(self.group.codec.texts.__getitem__, ids))
 
     def __str__(self) -> str:
         return self.as_word()

@@ -22,7 +22,7 @@ from .errors import (
     NotHyperbolicError,
     VerificationError,
 )
-from .free_product import FPElement, FreeProduct
+from .free_product import FPElement, FreeProduct, _render
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,17 @@ def _render_window(
     Every vertex of such a window starts with the head c minus its last
     syllable: c * core^k * (d_1..d_j) extends c for k >= 0, and for k < 0
     the last syllable of c merges with the first of core^-1 without
-    cancelling (the split is reduced).  The head is rendered once, and each
+    cancelling (the split is reduced).  The head is rendered once, block
+    by block as as_word renders (see free_product._render), and each
     vertex as the head's text plus its remaining syllables; that the vertex
     starts with the head is checked per vertex, and a vertex that does not
     is rendered in full.
     """
-    texts = conjugator.group.codec.texts
+    codec = conjugator.group.codec
+    texts = codec.texts
     head = conjugator.ids[:-1]
     n = len(head)
-    head_text = " ".join(map(texts.__getitem__, head))
+    head_text = _render(codec, head)
     rendered = conjugator.norm
     if n:
         conj_text = f"{head_text} {texts[conjugator.ids[-1]]}"

@@ -894,7 +894,12 @@ def solve_bounded(
             return [c for c in inner_cands if c.ids == t]
 
     elif len(signs) == 2 and signs[0] == -signs[1]:
-        middle = split[1]
+        # A value that B and T both invert is inverted once per key: its
+        # inverse is appended to the value list and read from its end.
+        shared = sorted({i for i, k in split[1] if k == -1} & {i for i, k in target if k == -1})
+        moved = {(i, -1): (j - len(shared), 1) for j, i in enumerate(shared)}
+        middle = [moved.get(r, r) for r in split[1]]
+        target = [moved.get(r, r) for r in target]
         positions: dict[str, list[int]] = {}
         for i, c in enumerate(inner_cands):
             positions.setdefault(c.ids, []).append(i)
@@ -902,6 +907,8 @@ def solve_bounded(
 
         def decide(key: tuple) -> Sequence[FPElement]:
             vals = split_values(key)
+            if shared:
+                vals += [_inverse_syllables(codec, vals[i]) for i in shared]
             b = _product_of(codec, vals, middle)
             t = _product_of(codec, vals, target)
             if signs[0] < 0:

@@ -693,6 +693,53 @@ def test_cli_axis_output_is_pinned(capsys, shape, n, window):
     assert _output_digests(capsys, argv) == (0, GOLDEN_AXIS[shape, n, window])
 
 
+# sha1 of the output of long normal forms, text and JSON with every timing
+# set to 0 and the counters kept: (command, group, word, extra argv) ->
+# (text, json).  Each form holds many blocks of free_product._render.
+GOLDEN_LONG_FORMS = {
+    ("eval", "p23", "(a b)^100000", ()): (
+        "1252d8b1017087e512d028822b821adb00e99689", "d5f87aef8c2847793aecc2822ce6e81975b00598"),
+    ("order", "p23", "(a b)^100000", ()): (
+        "3d8322d2ff8bd0bdeda69af769028c79d2085ca0", "9ca1fdd4e9e823f5daf0546a3644eda109e0e46a"),
+    ("reduce", "p23", "(a b)^100000", ()): (
+        "9eecd159ef6d809997edfaedf0118e67e0a0c650", "6c1a7b5637af76d259e0feee07da926bacb376ec"),
+    ("eval", "p23", "(a b^2)^77426", ()): (
+        "c736a405d5b2151dce079f40b7dda217e0717653", "20ad1ef539038e911555fb32d5d50083d01d8691"),
+    ("order", "p23", "(a b^2)^77426", ()): (
+        "81c78bbd65ec0435b9aa606b48b76554b642d2c2", "a7600526199c00fba4ec04efd3d24e38d129ac4c"),
+    ("reduce", "p23", "(a b^2)^77426", ()): (
+        "b4227db313d1e9beb8cd5a781ff951461c5b276c", "816c6cf57e3177fb28818d78ca014e4f7dd261d0"),
+    ("eval", "p23", "(a b)^10000 b a b^2 (a b)^-10000", ()): (
+        "7403aae23dce6f5ed82f588489e586e3b94ca461", "e3e0e64e7c89e911cad96333c4f615968300c672"),
+    ("order", "p23", "(a b)^10000 b a b^2 (a b)^-10000", ()): (
+        "43faa8a18fd37caba13f0ce73dc888b756ecd9bb", "1b1e84711a63ea188e34719b9212a100de9bf746"),
+    ("reduce", "p23", "(a b)^10000 b a b^2 (a b)^-10000", ()): (
+        "199166643f3a2c9c45efc1c8eb207dfec6e64040", "21a52fff6fb104ef70e78714abea7f49c78cd497"),
+    ("axis", "p23", "(a b)^2500 a b a b^2 (a b)^-2500", ("--window", "2")): (
+        "c26fbcd421692b2480e4fe12bc3b5e1f58203eb2", "010b1490f60d41ab0699bede16d7278ef9d0b0ce"),
+    # the 100,003-syllable conjugate that README.md times
+    ("order", "d150", "(b c a)^25000 b c (b c a)^-25000", ()): (
+        "3da0b9afb8d4eefb2be9bdd0410d609894ddfc51", "94b4b5be12a037215e5fab6c5e446f0f63b65b87"),
+}
+
+
+@pytest.mark.parametrize("cmd, group, word, extra", GOLDEN_LONG_FORMS)
+def test_cli_long_normal_forms_are_pinned(capsys, cmd, group, word, extra):
+    argv = [cmd, "--group", str(CASES / f"{group}.grp"), "--word", word, *extra]
+    digests = []
+    for json_flag in ([], ["--json"]):
+        assert cli.main(argv + json_flag) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = captured.out
+        if json_flag:
+            report = json.loads(out)
+            report["timings"] = dict.fromkeys(report["timings"], 0)
+            out = json.dumps(report, indent=2) + "\n"
+        digests.append(hashlib.sha1(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_LONG_FORMS[cmd, group, word, extra]
+
+
 @pytest.mark.parametrize("group, seed, bound", GOLDEN_LEMMA4)
 def test_cli_verify_lemma4_output_is_pinned(capsys, group, seed, bound):
     argv = ["verify-lemma4", "--group", str(CASES / f"{group}.grp"), "--trials", "20",

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 from unittest.mock import patch
@@ -689,6 +690,110 @@ def test_as_word_matches_label_run_reference(p23, s3z2, z6z2):
                  for f, g in enumerate(group.factors) for e in g.elements()]
         for u in every:
             assert u.as_word() == as_word_label_runs(u)
+
+
+BLOCK = free_product.RENDER_BLOCK
+
+
+def _changed(group, ids, offsets):
+    """``ids`` with the syllable at each offset replaced by another element
+    of its factor, where the factor has one, so the form stays reduced."""
+    codec, out = group.codec, list(ids)
+    for o in offsets:
+        others = [x for x in codec.symbols[codec.factor[out[o]]][1:] if x != out[o]]
+        if others:
+            out[o] = others[o % len(others)]
+    return "".join(out)
+
+
+def _render_forms(group, rng):
+    """Reduced id strings that walk every branch of the block renderer."""
+    forms = []
+    periodic = []
+    for m in (2, 4, 6, 8, 14, 16):  # 16 does not divide the block size
+        core = random_cyclically_reduced(rng, group, m, m)
+        periodic.append(core.power(-(-5 * BLOCK // core.norm) + rng.randrange(m)).ids)
+    forms += periodic
+    # near-periodic: one syllable changed at offset L - 1, L or L + 1 from
+    # the start of the repeat and from the next two block boundaries; two
+    # changed one block before the end; and the repeat after a head of
+    # random length, so that it starts off the block grid, as it is and
+    # with one syllable changed at L - 1, L or L + 1 from its start
+    for s in periodic[:3]:
+        for base in (0, BLOCK, 2 * BLOCK):
+            for d in (-1, 0, 1):
+                forms.append(_changed(group, s, [base + BLOCK + d]))
+        forms.append(_changed(group, s, [len(s) - BLOCK - 1, len(s) - BLOCK + 1]))
+        head = random_reduced(rng, group, 1, BLOCK + 30).ids
+        if group.codec.factor[head[-1]] == group.codec.factor[s[0]]:
+            head = head[:-1]
+        forms.append(head + s)
+        for d in (-1, 0, 1):
+            forms.append(_changed(group, head + s, [len(head) + BLOCK + d]))
+    # v^k x v^-k with a long conjugator
+    for _ in range(3):
+        v = random_cyclically_reduced(rng, group, 2, 6)
+        k = -(-3 * BLOCK // v.norm)
+        x = random_reduced(rng, group, 1, 5)
+        forms.append((v.power(k) * x * v.power(-k)).ids)
+    # non-periodic
+    forms += [random_reduced(rng, group, 3 * BLOCK, 5 * BLOCK).ids for _ in range(2)]
+    # every length around the block size, periodic and not
+    for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 1):
+        forms.append(periodic[0][:n])
+        forms.append(random_reduced(rng, group, n, n).ids)
+    return forms
+
+
+@pytest.mark.parametrize("name", ["p23", "s3z2", "d150"])
+def test_block_rendering_matches_label_run_reference(request, name):
+    # The renderer against the label-by-label reference on forms that
+    # repeat, nearly repeat, repeat with a middle, never repeat, and on
+    # every length next to the block size; d150 renders from all 300
+    # syllables, whose ids lie above 255.
+    if name == "d150":
+        group = parse_group_spec((CASES / "d150.grp").read_text())
+    else:
+        group = request.getfixturevalue(name)
+    rng = random.Random(27)
+    forms = _render_forms(group, rng)
+    if name == "d150":
+        assert max(map(ord, "".join(forms))) > 255
+    for ids in forms:
+        u = FPElement(group, ids)
+        expected = as_word_label_runs(u)
+        assert _parting(free_product._render(group.codec, ids), expected) is None
+        assert _parting(u.as_word(), expected) is None
+    assert free_product._render(group.codec, "") == ""
+
+
+def _parting(got, expected):
+    """None when the texts agree, else where they part and what follows
+    there in each: a short report, not a diff of two long texts."""
+    if got == expected:
+        return None
+    k = len(os.path.commonprefix([got, expected]))
+    return k, got[k:k + 40], expected[k:k + 40]
+
+
+def test_block_rendering_looks_up_one_block(p23, monkeypatch):
+    # (a b)^n looks up the texts of one block, which serve every copy and
+    # the partial copy at the end: the same count for every n.
+    lookups = 0
+
+    class Counted(free_product._Texts):
+        def __getitem__(self, x):
+            nonlocal lookups
+            lookups += 1
+            return super().__getitem__(x)
+
+    monkeypatch.setattr(p23.codec, "texts", Counted(p23.codec))
+    counts = []
+    for n in (25_000, 50_000, 100_000, 200_000):
+        lookups = 0
+        assert parse_constant(f"(a b)^{n}", p23).as_word() == " ".join(["a b"] * n)
+        counts.append(lookups)
+    assert counts == [BLOCK] * 4
 
 
 def test_syllable_texts_are_rendered_on_first_use():

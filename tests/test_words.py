@@ -557,11 +557,25 @@ def test_commuting_pairs_work(p23, monkeypatch):
         merges += 1
         return real_merge(*args)
 
+    inversions = 0
+    real_inverse = free_product._inverse_syllables
+
+    def inverse(*args):
+        nonlocal inversions
+        inversions += 1
+        return real_inverse(*args)
+
     monkeypatch.setattr(free_product, "_seam_merge", merge)
     monkeypatch.setattr(words, "_seam_merge", merge)
+    monkeypatch.setattr(free_product, "_inverse_syllables", inverse)
+    monkeypatch.setattr(words, "_inverse_syllables", inverse)
     found = solve_bounded(parse_equation("[x1,x2] = 1", p23), {1: ball, 2: ball}, mode="all")
     assert len(found) == 4408
     assert merges < 10 * len(ball)
+    # B = x1^-1 and T = x1^-1 rhs share one inversion of x1 per key, and
+    # record() inverts each value once: 890 + 890, and the centralizers'
+    # roots; five such searches make at most 15,180
+    assert inversions <= 3036
     # the inverted commutator has the same solutions, found and re-checked
     # with as many merges: its re-check splices the inverted group's body
     # into one merge, as it splices the group's
