@@ -1296,6 +1296,28 @@ def test_theorem2_report_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, k_range
 
 
+# sha256 of json.dumps(without_bindings(theorem2_report(R)), sort_keys=True)
+# for R = 1 ... 8: every case's evaluations, mismatches, sign-variant flags
+# and hits, with no work count, so that sharing work between cases cannot
+# move them.
+GOLDEN_THEOREM2_WITHOUT_COUNTERS = [
+    "013318659eafb400a1636665c5013521d3b43f1a34aa9c65796ef6541117bfe2",
+    "15bceef9653f285c9dc12a114d781614b6fd86d91afb52363714aae383fd6754",
+    "bf2c7cca4331be618c322fbba2b70072279b7ee09dab49fe06e4e2259769a180",
+    "89e4170ce6eba3c8d300a0206862531c581d6dc8e6192b37d080ad8b32c9a04c",
+    "0083af16d93aa6f7b3bfb21bc53c660490a670e07f498b19508ecd3c7a98a4e4",
+    "d590a5e790c5c62b312fe8665248f7370f2c663c5864bbaffc5e9aae12ce7621",
+    "840a235a90c4912dd31f91bc50208fd561b9110d558663628a521cfad8046497",
+    "7979264fe097f2ba7b3e5e2433cfded3eb6de0c66913b64ea400dcb5545b6f4f",
+]
+
+
+def test_theorem2_report_without_counters_is_pinned():
+    for k_range, digest in enumerate(GOLDEN_THEOREM2_WITHOUT_COUNTERS, start=1):
+        text = json.dumps(without_bindings(theorem2_report(k_range)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k_range
+
+
 def test_theorem2_report_counts_its_bindings():
     rep = theorem2_report(2)
     assert [(c.evaluations, c.bindings) for c in rep.case_results] == [(125, 25)] * 8
