@@ -47,14 +47,17 @@ CHECKS = [
     (["check", "--group", str(CASES / "d138.grp"),
       "--subgroup", str(CASES / "d138.sub")], 0),
     (["verify-theorem2", "--range", "6"], 0),
-    # 8 * 17^3 = 39,304 substitutions, x2 and x3 bound once per (t, s)
+    # 8 * 17^3 = 39,304 substitutions, x2 and x3 bound once per (t, s) and
+    # (e2, e3), for both values of e1
     (["verify-theorem2", "--range", "8"], 0),
     # 8 * 25^3 = 125,000 substitutions, each step merged once per distinct
-    # tuple of its input values in its epsilon case
+    # tuple of its input values in the memo that (e1, e2, 0) and (e1, e2, 1)
+    # share
     (["verify-theorem2", "--range", "12"], 0),
     # 8 * 33^3 = 287,496 substitutions, each row of 33 values of x1 decided
-    # once per distinct tuple of bound values: the four cases with e2 = 0
-    # collapse to 33 rows, the others have 33^2 = 1,089
+    # once per distinct tuple of bound values in the shared memo: the pairs
+    # with e2 = 0 collapse to 33 + 32 rows, the others have 33^2 = 1,089
+    # + 272
     (["verify-theorem2", "--range", "16"], 0),
     (["verify-lemma4", "--group", str(CASES / "p23.grp"),
       "--trials", "100", "--seed", "0"], 0),

@@ -1196,10 +1196,13 @@ THEOREM2_SIGN_VARIANTS: dict[tuple[int, int, int], tuple[int, int, int]] = {
 class Theorem2CaseResult:
     """One epsilon case of the sweep.  ``evaluations`` counts the
     substitutions evaluated, (2R+1)^3; ``bindings`` counts the (x2, x3)
-    values bound once each for all x1, (2R+1)^2; ``merges`` counts the
-    steps of the compiled word merged, once per distinct tuple of inputs;
-    ``rows`` counts the rows of all x1 values decided, once per distinct
-    tuple of bound values."""
+    values bound once each for all x1, (2R+1)^2, whether this case or the
+    case with e1 flipped computed them.  ``merges`` counts the steps of
+    the compiled word merged, once per distinct tuple of inputs, and
+    ``rows`` the rows of all x1 values decided, once per distinct tuple of
+    bound values; both count only the work this case did first in the memo
+    it shares with the case with e3 flipped, so a case whose steps its
+    partner already merged reports 0 merges."""
 
     epsilons: tuple[int, int, int]
     exponent_coeffs: tuple[int, int, int]
@@ -1276,21 +1279,26 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     equation's left side matches the closed form and never hits (a b)^2.
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
-    _Program with x1 free: x1^3 and x1^-1 once per value of x1; the runs
-    x2^x3 and x2 and the bound steps (x2^-1)^x3, the inverse of x2^x3, and
-    x2^3 once per (t, s); and three steps (the commutator [x1, x2^x3],
+    _Program with x1 free: x1^3 and x1^-1 once per value of x1 and e1; the
+    runs x2^x3 and x2 and the bound steps (x2^-1)^x3, the inverse of
+    x2^x3, and x2^3 once per (e2, e3, t, s), shared by both values of e1
+    since no run holds x1; and three steps (the commutator [x1, x2^x3],
     shared by its two uses, the body x1^3 [x1, x2^x3] x2^3 and the two
     powers joined) once per distinct tuple of their input values, by a
-    _Memo kept for one epsilon case and keyed by the values.  The row of
-    values for all 2R+1 values of x1 is decided once per distinct tuple of
-    the runs' values: with e2 = 0 the runs depend on t alone, so those four
-    cases have 2R+1 rows (17 at R = 8) and the others (2R+1)^2 (289);
-    ``rows`` counts them.  Equal inputs reuse an exact value, so each value
-    is the one a full evaluation gives.  Each row is compared whole with
-    the row of closed forms (ba)^n, a slice of one list of them, and
-    searched for the target, as normal forms, which is exact; only a row
-    that fails is scanned value by value, so mismatches and target hits are
-    reported in (k, t, s) order.
+    _Memo keyed by the values and shared by the two cases (e1, e2, 0) and
+    (e1, e2, 1).  The row of values for all 2R+1 values of x1 is decided
+    once per distinct tuple of the x1 values and the runs' values in that
+    memo: with e2 = 0 the runs depend on t alone, so each such pair has
+    2R+1 rows for e3 = 0 and 2R (t = 0 repeats) for e3 = 1, and the other
+    pairs (2R+1)^2 for e3 = 0 and fewer for e3 = 1 (289 and 72 at R = 8).
+    A case's ``merges`` and ``rows`` count what it decided first.  One memo
+    and one (x2, x3) cache are alive at a time.  Equal inputs reuse an
+    exact value, so each value is the one a full evaluation gives.  Each
+    case's row is compared whole with that case's own row of closed forms
+    (ba)^n, a slice of one list of them, and searched for the target, as
+    normal forms, which is exact; only a row that fails is scanned value by
+    value, so mismatches and target hits are reported in (k, t, s) order,
+    case by case in the order of THEOREM2_CASE_EXPONENTS.
 
     Also checks the companion identity in (C2 x C2) * C2: substituting
     (a, c d c, c) must produce the image of (a b)^2, i.e. (a c d c)^2.
@@ -1324,51 +1332,61 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         stop = start + c * n
         return closed[start:stop if stop >= 0 else None:c]
 
-    case_results = []
-    target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
-    total = 0
-    for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
-        e1, e2, e3 = eps
-        memo = _Memo(program)
-        x1_values = [program.y_values(subs[k, e1]) for k in span]
-        mismatches: list[tuple[int, int, int]] = []
-        hits: list[tuple[int, int, int]] = []
-        variant = THEOREM2_SIGN_VARIANTS.get(eps)
-        variant_consistent = None if variant is None else True
-        count = bindings = 0
-        for t in span:
-            for s in span:
-                bound = program.bind({2: subs[t, e2], 3: subs[s, e3]})
-                bindings += 1
-                count += n
-                # Each row is compared whole, in C; only a row that fails
-                # is scanned, for its (k, t, s).
-                row = memo.row(x1_values, bound)
-                expected = progression(ck, ct * t + cs * s)
-                if row != expected:
-                    mismatches.extend(
-                        (k, t, s) for k, v, w in zip(span, row, expected) if v != w
-                    )
-                if target in row:
-                    hits.extend((k, t, s) for k, v in zip(span, row) if v == target)
-                if variant_consistent:
-                    vk, vt, vs = variant
-                    variant_consistent = row == progression(vk, vt * t + vs * s)
-        total += count
-        target_hits.extend((k, t, s, eps) for k, t, s in sorted(hits))
-        case_results.append(
-            Theorem2CaseResult(
-                eps,
-                (ck, ct, cs),
-                count,
-                bindings,
-                tuple(sorted(mismatches)),
-                variant,
-                variant_consistent,
-                memo.merges,
-                len(memo.rows),
-            )
-        )
+    results: dict[tuple[int, int, int], Theorem2CaseResult] = {}
+    hits_of: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for e2 in (0, 1):
+        # the runs' part for (e3, t, s): x1 is in no run, so both e1 read it
+        binds: dict[tuple[int, int, int], list] = {}
+        for e1 in (0, 1):
+            # one memo for both e3: it is keyed by the values themselves
+            memo = _Memo(program)
+            x1_values = [program.y_values(subs[k, e1]) for k in span]
+            for e3 in (0, 1):
+                eps = (e1, e2, e3)
+                ck, ct, cs = THEOREM2_CASE_EXPONENTS[eps]
+                merges, rows = memo.merges, len(memo.rows)
+                mismatches: list[tuple[int, int, int]] = []
+                hits: list[tuple[int, int, int]] = []
+                variant = THEOREM2_SIGN_VARIANTS.get(eps)
+                variant_consistent = None if variant is None else True
+                count = bindings = 0
+                for t in span:
+                    for s in span:
+                        bound = binds.get((e3, t, s))
+                        if bound is None:
+                            bound = binds[e3, t, s] = program.bind(
+                                {2: subs[t, e2], 3: subs[s, e3]})
+                        bindings += 1
+                        count += n
+                        # Each row is compared whole, in C; only a row that
+                        # fails is scanned, for its (k, t, s).
+                        row = memo.row(x1_values, bound)
+                        expected = progression(ck, ct * t + cs * s)
+                        if row != expected:
+                            mismatches.extend(
+                                (k, t, s) for k, v, w in zip(span, row, expected) if v != w
+                            )
+                        if target in row:
+                            hits.extend((k, t, s) for k, v in zip(span, row) if v == target)
+                        if variant_consistent:
+                            vk, vt, vs = variant
+                            variant_consistent = row == progression(vk, vt * t + vs * s)
+                hits_of[eps] = sorted(hits)
+                results[eps] = Theorem2CaseResult(
+                    eps,
+                    (ck, ct, cs),
+                    count,
+                    bindings,
+                    tuple(sorted(mismatches)),
+                    variant,
+                    variant_consistent,
+                    memo.merges - merges,
+                    len(memo.rows) - rows,
+                )
+            del memo  # at most one memo alive at a time
+    case_results = [results[eps] for eps in THEOREM2_CASE_EXPONENTS]
+    target_hits = [(k, t, s, eps) for eps in THEOREM2_CASE_EXPONENTS for k, t, s in hits_of[eps]]
+    total = sum(c.evaluations for c in case_results)
 
     # Companion check in the bigger group: the equation does have a solution
     # there, with x2 mapped to c d c.

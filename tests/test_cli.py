@@ -243,13 +243,15 @@ def test_cli_verify_theorem2(capsys):
     assert report["verdict"] == "verified"
     assert report["violations"] == []
     # per case: 5^3 substitutions, with (x2, x3) bound once per (t, s), and
-    # the steps merged once per distinct tuple of input values
+    # the steps merged once per distinct tuple of input values; a case
+    # counts only the merges its memo partner (e3 flipped) has not done
     cases = report["witnesses"][0]["cases"]
     assert len(cases) == 8
     assert all(c["evaluations"] == 125 and c["bindings"] == 25 for c in cases)
-    assert [c["merges"] for c in cases] == [59, 75, 115, 59, 235, 75, 115, 251]
-    # one row of x1 values per distinct tuple of bound values
-    assert [c["rows"] for c in cases] == [5, 5, 25, 5, 25, 5, 25, 25]
+    assert [c["merges"] for c in cases] == [59, 75, 115, 0, 235, 40, 0, 52]
+    # one row of x1 values per distinct tuple of bound values, counted by
+    # the case that decided it first
+    assert [c["rows"] for c in cases] == [5, 5, 25, 4, 25, 4, 6, 6]
 
 
 def test_cli_verify_lemma4(capsys, tmp_path):
@@ -596,7 +598,7 @@ def test_cli_verify_theorem2_output_is_pinned(capsys):
         out = re.sub(r'"total_s": [-+0-9.e]+', '"total_s": 0', captured.out)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert digests == ["b882a8ccebab2fa25b47486ca9974a7664f5c6e716bf365d41a5974d666c50e1",
-                       "b748fce0ec1be87755d6ca49c69e10db4804505d24d90db00a686288bd263f8c"]
+                       "f0accb2f3635dced12deea67194c5734efe271f6593e1a5c88350d23af11a5d4"]
 
 
 

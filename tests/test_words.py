@@ -1279,14 +1279,14 @@ def test_theorem2_report_matches_per_substitution_reference(monkeypatch):
 # sha256 of json.dumps(theorem2_report(R).to_dict(), sort_keys=True) for
 # R = 1 ... 8: every case's counts, mismatches and hits, byte for byte.
 GOLDEN_THEOREM2 = [
-    "2f3608680bd6aa0f84fba34ec05da5849c5544aaad60e6446e8ed999b8729857",
-    "7b0e000e2ca004c7f4a965697f255ec97b2fd027ce40bd5d61cdf37262de8218",
-    "f07770ba0de2990894bba54c0f9f255c2b4d27bed09baf8ef3ee823f82e9c818",
-    "6a26241ae29dca55ba63c6851eea189180656551fc5f0f5cd2b1f1f7983bd8de",
-    "d837f5fa4027ecd0a1a30eef5e680e888310e5a8f772491c4e4fb0e875722e4d",
-    "c2d19c004ff5e0fcf6f1d741dc12dbd97ce55f29c94bde1d3f3476aa5d9dce6b",
-    "0b7bcf36fb3b1156558bcb3787a9f76da98c868c94c381c1bb08a9b5e7472bff",
-    "b609324f025023c59bf8049d23725997638524af645c2ed3cb3f902bdc852dc4",
+    "b456537f8717401e472d5d988ef41b2c7ad59194fbf760418678b742bfb88c89",
+    "69abf7aab723f250bd4b62c067a020c49cd77205c132ed8b68131aed8a01f7e6",
+    "bdd4a3fdfc29d2db2153a71453642ff8cb5ebeeaf7e5ab76a2ed4f747a6dd3a0",
+    "b83ff2fd0106136546e91f7bf122806a04f87982b50444b7f16a9219b3f01c9b",
+    "84c04d731bd7350fb9ff45856b471428c0f826b834a8987acc40be4ecab67cb7",
+    "316adddbd69ce770bca7bf9852a70dd58222e86f6901a6cd40146fefed9782c2",
+    "b5d976fc52f41938f7cc67ec98c61c4c2907b98aee2409e223858215708a25f9",
+    "d263b3f015c650fe686fec27fb127fad8c01b5b020da50fb3a1bee49d73c9e77",
 ]
 
 
@@ -1318,35 +1318,59 @@ def test_theorem2_report_without_counters_is_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, k_range
 
 
-def test_theorem2_report_counts_its_bindings():
+def count_binds(monkeypatch):
+    """A dict whose "bind" entry counts the calls of _Program.bind."""
+    counts = {"bind": 0}
+    real = words._Program.bind
+
+    def bind(self, assignment):
+        counts["bind"] += 1
+        return real(self, assignment)
+
+    monkeypatch.setattr(words._Program, "bind", bind)
+    return counts
+
+
+def test_theorem2_report_counts_its_bindings(monkeypatch):
+    binds = count_binds(monkeypatch)
     rep = theorem2_report(2)
     assert [(c.evaluations, c.bindings) for c in rep.case_results] == [(125, 25)] * 8
     assert [(c["evaluations"], c["bindings"]) for c in rep.to_dict()["cases"]] == [(125, 25)] * 8
-    # steps merged, once per distinct tuple of input values in each case's
-    # own memo, of the 3 * 125 steps run per case
-    merges = [59, 75, 115, 59, 235, 75, 115, 251]
+    # x1 is in no run, so each (x2, x3) binding is computed once for both
+    # values of e1: 4 * 5^2 binds where each case binding its own made 8 * 5^2
+    assert binds["bind"] == 4 * 5**2
+    # steps merged, once per distinct tuple of input values in the memo
+    # that (e1, e2, 0) and (e1, e2, 1) share, of the 3 * 125 steps run per
+    # case; each case counts the merges it made first, so (0, 0, 1) and
+    # (0, 1, 1), whose inputs their partners all met, count 0
+    merges = [59, 75, 115, 0, 235, 40, 0, 52]
     assert [c.merges for c in rep.case_results] == merges
     assert [c["merges"] for c in rep.to_dict()["cases"]] == merges
-    # rows decided, one per distinct tuple of bound values: with e2 = 0 the
-    # runs x2^x3, (x2^-1)^x3 and x2^3 depend on t alone, so 5 of the 25
-    rows = [5, 5, 25, 5, 25, 5, 25, 25]
+    # rows decided, one per distinct tuple of bound values, counted by the
+    # case that decided it first: with e2 = 0 the runs x2^x3, (x2^-1)^x3
+    # and x2^3 depend on t alone, so 5 of the 25, and the e3 = 1 case of
+    # such a pair meets one of its partner's again (t = 0, x2^x3 = x2)
+    rows = [5, 5, 25, 4, 25, 4, 6, 6]
     assert [c.rows for c in rep.case_results] == rows
     assert [c["rows"] for c in rep.to_dict()["cases"]] == rows
 
 
 def test_theorem2_report_work(monkeypatch):
     # The compiled word merges the commutator [x1, x2^x3] once for its two
-    # uses and computes x1^3 once per value of x1, and each case's memo
-    # merges each of its 3 steps once per distinct tuple of input values:
-    # 18,648 of the 117,912 steps run.  With the runs and bound steps per
-    # (t, s), (x2^-1)^x3 taken as the inverse of x2^x3 rather than merged,
-    # and x2^3 and x1^3 taken as powers with no merge, the words module
-    # makes 20,965 seam merges and 7,653 powers, 0.533 and 0.195 per
-    # substitution (0.534 and 0.200 with free_product's own calls); merging
-    # every step made 3.24 and 2.06, and binding (x2, x3) without sharing
-    # 4.29 and 3.06.  Each case runs a row of 17 values of x1 once per
-    # distinct tuple of bound values: 17 rows in each of the four cases
-    # with e2 = 0 and 289 in the others.
+    # uses and computes x1^3 once per value of x1, and the memo that
+    # (e1, e2, 0) and (e1, e2, 1) share merges each of its 3 steps once per
+    # distinct tuple of input values: 11,260 of the 117,912 steps run
+    # (18,648 with one memo per case).  Each (x2, x3) is bound once for
+    # both values of e1, 1,156 binds (2,312 per case).  With the runs and
+    # bound steps per binding, (x2^-1)^x3 taken as the inverse of x2^x3
+    # rather than merged, and x2^3 and x1^3 taken as powers with no merge,
+    # the words module makes 12,421 seam merges and 4,709 powers, 0.316 and
+    # 0.120 per substitution; one memo and one bind per case made 0.533 and
+    # 0.195, merging every step 3.24 and 2.06, and binding (x2, x3) without
+    # sharing 4.29 and 3.06.  A row of 17 values of x1 is decided once per
+    # distinct tuple of bound values in each shared memo: 17 + 16 for the
+    # pairs with e2 = 0, 289 + 72 for the others, 788 rows (1,224 with one
+    # memo per case).
     counts = {}
     reals = {name: getattr(free_product, name) for name in ("_seam_merge", "power_syllables")}
 
@@ -1360,18 +1384,37 @@ def test_theorem2_report_work(monkeypatch):
     for module in (free_product, words):
         for name in reals:
             spy(module, name)
+    binds = count_binds(monkeypatch)
     rep = theorem2_report(8)
     n = rep.total_evaluations
     assert rep.ok and n == 8 * 17**3
-    assert sum(c.merges for c in rep.case_results) == 18648
-    assert [c.rows for c in rep.case_results] == [17, 17, 289, 17, 289, 17, 289, 289]
-    assert sum(c.rows for c in rep.case_results) == 1224
-    assert counts[words, "_seam_merge"] == 20965
-    assert counts[words, "power_syllables"] == 7653
+    assert binds["bind"] == 4 * 17**2
+    assert [c.merges for c in rep.case_results] == [611, 867, 1411, 0, 6307, 512, 0, 1552]
+    assert sum(c.merges for c in rep.case_results) == 11260
+    assert [c.rows for c in rep.case_results] == [17, 17, 289, 16, 289, 16, 72, 72]
+    assert sum(c.rows for c in rep.case_results) == 788
+    assert counts[words, "_seam_merge"] == 12421
+    assert counts[words, "power_syllables"] == 4709
     merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
     powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
     assert merges <= 0.66 * n
     assert powers <= 0.2 * n
+
+
+def test_theorem2_report_compares_each_case_with_its_own_closed_form(monkeypatch):
+    # (0, 1, 0) and (0, 1, 1) share a memo, (0, 0, 1) and (1, 0, 1) share
+    # their binds: a wrong closed form in one case of each pair is reported
+    # for that case alone, as the per-substitution reference reports it.
+    table = dict(words.THEOREM2_CASE_EXPONENTS)
+    table[(0, 1, 1)] = (6, 1, 0)
+    table[(1, 0, 1)] = (0, 6, 1)
+    monkeypatch.setattr(words, "THEOREM2_CASE_EXPONENTS", table)
+    for k_range in (1, 2):
+        d = without_bindings(theorem2_report(k_range))
+        assert d == without_bindings(theorem2_report_reference(k_range))
+        mismatched = {tuple(c["epsilons"]) for c in d["cases"] if c["mismatches"]}
+        assert mismatched == {(0, 1, 1), (1, 0, 1)}
+        assert not d["ok"]
 
 
 # -- partial evaluation: a word compiled once with y free ----------------------
