@@ -158,6 +158,17 @@ CHECKS = [
     # 6 values, none conjugate to c
     (["solve", "--group", str(CASES / "example2.grp"), "--eq", "x3 x1 x2 x3^-1 = c",
       "--ball", "a,b;a,b", "--depth", "5"], 1),
+    # y = x2 with sign -1 on both split paths: the coset lookup solves
+    # y T y^-1 = B, B and T swapped, and the single-occurrence lookup
+    # inverts T
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x2^-1 x1 x2 = a b a b",
+      "--ball", "a;b", "--depth", "6"], 0),
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 x2^-1 = a b a",
+      "--ball", "a;b", "--depth", "6"], 0),
+    # B = x1^-1 b and T = b^2 x1^-1 are never conjugate (their images in
+    # C2 x C3 differ in b), so no pair solves it
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x2^-1 x1^-1 b x2 x1 = b^2",
+      "--ball", "a;b", "--depth", "6"], 1),
     # numeric arguments out of range: usage errors
     (["verify-theorem2", "--range", "0"], 2),
     (["axis", "--group", str(CASES / "p23.grp"),

@@ -51,8 +51,12 @@ def random_reduced(
 def random_cyclically_reduced(
     rng: random.Random, group: FreeProduct, min_norm: int = 2, max_norm: int = 6
 ) -> FPElement:
-    """Random cyclically reduced element of norm >= 2 (hence infinite order)."""
-    assert min_norm >= 2
+    """Random cyclically reduced element of norm >= 2 (hence infinite order).
+    An element of norm below 2 is never one, so a min_norm below 2 is a
+    GroupError, raised before any draw."""
+    if min_norm < 2:
+        raise GroupError(f"a cyclically reduced element of infinite order has norm 2 or more, "
+                         f"not {min_norm}")
     while True:
         u = random_reduced(rng, group, min_norm, max_norm)
         s, factor = u.ids, group.codec.factor

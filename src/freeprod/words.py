@@ -444,14 +444,17 @@ def _evaluate_syllables(
 def _compile(steps) -> list[tuple]:
     """Each step, a tuple of references (index, k), as (gather, powers):
     gather(vals) is the tuple of its input values, gathered in C by an
-    itemgetter, and powers holds (position, k) for each input with k != 1."""
+    itemgetter from two inputs up, and powers holds (position, k) for each
+    input with k != 1."""
     ops = []
     for step in steps:
         inputs = [i for i, _ in step]
         if len(inputs) >= 2:
             gather = itemgetter(*inputs)
-        else:  # an itemgetter of one index returns the value, not a tuple
-            gather = lambda vals, inputs=inputs: tuple([vals[i] for i in inputs])  # noqa: E731
+        elif inputs:  # an itemgetter of one index returns the value, not a tuple
+            gather = lambda vals, i=inputs[0]: (vals[i],)  # noqa: E731
+        else:
+            gather = lambda vals: ()  # noqa: E731
         ops.append((gather, tuple((j, k) for j, (_, k) in enumerate(step) if k != 1)))
     return ops
 
@@ -459,26 +462,15 @@ def _compile(steps) -> list[tuple]:
 def _merge(codec, args: tuple, powers: tuple) -> str:
     """The value of one step from its input values ``args``: one seam
     merge of them, the inputs in ``powers`` first raised to their k (an
-    inversion for k = -1, with no power_syllables call); one input raised
-    is the value itself, with no merge."""
+    inversion for k = -1, with no power_syllables call); one input, raised
+    or not, is the value itself, with no merge.  This is the one kernel
+    for a product of references: every compiled step, the _Program's and
+    the split solvers', is run by it."""
     if powers:
         args = list(args)
         for j, k in powers:
             s = args[j]
             args[j] = _inverse_syllables(codec, s) if k == -1 else power_syllables(codec, s, k)
-        if len(args) == 1:
-            return args[0]
-    return _seam_merge(codec, "", args)
-
-
-def _product_of(codec, vals: list, refs) -> str:
-    """The product of the references ``refs`` (index, k) into ``vals``,
-    each value raised as _merge raises it; one reference is not merged."""
-    args = []
-    for i, k in refs:
-        s = vals[i]
-        args.append(s if k == 1 else _inverse_syllables(codec, s) if k == -1
-                    else power_syllables(codec, s, k))
     return args[0] if len(args) == 1 else _seam_merge(codec, "", args)
 
 
@@ -515,13 +507,23 @@ class _Program:
     applying the exponent of its Pow (see _merge), and (u^j)^k is u^(jk).
     A step is the product of its references, so by associativity ``run``
     gives exactly the normal form ``evaluate`` gives for the same values.
-    The pure steps and the steps are compiled once (see _compile) into
-    ``pure_ops`` and ``step_ops``, which ``y_values``, ``run`` and a _Memo
-    execute.
+    The pure steps, the bound steps and the steps are compiled once (see
+    _compile) into ``pure_ops``, ``bound_ops`` and ``step_ops``, which
+    ``y_values``, ``bound_values``, ``run`` and a _Memo execute.
+
+    The program also owns the split that solve_bounded's split solvers
+    read.  When the word is one step whose references all have k = 1, its
+    references to y and y^-1 cut it into W0 y^s1 W1 [y^s2 W2 ...]: ``signs``
+    holds s1, s2, ... and ``pieces`` the references of W0, W1, ..., each
+    bound step of one reference read through.  ``split_values`` lays out
+    the values the pieces refer to, computing the bound steps only when a
+    piece still refers to one (``deep``), and ``split_width`` is its length.
+    Otherwise ``signs`` is empty.
     """
 
     __slots__ = ("group", "consts", "pure", "runs", "bound", "steps", "result", "needs_inverse",
-                 "head", "pure_ops", "step_ops")
+                 "head", "pure_ops", "bound_ops", "step_ops", "signs", "pieces", "deep",
+                 "split_width")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
@@ -631,8 +633,22 @@ class _Program:
         self.needs_inverse = any(j == 1 for i in pure_ids + step_ids for j, _ in nodes[i][1])
         # y's part of the value list, as the bound steps read it
         self.head = ["", "", *self.consts, *[""] * len(pure_ids)]
-        self.pure_ops = _compile(self.pure)
-        self.step_ops = _compile(self.steps)
+        self.pure_ops, self.bound_ops, self.step_ops = map(_compile,
+                                                           (self.pure, self.bound, self.steps))
+        self.signs, pieces = [], [[]]
+        if len(pure_ids) + len(step_ids) == 1 and all(k == 1 for _, k in nodes[root][1]):
+            for i, _ in nodes[root][1]:
+                if i < 2:
+                    self.signs.append(1 - 2 * i)
+                    pieces.append([])
+                else:
+                    kind, data = nodes[i]
+                    pieces[-1].append(data[0] if kind == "bound" and len(data) == 1 else (i, 1))
+        self.pieces = [[(index[i], k) for i, k in piece] for piece in pieces]
+        self.deep = any(nodes[i][0] == "bound" for piece in pieces for i, _ in piece)
+        # no piece refers to a pure step, so split_values leaves them out
+        self.split_width = 2 + len(self.consts) + len(self.runs) + (
+            len(self.bound) if self.deep else 0)
 
     def y_values(self, y: str) -> list:
         """y's part of the value list, for the reduced id string ``y`` of y."""
@@ -653,11 +669,15 @@ class _Program:
     def bound_values(self, runs: Sequence[str]) -> list:
         """The runs' part of the value list, from the runs' values: the
         runs, then the bound steps."""
-        codec, head = self.group.codec, self.head
-        vals = [*head, *runs]
-        for step in self.bound:
-            vals.append(_product_of(codec, vals, step))
-        return vals[len(head):]
+        head = self.head
+        return _execute(self.group.codec, [*head, *runs], self.bound_ops)[len(head):]
+
+    def split_values(self, rhs: str, runs: Sequence[str]) -> list:
+        """The values the split's ``pieces`` refer to, from the right side
+        ``rhs`` and the runs' values: rhs in y^-1's place (y's is empty),
+        so that it is one more reference, then the constants, the runs and,
+        when ``deep``, the bound steps."""
+        return ["", rhs, *self.consts, *(self.bound_values(runs) if self.deep else runs)]
 
     def bind(self, assignment) -> list:
         """The runs' part of the value list, for a binding (see run_values)."""
@@ -743,7 +763,8 @@ def solve_bounded(
     exponent 1, every power that holds y was a group or its inverse used
     once and is spliced in, so the step is the left side itself: its
     references to y and y^-1 split it, and its other references (to
-    constants, runs and bound steps) are the pieces between them.  y
+    constants, runs and bound steps) are the pieces between them; the
+    _Program computes this split (its ``signs`` and ``pieces``).  y
     occurring once, or twice with opposite signs (a power's body counted
     |k| times), compiles to such a step; y^2 or a power of a sub-word that
     holds y does not.
@@ -780,7 +801,10 @@ def solve_bounded(
     modes return the same solutions in the same order as the plain search.
     T = P^-1 rhs Q^-1 is one product of references, and a power of a run
     in P or Q is inverted by negating its exponent, not by inverting its
-    long value.
+    long value.  Each split solver compiles its products once per search,
+    T (and T's inverse for s < 0) or B, T and each inverse that B and T
+    share, and _merge runs them once per key, so a shared inverse is
+    computed once per key.
 
     Any other shape tries every inner candidate with the _Program, which
     keeps powers as powers: its sub-words that depend on y alone are
@@ -855,39 +879,20 @@ def solve_bounded(
     outer = variables[:-1]
     inner_cands = candidates[inner]
     program = _Program(eq.lhs.letters, group, inner)
-    runs = program.runs
-    steps = program.pure + program.steps
-    split: list[list[tuple[int, int]]] = [[]]
-    signs: list[int] = []
-    if len(steps) == 1 and all(k == 1 for _, k in steps[0]):
-        # lhs = W0 y^s1 W1 [y^s2 W2 ...]: values 0 and 1 are y and y^-1,
-        # then the constants, runs and bound steps; a bound step of one
-        # reference is read through, and only another needs bound_values.
-        # rhs takes y^-1's place, so T = W0^-1 rhs W1^-1 is one product.
-        first = len(program.head) + len(runs)  # the first bound step
-        for i, _ in steps[0]:
-            if i < 2:
-                signs.append(1 - 2 * i)
-                split.append([])
-            else:
-                step = program.bound[i - first] if i >= first else ()
-                split[-1].append(step[0] if len(step) == 1 else (i, 1))
-        target = [(i, -k) for i, k in reversed(split[0])] + [(1, 1)]
-        target += [(i, -k) for i, k in reversed(split[-1])]
-        deep = any(i >= first for i, _ in target + split[1])
-
-        def split_values(key: tuple) -> list:
-            return ["", rhs, *program.consts, *(program.bound_values(key) if deep else key)]
-
+    runs, signs, pieces = program.runs, program.signs, program.pieces
+    # rhs is a reference in the split's values, so T = W0^-1 rhs W1^-1 is
+    # one product of references, compiled once and run once per key
+    target = [(i, -k) for i, k in reversed(pieces[0])] + [(1, 1)]
+    target += [(i, -k) for i, k in reversed(pieces[-1])]
     if len(signs) == 1:
         # A scan of a plain sequence keeps candidate order and duplicates,
         # which an index built per call would cost more than.
         in_ball = isinstance(inner_cands, Ball)
+        # y = T^-1 for s < 0: one more step, T's inverse
+        ops = _compile([target] if signs[0] > 0 else [target, ((program.split_width, -1),)])
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            t = _product_of(codec, split_values(key), target)
-            if signs[0] < 0:
-                t = _inverse_syllables(codec, t)
+            t = _execute(codec, program.split_values(rhs, key), ops)[-1]
             if in_ball:
                 u = FPElement(group, t)
                 return [u] if u in inner_cands else []
@@ -895,24 +900,19 @@ def solve_bounded(
 
     elif len(signs) == 2 and signs[0] == -signs[1]:
         # A value that B and T both invert is inverted once per key: its
-        # inverse is appended to the value list and read from its end.
-        shared = sorted({i for i, k in split[1] if k == -1} & {i for i, k in target if k == -1})
-        moved = {(i, -1): (j - len(shared), 1) for j, i in enumerate(shared)}
-        middle = [moved.get(r, r) for r in split[1]]
-        target = [moved.get(r, r) for r in target]
+        # inverse is a step of its own, appended after the split's values.
+        # For s = -1, B and T swap.
+        shared = sorted({i for i, k in pieces[1] if k == -1} & {i for i, k in target if k == -1})
+        moved = {(i, -1): (program.split_width + j, 1) for j, i in enumerate(shared)}
+        products = [[moved.get(r, r) for r in refs] for refs in (pieces[1], target)]
+        ops = _compile([((i, -1),) for i in shared] + products[::signs[0]])
         positions: dict[str, list[int]] = {}
         for i, c in enumerate(inner_cands):
             positions.setdefault(c.ids, []).append(i)
         max_norm = max(map(len, positions))
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            vals = split_values(key)
-            if shared:
-                vals += [_inverse_syllables(codec, vals[i]) for i in shared]
-            b = _product_of(codec, vals, middle)
-            t = _product_of(codec, vals, target)
-            if signs[0] < 0:
-                b, t = t, b
+            b, t = _execute(codec, program.split_values(rhs, key), ops)[-2:]
             c = _conjugator(codec, b, t)
             if c is None:
                 return ()

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freeprod
 from freeprod.errors import GroupError
 from freeprod.finite_group import make_cyclic, make_dihedral_reflections
 from freeprod.free_product import FreeProduct
@@ -58,6 +63,14 @@ def test_samplers_refuse_what_the_group_cannot_give(p22, p23):
                                              "of norm 2 or more$"):
             draw()
         assert rng.getstate() == state
+    # A norm below 2 is never cyclically reduced of infinite order: refused
+    # before any draw, by a check that python -O keeps (it would redraw
+    # forever)
+    for low in (1, 0, -1):
+        with pytest.raises(GroupError, match="^a cyclically reduced element of infinite order "
+                                             f"has norm 2 or more, not {low}$"):
+            random_cyclically_reduced(rng, p23, low, 1)
+        assert rng.getstate() == state
     # C2 * C2: an element of infinite order lies in the abelian <a b>, as do
     # all its conjugates; refused before any draw.  Finite-order elements
     # still get a conjugator.
@@ -72,3 +85,24 @@ def test_samplers_refuse_what_the_group_cannot_give(p22, p23):
     # no draw can succeed for the identity
     with pytest.raises(GroupError, match="^could not find a non-commuting conjugate in 5 draws$"):
         random_noncommuting_conjugator(rng, p23, p23.identity(), attempts=5)
+
+
+def test_cyclically_reduced_refusal_survives_python_O():
+    # The refusal above, in a child under python -O, with a timeout so that
+    # a stripped check that redraws forever fails instead of hanging.
+    src = str(Path(freeprod.__file__).resolve().parent.parent)
+    code = ("import random\n"
+            "from freeprod.errors import GroupError\n"
+            "from freeprod.finite_group import make_cyclic\n"
+            "from freeprod.free_product import FreeProduct\n"
+            "from freeprod.sampling import random_cyclically_reduced\n"
+            "p23 = FreeProduct([make_cyclic(2, 'a'), make_cyclic(3, 'b')])\n"
+            "try:\n"
+            "    random_cyclically_reduced(random.Random(0), p23, 0, 1)\n"
+            "except GroupError as e:\n"
+            "    print(e)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "a cyclically reduced element of infinite order has norm 2 or more, " \
+                            "not 0\n"

@@ -557,25 +557,32 @@ def test_commuting_pairs_work(p23, monkeypatch):
         merges += 1
         return real_merge(*args)
 
-    inversions = 0
-    real_inverse = free_product._inverse_syllables
+    inversions = powers = 0
+    real_inverse, real_power = free_product._inverse_syllables, free_product.power_syllables
 
     def inverse(*args):
         nonlocal inversions
         inversions += 1
         return real_inverse(*args)
 
+    def power(*args):
+        nonlocal powers
+        powers += 1
+        return real_power(*args)
+
     monkeypatch.setattr(free_product, "_seam_merge", merge)
     monkeypatch.setattr(words, "_seam_merge", merge)
     monkeypatch.setattr(free_product, "_inverse_syllables", inverse)
     monkeypatch.setattr(words, "_inverse_syllables", inverse)
+    monkeypatch.setattr(free_product, "power_syllables", power)
+    monkeypatch.setattr(words, "power_syllables", power)
     found = solve_bounded(parse_equation("[x1,x2] = 1", p23), {1: ball, 2: ball}, mode="all")
     assert len(found) == 4408
-    assert merges < 10 * len(ball)
-    # B = x1^-1 and T = x1^-1 rhs share one inversion of x1 per key, and
-    # record() inverts each value once: 890 + 890, and the centralizers'
-    # roots; five such searches make at most 15,180
-    assert inversions <= 3036
+    # the work, exactly: B = x1^-1 is a lone input with no power, read
+    # without a merge, and T = x1^-1 rhs shares its one inversion of x1 per
+    # key (890); record() inverts each value once (890), and the
+    # centralizers' roots make the rest
+    assert (merges, inversions, powers) == (5299, 3036, 1256)
     # the inverted commutator has the same solutions, found and re-checked
     # with as many merges: its re-check splices the inverted group's body
     # into one merge, as it splices the group's
@@ -616,11 +623,13 @@ def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
         eq = parse_equation(text, z6z2)
         assert solve_bounded(eq, {1: ball}, mode="all") == []
         assert solve_bounded(eq, {1: ball}, mode="first") is None
-    assert counts["merge"] < 10 and counts["inverse"] < 10
+    # exactly: the two merges parse the right sides, and each search of
+    # x1^-1 = c a inverts its target once
+    assert counts == {"merge": 2, "inverse": 2}
     # y twice with one sign: each candidate is squared, one step of one
     # input, which is a power and not a seam merge, and nothing is inverted
     assert solve_bounded(parse_equation("x1^2 = c", z6z2), {1: ball}) is None
-    assert counts["merge"] < 10 and counts["inverse"] < 10
+    assert counts == {"merge": 3, "inverse": 2}
     # a target inside the ball is found at its first index
     w = ball[-1]
     eq = Equation(MixedWord(z6z2, (Var(1, -1),)), w.inverse())
@@ -1486,10 +1495,11 @@ def test_bind_inverts_a_run_whose_inverse_came_first(group, gens, data):
     program = words._Program(word.letters, group, 4)
     (commutator,) = parse_word(f"[{u}, {v}]", group).letters or (None,)
     if commutator is not None and words._variables(commutator.body):
-        first = len(program.head) + len(program.runs)  # the first bound step
-        root = program.steps[program.result - first - len(program.bound)]
-        (i, k), (j, m) = root[0], root[-1]
-        assert k == m == 1 and program.bound[j - first] == ((i, -1),)
+        # the split reads the inverse's bound step through: the last piece
+        # is the first piece's value, inverted
+        assert program.signs == [1, 1]
+        ((i, k),) = program.pieces[0]
+        assert k == 1 and program.pieces[-1] == [(i, -1)]
     # each run is kept once up to inversion, and a lone letter with sign 1
     for run in program.runs:
         assert run == words._invert(run) or words._invert(run) not in program.runs
