@@ -165,6 +165,12 @@ CHECKS = [
       "--ball", "a;b", "--depth", "6"], 0),
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x1 x2^-1 = a b a",
       "--ball", "a;b", "--depth", "6"], 0),
+    # B = x1^2 is a proper power and T = x1^-3 rhs: both are built from
+    # one cyclic split of x1 per key, B's split with it, and the keys whose
+    # cores have one norm reach the rotation test; 6 solutions, all with
+    # x1 = a b
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq",
+      "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a", "--ball", "a;b", "--depth", "6", "--all"], 0),
     # B = x1^-1 b and T = b^2 x1^-1 are never conjugate (their images in
     # C2 x C3 differ in b), so no pair solves it
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x2^-1 x1^-1 b x2 x1 = b^2",

@@ -259,11 +259,12 @@ def _cyclic_split(codec: Codec, s: str) -> tuple[int, str]:
     n = len(s)
     if n < 2:
         return 0, s
-    factor, element, symbols, tables = codec.factor, codec.element, codec.symbols, codec.tables
+    factor = codec.factor
     x, y = s[0], s[-1]
     f = factor[x]
     if f != factor[y]:
         return 0, s
+    element, symbols, tables = codec.element, codec.symbols, codec.tables
     m = symbols[f][tables[f][element[y]][element[x]]]
     if m:
         return 1, s[1:-1] + m
@@ -282,35 +283,58 @@ def _cyclic_split(codec: Codec, s: str) -> tuple[int, str]:
 
 
 def power_syllables(codec: Codec, s: str, k: int) -> str:
-    """Normal form of u^k for a reduced id string u.
+    """Normal form of u^k for a reduced id string u: its cyclic split,
+    then _split_power.  The output size is checked against
+    MAX_POWER_SYLLABLES before the result is built."""
+    return _split_power(codec, s, _cyclic_split(codec, s), k)[0]
 
-    With u = c * core * c^-1 its cyclic reduction (c = u[:i]), u^k is
-    c * core^k * c^-1, and for k < 0 it is (u^-1)^-k:
-    - core of norm 0: u is the identity, and so is u^k;
-    - core (f, e) of norm 1: the core is the syllable u[i], and u^k replaces
-      it by e^k, found by square-and-multiply in the factor;
-    - core of norm >= 2: the core is cyclically reduced, so its copies do not
-      cancel and u^k = u[:i] + core * (k - 1) + u[i:] (u[i:] is one core
-      followed by c^-1, merged at the seam when the scan merged a syllable).
-    The output size is checked against MAX_POWER_SYLLABLES before the result
-    is built.
-    """
-    if k < 0:
-        s, k = _inverse_syllables(codec, s), -k
-    if not s or k == 0:
-        return ""
-    i, core = _cyclic_split(codec, s)
-    if len(core) == 1:
-        # No merged syllable: s = s[:i] + core + s[i + 1:], all reduced.
+
+def _split_power(
+    codec: Codec, s: str, split: tuple[int, str], k: int
+) -> tuple[str, tuple[int, str]]:
+    """u^k and its cyclic split, for a reduced id string u = s whose cyclic
+    split (see _cyclic_split) is ``split`` = (i, core): u = c * core * c^-1
+    with c = s[:i], so u^k = c * core^k * c^-1, and
+    - core of norm 0, or k = 0: u^k is the identity, split (0, "");
+    - core (f, e) of norm 1: u^k replaces the syllable s[i] by e^k, which is
+      its core, and is the identity when e^k = 1;
+    - core of norm >= 2, k >= 1: the core is cyclically reduced, so its
+      copies do not cancel, and u^k splits as (i, core * k).  s is s[:i],
+      the core and its last i syllables, or, when the split merged a
+      syllable, s[:i], core[:-1] and its last i syllables, the core's last
+      syllable being the product of the first of those and s[i - 1]; u^k
+      is the same with core * k in place of the core;
+    - k < 0: u^k is (u^-1)^-k.  u^-1 = s^-1 splits as (i, core^-1), read
+      off s^-1 as its middle: s^-1[i:len(s) - i], followed, when the split
+      merged a syllable, by that syllable's inverse (so core^-1 rotated by
+      one syllable, with the merged syllable last, as _cyclic_split leaves
+      it).
+    So u^-1 is never split.  The output size is checked against
+    MAX_POWER_SYLLABLES before the result is built."""
+    i, core = split
+    n = len(core)
+    if n == 1:
         f = codec.factor[core]
         y = codec.factors[f].power(codec.element[core], k)
-        return s[:i] + codec.symbols[f][y] + s[i + 1:] if y else ""
-    size = _power_norm(codec, len(s), core, k)
+        if y:
+            core = codec.symbols[f][y]
+            return s[:i] + core + s[i + 1:], (i, core)
+        return "", (0, "")
+    if not n or not k:
+        return "", (0, "")
+    merged = n + 2 * i - len(s)  # 1 when the split merged a syllable, else 0
+    if k < 0:
+        s, k = _inverse_syllables(codec, s), -k
+        core = s[i:len(s) - i] + (core[-1].translate(codec.inverse) if merged else "")
+    size = len(s) + n * (k - 1)
     if size > MAX_POWER_SYLLABLES:
         raise PowerTooLargeError(
             f"power has {size} syllables, above the cap of {MAX_POWER_SYLLABLES}"
         )
-    return s[:i] + core * (k - 1) + s[i:]
+    core *= k
+    if not i:  # s is its own core
+        return core, (0, core)
+    return s[:i] + (core[:-1] if merged else core) + s[len(s) - i:], (i, core)
 
 
 def _power_norm(codec: Codec, norm: int, core: str, k: int) -> int:
@@ -330,7 +354,9 @@ def _is_rotation(a: str, b: str) -> int | None:
     return None if k < 0 else k
 
 
-def _conjugator(codec: Codec, b: str, t: str) -> str | None:
+def _conjugator(
+    codec: Codec, b: str, t: str, split: tuple[int, str] | None = None
+) -> str | None:
     """Normal form of some c with c * b * c^-1 = t, or None when b and t
     are not conjugate.
 
@@ -344,11 +370,13 @@ def _conjugator(codec: Codec, b: str, t: str) -> str | None:
     - norm >= 2: core_t = core_b[k:] + core_b[:k] = p^-1 * core_b * p with
       p = core_b[:k], and c = v * p^-1 * u^-1.
     When b == t, c = 1 is returned at once, without the cyclic splits.
+    ``split``, when given, is b's cyclic split, so that only t is split;
+    cores of different norms end the test as soon as t is split.
     """
     if b == t:
         return ""
-    i, core_b = _cyclic_split(codec, b)
     j, core_t = _cyclic_split(codec, t)
+    i, core_b = _cyclic_split(codec, b) if split is None else split
     n = len(core_b)
     if n != len(core_t):
         return None
@@ -369,9 +397,9 @@ def _conjugator(codec: Codec, b: str, t: str) -> str | None:
     return _seam_merge(codec, t[:j], (middle, _inverse_syllables(codec, b[:i])))
 
 
-def _centralizer(codec: Codec, b: str, bound: int) -> list[str]:
+def _centralizer(codec: Codec, b: str, split: tuple[int, str], bound: int) -> list[str]:
     """Normal forms of the elements of norm <= bound in C(b), the
-    centralizer of b != 1.
+    centralizer of b != 1, whose cyclic split is ``split``.
 
     With b = u * core * u^-1 its cyclic reduction, C(b) = u * C(core) * u^-1
     (Lyndon-Schupp, ch. IV, sec. 1; Magnus-Karrass-Solitar, sec. 4.1):
@@ -380,9 +408,10 @@ def _centralizer(codec: Codec, b: str, bound: int) -> list[str]:
     - core of norm >= 2: C(core) is generated by the primitive root rho of
       the core (core = rho^m with rho as short as possible), so C(b) is
       generated by r = u * rho * u^-1, and its elements are the powers
-      r^k, whose norm grows with |k|.
+      r^k, whose norm grows with |k|.  r splits as (i, rho), so each r^k
+      is built from that split (see _split_power), and r is not split.
     """
-    i, core = _cyclic_split(codec, b)
+    i, core = split
     if len(core) == 1:
         if 2 * i + 1 > bound:
             return [""]
@@ -399,12 +428,13 @@ def _centralizer(codec: Codec, b: str, bound: int) -> list[str]:
     # Dropping m - 1 copies of rho from just before those leaves r.
     end = len(b) - i
     r = b[: end - (n - period)] + b[end:]
+    root = (i, core[:period])
     out = [""]
     k, rk = 1, r
     while len(rk) <= bound:
         out += [rk, _inverse_syllables(codec, rk)]
         k += 1
-        rk = power_syllables(codec, r, k)
+        rk = _split_power(codec, r, root, k)[0]
     return out
 
 

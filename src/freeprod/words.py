@@ -48,10 +48,12 @@ from .free_product import (
     _ball_elements,
     _centralizer,
     _conjugator,
+    _cyclic_split,
     _inverse_syllables,
     _power_norm,
     _product,
     _seam_merge,
+    _split_power,
     power_syllables,
 )
 
@@ -396,44 +398,46 @@ def evaluate(word: MixedWord, substitution) -> FPElement:
 
 
 def _evaluate_syllables(
-    items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None
+    items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None,
+    sign: int = 1,
 ):
     """The value of ``items`` as a reduced id string, each variable's
     value given as a reduced id string: each item's normal form is one
-    piece of a single seam merge, a group (Pow with k = 1) adds its body's
-    pieces to that merge, and its inverse (k = -1) adds them in reverse
-    order, each inverted; a power of one piece (such as one letter) is not
-    merged first.  Given ``pieces``, the pieces are appended to it,
-    and it is returned unmerged."""
+    piece of a single seam merge, and a group or its inverse (Pow with
+    k = +-1) adds its body's pieces to that merge; a power of one piece
+    (such as one letter) is not merged first.  With ``sign`` = -1 the
+    value of the inverse of ``items`` is given instead: the items are
+    walked in reverse, each variable read with its sign flipped (so from
+    ``cache`` when it holds that inverse), a constant inverted and each
+    Pow's exponent negated.  Given ``pieces``, the pieces are appended to
+    it, and it is returned unmerged."""
     codec = group.codec
     merge = pieces is None
     if merge:
         pieces = []
-    for item in items:
+    for item in items if sign > 0 else reversed(items):
         kind = type(item)
         if kind is Var:
-            key = (item.index, item.sign)
+            key = (item.index, item.sign * sign)
             sylls = cache.get(key)
             if sylls is None:
                 try:
                     sylls = assignment[item.index]
                 except KeyError:
                     raise UnboundVariableError(f"x{item.index} is unbound") from None
-                if item.sign < 0:
+                if key[1] < 0:
                     sylls = _inverse_syllables(codec, sylls)
                 cache[key] = sylls
             pieces.append(sylls)
         elif kind is Const:
-            pieces.append(item.value.ids)
-        elif item.k == 1:
-            _evaluate_syllables(item.body, group, assignment, cache, pieces)
-        elif item.k == -1:
-            body = _evaluate_syllables(item.body, group, assignment, cache, [])
-            pieces.extend([_inverse_syllables(codec, p) for p in reversed(body)])
+            pieces.append(item.value.ids if sign > 0 else
+                          _inverse_syllables(codec, item.value.ids))
+        elif item.k == 1 or item.k == -1:
+            _evaluate_syllables(item.body, group, assignment, cache, pieces, sign * item.k)
         else:
             body = _evaluate_syllables(item.body, group, assignment, cache, [])
             body = body[0] if len(body) == 1 else _seam_merge(codec, "", body)
-            pieces.append(power_syllables(codec, body, item.k))
+            pieces.append(power_syllables(codec, body, sign * item.k))
     return _seam_merge(codec, "", pieces) if merge else pieces
 
 
@@ -804,7 +808,13 @@ def solve_bounded(
     long value.  Each split solver compiles its products once per search,
     T (and T's inverse for s < 0) or B, T and each inverse that B and T
     share, and _merge runs them once per key, so a shared inverse is
-    computed once per key.
+    computed once per key.  In the coset solver each value that B or T
+    raises to a power |k| >= 2 is cyclically split once per key, and its
+    powers are built from that split (free_product._split_power), each
+    with its own split; when B is such a power, _conjugator and
+    _centralizer take its split, so B is never split, and a key whose
+    cores have different norms ends as soon as T is split.  For
+    F^39 x3 F^26 x3^-1 that is two splits per key, of F and of T.
 
     Any other shape tries every inner candidate with the _Program, which
     keeps powers as powers: its sub-words that depend on y alone are
@@ -899,28 +909,54 @@ def solve_bounded(
             return [c for c in inner_cands if c.ids == t]
 
     elif len(signs) == 2 and signs[0] == -signs[1]:
-        # A value that B and T both invert is inverted once per key: its
-        # inverse is a step of its own, appended after the split's values.
-        # For s = -1, B and T swap.
+        # Each value that B or T raises to a power |k| >= 2 is split once
+        # per key, and its powers are built from that split; a value that B
+        # and T both invert is inverted once per key.  Each is a value of
+        # its own, appended after the split's values: the powers, then the
+        # inverses, then B (unless it is one of the values already, read
+        # where it is) and T.  For s = -1, B and T swap.
+        width = program.split_width
+        exponents: dict[int, list[int]] = {}
+        for i, k in dict.fromkeys(pieces[1] + target):
+            if abs(k) >= 2:
+                exponents.setdefault(i, []).append(k)
+        bases = list(exponents.items())
+        raised = [(i, k) for i, ks in bases for k in ks]
         shared = sorted({i for i, k in pieces[1] if k == -1} & {i for i, k in target if k == -1})
-        moved = {(i, -1): (program.split_width + j, 1) for j, i in enumerate(shared)}
-        products = [[moved.get(r, r) for r in refs] for refs in (pieces[1], target)]
-        ops = _compile([((i, -1),) for i in shared] + products[::signs[0]])
+        moved = {r: (width + j, 1) for j, r in enumerate(raised + [(i, -1) for i in shared])}
+        b_refs, t_refs = [[moved.get(r, r) for r in refs]
+                          for refs in (pieces[1], target)][::signs[0]]
+        lone = len(b_refs) == 1 and b_refs[0][1] == 1
+        ops = _compile([((i, -1),) for i in shared] + ([] if lone else [b_refs]) + [t_refs])
+        at = b_refs[0][0] if lone else width + len(moved)
+        # when B is one of the powers, its split comes with it
+        known = at - width if width <= at < width + len(raised) else None
         positions: dict[str, list[int]] = {}
         for i, c in enumerate(inner_cands):
             positions.setdefault(c.ids, []).append(i)
         max_norm = max(map(len, positions))
 
         def decide(key: tuple) -> Sequence[FPElement]:
-            b, t = _execute(codec, program.split_values(rhs, key), ops)[-2:]
-            c = _conjugator(codec, b, t)
+            vals = program.split_values(rhs, key)
+            splits = []
+            for i, ks in bases:
+                s = vals[i]
+                split = _cyclic_split(codec, s)
+                for k in ks:
+                    power, power_split = _split_power(codec, s, split, k)
+                    vals.append(power)
+                    splits.append(power_split)
+            t = _execute(codec, vals, ops)[-1]
+            b = vals[at]
+            split = _cyclic_split(codec, b) if known is None else splits[known]
+            c = _conjugator(codec, b, t, split)
             if c is None:
                 return ()
             if not b:
                 return inner_cands
             hits = sorted(
                 i
-                for z in _centralizer(codec, b, max_norm + len(c))
+                for z in _centralizer(codec, b, split, max_norm + len(c))
                 for i in positions.get(_product(codec, c, z), ())
             )
             return [inner_cands[i] for i in hits]

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from freeprod import cli, free_product, specfiles
+from freeprod import cli, free_product, specfiles, words
 from freeprod.free_product import Part
 from freeprod.errors import (
     BadFactorIndexError,
@@ -294,6 +294,36 @@ def test_cli_verify_lemma5_reports_fused_work(capsys):
         assert w["ball_size"] ** 2 == tuples
 
 
+def test_cli_verify_lemma5_kernel_work_is_pinned(capsys, monkeypatch):
+    # F^39 x3 F^26 x3^-1 with F = x1 x2 decides each value of F once: F is
+    # split once, B = F^26 and F^-39 are built from that split (F^-39 by
+    # one inversion of F, none for a core of norm <= 1), B's split comes
+    # with it, and T = F^-39 rhs is one seam merge and one more split, in
+    # the conjugacy test: two splits per value (7,162 at depth 10, 442 at
+    # depth 6).  The 4 powers and 4 more splits are build_lemma5's, the 6
+    # more merges the ball's.
+    names = ("_cyclic_split", "power_syllables", "_seam_merge", "_inverse_syllables")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    for name in names:
+        spy = counted(name, getattr(free_product, name))
+        monkeypatch.setattr(free_product, name, spy)
+        monkeypatch.setattr(words, name, spy)
+    argv = ["verify-lemma5", "--group", str(CASES / "example2.grp"),
+            "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2"]
+    for depth, work in (("6", (888, 4, 890, 400)), ("10", (14328, 4, 14330, 6952))):
+        counts.update(dict.fromkeys(names, 0))
+        assert cli.main(argv + ["--depth", depth]) == 0
+        assert capsys.readouterr().err == ""
+        assert tuple(counts.values()) == work
+
+
 def test_cli_verify_lemma5_names_the_image_it_covers(capsys):
     # F = x1 x2 over the depth-6 ball runs over B_12: the certificate says
     # which values it decided and why they cover every pair.  F = x2 x1 x2
@@ -462,6 +492,11 @@ GOLDEN_TEXT = [
      0, "solution in the depth-3 ball (14 elements):\n  x1 = 1, x2 = 1, x3 = 1\n"),
     (["solve", "--group", "p23", "--eq", "[x1,x2]^-1 = 1", "--ball", "a;b", "--depth", "4"], 0,
      "solution in the depth-4 ball (22 elements):\n  x1 = 1, x2 = 1\n"),
+    (["solve", "--group", "p23", "--eq", "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a",
+      "--ball", "a;b", "--depth", "6", "--all"], 0,
+     "solution in the depth-6 ball (50 elements):\n  x1 = a b, x2 = a\n  x1 = a b, x2 = b\n"
+     "  x1 = a b, x2 = a b^2 a\n  x1 = a b, x2 = b a b\n  x1 = a b, x2 = a b^2 a b^2 a\n"
+     "  x1 = a b, x2 = b a b a b\n"),
 ]
 
 
@@ -522,6 +557,10 @@ GOLDEN_SOLVE_PATHS = {
          "c39543822fa70544f898b07507496ab0b5cfbc36551df9372d5fed6f3c779f77"),
     # the coset path through an inverted group: the bytes of [x1,x2] = 1
     ("p23", "[x1,x2]^-1 = 1", "a;b", 4): GOLDEN_SOLVE_ALL["a;b", 4],
+    # the coset path with B = x1^2, a proper power, to the rotation test
+    ("p23", "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a", "a;b", 6):
+        ("7e6e4ede3327f251ee86e9f93ef4ccccc49f894f9742cba6b8b1dedbf79577d6",
+         "37b64ca96805b2e637b2656963e8c86d26cd2f69ad0411c9dbbb83b50dd35883"),
 }
 
 

@@ -652,7 +652,8 @@ def test_centralizer_matches_brute_force(p23, s3z2):
         ball = enumerate_ball(group, parts, depth)
         for b in enumerate_ball(group, parts, b_depth)[1:]:
             for bound in (depth - 2, depth):
-                got = free_product._centralizer(group.codec, b.ids, bound)
+                split = free_product._cyclic_split(group.codec, b.ids)
+                got = free_product._centralizer(group.codec, b.ids, split, bound)
                 assert len(set(got)) == len(got)
                 expected = {z.ids for z in ball if z.norm <= bound and z * b == b * z}
                 assert set(got) == expected

@@ -30,6 +30,7 @@ from freeprod.free_product import (
     _power_norm,
     _product,
     _seam_merge,
+    _split_power,
     power_syllables,
 )
 
@@ -160,6 +161,56 @@ def test_cyclic_split_and_power_match_the_tuple_kernels(group, data):
             assert power_syllables(codec, ids(s), k) == expected
 
 
+@st.composite
+def merged_conjugates(draw, group, max_conjugator=4):
+    """u * (x w y) * u^-1 reduced, for x, y in one factor with y x != 1 and
+    a run w that neither starts nor ends in that factor: its cyclic split
+    merges y x into the core's last syllable, unless u cancels into x."""
+    factors = group.factors
+    f = draw(st.sampled_from([f for f, g in enumerate(factors) if g.order > 2]))
+    table, order = factors[f].table, factors[f].order
+    x = draw(st.integers(1, order - 1))
+    y = draw(st.integers(1, order - 1).filter(lambda y: table[y][x]))
+    w = draw(runs(group, 5, avoid=f, min_len=1))
+    if w[-1][0] == f:
+        w = w[:-1]
+    u = draw(runs(group, max_conjugator))
+    core = ((f, x),) + w + ((f, y),)
+    return tk.product(factors, tk.product(factors, u, core), tk.inverse(factors, u))
+
+
+@groups
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_split_power_matches_power_and_its_split(group, data):
+    # u^k and its split built from u's split, for cores of norm 0, 1 and
+    # >= 2, merged or not, and k of either sign: equal to power_syllables,
+    # to the split of that power and to the tuple kernels; and the
+    # conjugacy test given the power's split decides as it does without
+    codec, factors, ids = group.codec, group.factors, encoder(group)
+    s = data.draw(st.one_of(conjugates(group), merged_conjugates(group)), label="s")
+    split = _cyclic_split(codec, ids(s))
+    exponents = st.integers(1, 60).flatmap(lambda k: st.sampled_from([k, -k]))
+    ks = data.draw(st.lists(exponents, min_size=1, max_size=4), label="k")
+    g, j = data.draw(runs(group, 3), label="g"), data.draw(st.integers(0, 10**6), label="j")
+    other = data.draw(conjugates(group, 4), label="t")
+    for k in ks:
+        power = tk.power(factors, s, k)
+        i, core = tk.cyclic_split(factors, power)
+        got, got_split = _split_power(codec, ids(s), split, k)
+        assert got == power_syllables(codec, ids(s), k) == ids(power)
+        assert got_split == _cyclic_split(codec, got) == (i, ids(core))
+        j %= max(len(core), 1)
+        rotated = tk.product(factors, tk.product(factors, power[:i], core[j:] + core[:j]),
+                             tk.inverse(factors, power[:i]))
+        for t in (power, tk.product(factors, tk.product(factors, g, rotated),
+                                    tk.inverse(factors, g)), other):
+            expected = tk.conjugator(factors, power, t)
+            expected = None if expected is None else ids(expected)
+            with_split = _conjugator(codec, got, ids(t), got_split)
+            assert with_split == _conjugator(codec, got, ids(t)) == expected
+
+
 @groups
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -188,4 +239,4 @@ def test_conjugator_and_centralizer_match_the_tuple_kernels(group, data):
     if b:
         bound = data.draw(st.integers(0, 12), label="bound")
         expected = [ids(z) for z in tk.centralizer(factors, b, bound)]
-        assert _centralizer(codec, ids(b), bound) == expected
+        assert _centralizer(codec, ids(b), _cyclic_split(codec, ids(b)), bound) == expected

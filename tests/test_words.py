@@ -283,8 +283,8 @@ def spy_conjugator(monkeypatch):
     calls = []
     real = words._conjugator
 
-    def spy(codec, b, t):
-        result = real(codec, b, t)
+    def spy(codec, b, t, split=None):
+        result = real(codec, b, t, split)
         calls.append((b, t, result))
         return result
 
@@ -581,15 +581,18 @@ def test_commuting_pairs_work(p23, monkeypatch):
     # the work, exactly: B = x1^-1 is a lone input with no power, read
     # without a merge, and T = x1^-1 rhs shares its one inversion of x1 per
     # key (890); record() inverts each value once (890), and the
-    # centralizers' roots make the rest
-    assert (merges, inversions, powers) == (5299, 3036, 1256)
+    # centralizers' roots make the rest; each power of a root is built from
+    # the root's split, with no power_syllables call
+    assert (merges, inversions, powers) == (5299, 3036, 0)
     # the inverted commutator has the same solutions, found and re-checked
     # with as many merges: its re-check splices the inverted group's body
-    # into one merge, as it splices the group's
-    plain, merges = merges, 0
+    # into one merge, as it splices the group's, walking it in reverse so
+    # that each variable's inverse is read from the cache.  Its B = x1 is
+    # not inverted, so it makes one inversion per key (890) fewer.
+    plain, merges, inversions = merges, 0, 0
     inverted = parse_equation("[x1,x2]^-1 = 1", p23)
     assert solve_bounded(inverted, {1: ball, 2: ball}, mode="all") == found
-    assert merges == plain
+    assert (merges, inversions) == (plain, 3036 - 890)
 
 
 def test_solve_bounded_single_occurrence_work(z6z2, monkeypatch):
@@ -1070,8 +1073,8 @@ def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch):
     assert len(solve_bounded(eq, {1: ball, 2: ball}, mode="all")) == commuting == 98
     real = words._centralizer
 
-    def widened(codec, b, bound):
-        return real(codec, b, bound) + [codec.symbols[0][1], codec.symbols[1][1]]
+    def widened(codec, b, split, bound):
+        return real(codec, b, split, bound) + [codec.symbols[0][1], codec.symbols[1][1]]
 
     monkeypatch.setattr(words, "_centralizer", widened)
     with pytest.raises(VerificationError):
