@@ -64,9 +64,12 @@ CHECKS = [
     (["verify-lemma4", "--group", str(CASES / "example1.grp"),
       "--trials", "100", "--seed", "0"], 0),
     # 2 * 80 * (letters) + 1 exponent sums per coefficient of infinite
-    # order, each decided from the norm of f^n without building it
+    # order, all covered by one closed form in f's order
     (["verify-lemma4", "--group", str(CASES / "p23.grp"),
       "--trials", "100", "--seed", "0", "--power-bound", "80"], 0),
+    # a bound of 10^12 costs no more: 4,000,000,000,001 sums, no power built
+    (["verify-lemma4", "--group", str(CASES / "p23.grp"), "--f", "a b",
+      "--power-bound", "1000000000000", "--json"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "6"], 0),
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),

@@ -16,7 +16,7 @@ Keys beyond the fixed shape: solve's "counters", its work counts, where
 "counters", the same-factor "pairs" condition 2 scanned and the
 "table_entries" of their conjugate tables; verify-lemma5's
 witness "F" (f(x) in the variables) and "image"; verify-lemma4's
-"infinite_order_checked" and "counters", the exponent sums tried
+"infinite_order_checked" and "counters", the exponent sums covered
 ("candidates") and the powers built to compare ("powers_built"); axis's
 "counters", the "syllables_rendered" into text.
 

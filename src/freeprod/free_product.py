@@ -337,16 +337,6 @@ def _split_power(
     return s[:i] + (core[:-1] if merged else core) + s[len(s) - i:], (i, core)
 
 
-def _power_norm(codec: Codec, norm: int, core: str, k: int) -> int:
-    """Norm of u^k, k >= 1, for u of the given norm with cyclic core
-    ``core``, without building u^k: a one-syllable core (f, e) becomes
-    e^k, and u^k has u's norm, or 0 when e^k = 1; copies of a core of norm
-    >= 2 never cancel, so each of the k - 1 extra ones adds its norm."""
-    if len(core) == 1:
-        return norm if codec.factors[codec.factor[core]].power(codec.element[core], k) else 0
-    return norm + len(core) * (k - 1)
-
-
 def _is_rotation(a: str, b: str) -> int | None:
     """The least k with b == a[k:] + a[:k] (a and b nonempty and equally
     long), or None: str.find of b in a + a, in C."""

@@ -40,6 +40,7 @@ from .errors import (
     WordSyntaxError,
 )
 from .free_product import (
+    INFINITE,
     MAX_POWER_SYLLABLES,
     Ball,
     CyclicReduction,
@@ -50,7 +51,6 @@ from .free_product import (
     _conjugator,
     _cyclic_split,
     _inverse_syllables,
-    _power_norm,
     _product,
     _seam_merge,
     _split_power,
@@ -1081,38 +1081,28 @@ def cyclic_power_solution_exists(
     counters: dict | None = None,
 ) -> bool:
     """Whether some substitution x_j = f^{n_j}, |n_j| <= bound, solves the
-    power equation (only meaningful when f has infinite order).
+    power equation; the verdict for every n comes from f's order alone.
 
-    With x_j = f^{n_j} the left side is f^(p * sum n_j), so the search space
-    collapses to the possible exponent sums n.  f is split once (or
-    ``reduction``, f's cyclic reduction, is used), and f^n = f needs f^n to
-    have f's norm, which the split gives exactly for every n (see
-    free_product._power_norm; f^-n has the norm of f^n); f^n is built and
-    compared with f only when the norms agree.  For f of infinite order no
-    candidate other than n = +-1 has f's norm, so nothing is built.
-    ``counters``, when given, gets ``candidates`` (exponent sums tried) and
-    ``powers_built`` (powers built and compared) added to it.
+    With x_j = f^{n_j} the left side is f^(p * n), n = sum n_j, |n| <=
+    bound * m, and f^(p n) = f iff f^(p n - 1) = 1.  For f of infinite order
+    that needs p n = 1, which no integer n gives, as p >= 2.  For f of order
+    d, d is the order of an element of some factor, so d < p and p is
+    invertible modulo d: with r = p^-1 mod d (r = 0 when d = 1) the solving
+    n are r + d Z, the nearest to 0 being r and r - d, so some n solves iff
+    min(r, d - r) <= bound * m.  ``reduction``, f's cyclic reduction when
+    known, supplies the order.  ``counters``, when given, gets
+    ``candidates`` (the 2 * bound * m + 1 exponent sums the answer covers)
+    and ``powers_built`` (0: no power is built) added to it.
     """
-    f = cons.equation.rhs
-    if reduction is None:
-        reduction = f.cyclic_reduce()
-    codec, norm, core = f.group.codec, f.norm, reduction.core.ids
-    m = len(cons.exponents)
-    p = cons.prime
-    found, candidates, built = False, 0, 0
-    for total in range(-bound * m, bound * m + 1):
-        n = p * total
-        candidates += 1
-        if (_power_norm(codec, norm, core, abs(n)) if n else 0) != norm:
-            continue
-        built += 1
-        if f.power(n) == f:
-            found = True
-            break
+    d = (cons.equation.rhs if reduction is None else reduction).order()
+    reach = bound * len(cons.exponents)
     if counters is not None:
-        counters["candidates"] = counters.get("candidates", 0) + candidates
-        counters["powers_built"] = counters.get("powers_built", 0) + built
-    return found
+        counters["candidates"] = counters.get("candidates", 0) + 2 * reach + 1
+        counters.setdefault("powers_built", 0)
+    if d == INFINITE:
+        return False
+    r = pow(cons.prime, -1, d)
+    return min(r, d - r) <= reach
 
 
 def _variables_for_generators(group: FreeProduct) -> dict[str, int]:

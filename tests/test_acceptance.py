@@ -110,8 +110,9 @@ def test_criterion_4_lemma4_constructions(p23, s3z2):
                 assert evaluate(cons.equation.lhs, cons.g_solution) == cons.equation.rhs
                 f = cons.equation.rhs
                 if f.order() == INFINITE:
-                    # x_j = f^{n_j} makes the left side f^(p * sum n_j); the
-                    # collapsed sum sweep covers every |n_j| <= 20 tuple.
+                    # x_j = f^{n_j} makes the left side f^(p * sum n_j), and
+                    # f^(p n) = f needs p n = 1 for f of infinite order, so
+                    # no |n_j| <= 20 tuple solves; sampled tuples confirm it.
                     assert not words.cyclic_power_solution_exists(cons, bound=20)
                     for _ in range(3):
                         ns = [rng.randint(-20, 20) for _ in cons.exponents]

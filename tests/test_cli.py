@@ -816,7 +816,7 @@ def test_cli_verify_lemma4_decides_candidates_without_powers(capsys):
         return report["infinite_order_checked"], report["counters"]
 
     # f = a b has infinite order: 2 * bound * 2 + 1 exponent sums, decided
-    # from their norms alone
+    # from f's order alone
     for bound in (0, 5, 10, 20, 40, 80):
         assert counters(bound, "--f", "a b") == (
             1, {"candidates": 4 * bound + 1, "powers_built": 0})
@@ -901,6 +901,23 @@ def test_cli_verify_lemma7_refuses_a_one_factor_group():
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "error: a free product of one factor has no element of norm 2 or more\n"
+
+
+def test_cli_verify_lemma4_huge_power_bound_ends_at_once():
+    # The verdict comes from f's order in closed form, so a bound of 10^12
+    # covers 4 * 10^12 + 1 exponent sums at no cost.  Run in a child with a
+    # timeout, so that a per-sum loop fails the test instead of hanging the
+    # suite.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "freeprod", "verify-lemma4", "--group",
+         str(CASES / "p23.grp"), "--f", "a b", "--power-bound", "1000000000000", "--json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert report["verdict"] == "verified" and report["infinite_order_checked"] == 1
+    assert report["counters"] == {"candidates": 4000000000001, "powers_built": 0}
 
 
 def test_cli_group_spec_errors(capsys, tmp_path):

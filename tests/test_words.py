@@ -762,27 +762,29 @@ def _check_cyclic_power_against_oracle(cons, bound):
     found = words.cyclic_power_solution_exists(cons, bound, f.cyclic_reduce(), work)
     assert found == _cyclic_power_oracle(cons, bound)
     assert words.cyclic_power_solution_exists(cons, bound) == found
-    span = 2 * bound * len(cons.exponents) + 1
-    assert work["powers_built"] <= work["candidates"] <= span
-    assert work["candidates"] == span or found
-    if f.order() == INFINITE:
-        assert work["powers_built"] == 0
+    assert work == {"candidates": 2 * bound * len(cons.exponents) + 1, "powers_built": 0}
     return found
+
+
+# Factor orders above 3, so that f of finite order d has a threshold
+# min(p^-1 mod d, d - p^-1 mod d) above 1: p = 13 and 11.
+_C11C2 = FreeProduct([make_cyclic(11, "a"), make_cyclic(2, "b")])
+_D5C7 = FreeProduct([make_dihedral_reflections(5), make_cyclic(7, "c")])
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), bound=st.integers(0, 6))
 def test_cyclic_power_norm_first_matches_building_every_power(p23, s3z2, p222, data, bound):
-    group = data.draw(st.sampled_from([p23, s3z2, p222]))
+    group = data.draw(st.sampled_from([p23, s3z2, p222, _C11C2, _D5C7]))
     labels = data.draw(st.lists(st.sampled_from(group.generator_labels), min_size=1,
                                 max_size=5))
     _check_cyclic_power_against_oracle(build_lemma4(group, " ".join(labels)), bound)
 
 
 def test_cyclic_power_norm_first_finds_finite_order_solutions(p23, s3z2):
-    # f of finite order: f^(p n) = f for p n = 1 modulo the order of f, so
-    # candidates with f's norm do solve, and the answer is True.
-    # Answers at bounds 0, 1 and 3; at bound 0 only n = 0 is tried, which
+    # f of finite order d: f^(p n) = f for p n = 1 modulo d, so some sum
+    # solves once the bound reaches it, and the answer is True.
+    # Answers at bounds 0, 1 and 3; at bound 0 only n = 0 is covered, which
     # solves for f = 1 alone.
     solvable, unsolvable, identity = (False, True, True), (False,) * 3, (True,) * 3
     for group, text, expected in (
@@ -793,6 +795,17 @@ def test_cyclic_power_norm_first_finds_finite_order_solutions(p23, s3z2):
         cons = build_lemma4(group, text)
         assert tuple(_check_cyclic_power_against_oracle(cons, bound)
                      for bound in (0, 1, 3)) == expected
+    # larger orders: the least solving |n| is min(r, d - r), r = p^-1 mod d,
+    # reached at bound * (letters) >= that; answers at bounds 0 to 6
+    F, T = False, True
+    for group, text, expected in (
+        (_C11C2, "a", (F, F, F, F, F, T, T)),  # d = 11, p = 13: n = r - d = -5
+        (_C11C2, "a a", (F, F, F, T, T, T, T)),  # f = a^2, two letters: |n| = 5
+        (_D5C7, "c", (F, F, T, T, T, T, T)),  # d = 7, p = 11: n = r = 2
+    ):
+        cons = build_lemma4(group, text)
+        assert tuple(_check_cyclic_power_against_oracle(cons, bound)
+                     for bound in range(7)) == expected
 
 
 # -- twisted power equation --------------------------------------------------
