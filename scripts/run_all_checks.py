@@ -46,6 +46,10 @@ CHECKS = [
     # per part order: O(|G| |H_2| + sum of ord f) per pair
     (["check", "--group", str(CASES / "d138.grp"),
       "--subgroup", str(CASES / "d138.sub")], 0),
+    # a witness with g = a b != 1 and k2 = 3: f = t a b a, f^2 in <t> and
+    # f^3 in the conjugate of <b> by a b
+    (["check", "--group", str(CASES / "c3d4.grp"),
+      "--subgroup", str(CASES / "c3d4.sub")], 1),
     (["verify-theorem2", "--range", "6"], 0),
     # 8 * 17^3 = 39,304 substitutions, x2 and x3 bound once per (t, s) and
     # (e2, e3), for both values of e1

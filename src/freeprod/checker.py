@@ -109,24 +109,6 @@ def _condition1(data: KuroshData) -> Violation | None:
     return Violation(kind=CONDITION1, free_rank=data.free_rank) if data.free_rank else None
 
 
-def _powers(group, f: int) -> list[int]:
-    # powers[k] = f^k for k = 0 .. order(f); index 0 unused by the scans.
-    out = [0]
-    x = f
-    while True:
-        out.append(x)
-        if x == 0:
-            return out
-        x = group.table[x][f]
-
-
-def _first_power_in(powers: Sequence[int], target: set[int]) -> int | None:
-    for k in range(1, len(powers)):
-        if powers[k] != 0 and powers[k] in target:
-            return k
-    return None
-
-
 def _first_conjugator(group, sub: Sequence[int]) -> list[int]:
     """first[x] = the least g with x in g sub g^-1, or group.order when
     there is none; O(|G| |sub|).  Walking g downwards leaves the least
@@ -140,28 +122,46 @@ def _first_conjugator(group, sub: Sequence[int]) -> list[int]:
     return first
 
 
-def _conjugate(group, sub: Sequence[int], g: int) -> set[int]:
-    table, gi = group.table, group.inverses[g]
-    return {table[table[g][h]][gi] for h in sub}
-
-
 def _pair_witness(group, sub1: Sequence[int], sub2: Sequence[int]):
-    """First (f, g, k1, k2) in scan order (f, then g, ascending) with f^k1
-    in sub1 \\ {1} and f^k2 in g sub2 g^-1 \\ {1}; None when the pair is
-    clean.  The least such g for f is the least _first_conjugator entry
-    over f's nonidentity powers, so each f costs O(ord f) once the table
-    is built."""
+    """Condition 2's witness for one pair: the first (f, g, k1, k2) in scan
+    order (f, then g, ascending) with f^k1 in sub1 \\ {1} and f^k2 in
+    g sub2 g^-1 \\ {1}; None when the pair is clean.  One walk over f's
+    nonidentity powers finds k1, the first power in sub1, and g, the least
+    _first_conjugator entry over them; k2 is the first power x with
+    g^-1 x g in sub2.  Each f costs O(ord f) once the table is built."""
+    table, n = group.table, group.order
     first = _first_conjugator(group, sub2)
     set1 = set(sub1)
-    for f in range(1, group.order):
-        powers = _powers(group, f)
-        k1 = _first_power_in(powers, set1)
-        if k1 is None:
-            continue
-        g = min(map(first.__getitem__, powers[1:-1]))
-        if g < group.order:
-            return f, g, k1, _first_power_in(powers, _conjugate(group, sub2, g))
+    for f in range(1, n):
+        k1 = k = 0
+        g, x = n, f
+        while x:
+            k += 1
+            if not k1 and x in set1:
+                k1 = k
+            if first[x] < g:
+                g = first[x]
+            x = table[x][f]
+        if k1 and g < n:
+            gi, set2 = group.inverses[g], set(sub2)
+            x, k2 = f, 1
+            while x and table[table[gi][x]][g] not in set2:
+                x, k2 = table[x][f], k2 + 1
+            return f, g, k1, k2
     return None
+
+
+def _meet_witness(group, sub1: Sequence[int], sub2: Sequence[int]):
+    """Condition 3's witness for one pair: (f, g, 1, 1) for the first g
+    with sub1 meeting g sub2 g^-1 in more than 1, and f the least element
+    of that meet other than 1, found as the x in sub1 with g^-1 x g in
+    sub2; None when every meet is trivial."""
+    first = _first_conjugator(group, sub2)
+    g = min(first[x] for x in sub1 if x)
+    if g == group.order:
+        return None
+    table, gi, set2 = group.table, group.inverses[g], set(sub2)
+    return min(x for x in sub1 if x and table[table[gi][x]][g] in set2), g, 1, 1
 
 
 def _same_factor_pairs(data: KuroshData):
@@ -174,58 +174,31 @@ def _same_factor_pairs(data: KuroshData):
                 yield data.ambient.factors[p1.factor], j1, p1, j2, p2
 
 
+def _pair_violations(data: KuroshData, witness) -> list[Violation]:
+    """One violation per ordered same-factor pair of distinct part
+    positions for which witness(factor group, H1, H2) finds (f, g, k1, k2)."""
+    return [
+        Violation(CONDITION2, p1.factor, (j1, j2), *found)
+        for group, j1, p1, j2, p2 in _same_factor_pairs(data)
+        if (found := witness(group, p1.subgroup, p2.subgroup))
+    ]
+
+
 def check_condition2(data: KuroshData) -> list[Violation]:
     """One violation (first witness in scan order) per ordered same-factor
     pair of distinct part positions that admits a common cyclic witness."""
     _require_valid(data)
-    return _condition2(data)
-
-
-def _condition2(data: KuroshData) -> list[Violation]:
-    out: list[Violation] = []
-    for group, j1, p1, j2, p2 in _same_factor_pairs(data):
-        found = _pair_witness(group, p1.subgroup, p2.subgroup)
-        if found:
-            f, g, k1, k2 = found
-            out.append(
-                Violation(
-                    kind=CONDITION2,
-                    factor=p1.factor,
-                    part_indices=(j1, j2),
-                    witness_f=f,
-                    witness_g=g,
-                    k1=k1,
-                    k2=k2,
-                )
-            )
-    return out
+    return _pair_violations(data, _pair_witness)
 
 
 def check_condition3(data: KuroshData) -> list[Violation]:
     """Trivial-intersection check: for every ordered same-factor pair and
     every g in the factor, part1 meets g part2 g^-1 trivially.  Violations
-    are the k1 = k2 = 1 slice of condition 2, over the same pairs: the
-    first g (in element order) with a nontrivial meet, and its least
-    nontrivial element as f."""
+    are the k1 = k2 = 1 slice of condition 2, over the same pairs and
+    through the same loop: the first g (in element order) with a
+    nontrivial meet, and its least nontrivial element as f."""
     _require_valid(data)
-    out: list[Violation] = []
-    for group, j1, p1, j2, p2 in _same_factor_pairs(data):
-        first = _first_conjugator(group, p2.subgroup)
-        g = min(first[x] for x in p1.subgroup if x != 0)
-        if g < group.order:
-            meet = set(p1.subgroup) & _conjugate(group, p2.subgroup, g)
-            out.append(
-                Violation(
-                    kind=CONDITION2,
-                    factor=p1.factor,
-                    part_indices=(j1, j2),
-                    witness_f=min(meet - {0}),
-                    witness_g=g,
-                    k1=1,
-                    k2=1,
-                )
-            )
-    return out
+    return _pair_violations(data, _meet_witness)
 
 
 def check_all(data: KuroshData) -> Verdict:
@@ -235,7 +208,7 @@ def check_all(data: KuroshData) -> Verdict:
     v1 = _condition1(data)
     if v1:
         violations.append(v1)
-    violations.extend(_condition2(data))
+    violations.extend(_pair_violations(data, _pair_witness))
     pairs = [(group, p2) for group, _, _, _, p2 in _same_factor_pairs(data)]
     return Verdict(
         tuple(violations),

@@ -77,32 +77,23 @@ def act(h: FPElement, v: TreeVertex) -> TreeVertex:
 def vertex_distance(v: TreeVertex, w: TreeVertex) -> int:
     """Tree metric in edge units.
 
-    Distances between element vertices are even (2 * syllable norm of the
-    quotient), mixed distances odd; everything reduces to the normal form
-    of the relative position.
+    With u = rep(v)^-1 rep(w) (see _vertex_rep), two distinct vertices lie
+    2 |u| edges apart plus one per coset vertex among them, less 2 at each
+    coset end whose factor holds u's syllable at that end (that syllable
+    stays inside the coset).  So distances between element vertices are
+    even and mixed distances odd.
     """
     if _vertex_group(v) is not _vertex_group(w):
         raise MixedAmbientError("vertices live in different ambient groups")
-    if isinstance(v, CosetVertex) and isinstance(w, ElementVertex):
-        v, w = w, v
-    if isinstance(v, ElementVertex):
-        if isinstance(w, ElementVertex):
-            return 2 * (v.element.inverse() * w.element).norm
-        u = v.element.inverse() * w.rep
-        k = u.norm
-        if u.ids and u.group.codec.factor[u.ids[-1]] == w.factor:
-            k -= 1
-        return 2 * k + 1
     if v == w:
         return 0
-    u = v.rep.inverse() * w.rep
-    k = u.norm
-    factor = u.group.codec.factor
-    if u.ids and factor[u.ids[0]] == v.factor:
-        k -= 1
-    if u.ids and factor[u.ids[-1]] == w.factor:
-        k -= 1
-    return 2 * k + 2
+    u = _vertex_rep(v).inverse() * _vertex_rep(w)
+    ids, factor = u.ids, u.group.codec.factor
+    distance = 2 * u.norm
+    for end, i in ((v, 0), (w, -1)):
+        if isinstance(end, CosetVertex):
+            distance += -1 if ids and factor[ids[i]] == end.factor else 1
+    return distance
 
 
 @dataclass(frozen=True)

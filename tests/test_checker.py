@@ -409,19 +409,33 @@ _FACTORS = (
        # different least conjugators; with sub1 = <f^2> only the least
        # of them gives the scan's witness, and no factor above tells the
        # least from the greatest
-       direct_product(make_cyclic(4, "t"), make_dihedral_reflections(4))]
+       direct_product(make_cyclic(4, "t"), make_dihedral_reflections(4)),
+       # for sub1 = <t> and sub2 = <b>, f = t a b a has f^2 = t^2 in sub1
+       # and f^3 = a b a = (a b) b (a b)^-1: the one factor here, over
+       # every subgroup at most two elements generate, with a witness
+       # whose g != 1 and k2 >= 2, the case the k2 walk exists for
+       direct_product(make_cyclic(3, "t"), make_dihedral_reflections(4))]
 )
 _AMBIENTS = [FreeProduct([g, make_cyclic(2, "z")]) for g in _FACTORS]
 
 
 def _c4d4_case():
     """(index, <f^2>, <t (a b)^-1>) for f = t (a b) in C4 x D4 (see _FACTORS)."""
-    i = len(_FACTORS) - 1
+    i = len(_FACTORS) - 2
     g = _FACTORS[i]
     t, a, b = (e for _, e in g.generators)
     ab = g.mul(a, b)
     f = g.mul(t, ab)
     return i, g.generated_subgroup([g.power(f, 2)]), g.generated_subgroup([g.mul(t, g.inv(ab))])
+
+
+def _c3d4_case():
+    """(index, <t>, <b>) in C3 x D4 (see _FACTORS): the witness is
+    f = t a b a, g = a b, k1 = 2, k2 = 3."""
+    i = len(_FACTORS) - 1
+    g = _FACTORS[i]
+    t, _, b = (e for _, e in g.generators)
+    return i, g.generated_subgroup([t]), g.generated_subgroup([b])
 
 
 @st.composite
@@ -435,6 +449,7 @@ def factor_and_two_subgroups(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=factor_and_two_subgroups())
 @example(case=_c4d4_case())
+@example(case=_c3d4_case())
 def test_pair_witness_is_the_scan_orders_first_witness(case):
     i, sub1, sub2 = case
     group = _FACTORS[i]

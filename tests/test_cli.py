@@ -497,6 +497,13 @@ GOLDEN_TEXT = [
      "solution in the depth-6 ball (50 elements):\n  x1 = a b, x2 = a\n  x1 = a b, x2 = b\n"
      "  x1 = a b, x2 = a b^2 a\n  x1 = a b, x2 = b a b\n  x1 = a b, x2 = a b^2 a b^2 a\n"
      "  x1 = a b, x2 = b a b a b\n"),
+    # a witness with g != 1 and k2 >= 2 (cases/c3d4.sub)
+    (["check", "--group", "c3d4", "--subgroup", "c3d4"], 1,
+     "fails the necessary conditions:\n"
+     "  parts 0 and 1 in factor 0: f = t a b a with f^2 in part 0 and f^3 in conjugate of "
+     "part 1 by g = a b\n"
+     "  parts 1 and 0 in factor 0: f = t b with f^3 in part 1 and f^2 in conjugate of "
+     "part 0 by g = 1\n"),
 ]
 
 

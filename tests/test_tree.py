@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from freeprod import tree
 from freeprod.errors import MixedAmbientError, NotHyperbolicError, VerificationError
 from conftest import raw_syllable_lists
-from freeprod.free_product import INFINITE
+from freeprod.finite_group import make_cyclic
+from freeprod.free_product import INFINITE, FreeProduct
 from freeprod.sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
@@ -85,31 +86,32 @@ def materialized_ball(group, radius_sylls):
     return vertices, adj
 
 
-def bfs_distance(adj, start, goal):
+def bfs_distances(adj, start):
+    """Edge distance from start to every vertex of the materialized ball."""
     seen = {start: 0}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        if v == goal:
-            return seen[v]
         for w in adj.get(v, ()):
             if w not in seen:
                 seen[w] = seen[v] + 1
                 queue.append(w)
-    return None
+    return seen
 
 
 def test_distance_matches_bfs_oracle(p23):
-    vertices, adj = materialized_ball(p23, 4)
-    near = [
-        v
-        for v in vertices
-        if (v.element if isinstance(v, ElementVertex) else v.rep).norm <= 2
-    ]
-    rng = random.Random(2)
-    pairs = [(rng.choice(near), rng.choice(near)) for _ in range(120)]
-    for v, w in pairs:
-        assert vertex_distance(v, w) == bfs_distance(adj, v, w)
+    # Every pair of vertices within two syllables of the base, so v == w,
+    # element and coset ends, and the coset end whose factor holds u's
+    # syllable at that end all occur; the geodesic between two such
+    # vertices stays inside the radius-4 ball.  Also on three factors.
+    c2c3c2 = FreeProduct([make_cyclic(2, "a"), make_cyclic(3, "b"), make_cyclic(2, "c")])
+    for group in (p23, c2c3c2):
+        vertices, adj = materialized_ball(group, 4)
+        near = [v for v in vertices if tree._vertex_rep(v).norm <= 2]
+        for v in near:
+            distances = bfs_distances(adj, v)
+            for w in near:
+                assert vertex_distance(v, w) == distances[w], (v.render(), w.render())
 
 
 def test_classify_examples(p23):
