@@ -178,6 +178,11 @@ CHECKS = [
     # x1 = a b
     (["solve", "--group", str(CASES / "p23.grp"), "--eq",
       "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a", "--ball", "a;b", "--depth", "6", "--all"], 0),
+    # the re-check fills a variable of each sign, a constant and the kept
+    # power x1^2 (the parser writes (x1 a x2^-1)^-1 out as x2 a^-1 x1^-1);
+    # 10 solutions
+    (["solve", "--group", str(CASES / "p23.grp"), "--eq", "(x1 a x2^-1)^-1 x1^2 = b",
+      "--ball", "a;b", "--depth", "3", "--all"], 0),
     # B = x1^-1 b and T = b^2 x1^-1 are never conjugate (their images in
     # C2 x C3 differ in b), so no pair solves it
     (["solve", "--group", str(CASES / "p23.grp"), "--eq", "x2^-1 x1^-1 b x2 x1 = b^2",

@@ -35,6 +35,7 @@ import math
 import random
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import checker, specfiles, tree, words
@@ -208,15 +209,11 @@ def _cmd_solve(args, ambient):
     found = words.solve_bounded(eq, candidates, mode="all" if args.all else "first",
                                 counters=work)
     solutions = found if args.all else ([found] if found else [])
-    texts: dict[str, str] = {}  # each distinct value is rendered once
-
-    def render(v) -> str:
-        text = texts.get(v.ids)
-        if text is None:
-            text = texts[v.ids] = v.as_word()
-        return text
-
-    witnesses = [{f"x{i}": render(v) for i, v in sub.assignment} for sub in solutions]
+    # each variable's name is made once, and each distinct value rendered once
+    names = {i: f"x{i}" for i in eq.lhs.free_variables()}
+    texts = {v.ids: v for sub in solutions for _, v in sub.assignment}
+    texts = {s: v.as_word() for s, v in texts.items()}
+    witnesses = [{names[i]: texts[v.ids] for i, v in sub.assignment} for sub in solutions]
     report = _report("solved" if solutions else "no-solution-in-set", witnesses=witnesses)
     # The search enumerates the ball unless a lone one-occurrence variable
     # is answered by membership alone.
@@ -512,11 +509,11 @@ _SCALARS = (str, int, float, type(None))  # bool is an int
 
 def _flat_dicts(obj) -> bool:
     """Whether ``obj`` is a list of two or more non-empty dicts whose
-    values are all scalars, such as the witnesses of ``solve --all``."""
-    return isinstance(obj, list) and len(obj) > 1 and all(
-        isinstance(d, dict) and d and all(isinstance(v, _SCALARS) for v in d.values())
-        for d in obj
-    )
+    values are all scalars, such as the witnesses of ``solve --all``: the
+    dicts are checked first, then all their values in one pass."""
+    return (isinstance(obj, list) and len(obj) > 1 and all(map(isinstance, obj, repeat(dict)))
+            and all(obj) and all(map(isinstance, chain.from_iterable(d.values() for d in obj),
+                                     repeat(_SCALARS))))
 
 
 def _json_text(report) -> str:

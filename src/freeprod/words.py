@@ -397,48 +397,64 @@ def evaluate(word: MixedWord, substitution) -> FPElement:
     return FPElement(word.group, _evaluate_syllables(word.letters, word.group, assignment, {}))
 
 
-def _evaluate_syllables(
-    items: Sequence[Item], group: FreeProduct, assignment, cache, pieces: list | None = None,
-    sign: int = 1,
-):
+def _evaluate_syllables(items: Sequence[Item], group: FreeProduct, assignment, inverses) -> str:
     """The value of ``items`` as a reduced id string, each variable's
-    value given as a reduced id string: each item's normal form is one
-    piece of a single seam merge, and a group or its inverse (Pow with
-    k = +-1) adds its body's pieces to that merge; a power of one piece
-    (such as one letter) is not merged first.  With ``sign`` = -1 the
-    value of the inverse of ``items`` is given instead: the items are
-    walked in reverse, each variable read with its sign flipped (so from
-    ``cache`` when it holds that inverse), a constant inverted and each
-    Pow's exponent negated.  Given ``pieces``, the pieces are appended to
-    it, and it is returned unmerged."""
+    value given as a reduced id string: its flat references (see
+    _flat_refs), filled (see _fill) and joined in one seam merge."""
     codec = group.codec
-    merge = pieces is None
-    if merge:
-        pieces = []
+    return _seam_merge(codec, "", _fill(_flat_refs(items, codec), codec, assignment, inverses))
+
+
+def _flat_refs(items: Sequence[Item], codec, sign: int = 1) -> list:
+    """The references whose values, joined in one seam merge, give the
+    value of ``items`` (of its inverse for ``sign`` = -1): (index, sign)
+    for each variable, the id string of each constant, and a group or its
+    inverse (a Pow with k = +-1) spliced in, its body walked in reverse
+    with every sign flipped when the sign is -1, so that a constant there
+    is inverted.  Any other Pow stays one entry, Pow(its body's
+    references, k), its exponent negated under an inversion.  A word is
+    flattened once and filled once per substitution."""
+    out: list = []
     for item in items if sign > 0 else reversed(items):
         kind = type(item)
         if kind is Var:
-            key = (item.index, item.sign * sign)
-            sylls = cache.get(key)
-            if sylls is None:
-                try:
-                    sylls = assignment[item.index]
-                except KeyError:
-                    raise UnboundVariableError(f"x{item.index} is unbound") from None
-                if key[1] < 0:
-                    sylls = _inverse_syllables(codec, sylls)
-                cache[key] = sylls
-            pieces.append(sylls)
+            out.append((item.index, item.sign * sign))
         elif kind is Const:
-            pieces.append(item.value.ids if sign > 0 else
-                          _inverse_syllables(codec, item.value.ids))
+            out.append(item.value.ids if sign > 0 else _inverse_syllables(codec, item.value.ids))
         elif item.k == 1 or item.k == -1:
-            _evaluate_syllables(item.body, group, assignment, cache, pieces, sign * item.k)
+            out += _flat_refs(item.body, codec, sign * item.k)
         else:
-            body = _evaluate_syllables(item.body, group, assignment, cache, [])
+            out.append(Pow(tuple(_flat_refs(item.body, codec)), sign * item.k))
+    return out
+
+
+def _fill(refs: Sequence, codec, assignment, inverses: dict) -> list:
+    """The values of flat references (see _flat_refs), for an assignment
+    of reduced id strings to variable indices: a variable's value, or its
+    inverse, computed once per value and kept in ``inverses``; a constant
+    as it is; a kept Pow's body filled and merged (one piece is not
+    merged), then raised by power_syllables."""
+    pieces = []
+    for r in refs:
+        kind = type(r)
+        if kind is tuple:
+            try:
+                s = assignment[r[0]]
+            except KeyError:
+                raise UnboundVariableError(f"x{r[0]} is unbound") from None
+            if r[1] < 0:
+                inv = inverses.get(s)
+                if inv is None:
+                    inv = inverses[s] = _inverse_syllables(codec, s)
+                s = inv
+            pieces.append(s)
+        elif kind is str:
+            pieces.append(r)
+        else:
+            body = _fill(r.body, codec, assignment, inverses)
             body = body[0] if len(body) == 1 else _seam_merge(codec, "", body)
-            pieces.append(power_syllables(codec, body, sign * item.k))
-    return _seam_merge(codec, "", pieces) if merge else pieces
+            pieces.append(power_syllables(codec, body, r.k))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +513,8 @@ class _Program:
       that hold another variable, at every nesting level, each kept once up
       to inversion (a lone letter with sign 1), and the bound steps, what
       lies between them (such as a run's inverse or power).  ``bind``
-      computes both once per binding of the other variables.
+      computes both once per binding of the other variables, each run by
+      filling its flat references, kept in ``run_refs`` (see _flat_refs).
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
       binding; a _Memo runs them once per distinct tuple of input values
@@ -525,9 +542,9 @@ class _Program:
     Otherwise ``signs`` is empty.
     """
 
-    __slots__ = ("group", "consts", "pure", "runs", "bound", "steps", "result", "needs_inverse",
-                 "head", "pure_ops", "bound_ops", "step_ops", "signs", "pieces", "deep",
-                 "split_width")
+    __slots__ = ("group", "consts", "pure", "runs", "run_refs", "bound", "steps", "result",
+                 "needs_inverse", "head", "pure_ops", "bound_ops", "step_ops", "signs", "pieces",
+                 "deep", "split_width")
 
     def __init__(self, items: Sequence[Item], group: FreeProduct, y: int):
         self.group = group
@@ -630,6 +647,7 @@ class _Program:
         order = [0, 1, *const_ids, *pure_ids, *run_ids, *bound_ids, *step_ids]
         index = {i: n for n, i in enumerate(order)}
         self.consts, self.runs = ([nodes[i][1] for i in part] for part in (const_ids, run_ids))
+        self.run_refs = [_flat_refs(run, group.codec) for run in self.runs]
         self.pure, self.bound, self.steps = (
             [tuple((index[j], k) for j, k in nodes[i][1]) for i in part]
             for part in (pure_ids, bound_ids, step_ids))
@@ -662,13 +680,14 @@ class _Program:
 
     def run_values(self, assignment) -> tuple:
         """The runs' values, for a binding of every variable but y to
-        reduced id strings; a lone letter is read, not merged."""
-        runs, cache = self.runs, {}
-        try:
-            return tuple([assignment[r[0].index] if len(r) == 1 else
-                          _evaluate_syllables(r, self.group, assignment, cache) for r in runs])
-        except KeyError as e:
-            raise UnboundVariableError(f"x{e.args[0]} is unbound") from None
+        reduced id strings: each run's flat references filled and merged
+        once; a lone letter is read, not merged."""
+        codec, inverses = self.group.codec, {}
+        values = []
+        for refs in self.run_refs:
+            pieces = _fill(refs, codec, assignment, inverses)
+            values.append(pieces[0] if len(pieces) == 1 else _seam_merge(codec, "", pieces))
+        return tuple(values)
 
     def bound_values(self, runs: Sequence[str]) -> list:
         """The runs' part of the value list, from the runs' values: the
@@ -753,10 +772,13 @@ def solve_bounded(
     solutions in mode "all"; an empty result certifies that no candidate
     tuple satisfies the equation.  Every returned solution is re-evaluated
     from scratch: the whole left side, from the equation's letters and the
-    solution's own values only (never a solver's intermediate results), as
-    one seam merge compared with rhs; a mismatch raises VerificationError.
-    The inverse of each value is computed once per search and shared by
-    the re-checks of every solution that uses it.  Given a dict
+    solution's own values only (never the _Program or a solver's
+    intermediate results), as one seam merge compared with rhs; a mismatch
+    raises VerificationError.  The letters are flattened once per search
+    (see _flat_refs), so each re-check fills that list from the solution's
+    values and merges it once.  The inverse of each value is computed once
+    per search and shared by the re-checks of every solution that uses
+    it.  Given a dict
     ``counters``, it is filled with the work counts ``outer_tuples`` (the
     tuples of the other variables covered) and ``outer_values`` (the
     distinct keys decided; ``outer_tuples`` when not fused), and
@@ -858,24 +880,20 @@ def solve_bounded(
 
     codec = group.codec
     rhs = eq.rhs.ids
+    # The re-check's own flat references, from the equation's letters alone
+    lhs_refs = _flat_refs(eq.lhs.letters, codec)
     inverses: dict[str, str] = {}  # each value's inverse, once per search
     results: list[Substitution] = []
 
     def record(pairs: tuple[tuple[int, FPElement], ...]) -> None:
-        cache = {}
-        for v, c in pairs:
-            s = c.ids
-            inv = inverses.get(s)
-            if inv is None:
-                inv = inverses[s] = _inverse_syllables(codec, s)
-            cache[v, 1], cache[v, -1] = s, inv
         sub = Substitution(pairs)
-        if _evaluate_syllables(eq.lhs.letters, group, {}, cache) != rhs:
+        pieces = _fill(lhs_refs, codec, {v: c.ids for v, c in pairs}, inverses)
+        if _seam_merge(codec, "", pieces) != rhs:
             raise VerificationError(f"search returned a non-solution {sub!r}")
         results.append(sub)
 
     if not variables:
-        if _evaluate_syllables(eq.lhs.letters, group, {}, {}) == rhs:
+        if _seam_merge(codec, "", _fill(lhs_refs, codec, {}, inverses)) == rhs:
             record(())
         if counters is not None:
             counters.update(outer_tuples=0, outer_values=0, image=None)

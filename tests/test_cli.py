@@ -427,88 +427,111 @@ def test_cli_axis(capsys):
 
 
 # The exact text (no --json) of every subcommand: argv with group and
-# subgroup files named by their stem in cases/, exit code, stdout.
-GOLDEN_TEXT = [
-    (["eval", "--group", "p23", "--word", "a b b"], 0, "a b b  ->  a b^2   (norm 2)\n"),
-    (["order", "--group", "p23", "--word", "b"], 0, "order(b) = 3\n"),
+# subgroup files named by their stem in cases/, exit code, stdout.  Each
+# row is keyed by its test id, so that a row added anywhere renames no
+# other test: the first 24 keep the ids of their first positions, and a
+# later row is named by its argv.
+GOLDEN_TEXT = {
+    "0-eval": (["eval", "--group", "p23", "--word", "a b b"], 0,
+               "a b b  ->  a b^2   (norm 2)\n"),
+    "1-order": (["order", "--group", "p23", "--word", "b"], 0, "order(b) = 3\n"),
     # above the power cap: the order is read from the base
-    (["order", "--group", "p23", "--word", "(a b)^6833241672693788912"], 0,
-     "order((a b)^6833241672693788912) = infinite\n"),
-    (["reduce", "--group", "p23", "--word", "b a b^2"], 0,
-     "b a b^2 = c * core * c^-1 with c = b, core = a (norm 1)\n"),
-    (["check", "--group", "example1", "--subgroup", "example1"], 1,
-     "fails the necessary conditions:\n"
-     "  parts 0 and 1 in factor 0: f = a with f^1 in part 0 and f^1 in conjugate of part 1 "
-     "by g = b a\n"
-     "  parts 1 and 0 in factor 0: f = b with f^1 in part 1 and f^1 in conjugate of part 0 "
-     "by g = a b\n"),
-    (["check", "--group", "klein", "--subgroup", "klein"], 0,
-     "passes the necessary conditions (inconclusive: they are not sufficient)\n"),
-    (["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b", "--depth", "1"], 0,
-     "solution in the depth-1 ball (4 elements):\n  x1 = 1, x2 = 1\n"),
-    (["solve", "--group", "p23", "--eq", "x1^2 = a b", "--ball", "a;b", "--depth", "2"], 1,
-     "no solution among the 8 ball elements (depth 2)\n"),
+    "2-order": (["order", "--group", "p23", "--word", "(a b)^6833241672693788912"], 0,
+                "order((a b)^6833241672693788912) = infinite\n"),
+    "3-reduce": (["reduce", "--group", "p23", "--word", "b a b^2"], 0,
+                 "b a b^2 = c * core * c^-1 with c = b, core = a (norm 1)\n"),
+    "4-check": (["check", "--group", "example1", "--subgroup", "example1"], 1,
+                "fails the necessary conditions:\n"
+                "  parts 0 and 1 in factor 0: f = a with f^1 in part 0 and f^1 in conjugate of "
+                "part 1 by g = b a\n"
+                "  parts 1 and 0 in factor 0: f = b with f^1 in part 1 and f^1 in conjugate of "
+                "part 0 by g = a b\n"),
+    "5-check": (["check", "--group", "klein", "--subgroup", "klein"], 0,
+                "passes the necessary conditions (inconclusive: they are not sufficient)\n"),
+    "6-solve": (["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b",
+                 "--depth", "1"], 0,
+                "solution in the depth-1 ball (4 elements):\n  x1 = 1, x2 = 1\n"),
+    "7-solve": (["solve", "--group", "p23", "--eq", "x1^2 = a b", "--ball", "a;b",
+                 "--depth", "2"], 1,
+                "no solution among the 8 ball elements (depth 2)\n"),
     # answered by membership alone: the ball is never built
-    (["solve", "--group", "example2", "--eq", "x1 = c a c b", "--ball", "a,b;a,b@c",
-      "--depth", "2"], 0, "solution in the depth-2 ball:\n  x1 = c a c b\n"),
-    (["solve", "--group", "example2", "--eq", "x1 = c", "--ball", "a,b;a,b@c", "--depth", "2"],
-     1, "no solution in the depth-2 ball\n"),
-    (["verify-theorem2", "--range", "2"], 0,
-     "1000 evaluations over k,t,s in [-2,2]: all case formulas confirmed, 0 matches against "
-     "the target\n"
-     "  note: case (1, 1, 0) sign-variant (-4, 4, -4) is excluded by direct evaluation; "
-     "verified form is (4, -4, -4)\n"
-     "  note: case (1, 1, 1) sign-variant (-4, 0, 4) is excluded by direct evaluation; "
-     "verified form is (4, 0, -4)\n"),
-    (["verify-lemma4", "--group", "p23", "--trials", "5", "--seed", "1"], 0,
-     "5 construction(s) verified, 1 infinite-order coefficient(s) checked against "
-     "cyclic-power substitutions (|n| <= 20): ok\n"),
-    (["verify-lemma4", "--group", "p23", "--trials", "5", "--f", "a b"], 0,
-     "1 construction(s) verified, 1 infinite-order coefficient(s) checked against "
-     "cyclic-power substitutions (|n| <= 20): ok\n"),
-    (["verify-lemma5", "--group", "example2", "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2",
-      "--depth", "2"], 0,
-     "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
-     "(8 elements): no F = x1 x2 in B_4 (22 values) has a solution; by B_2*B_2 = B_4 this "
-     "covers all 64 pairs\n"),
-    (["verify-lemma5", "--group", "example2", "--f", "b a b", "--g", "c", "--k1", "3",
-      "--k2", "2", "--depth", "2"], 0,
-     "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
-     "(8 elements): no solution\n"),
-    (["verify-lemma7", "--group", "p23", "--trials", "20", "--seed", "3"], 0,
-     "20 trials: core norm exceeded (N1+N2-4)*|A| in all cases (min margin 4)\n"),
-    (["axis", "--group", "p23", "--word", "b a b^2"], 0, "b a b^2 is elliptic; fixes C0:b\n"),
-    (["axis", "--group", "p23", "--word", "a b", "--window", "1"], 0,
-     "a b is hyperbolic; translation length 4 edges\n"
-     "axis window: E:b^2 a  C0:b^2  E:b^2  C1:1  E:1  C0:1  E:a  C1:a  E:a b  C0:a b  "
-     "E:a b a  C1:a b a\n"),
+    "8-solve": (["solve", "--group", "example2", "--eq", "x1 = c a c b", "--ball", "a,b;a,b@c",
+                 "--depth", "2"], 0, "solution in the depth-2 ball:\n  x1 = c a c b\n"),
+    "9-solve": (["solve", "--group", "example2", "--eq", "x1 = c", "--ball", "a,b;a,b@c",
+                 "--depth", "2"], 1, "no solution in the depth-2 ball\n"),
+    "10-verify-theorem2": (
+        ["verify-theorem2", "--range", "2"], 0,
+        "1000 evaluations over k,t,s in [-2,2]: all case formulas confirmed, 0 matches against "
+        "the target\n"
+        "  note: case (1, 1, 0) sign-variant (-4, 4, -4) is excluded by direct evaluation; "
+        "verified form is (4, -4, -4)\n"
+        "  note: case (1, 1, 1) sign-variant (-4, 0, 4) is excluded by direct evaluation; "
+        "verified form is (4, 0, -4)\n"),
+    "11-verify-lemma4": (
+        ["verify-lemma4", "--group", "p23", "--trials", "5", "--seed", "1"], 0,
+        "5 construction(s) verified, 1 infinite-order coefficient(s) checked against "
+        "cyclic-power substitutions (|n| <= 20): ok\n"),
+    "12-verify-lemma4": (
+        ["verify-lemma4", "--group", "p23", "--trials", "5", "--f", "a b"], 0,
+        "1 construction(s) verified, 1 infinite-order coefficient(s) checked against "
+        "cyclic-power substitutions (|n| <= 20): ok\n"),
+    "13-verify-lemma5": (
+        ["verify-lemma5", "--group", "example2", "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2",
+         "--depth", "2"], 0,
+        "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
+        "(8 elements): no F = x1 x2 in B_4 (22 values) has a solution; by B_2*B_2 = B_4 this "
+        "covers all 64 pairs\n"),
+    "14-verify-lemma5": (
+        ["verify-lemma5", "--group", "example2", "--f", "b a b", "--g", "c", "--k1", "3",
+         "--k2", "2", "--depth", "2"], 0,
+        "N = 13; generator substitution satisfies the equation; search over the depth-2 ball "
+        "(8 elements): no solution\n"),
+    "15-verify-lemma7": (
+        ["verify-lemma7", "--group", "p23", "--trials", "20", "--seed", "3"], 0,
+        "20 trials: core norm exceeded (N1+N2-4)*|A| in all cases (min margin 4)\n"),
+    "16-axis": (["axis", "--group", "p23", "--word", "b a b^2"], 0,
+                "b a b^2 is elliptic; fixes C0:b\n"),
+    "17-axis": (["axis", "--group", "p23", "--word", "a b", "--window", "1"], 0,
+                "a b is hyperbolic; translation length 4 edges\n"
+                "axis window: E:b^2 a  C0:b^2  E:b^2  C1:1  E:1  C0:1  E:a  C1:a  E:a b  C0:a b  "
+                "E:a b a  C1:a b a\n"),
     # one solve per solver path (see GOLDEN_SOLVE_PATHS)
-    (["solve", "--group", "example2", "--eq", "x1 x2 x3 = a", "--ball", "a,b;a,b@c",
-      "--depth", "2"], 0, "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = 1, x3 = a\n"),
-    (["solve", "--group", "example2", "--eq", "x3 x1 x2 x3^-1 = c a c", "--ball", "a,b;a,b@c",
-      "--depth", "2"], 0,
-     "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = c a c, x3 = 1\n"),
-    (["solve", "--group", "p23", "--eq", "(x1 x2)^2 x3^2 = 1", "--ball", "a;b", "--depth", "3"],
-     0, "solution in the depth-3 ball (14 elements):\n  x1 = 1, x2 = 1, x3 = 1\n"),
-    (["solve", "--group", "p23", "--eq", "[x1,x2]^-1 = 1", "--ball", "a;b", "--depth", "4"], 0,
-     "solution in the depth-4 ball (22 elements):\n  x1 = 1, x2 = 1\n"),
-    (["solve", "--group", "p23", "--eq", "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a",
-      "--ball", "a;b", "--depth", "6", "--all"], 0,
-     "solution in the depth-6 ball (50 elements):\n  x1 = a b, x2 = a\n  x1 = a b, x2 = b\n"
-     "  x1 = a b, x2 = a b^2 a\n  x1 = a b, x2 = b a b\n  x1 = a b, x2 = a b^2 a b^2 a\n"
-     "  x1 = a b, x2 = b a b a b\n"),
+    "18-solve": (["solve", "--group", "example2", "--eq", "x1 x2 x3 = a", "--ball", "a,b;a,b@c",
+                  "--depth", "2"], 0,
+                 "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = 1, x3 = a\n"),
+    "19-solve": (["solve", "--group", "example2", "--eq", "x3 x1 x2 x3^-1 = c a c",
+                  "--ball", "a,b;a,b@c", "--depth", "2"], 0,
+                 "solution in the depth-2 ball (61 elements):\n  x1 = 1, x2 = c a c, x3 = 1\n"),
+    "20-solve": (["solve", "--group", "p23", "--eq", "(x1 x2)^2 x3^2 = 1", "--ball", "a;b",
+                  "--depth", "3"], 0,
+                 "solution in the depth-3 ball (14 elements):\n  x1 = 1, x2 = 1, x3 = 1\n"),
+    "21-solve": (["solve", "--group", "p23", "--eq", "[x1,x2]^-1 = 1", "--ball", "a;b",
+                  "--depth", "4"], 0,
+                 "solution in the depth-4 ball (22 elements):\n  x1 = 1, x2 = 1\n"),
+    "22-solve": (["solve", "--group", "p23", "--eq", "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a",
+                  "--ball", "a;b", "--depth", "6", "--all"], 0,
+                 "solution in the depth-6 ball (50 elements):\n  x1 = a b, x2 = a\n"
+                 "  x1 = a b, x2 = b\n  x1 = a b, x2 = a b^2 a\n  x1 = a b, x2 = b a b\n"
+                 "  x1 = a b, x2 = a b^2 a b^2 a\n  x1 = a b, x2 = b a b a b\n"),
     # a witness with g != 1 and k2 >= 2 (cases/c3d4.sub)
-    (["check", "--group", "c3d4", "--subgroup", "c3d4"], 1,
-     "fails the necessary conditions:\n"
-     "  parts 0 and 1 in factor 0: f = t a b a with f^2 in part 0 and f^3 in conjugate of "
-     "part 1 by g = a b\n"
-     "  parts 1 and 0 in factor 0: f = t b with f^3 in part 1 and f^2 in conjugate of "
-     "part 0 by g = 1\n"),
-]
+    "23-check": (["check", "--group", "c3d4", "--subgroup", "c3d4"], 1,
+                 "fails the necessary conditions:\n"
+                 "  parts 0 and 1 in factor 0: f = t a b a with f^2 in part 0 and f^3 in "
+                 "conjugate of part 1 by g = a b\n"
+                 "  parts 1 and 0 in factor 0: f = t b with f^3 in part 1 and f^2 in "
+                 "conjugate of part 0 by g = 1\n"),
+    # a kept power, x1^2, on the single-occurrence path (see GOLDEN_SOLVE_PATHS)
+    "solve --group p23 --eq (x1 a x2^-1)^-1 x1^2 = b --ball a;b --depth 3 --all": (
+        ["solve", "--group", "p23", "--eq", "(x1 a x2^-1)^-1 x1^2 = b", "--ball", "a;b",
+         "--depth", "3", "--all"], 0,
+        "solution in the depth-3 ball (14 elements):\n  x1 = 1, x2 = b a\n  x1 = a, x2 = b\n"
+        "  x1 = b, x2 = a\n  x1 = b^2, x2 = b^2 a\n  x1 = a b, x2 = 1\n"
+        "  x1 = a b^2, x2 = b^2\n  x1 = a b a, x2 = b a b^2\n  x1 = a b^2 a, x2 = b a b\n"
+        "  x1 = b a b, x2 = a b^2 a\n  x1 = b^2 a b, x2 = a b a\n"),
+}
 
 
-@pytest.mark.parametrize("argv, code, out", GOLDEN_TEXT,
-                         ids=[f"{i}-{argv[0]}" for i, (argv, _, _) in enumerate(GOLDEN_TEXT)])
+@pytest.mark.parametrize("argv, code, out", GOLDEN_TEXT.values(), ids=GOLDEN_TEXT)
 def test_cli_text_output_is_pinned(capsys, argv, code, out):
     argv = [str(CASES / f"{a}.grp") if flag == "--group" else
             str(CASES / f"{a}.sub") if flag == "--subgroup" else a
@@ -568,6 +591,16 @@ GOLDEN_SOLVE_PATHS = {
     ("p23", "x1^3 x2 x1^2 x2^-1 = a b a b a b^2 a b a", "a;b", 6):
         ("7e6e4ede3327f251ee86e9f93ef4ccccc49f894f9742cba6b8b1dedbf79577d6",
          "37b64ca96805b2e637b2656963e8c86d26cd2f69ad0411c9dbbb83b50dd35883"),
+    # the single-occurrence path with a kept power, x1^2; the parser writes
+    # (x1 a x2^-1)^-1 out letter by letter, as x2 a^-1 x1^-1
+    ("p23", "(x1 a x2^-1)^-1 x1^2 = b", "a;b", 3):
+        ("0d5902ec35df603d37943609055cefb3417b1c1d82eb84e31366d137f1bc6dae",
+         "c882e5547d32edc8477f68a96a42c1adca62d172b1d60cab7efbfbaca0b5257e"),
+    # the coset path, re-checked through an inverted group that holds a
+    # constant of order 3, b, and the kept powers x1^2 and x1^-2
+    ("p23", "[x1^2 b, x2]^-1 x1 = b", "a;b", 3):
+        ("8e223257738e3590aa4bfc94a0b8d4d9aab5433d2ec7825bb3dc9301846983be",
+         "14d8015b72481401a7f0ba0cb11b630352cbb8382b0ae679ee8c88d7f597c535"),
 }
 
 
@@ -621,7 +654,7 @@ def test_cli_json_output_is_the_indented_dump_of_every_report(capsys, monkeypatc
     monkeypatch.setattr(cli, "_json_text", spy)
     solve_all = ["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b",
                  "--depth", "4", "--all"]
-    runs = [(argv, code) for argv, code, _ in GOLDEN_TEXT] + [(solve_all, 0)]
+    runs = [(argv, code) for argv, code, _ in GOLDEN_TEXT.values()] + [(solve_all, 0)]
     for argv, code in runs:
         argv = [str(CASES / f"{a}.grp") if flag == "--group" else
                 str(CASES / f"{a}.sub") if flag == "--subgroup" else a

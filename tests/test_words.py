@@ -22,7 +22,12 @@ from freeprod.errors import (
     VerificationError,
     WordSyntaxError,
 )
-from freeprod.finite_group import FiniteGroup, make_cyclic, make_dihedral_reflections
+from freeprod.finite_group import (
+    FiniteGroup,
+    direct_product,
+    make_cyclic,
+    make_dihedral_reflections,
+)
 from freeprod.free_product import INFINITE, Ball, FPElement, FreeProduct, enumerate_ball
 from freeprod.sampling import random_reduced, random_word_text
 from freeprod.words import (
@@ -230,6 +235,55 @@ def test_evaluate_powers_match_flat_expansion(p23, text, u, v, k):
             assert str(_HUGE) in text
             continue
         assert value == expected
+
+
+_Z6Z2 = FreeProduct([direct_product(make_cyclic(2, "a"), make_cyclic(3, "b")),
+                     make_cyclic(2, "c")])
+
+
+# Inverted groups (inverted commutators) holding b, which is not an
+# involution, and kept powers, one of them nested two deep.
+_INVERTED_GROUP_WORDS = ["[x1 b, x2^2 x3]^-1", "x1 [[x2, b x1^4], x3 a]^-1 x2^-1",
+                         "[x1^-2 b, x3]^-1 [x2, a b^2]^3"]
+
+
+def mixed_items(group, depth=2):
+    """Items over x1..x3 and constants of ``group`` (which has generators a
+    and b): variables of both signs, constants, groups and inverted groups
+    (Pow with k = +-1) and powers with 2 <= |k| <= 5, nested ``depth``
+    deep, or the items of one of _INVERTED_GROUP_WORDS."""
+    letters = st.one_of(st.builds(Var, st.integers(1, 3), st.sampled_from([1, -1])),
+                        elements(group, 3).map(Const))
+    items = st.lists(letters, max_size=4)
+    for _ in range(depth):
+        body = items.filter(bool).map(tuple)
+        exponents = st.one_of(st.sampled_from([1, -1]),  # groups, half of the Pows
+                              st.sampled_from([2, 3, 4, 5, -2, -3, -4, -5]))
+        items = st.lists(st.one_of(letters, st.builds(Pow, body, exponents)), max_size=4)
+    return st.one_of(st.sampled_from(_INVERTED_GROUP_WORDS).map(
+        lambda text: parse_word(text, group).letters), items)
+
+
+@pytest.mark.parametrize("group", [_P23, _Z6Z2], ids=["p23", "z6z2"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flat_refs_filled_and_merged_match_letter_by_letter(group, data):
+    # A word's flat references, filled from a substitution and joined in
+    # one merge, give the product of its written-out letters; the same
+    # references filled again, from a second substitution, with the
+    # inverses kept from the first, give that one's product.  The values
+    # are not the identity, so that a reversed walk or a lost sign shows.
+    items = tuple(data.draw(mixed_items(group), label="items"))
+    codec = group.codec
+    refs = words._flat_refs(items, codec)
+    inverses = {}
+    values = elements(group, 4).filter(lambda v: v.norm > 0)
+    for _ in range(2):
+        sub = {i: data.draw(values, label=f"x{i}") for i in (1, 2, 3)}
+        pieces = words._fill(refs, codec, {i: v.ids for i, v in sub.items()}, inverses)
+        expected = multiply_letters(words._expand(items), sub, group)
+        assert free_product._seam_merge(codec, "", pieces) == expected.ids
+        assert evaluate(MixedWord(group, items), sub) == expected
 
 
 # -- bounded solving ---------------------------------------------------------
@@ -1074,12 +1128,15 @@ def test_solve_bounded_rejects_a_false_match(p23, monkeypatch):
         solve_bounded(eq, {1: [b]}, mode="first")
 
 
-def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch):
+@pytest.mark.parametrize("text", ["[x1,x2] = 1", "[x1,x2]^-1 = 1"], ids=["commutator", "inverse"])
+def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch, text):
     # [x1,x2] = 1 takes the coset path: x2 ranges over c C(B) with
-    # B = T = x1^-1 and c = 1.  A centralizer widened by both generators
-    # holds, for every x1 != 1, a generator that does not commute with it;
-    # the re-check in record() must catch the hit it brings.
-    eq = parse_equation("[x1,x2] = 1", p23)
+    # B = T = x1^-1 and c = 1, and so does its inverse, whose group is
+    # spliced in inverted.  A centralizer widened by both generators holds,
+    # for every x1 != 1, a generator that does not commute with it; the
+    # re-check in record(), one merge of the equation's own flat
+    # references, must catch the hit it brings.
+    eq = parse_equation(text, p23)
     one = p23.identity()
     ball = enumerate_ball(p23, [(0, (0, 1), one), (1, (0, 1, 2), one)], 4)
     commuting = sum(x * y == y * x for x in ball for y in ball)
@@ -1090,7 +1147,7 @@ def test_solve_bounded_coset_path_rejects_a_false_match(p23, monkeypatch):
         return real(codec, b, split, bound) + [codec.symbols[0][1], codec.symbols[1][1]]
 
     monkeypatch.setattr(words, "_centralizer", widened)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="non-solution"):
         solve_bounded(eq, {1: ball, 2: ball}, mode="all")
 
 
