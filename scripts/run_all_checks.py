@@ -3,14 +3,16 @@
 
 Prints each command, its output (a line longer than LINE_CHARS is cut,
 with its length noted) and its exit code, and exits nonzero if any check
-lands somewhere other than its documented verdict.  Useful as a quick
-end-to-end smoke run:
+lands somewhere other than its documented verdict, or if a command run
+with --json prints other text than ``json.dumps(report, indent=2)`` of
+the report it prints.  Useful as a quick end-to-end smoke run:
 
     python3 scripts/run_all_checks.py
 """
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -94,6 +96,10 @@ CHECKS = [
     # syllables after it
     (["axis", "--group", str(CASES / "p23.grp"),
       "--word", "(a b)^4000 b a b^2 a (a b)^-4000", "--window", "1"], 0),
+    # the same shape at 20,002 syllables as a JSON report: its 0.75 MB of
+    # rendered vertices hold no character that JSON escapes
+    (["axis", "--group", str(CASES / "p23.grp"),
+      "--word", "(a b^2)^5000 b a b^2 a (a b^2)^-5000", "--window", "1", "--json"], 0),
     (["reduce", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE], 0),
     (["order", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE], 0),
     (["axis", "--group", str(CASES / "d150.grp"), "--word", D150_CONJUGATE,
@@ -219,6 +225,13 @@ CHECKS = [
 ]
 
 
+def _is_indented_json(text: str) -> bool:
+    try:
+        return text == json.dumps(json.loads(text), indent=2) + "\n"
+    except ValueError:
+        return False
+
+
 def main() -> int:
     failures = 0
     for argv, expected in CHECKS:
@@ -226,12 +239,15 @@ def main() -> int:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        for line in out.getvalue().splitlines():
+        text = out.getvalue()
+        for line in text.splitlines():
             if len(line) > LINE_CHARS:
                 line = f"{line[:LINE_CHARS]} ... ({len(line):,} characters)"
             print(line)
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
-        if code != expected:
+        if code == expected and "--json" in argv and not _is_indented_json(text):
+            status = "UNEXPECTED JSON text (not the indented dump of its report)"
+        if status != "ok":
             failures += 1
         print(f"  -> exit {code} [{status}]\n")
     if failures:

@@ -8,8 +8,16 @@ report of the fixed shape
 A handler maps (args, the --group file's FreeProduct, or None) to (exit
 code, report); it renders no text, reads no clock and opens no group file.
 main() loads --group once, stamps timings.total_s around the load and the
-handler, and prints the JSON with --json, else the lines of the command's
-formatter, a function of (args, report) alone.
+handler, and prints the JSON with --json (the bytes of
+json.dumps(report, indent=2), see _json_text), else the lines of the
+command's formatter, a function of (args, report) alone.
+
+main() hands an argv that starts with a known command straight to that
+command's subparser, as the top-level parser would after matching the
+name, so each call runs one parser, not two; arguments the subparser
+leaves over go to the top-level parser's error(), which words them as
+parse_args does ("error: freeprod: unrecognized arguments: ...").  Any
+other argv (no command, -h, an unknown name) goes through parse_args.
 
 Keys beyond the fixed shape: solve's "counters", its work counts, where
 "image" is the run and depth of the image walk, or null; check's
@@ -36,6 +44,7 @@ import random
 import sys
 import time
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import checker, specfiles, tree, words
@@ -435,9 +444,10 @@ def _int_at_least(least: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, so every main() call can share it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subparsers by command name, built once
+    per process: parsing leaves them unchanged, so every main() call can
+    share them."""
     parser = _Parser(
         prog="freeprod",
         description="exact computation in free products of finite groups",
@@ -501,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--window", type=_int_at_least(0), default=1)
 
-    return parser
+    return parser, sub.choices
 
 
 _SCALARS = (str, int, float, type(None))  # bool is an int
@@ -516,36 +526,115 @@ def _flat_dicts(obj) -> bool:
                                      repeat(_SCALARS))))
 
 
-def _json_text(report) -> str:
-    """``json.dumps(report, indent=2)``, byte for byte.  ``indent`` turns
-    the C encoder off, so each value of the report that is a list of flat
-    dicts (see _flat_dicts) is encoded by it in one call with the item
-    separator "\\x1f", which ensure_ascii escapes inside strings, and each
+# A string longer than this is quoted as it is when it is ASCII and holds
+# none of the characters ensure_ascii escapes (_ESCAPED, one memchr-speed
+# ``in`` each).  The 35 tests cost about 0.9 us, what encode_basestring_ascii
+# spends on about 400 characters of a rendered word; at 4,096 characters
+# they take 2.0 us against its 9.1 us (2-core x86-64 host, Python 3.11.7).
+_LONG_STRING = 400
+_ESCAPED = (*map(chr, range(0x20)), '"', "\\", "\x7f")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _quote(s: str) -> str:
+    """``encode_basestring_ascii(s)``: the JSON text of a string."""
+    if len(s) > _LONG_STRING and s.isascii():
+        for c in _ESCAPED:
+            if c in s:
+                break
+        else:
+            return f'"{s}"'
+    return encode_basestring_ascii(s)
+
+
+class _NotLaidOut(Exception):
+    """A value _lay_out leaves to json.dumps: a non-str key, a tuple, a
+    subclass of a JSON type."""
+
+
+def _lay_out(out: list, value, nl: str) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` to ``out``, for a
+    value whose first line starts at the indent of ``nl`` ("\\n" and its
+    spaces).  A list of flat dicts (see _flat_dicts) is encoded by the C
+    encoder, which ``indent`` turns off, in one call with the item
+    separator "\\x1f", which ensure_ascii escapes inside strings; each
     separator is then replaced: one preceded by "}" and followed by "{"
     ends a dict (a value inside a dict is a scalar and never ends with
-    "}"), any other is inside one.  Every other value is
-    ``json.dumps(value, indent=2)`` indented by replacing its newlines,
-    which that text holds only between lines (strings escape theirs)."""
-    flat = [k for k, v in report.items() if _flat_dicts(v)] if isinstance(report, dict) else []
-    if not flat:
-        return json.dumps(report, indent=2)
-    out = []
-    for n, (k, v) in enumerate(report.items()):
-        out += (",\n  " if n else "{\n  ", json.dumps(k), ": ")  # a report's keys are strings
-        if k in flat:
-            text = json.dumps(v, separators=("\x1f", ": "))[2:-2]
-            text = text.replace("}\x1f{", "\n    },\n    {\n      ").replace("\x1f", ",\n      ")
-            out += ("[\n    {\n      ", text, "\n    }\n  ]")
+    "}"), any other is inside one."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        inner = nl + "  "
+        if not value:
+            out.append("{}")
         else:
-            out.append(json.dumps(v, indent=2).replace("\n", "\n  "))
-    out.append("\n}")
+            sep = "{" + inner
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise _NotLaidOut
+                out.append(f"{sep}{_quote(key)}: ")
+                _lay_out(out, item, inner)
+                sep = "," + inner
+            out.append(nl + "}")
+    elif kind is list:
+        inner = nl + "  "
+        if not value:
+            out.append("[]")
+        elif _flat_dicts(value):
+            row = inner + "  "
+            text = json.dumps(value, separators=("\x1f", ": "))[2:-2]
+            text = text.replace("}\x1f{", f"{inner}}},{inner}{{{row}").replace("\x1f", "," + row)
+            out += (f"[{inner}{{{row}", text, f"{inner}}}{nl}]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _lay_out(out, item, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif kind is int:
+        out.append(repr(value))
+    elif kind is float:
+        text = repr(value)
+        out.append(_NONFINITE.get(text, text))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise _NotLaidOut
+
+
+def _json_text(report) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, laid out by
+    _lay_out; a report it leaves (or one nested too deeply for it) goes to
+    ``json.dumps`` itself."""
+    out: list = []
+    try:
+        _lay_out(out, report, "\n")
+    except (_NotLaidOut, RecursionError):
+        return json.dumps(report, indent=2)
     return "".join(out)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``: a known command is parsed by its own
+    subparser, as the top-level parser would hand it on, and anything left
+    over is reported by the top-level parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # A usage error (2) or --help (0); the parser has printed it.
         return exc.code or 0

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from freeprod import cli, free_product, specfiles, words
 from freeprod.free_product import Part
@@ -634,15 +635,49 @@ _json_trees = st.recursive(
 )
 
 
+# A rendered word above the length from which _json_text quotes a string
+# as it is, and every character that ensure_ascii escapes.
+_LONG = "a b^2 " * 100
+_ESCAPED = [chr(i) for i in range(0x20)] + ['"', "\\", "\x7f"]
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Real(float):
+    pass
+
+
 @settings(max_examples=500, deadline=None)
 @given(tree=st.one_of(_json_trees, st.dictionaries(  # reports: dicts, some values flat dicts
     _json_strings, st.one_of(_flat_dicts, _json_trees), max_size=5)))
+# long strings holding an escaped character at the start, middle and end,
+# as values and as keys
+@example(tree=[s for c in _ESCAPED for s in (c + _LONG, _LONG[:301] + c + _LONG[301:], _LONG + c)])
+@example(tree={s: _LONG for c in _ESCAPED for s in (c + _LONG, _LONG + c)})
+@example(tree={"plain": _LONG, "non-ASCII": ["é" * 500, _LONG + "☃", "\u2028" + _LONG, "𝔄" * 401]})
+# rows whose strings hold %, braces, quotes and the separator, nested too
+@example(tree={"witnesses": [{"x%s": "%d {x}", "q": '"}\x1f{"'}, {"x%s": "}\x1f{", "q": "%%"}],
+               "deeper": {"rows": [[{"a": _LONG + "}"}, {"{a": "\x1f"}], {"b": None}]}})
+# near-miss rows: another key order, a nested container, a key not a str
+@example(tree={"order": [{"x1": "a", "x2": "b"}, {"x2": "b", "x1": "a"}],
+               "nested": [{"x1": "a"}, {"x1": ["b"]}], "inner": [{"x1": "a"}, {"x1": {"y": 1}}],
+               "empty": [{"x1": "a"}, {}], "key": [{"x1": "a"}, {1: "b"}]})
+@example(tree={"a": 1, 2: "b", None: [], True: {}, 1.5: "c"})
+# values json.dumps takes but the writer leaves to it
+@example(tree={"tuple": (1, "a", [2]), "enum": _Small.ONE, "real": _Real(1.5)})
+@example(tree=[{"enum": _Small.ONE, "real": _Real(2.5)}, {"tuple": ()}])
+@example(tree={"finite": [0.0, -0.0, 1e300, 5e-324], "nan": math.nan, "inf": [math.inf, -math.inf],
+               "rows": [{"a": math.nan}, {"a": -math.inf}]})
 def test_json_text_is_the_indented_dump(tree):
+    assert len(_LONG) > cli._LONG_STRING
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
 
 
 def test_cli_json_output_is_the_indented_dump_of_every_report(capsys, monkeypatch):
-    # every subcommand, and solve --all with its list of witness dicts
+    # every subcommand, solve --all with its list of witness dicts, and long
+    # words (syllable ids above one byte in D150 * Z2)
     real, checked = cli._json_text, []
 
     def spy(report, *rest):
@@ -652,9 +687,18 @@ def test_cli_json_output_is_the_indented_dump_of_every_report(capsys, monkeypatc
         return text
 
     monkeypatch.setattr(cli, "_json_text", spy)
-    solve_all = ["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b",
-                 "--depth", "4", "--all"]
-    runs = [(argv, code) for argv, code, _ in GOLDEN_TEXT.values()] + [(solve_all, 0)]
+    solve_all = ["solve", "--group", "p23", "--eq", "[x1,x2] = 1", "--ball", "a;b", "--all"]
+    d150 = "(b c a)^25000 b c (b c a)^-25000"
+    long_runs = [
+        solve_all + ["--depth", "14"],
+        ["eval", "--group", "p23", "--word", "(a b)^100000"],
+        ["axis", "--group", "p23", "--word", "(a b^2)^5000 b a b^2 a (a b^2)^-5000",
+         "--window", "1"],
+        ["order", "--group", "d150", "--word", d150],
+        ["reduce", "--group", "d150", "--word", d150],
+    ]
+    runs = ([(argv, code) for argv, code, _ in GOLDEN_TEXT.values()]
+            + [(argv, 0) for argv in [solve_all + ["--depth", "4"]] + long_runs])
     for argv, code in runs:
         argv = [str(CASES / f"{a}.grp") if flag == "--group" else
                 str(CASES / f"{a}.sub") if flag == "--subgroup" else a
@@ -1109,6 +1153,42 @@ def test_cli_help_exits_0(capsys):
     assert cli.main(["solve", "--help"]) == 0
     captured = capsys.readouterr()
     assert "usage: freeprod solve" in captured.out and captured.err == ""
+
+
+_P23 = str(CASES / "p23.grp")
+_COMMANDS = ("'eval', 'order', 'reduce', 'check', 'solve', 'verify-theorem2', 'verify-lemma4', "
+             "'verify-lemma5', 'verify-lemma7', 'axis'")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # leftovers are reported by the top-level parser, as "freeprod", not
+    # by the subcommand's own parser
+    (["eval", "--group", _P23, "--word", "a", "extra"],
+     "error: freeprod: unrecognized arguments: extra\n"),
+    (["eval", "--group", _P23, "--word", "a", "--bogus", "1"],
+     "error: freeprod: unrecognized arguments: --bogus 1\n"),
+    (["solve", "--group", _P23, "--eq", "x1 = a", "--ball", "a;b", "--depth=-1"],
+     "error: freeprod solve: argument --depth: must be at least 0, got -1\n"),
+    (["frobnicate", "--group", _P23],
+     f"error: freeprod: argument command: invalid choice: 'frobnicate' (choose from {_COMMANDS})\n"),
+    ([], "error: freeprod: the following arguments are required: command\n"),
+], ids=["leftover", "unknown-option", "out-of-range", "unknown-command", "no-command"])
+def test_cli_usage_error_lines_are_pinned(capsys, argv, err):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_cli_accepts_an_abbreviated_option(capsys):
+    assert cli.main(["eval", "--group", _P23, "--wor", "a b b"]) == 0
+    assert capsys.readouterr() == ("a b b  ->  a b^2   (norm 2)\n", "")
+
+
+def test_cli_solve_help_first_line_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal
+    assert cli.main(["solve", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "usage: freeprod solve [-h] [--json] --group GROUP --eq EQ --ball BALL"
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
