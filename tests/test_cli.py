@@ -92,6 +92,38 @@ def test_parse_group_spec_makes_up_the_same_labels_each_time():
     assert [label for label, _ in built[0].generators] == ["tmp1", "tmp2", "tmp3"]
 
 
+@pytest.mark.parametrize("factors, labels, error, message", [
+    # a wrong count is reported first, whatever the labels hold
+    ("dihedral 3; cyclic 2", "a; c", "SpecSyntaxError",
+     "factor 'dihedral 3' has 2 generators, got labels ['a']"),
+    ("cyclic 2; cyclic 3", "a,x; b", "SpecSyntaxError",
+     "factor 'cyclic 2' has 1 generators, got labels ['a', 'x']"),
+    ("dihedral 3; cyclic 2", "a,b,1x; c", "SpecSyntaxError",
+     "factor 'dihedral 3' has 2 generators, got labels ['a', 'b', '1x']"),
+    ("dihedral 3; cyclic 2", "1x; c", "SpecSyntaxError",
+     "factor 'dihedral 3' has 2 generators, got labels ['1x']"),
+    ("dihedral 3", "tmp1", "SpecSyntaxError",
+     "factor 'dihedral 3' has 2 generators, got labels ['tmp1']"),
+    # bad labels, each factor's labels checked together
+    ("cyclic 2; cyclic 3", "1a; b", "InvalidLabelError", "bad generator label '1a'"),
+    ("cyclic 2; cyclic 3", "x1; b", "InvalidLabelError", "label 'x1' is reserved for variables"),
+    ("table rows=0,1:1,0 gens=1", "a-b", "InvalidLabelError", "bad generator label 'a-b'"),
+    ("dihedral 3; cyclic 2", "a,a; c", "DuplicateLabelError", "duplicate labels in ['a', 'a']"),
+    ("product [product [cyclic 2, cyclic 2], cyclic 2]", "a,a,b", "DuplicateLabelError",
+     "duplicate labels in ['a', 'a', 'b']"),
+    ("cyclic 2; cyclic 3", "a; a", "DuplicateLabelError", "label 'a' used by two factors"),
+    # a descriptor's own error comes before its labels'
+    ("product [cyclic 2, cyclic 1000000000]", "1a,b", "GroupTooLargeError",
+     "factor 'cyclic 1000000000' exceeds the 2,097,152 table cells a group spec may build"),
+    ("table rows=0,1:1,0 gens=1,5", "1a,b", "ForeignElementError",
+     "generator 1 (counting from 0) has bad id 5"),
+])
+def test_parse_group_spec_label_errors_are_pinned(factors, labels, error, message):
+    with pytest.raises(Exception) as caught:
+        specfiles.parse_group_spec(f"factors: {factors}\nlabels: {labels}")
+    assert (type(caught.value).__name__, str(caught.value)) == (error, message)
+
+
 def test_parse_subgroup_spec(z6z2):
     data = specfiles.parse_subgroup_spec(
         (CASES / "example2.sub").read_text(), z6z2
@@ -870,6 +902,69 @@ def test_cli_verify_lemma4_output_is_pinned(capsys, group, seed, bound):
     argv = ["verify-lemma4", "--group", str(CASES / f"{group}.grp"), "--trials", "20",
             "--seed", str(seed), "--power-bound", str(bound)]
     assert _output_digests(capsys, argv) == (0, GOLDEN_LEMMA4[group, seed, bound])
+
+
+def _verifier_digest(capsys, argv):
+    """sha1 over the exit code, stdout and stderr of ``argv`` run as text
+    and with --json, the JSON report without its timings."""
+    parts = []
+    for extra in ([], ["--json"]):
+        code = cli.main(argv + extra)
+        captured = capsys.readouterr()
+        out = captured.out
+        if extra and out:
+            report = json.loads(out)
+            del report["timings"]
+            out = json.dumps(report, indent=2) + "\n"
+        parts.append(f"{code}\n{out}\n{captured.err}")
+    return hashlib.sha1("\x00".join(parts).encode()).hexdigest()
+
+
+# verify-lemma4 and verify-lemma7 outputs, byte for byte (see
+# _verifier_digest): (command, group, further argv) -> sha1.  The seeded
+# draws decide every sample, margin and count these reports hold.
+GOLDEN_VERIFIERS = {
+    ("verify-lemma4", "p23", ("--trials", "30", "--seed", "0")): "ddcc805bbb5f9ca9ce0708f79b74358e25a4b68e",
+    ("verify-lemma4", "p23", ("--trials", "25", "--seed", "11", "--max-len", "8")): "37aac24dcbc326dd32646b5dd31eecb09c6cc16a",
+    ("verify-lemma4", "p23", ("--trials", "10", "--seed", "5", "--max-len", "1",
+                              "--power-bound", "0")): "7048b6648e6baa3ed7aba80b05bc74af35eea552",
+    ("verify-lemma4", "p23", ("--f", "a b^2 a^-1 (a b)^2")): "0a88a95882d0a54e7c8021d127659461816c8a69",
+    ("verify-lemma4", "example1", ("--trials", "40", "--seed", "3")): "5aa36ae0194d67e1f55e3121983d92a7cf6619d2",
+    ("verify-lemma4", "example1", ("--trials", "20", "--seed", "9", "--max-len", "2",
+                                   "--power-bound", "3")): "32e6f51053db4294ce9153b62e55aab7a6bf5d53",
+    ("verify-lemma4", "example2", ("--trials", "30", "--seed", "4")): "e2a1b41eeb3275cef46f3594ca554b09a8a05346",
+    ("verify-lemma4", "example2", ("--trials", "15", "--seed", "77", "--max-len", "7",
+                                   "--power-bound", "1")): "0f5ca47fc33d772bbdb014491a77acb40077c64c",
+    ("verify-lemma4", "example2", ("--f", "a c b")): "bcf968123319fad6e67d252fa834354243e417d6",
+    ("verify-lemma4", "c3d4", ("--trials", "30", "--seed", "2")): "c9bf6c77bc4b62c974a7dbe28f320079b0ded448",
+    ("verify-lemma4", "c3d4", ("--trials", "12", "--seed", "123456", "--max-len", "9")): "af49eb40a878d1da078cc0a9fa50e11bc9a47b6b",
+    ("verify-lemma4", "c3d4", ("--f", "t a z b t^2", "--power-bound", "7")): "bbc09ac55ba93c7aa113a1f14150c9f00d076e4e",
+    ("verify-lemma4", "one_factor", ("--trials", "10", "--seed", "1")): "25d6fe07c3a3f22ced4b6d0a1592bf40aeddb83e",
+    ("verify-lemma7", "p23", ("--trials", "50", "--seed", "0")): "7854eaff199260a94e28293cfd5cb49337483741",
+    ("verify-lemma7", "p23", ("--trials", "40", "--seed", "9", "--max-norm", "3",
+                              "--max-power", "7")): "dff690d4ade32be915d43e78c82a5ba780acbd5e",
+    ("verify-lemma7", "example1", ("--trials", "40", "--seed", "1")): "dff690d4ade32be915d43e78c82a5ba780acbd5e",
+    ("verify-lemma7", "example1", ("--trials", "30", "--seed", "8", "--max-norm", "9",
+                                   "--max-power", "2")): "96a1b1949cb2aee89b332035dff1b31021ca584e",
+    ("verify-lemma7", "example2", ("--trials", "40", "--seed", "5", "--max-norm", "4")): "dff690d4ade32be915d43e78c82a5ba780acbd5e",
+    ("verify-lemma7", "example2", ("--trials", "25", "--seed", "31", "--max-power", "9")): "7d9221087efe828ec1905c14df54a89d8c629f64",
+    ("verify-lemma7", "c3d4", ("--trials", "40", "--seed", "6")): "2f915cf9c14e105dee9f1e780344af17e7dd6b45",
+    ("verify-lemma7", "c3d4", ("--trials", "30", "--seed", "424242", "--max-norm", "2",
+                               "--max-power", "3")): "96a1b1949cb2aee89b332035dff1b31021ca584e",
+    # one trial each, so the margin is that trial's
+    ("verify-lemma7", "p23", ("--trials", "1", "--seed", "1", "--max-norm", "8")): "7db7d0864488601ee3884cc54351ae1e3d379c01",
+    ("verify-lemma7", "example1", ("--trials", "1", "--seed", "3", "--max-norm", "8")): "7db7d0864488601ee3884cc54351ae1e3d379c01",
+    ("verify-lemma7", "c3d4", ("--trials", "1", "--seed", "2", "--max-norm", "8")): "28a269efa3ead6c56e650c775cc717da87b36a2a",
+    # the refusals: C2 * C2 after the first draw, one factor before any
+    ("verify-lemma7", "c2c2", ("--trials", "3", "--seed", "2")): "675d233419980c16d8700770edb373d922366ce3",
+    ("verify-lemma7", "one_factor", ("--trials", "1")): "df9215b15a3bfe7f2f67d9aaf75cf6a8964248dc",
+}
+
+
+@pytest.mark.parametrize("command, group, extra", GOLDEN_VERIFIERS)
+def test_cli_verifier_outputs_are_pinned(capsys, command, group, extra):
+    argv = [command, "--group", str(CASES / f"{group}.grp"), *extra]
+    assert _verifier_digest(capsys, argv) == GOLDEN_VERIFIERS[command, group, extra]
 
 
 def test_cli_axis_renders_linearly(capsys):
