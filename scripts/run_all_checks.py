@@ -89,6 +89,16 @@ CHECKS = [
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "12"], 0),
     (["verify-lemma7", "--group", str(CASES / "p23.grp"),
       "--trials", "1000", "--seed", "0"], 0),
+    # product factors, three labels: a drawn label is its generator's
+    # syllable, and each trial runs on id strings
+    (["verify-lemma4", "--group", str(CASES / "example2.grp"),
+      "--trials", "100", "--seed", "0"], 0),
+    (["verify-lemma4", "--group", str(CASES / "c3d4.grp"),
+      "--trials", "100", "--seed", "0", "--max-len", "8"], 0),
+    (["verify-lemma7", "--group", str(CASES / "example2.grp"),
+      "--trials", "500", "--seed", "0"], 0),
+    (["verify-lemma7", "--group", str(CASES / "c3d4.grp"),
+      "--trials", "500", "--seed", "0", "--max-norm", "8"], 0),
     (["axis", "--group", str(CASES / "p23.grp"),
       "--word", "a b", "--window", "1"], 0),
     # a conjugate of 16,004 syllables: its 8,000-syllable conjugator is

@@ -50,12 +50,18 @@ from pathlib import Path
 from . import checker, specfiles, tree, words
 from .errors import GroupError, PowerTooLargeError, TrivialSubgroupError
 # enumerate_ball is not called here, but bench/ traces it in this namespace
-from .free_product import INFINITE, Ball, FreeProduct, Part, enumerate_ball  # noqa: F401
-from .sampling import (
-    random_cyclically_reduced,
-    random_noncommuting_conjugator,
-    random_word_text,
+from .free_product import (  # noqa: F401
+    INFINITE,
+    Ball,
+    FPElement,
+    FreeProduct,
+    Part,
+    _cyclic_split,
+    _product,
+    enumerate_ball,
+    power_syllables,
 )
+from .sampling import _conjugate, _cyclically_reduced, random_word_text
 
 _IMAGE = {"type": ["object", "null"], "required": ["run", "depth"],
           "properties": {"run": {"type": "string"}, "depth": {"type": "integer"}}}
@@ -281,10 +287,17 @@ def _cmd_verify_lemma4(args, ambient):
     samples = []
     infinite_checked = 0
     work = {"candidates": 0, "powers_built": 0}
+    # a drawn word is labels, each its generator's syllable: it is not parsed
+    symbols = ambient.codec.symbols
+    syllable = {label: symbols[f][e] for label, (f, e) in ambient.generator_map.items()}
     for _ in range(args.trials):
-        f_word = args.f or random_word_text(rng, ambient, 1, args.max_len)
-        cons = words.build_lemma4(ambient, f_word)
-        reduction = cons.equation.rhs.cyclic_reduce()
+        if args.f:
+            f_word, letters = args.f, words._lemma4_letters(ambient, args.f)
+        else:
+            f_word = random_word_text(rng, ambient, 1, args.max_len)
+            letters = [syllable[label] for label in f_word.split()]
+        cons = words._build_lemma4(ambient, letters)
+        reduction = cons.f.cyclic_reduce()
         if reduction.order() == INFINITE:
             infinite_checked += 1
             if words.cyclic_power_solution_exists(cons, args.power_bound, reduction, work):
@@ -357,22 +370,26 @@ def _text_verify_lemma5(args, report):
 
 
 def _cmd_verify_lemma7(args, ambient):
+    # Each trial runs on id strings: A, g and c = g A g^-1 as drawn, then
+    # A^N1 c^N2 and its cyclic core; words are rendered for a failure only.
     rng = random.Random(args.seed)
+    codec = ambient.codec
     failures = []
     worst = None
     for _ in range(args.trials):
-        a = random_cyclically_reduced(rng, ambient, 2, args.max_norm)
-        g = random_noncommuting_conjugator(rng, ambient, a)
+        a = _cyclically_reduced(rng, ambient, 2, args.max_norm)
+        g, c = _conjugate(rng, ambient, a)
         n1, n2 = rng.randint(2, args.max_power), rng.randint(2, args.max_power)
-        x = a.power(n1) * a.conjugate(g).power(n2)
-        core = x.cyclic_reduce().core
-        bound = (n1 + n2 - 4) * a.norm
-        margin = core.norm - bound
+        x = _product(codec, power_syllables(codec, a, n1), power_syllables(codec, c, n2))
+        core_norm = len(_cyclic_split(codec, x)[1])
+        bound = (n1 + n2 - 4) * len(a)
+        margin = core_norm - bound
         if worst is None or margin < worst:
             worst = margin
-        if core.norm <= bound:
-            failures.append({"A": a.as_word(), "g": g.as_word(), "N1": n1, "N2": n2,
-                             "core_norm": core.norm, "bound": bound})
+        if core_norm <= bound:
+            failures.append({"A": FPElement(ambient, a).as_word(),
+                             "g": FPElement(ambient, g).as_word(), "N1": n1, "N2": n2,
+                             "core_norm": core_norm, "bound": bound})
     ok = not failures
     witnesses = [{"trials": args.trials, "min_margin": worst}]
     return (0 if ok else 1), _report("verified" if ok else "failed", failures, witnesses)

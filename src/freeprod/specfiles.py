@@ -34,7 +34,13 @@ import re
 from typing import Iterator
 
 from .checker import KuroshData
-from .errors import ForeignElementError, GroupTooLargeError, SpecSyntaxError
+from .errors import (
+    DuplicateLabelError,
+    ForeignElementError,
+    GroupTooLargeError,
+    InvalidLabelError,
+    SpecSyntaxError,
+)
 from .finite_group import (
     FiniteGroup,
     direct_product,
@@ -105,8 +111,8 @@ def _charge(budget: list[int], order: int, text: str) -> None:
 
 
 def _build_descriptor(text: str, labels: Iterator[str], budget: list[int]) -> FiniteGroup:
-    """The factor a descriptor names; each generator it makes up takes the
-    next label of ``labels`` (parse_group_spec relabels them afterwards).
+    """The factor a descriptor names; each generator it makes takes the
+    next label of ``labels``.
     Every table it builds is charged to ``budget`` (see MAX_SPEC_CELLS)."""
     text = text.strip()
     m = re.fullmatch(r"cyclic\s+(\d+)", text)
@@ -171,13 +177,24 @@ def parse_group_spec(text: str) -> FreeProduct:
     made_up = (f"tmp{i}" for i in itertools.count(1))
     budget = [MAX_SPEC_CELLS]
     for desc, labels in zip(descriptors, label_lists):
-        group = _build_descriptor(desc, made_up, budget)
+        # Each factor is built once, on its own labels, made-up ones after
+        # those run out.  A bad label refused while building is built over
+        # on made-up labels, so that a wrong count is still reported first,
+        # and relabeled() reports the label.
+        left = budget[0]
+        try:
+            group = _build_descriptor(desc, itertools.chain(labels, made_up), budget)
+        except (InvalidLabelError, DuplicateLabelError):
+            budget[0] = left
+            group = _build_descriptor(desc, made_up, budget)
         if len(labels) != len(group.generators):
             raise SpecSyntaxError(
                 f"factor {desc!r} has {len(group.generators)} generators, "
                 f"got labels {labels}"
             )
-        factors.append(group.relabeled(labels))
+        if [label for label, _ in group.generators] != labels:
+            group = group.relabeled(labels)
+        factors.append(group)
     return FreeProduct(factors)
 
 

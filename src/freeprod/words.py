@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import groupby
 from itertools import product as _cartesian
 from operator import itemgetter
@@ -1035,6 +1036,7 @@ def solve_bounded(
 # constructions
 
 
+@lru_cache(maxsize=16)  # one key per group: its largest factor order
 def _next_prime(n: int) -> int:
     """Least prime strictly greater than n."""
     p = n + 1
@@ -1044,10 +1046,13 @@ def _next_prime(n: int) -> int:
         p += 1
 
 
-def _as_letter_elements(word: MixedWord) -> list[FPElement]:
+def _lemma4_letters(group: FreeProduct, f_word: str) -> list[str]:
+    """The letters of the coefficient word ``f_word``, each a syllable id
+    (or "" for a generator that is the identity), powers written out."""
+    word = parse_word(f_word, group)
     if word.free_variables():
         raise WordSyntaxError("coefficient word must not contain variables")
-    return [l.value for l in _expand(word.letters) if isinstance(l, Const)]
+    return [l.value.ids for l in _expand(word.letters) if isinstance(l, Const)]
 
 
 @dataclass(frozen=True)
@@ -1056,40 +1061,58 @@ class Lemma4Construction:
 
     p is the least prime exceeding every factor order; the j-th letter s_j
     of f gets the exponent k_j, the inverse of p modulo the order of s_j in
-    its factor, and x_j = s_j^k_j solves the equation.
+    its factor, and x_j = s_j^k_j solves the equation.  ``solution`` holds
+    the x_j as id strings; the equation, each x_j^p one power item, and the
+    substitution are built when first asked for.
     """
 
-    equation: Equation
+    f: FPElement
     prime: int
     exponents: tuple[int, ...]
-    g_solution: Substitution
+    solution: tuple[str, ...]
+
+    @cached_property
+    def equation(self) -> Equation:
+        lhs = [Pow((Var(j),), self.prime) for j in range(1, len(self.solution) + 1)]
+        return Equation(MixedWord(self.f.group, lhs), self.f)
+
+    @cached_property
+    def g_solution(self) -> Substitution:
+        group = self.f.group
+        return Substitution(tuple([(j, FPElement(group, x))
+                                   for j, x in enumerate(self.solution, 1)]))
 
 
 def build_lemma4(group: FreeProduct, f_word: str) -> Lemma4Construction:
     """Build the power equation for the coefficient word ``f_word``."""
-    letters = _as_letter_elements(parse_word(f_word, group))
+    return _build_lemma4(group, _lemma4_letters(group, f_word))
+
+
+def _build_lemma4(group: FreeProduct, letters: Sequence[str]) -> Lemma4Construction:
+    """Build the power equation for the coefficient word whose letters are
+    ``letters`` (see _lemma4_letters).  The canonical solution is checked
+    by joining p copies of each x_j in one seam merge, in the factor
+    tables, and comparing the result with f: a VerificationError when
+    they differ."""
     if not letters:
         raise EmptyWordError("coefficient word is empty")
+    codec = group.codec
     p = _next_prime(max(g.order for g in group.factors))
-
-    exponents: list[int] = []
-    assignment: dict[int, FPElement] = {}
-    lhs_letters: list[Item] = []
-    rhs = group.identity()
-    for j, s in enumerate(letters, start=1):
-        (f, e) = s.syllables[0]  # parser letters are single syllables
-        d = group.factors[f].element_order(e)
-        k = pow(p, -1, d)
+    exponents, solution, pieces = [], [], []
+    for s in letters:
+        k, x = 0, ""  # an identity letter has order 1
+        if s:
+            f, e = codec.factor[s], codec.element[s]
+            g = group.factors[f]
+            k = pow(p, -1, g.element_order(e))
+            x = codec.symbols[f][g.power(e, k)]
         exponents.append(k)
-        assignment[j] = group.factor_element(f, group.factors[f].power(e, k))
-        lhs_letters.extend([Var(j)] * p)
-        rhs = rhs * s
-
-    eq = Equation(MixedWord(group, lhs_letters), rhs)
-    sol = Substitution.of(assignment)
-    if evaluate(eq.lhs, sol) != eq.rhs:
+        solution.append(x)
+        pieces += [x] * p
+    f = _seam_merge(codec, "", letters)
+    if _seam_merge(codec, "", pieces) != f:
         raise VerificationError("canonical solution does not solve the power equation")
-    return Lemma4Construction(eq, p, tuple(exponents), sol)
+    return Lemma4Construction(FPElement(group, f), p, tuple(exponents), tuple(solution))
 
 
 def cyclic_power_solution_exists(
@@ -1112,7 +1135,7 @@ def cyclic_power_solution_exists(
     ``candidates`` (the 2 * bound * m + 1 exponent sums the answer covers)
     and ``powers_built`` (0: no power is built) added to it.
     """
-    d = (cons.equation.rhs if reduction is None else reduction).order()
+    d = (cons.f if reduction is None else reduction).order()
     reach = bound * len(cons.exponents)
     if counters is not None:
         counters["candidates"] = counters.get("candidates", 0) + 2 * reach + 1

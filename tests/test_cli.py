@@ -79,8 +79,8 @@ def test_parse_group_spec_nested_product():
 
 
 def test_parse_group_spec_makes_up_the_same_labels_each_time():
-    # Generators are labelled while a descriptor is built and relabelled
-    # from the labels line; the made-up labels are numbered per parse.
+    # Generators take the labels line's labels while a descriptor is built,
+    # and made-up labels only past those; they are numbered per parse.
     text = "factors: product [cyclic 2, dihedral 3]; table rows=0,1:1,0 gens=1\nlabels: a,b,c; d"
     first, second = (specfiles.parse_group_spec(text) for _ in range(2))
     assert [f.generators for f in first.factors] == [f.generators for f in second.factors]
@@ -965,6 +965,50 @@ GOLDEN_VERIFIERS = {
 def test_cli_verifier_outputs_are_pinned(capsys, command, group, extra):
     argv = [command, "--group", str(CASES / f"{group}.grp"), *extra]
     assert _verifier_digest(capsys, argv) == GOLDEN_VERIFIERS[command, group, extra]
+
+
+def test_cli_verifiers_run_their_trials_on_id_strings(capsys, monkeypatch):
+    # Lemma 7's trials use no element operation and render no word unless
+    # one fails; Lemma 4 parses --f once and a drawn word never.
+    calls = {"parse_word": 0, "__mul__": 0, "as_word": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(words, "parse_word", counted("parse_word", words.parse_word))
+    for name in ("__mul__", "as_word"):
+        monkeypatch.setattr(free_product.FPElement, name,
+                            counted(name, getattr(free_product.FPElement, name)))
+    p23 = str(CASES / "p23.grp")
+    for argv, expected in (
+        (["verify-lemma7", "--group", p23, "--trials", "50", "--seed", "3"],
+         {"parse_word": 0, "__mul__": 0, "as_word": 0}),
+        (["verify-lemma4", "--group", p23, "--trials", "20", "--seed", "3"],
+         {"parse_word": 0, "__mul__": 0, "as_word": 0}),
+        (["verify-lemma4", "--group", p23, "--trials", "20", "--f", "a b"],
+         {"parse_word": 1, "__mul__": 0, "as_word": 0}),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == expected, argv
+
+
+def test_cli_verify_lemma4_takes_a_generator_that_is_the_identity(capsys, tmp_path):
+    # gens=0 makes e the identity: its letter has order 1, exponent 0 and
+    # x_j = 1 (this was an internal error, exit 3)
+    grp = tmp_path / "idgen.grp"
+    grp.write_text("factors: table rows=0,1:1,0 gens=0,1; cyclic 3\nlabels: e,a; b")
+    code, report = run_json(capsys, ["verify-lemma4", "--group", str(grp), "--f", "e a b"])
+    assert (code, report["witnesses"]) == (0, [{"f": "e a b", "p": 5, "k": [0, 1, 2]}])
+    code, report = run_json(capsys, ["verify-lemma4", "--group", str(grp), "--trials", "30"])
+    assert code == 0 and report["verdict"] == "verified"
+    cons = words.build_lemma4(specfiles.parse_group_spec(grp.read_text()), "a e e b")
+    assert cons.exponents == (1, 0, 0, 2)
+    assert words.evaluate(cons.equation.lhs, cons.g_solution) == cons.f
 
 
 def test_cli_axis_renders_linearly(capsys):

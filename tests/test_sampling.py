@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from freeprod.sampling import (
     random_cyclically_reduced,
     random_noncommuting_conjugator,
     random_reduced,
+    random_word_text,
 )
 
 
@@ -34,6 +36,32 @@ def element_sampler(rng, group, min_norm=0, max_norm=6):
             return u
 
 
+def cyclic_sampler(rng, group, min_norm=2, max_norm=6):
+    """Oracle: element_sampler until the first and last syllables lie in
+    different factors."""
+    while True:
+        u = element_sampler(rng, group, min_norm, max_norm)
+        s = u.syllables
+        if len(s) >= 2 and s[0][0] != s[-1][0]:
+            return u
+
+
+def conjugator_sampler(rng, group, element, max_norm=4, attempts=1000):
+    """Oracle: element_sampler until the conjugate of element does not
+    commute with it, by the element operations."""
+    for _ in range(attempts):
+        g = element_sampler(rng, group, 0, max_norm)
+        if not element.commutes_with(element.conjugate(g)):
+            return g
+    raise GroupError("no conjugator")
+
+
+def word_sampler(rng, group, min_len=1, max_len=5):
+    """Oracle: a randint length of choices among the labels."""
+    return " ".join(rng.choice(group.generator_labels)
+                    for _ in range(rng.randint(min_len, max_len)))
+
+
 THREE = FreeProduct([make_cyclic(2, "a"), make_dihedral_reflections(3, ("b", "d")),
                      make_cyclic(5, "c")])
 ONE = FreeProduct([make_cyclic(4, "a")])
@@ -50,6 +78,61 @@ def test_random_reduced_matches_the_element_sampler(name, p23, s3z2):
             assert u == element_sampler(old, group, lo, hi), (seed, lo, hi)
             assert lo <= u.norm <= hi
             assert new.getstate() == old.getstate(), (seed, lo, hi)
+
+
+@pytest.mark.parametrize("name", ["p23", "example1", "three"])
+def test_every_sampler_draws_what_randint_randrange_and_choice_draw(name, p23, s3z2):
+    # Each sampler against its oracle, seed by seed: the same result and the
+    # same generator state after every draw.  In a group of two factors the
+    # factor after each syllable is a choice among one, which still draws.
+    group = {"p23": p23, "example1": s3z2, "three": THREE}[name]
+    for seed in range(100):
+        new, old = random.Random(seed), random.Random(seed)
+        for lo, hi in ((2, 6), (4, 4), (2, 9)):
+            a = random_cyclically_reduced(new, group, lo, hi)
+            assert a == cyclic_sampler(old, group, lo, hi), (seed, lo, hi)
+            assert new.getstate() == old.getstate()
+            for max_norm in (4, 1, 7):
+                g = random_noncommuting_conjugator(new, group, a, max_norm)
+                assert g == conjugator_sampler(old, group, a, max_norm), (seed, max_norm)
+                assert new.getstate() == old.getstate()
+        for lo, hi in ((1, 5), (0, 3), (4, 4), (1, 12)):
+            assert random_word_text(new, group, lo, hi) == word_sampler(old, group, lo, hi)
+            assert new.getstate() == old.getstate()
+
+
+class _BoundedRandom(random.Random):
+    """A generator whose getrandbits fails after a bounded number of calls,
+    so a draw that would spin forever fails instead of hanging."""
+
+    def __init__(self, seed, calls=10_000):
+        self.calls = calls
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls -= 1
+        if self.calls < 0:
+            raise RuntimeError("getrandbits called too often")
+        return super().getrandbits(k)
+
+
+def test_an_empty_range_is_randints_error_before_any_draw(p23):
+    # randint(lo, hi) with hi < lo raises before it draws; _randbelow(n)
+    # with n <= 0 would never return (getrandbits(0) is 0, and 0 >= 0)
+    rng = _BoundedRandom(5)
+    state = rng.getstate()
+    for lo, hi, draw in ((5, 2, lambda: random_reduced(rng, p23, 5, 2)),
+                         (3, 2, lambda: random_reduced(rng, p23, 3, 2)),
+                         (3, 1, lambda: random_word_text(rng, p23, 3, 1)),
+                         (2, 1, lambda: random_word_text(rng, p23, 2, 1)),
+                         (1, 0, lambda: random_reduced(rng, ONE, 1, 0))):
+        with pytest.raises(ValueError) as caught:
+            random.Random(0).randint(lo, hi)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            draw()
+        assert rng.getstate() == state
+    # the same generator still draws what random.Random draws
+    assert random_reduced(rng, p23, 2, 5) == random_reduced(random.Random(5), p23, 2, 5)
 
 
 def test_samplers_refuse_what_the_group_cannot_give(p22, p23):

@@ -1156,6 +1156,13 @@ def test_constructions_reverify_their_solutions(p23, z6z2, monkeypatch):
         m.setattr(FiniteGroup, "power", lambda self, x, k: x)
         with pytest.raises(VerificationError):
             build_lemma4(p23, "a b")
+    # a wrong order gives a wrong exponent k_j: x_j^p is then not s_j
+    order = FiniteGroup.element_order
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "element_order", lambda self, x: order(self, x) + 1)
+        for f_word in ("a", "b", "b a b^2"):
+            with pytest.raises(VerificationError):
+                build_lemma4(p23, f_word)
     with monkeypatch.context() as m:
         m.setattr(FPElement, "power", lambda self, k: self)
         with pytest.raises(VerificationError):
