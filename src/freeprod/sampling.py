@@ -90,8 +90,7 @@ def _conjugate(
     a b, which form an abelian normal subgroup, so such an a is refused
     before any draw."""
     codec = group.codec
-    # two factors with one syllable id each: C2 * C2
-    if len(codec.factor) == 2 == len(codec.symbols) and len(_cyclic_split(codec, a)[1]) >= 2:
+    if [g.order for g in group.factors] == [2, 2] and len(_cyclic_split(codec, a)[1]) >= 2:
         raise GroupError("in C2 * C2 every element of infinite order commutes with all its "
                          "conjugates")
     for _ in range(attempts):

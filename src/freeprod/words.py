@@ -1062,8 +1062,8 @@ class Lemma4Construction:
     p is the least prime exceeding every factor order; the j-th letter s_j
     of f gets the exponent k_j, the inverse of p modulo the order of s_j in
     its factor, and x_j = s_j^k_j solves the equation.  ``solution`` holds
-    the x_j as id strings; the equation, each x_j^p one power item, and the
-    substitution are built when first asked for.
+    the x_j as id strings; the equation and the substitution are built
+    when first asked for.
     """
 
     f: FPElement
@@ -1073,14 +1073,13 @@ class Lemma4Construction:
 
     @cached_property
     def equation(self) -> Equation:
-        lhs = [Pow((Var(j),), self.prime) for j in range(1, len(self.solution) + 1)]
+        lhs = [Var(j) for j in range(1, len(self.solution) + 1) for _ in range(self.prime)]
         return Equation(MixedWord(self.f.group, lhs), self.f)
 
     @cached_property
     def g_solution(self) -> Substitution:
         group = self.f.group
-        return Substitution(tuple([(j, FPElement(group, x))
-                                   for j, x in enumerate(self.solution, 1)]))
+        return Substitution.of({j: FPElement(group, x) for j, x in enumerate(self.solution, 1)})
 
 
 def build_lemma4(group: FreeProduct, f_word: str) -> Lemma4Construction:
