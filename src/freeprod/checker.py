@@ -17,9 +17,9 @@ sufficient, so a passing verdict is always reported as inconclusive:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import _Record, _set
 from .errors import GroupError
 from .free_product import FreeProduct, Part, _check_part
 
@@ -27,17 +27,18 @@ CONDITION1 = "condition1"
 CONDITION2 = "condition2"
 
 
-@dataclass(frozen=True)
-class KuroshData:
+class KuroshData(_Record):
     """A subgroup given by free rank + parts."""
 
-    ambient: FreeProduct
-    free_rank: int
-    parts: tuple[Part, ...]
+    __slots__ = ("ambient", "free_rank", "parts")
+
+    def __init__(self, ambient: FreeProduct, free_rank: int, parts: tuple[Part, ...]):
+        _set(self, "ambient", ambient)
+        _set(self, "free_rank", free_rank)
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A failed necessary condition with a re-verifiable witness.
 
     For condition 2 the witness means: witness_f^k1 is a nontrivial element
@@ -46,27 +47,37 @@ class Violation:
     ``factor``.  Condition 3 findings are reported as the k1 = k2 = 1 case.
     """
 
-    kind: str
-    factor: int | None = None
-    part_indices: tuple[int, int] | None = None
-    witness_f: int | None = None
-    witness_g: int | None = None
-    k1: int | None = None
-    k2: int | None = None
-    free_rank: int | None = None
+    __slots__ = ("kind", "factor", "part_indices", "witness_f", "witness_g", "k1", "k2",
+                 "free_rank")
+
+    def __init__(self, kind: str, factor: int | None = None,
+                 part_indices: tuple[int, int] | None = None, witness_f: int | None = None,
+                 witness_g: int | None = None, k1: int | None = None, k2: int | None = None,
+                 free_rank: int | None = None):
+        _set(self, "kind", kind)
+        _set(self, "factor", factor)
+        _set(self, "part_indices", part_indices)
+        _set(self, "witness_f", witness_f)
+        _set(self, "witness_g", witness_g)
+        _set(self, "k1", k1)
+        _set(self, "k2", k2)
+        _set(self, "free_rank", free_rank)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of check_all; passing is always inconclusive because the
     conditions are necessary, not sufficient.  pairs counts the ordered
     same-factor pairs condition 2 scanned, and table_entries the
     conjugates g h g^-1 it computed for their first-conjugator tables,
     |G| |H_2| per pair."""
 
-    violations: tuple[Violation, ...]
-    pairs: int = 0
-    table_entries: int = 0
+    __slots__ = ("violations", "pairs", "table_entries")
+
+    def __init__(self, violations: tuple[Violation, ...], pairs: int = 0,
+                 table_entries: int = 0):
+        _set(self, "violations", violations)
+        _set(self, "pairs", pairs)
+        _set(self, "table_entries", table_entries)
 
     @property
     def passes_necessary(self) -> bool:

@@ -14,11 +14,11 @@ inverses in closed form, so only their labels are checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Sequence
 
+from ._record import _Record, _set
 from .errors import (
     DuplicateLabelError,
     ForeignElementError,
@@ -42,8 +42,7 @@ def _check_label(label: str) -> None:
         raise InvalidLabelError(f"label {label!r} is reserved for variables")
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(_Record):
     """A finite group given by its Cayley table.
 
     table[x][y] is the id of x*y.  Identity is id 0.  Instances are
@@ -51,10 +50,19 @@ class FiniteGroup:
     groups are still foreign to each other.
     """
 
-    name: str
-    table: tuple[tuple[int, ...], ...]
-    inverses: tuple[int, ...]
-    generators: tuple[tuple[str, int], ...]
+    _fields = ("name", "table", "inverses", "generators")  # a __dict__ for element_words
+
+    def __init__(
+        self,
+        name: str,
+        table: tuple[tuple[int, ...], ...],
+        inverses: tuple[int, ...],
+        generators: tuple[tuple[str, int], ...],
+    ):
+        _set(self, "name", name)
+        _set(self, "table", table)
+        _set(self, "inverses", inverses)
+        _set(self, "generators", generators)
 
     def __eq__(self, other: object) -> bool:
         return self is other

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import _Record, _set
 from .errors import (
     BadFactorIndexError,
     DuplicateLabelError,
@@ -636,12 +636,14 @@ class FPElement:
         return f"<{self.as_word()}>"
 
 
-@dataclass(frozen=True)
-class CyclicReduction:
+class CyclicReduction(_Record):
     """Result of cyclic reduction: original = conjugator * core * conjugator^-1."""
 
-    conjugator: FPElement
-    core: FPElement
+    __slots__ = ("conjugator", "core")
+
+    def __init__(self, conjugator: FPElement, core: FPElement):
+        _set(self, "conjugator", conjugator)
+        _set(self, "core", core)
 
     def rebuild(self) -> FPElement:
         return self.conjugator * self.core * self.conjugator.inverse()

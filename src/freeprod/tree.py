@@ -13,9 +13,9 @@ forms, and axes are produced as finite windows of consecutive vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import _Record, _set
 from .errors import (
     BadFactorIndexError,
     MixedAmbientError,
@@ -25,29 +25,31 @@ from .errors import (
 from .free_product import FPElement, FreeProduct, _render
 
 
-@dataclass(frozen=True)
-class ElementVertex:
-    element: FPElement
+class ElementVertex(_Record):
+    __slots__ = ("element",)
+
+    def __init__(self, element: FPElement):
+        _set(self, "element", element)
 
     def render(self) -> str:
         return f"E:{self.element.as_word()}"
 
 
-@dataclass(frozen=True)
-class CosetVertex:
+class CosetVertex(_Record):
     """The coset rep*G_factor; the stored rep is canonical, i.e. its normal
     form has no trailing syllable in the given factor."""
 
-    factor: int
-    rep: FPElement
+    __slots__ = ("factor", "rep")
 
-    def __post_init__(self) -> None:
-        group = self.rep.group
-        if not 0 <= self.factor < len(group.factors):
-            raise BadFactorIndexError(f"factor index {self.factor} out of range")
-        ids = self.rep.ids
-        if ids and group.codec.factor[ids[-1]] == self.factor:
-            object.__setattr__(self, "rep", FPElement(group, ids[:-1]))
+    def __init__(self, factor: int, rep: FPElement):
+        group = rep.group
+        if not 0 <= factor < len(group.factors):
+            raise BadFactorIndexError(f"factor index {factor} out of range")
+        ids = rep.ids
+        if ids and group.codec.factor[ids[-1]] == factor:
+            rep = FPElement(group, ids[:-1])
+        _set(self, "factor", factor)
+        _set(self, "rep", rep)
 
     def render(self) -> str:
         return f"C{self.factor}:{self.rep.as_word()}"
@@ -96,27 +98,33 @@ def vertex_distance(v: TreeVertex, w: TreeVertex) -> int:
     return distance
 
 
-@dataclass(frozen=True)
-class AxisInfo:
+class AxisInfo(_Record):
     """Invariant line of a hyperbolic element = conjugator * core * conj^-1;
     the element translates its axis by 2 * |core| edges."""
 
-    conjugator: FPElement
-    core: FPElement
+    __slots__ = ("conjugator", "core")
+
+    def __init__(self, conjugator: FPElement, core: FPElement):
+        _set(self, "conjugator", conjugator)
+        _set(self, "core", core)
 
     @property
     def translation_length_edges(self) -> int:
         return 2 * self.core.norm
 
 
-@dataclass(frozen=True)
-class Elliptic:
-    fixed_vertex: TreeVertex
+class Elliptic(_Record):
+    __slots__ = ("fixed_vertex",)
+
+    def __init__(self, fixed_vertex: TreeVertex):
+        _set(self, "fixed_vertex", fixed_vertex)
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
-    axis: AxisInfo
+class Hyperbolic(_Record):
+    __slots__ = ("axis",)
+
+    def __init__(self, axis: AxisInfo):
+        _set(self, "axis", axis)
 
 
 Classification = Union[Elliptic, Hyperbolic]

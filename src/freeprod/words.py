@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
 from itertools import product as _cartesian
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from ._record import _Record, _set
 from .errors import (
     EmptyCandidatesError,
     EmptyWordError,
@@ -61,24 +61,30 @@ from .free_product import (
 _VARIABLE_RE = re.compile(r"x([0-9]+)")
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    sign: int = 1
+class Var(_Record):
+    __slots__ = ("index", "sign")
+
+    def __init__(self, index: int, sign: int = 1):
+        _set(self, "index", index)
+        _set(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: FPElement
+class Const(_Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: FPElement):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Record):
     """body^k as one item; its inverse is Pow(body, -k).  With k = 1 it is a
     group, such as a commutator: one item whose body is evaluated in place."""
 
-    body: tuple[Item, ...]
-    k: int
+    __slots__ = ("body", "k")
+
+    def __init__(self, body: tuple[Item, ...], k: int):
+        _set(self, "body", body)
+        _set(self, "k", k)
 
 
 Item = Var | Const | Pow
@@ -205,23 +211,25 @@ def _expand(items: Sequence[Item]) -> tuple[Item, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Record):
     """lhs(x1, ..., xn) = rhs with rhs a constant group element."""
 
-    lhs: MixedWord
-    rhs: FPElement
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.rhs.group is not self.lhs.group:
+    def __init__(self, lhs: MixedWord, rhs: FPElement):
+        if rhs.group is not lhs.group:
             raise MixedAmbientError("equation sides in different ambient groups")
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Record):
     """Assignment of group elements to variable indices."""
 
-    assignment: tuple[tuple[int, FPElement], ...]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: tuple[tuple[int, FPElement], ...]):
+        _set(self, "assignment", assignment)
 
     @classmethod
     def of(cls, mapping: Mapping[int, FPElement]) -> Substitution:
@@ -1055,8 +1063,7 @@ def _lemma4_letters(group: FreeProduct, f_word: str) -> list[str]:
     return [l.value.ids for l in _expand(word.letters) if isinstance(l, Const)]
 
 
-@dataclass(frozen=True)
-class Lemma4Construction:
+class Lemma4Construction(_Record):
     """Power equation x1^p ... xm^p = f with its canonical solution.
 
     p is the least prime exceeding every factor order; the j-th letter s_j
@@ -1066,10 +1073,15 @@ class Lemma4Construction:
     when first asked for.
     """
 
-    f: FPElement
-    prime: int
-    exponents: tuple[int, ...]
-    solution: tuple[str, ...]
+    _fields = ("f", "prime", "exponents", "solution")  # a __dict__ for the cached properties
+
+    def __init__(
+        self, f: FPElement, prime: int, exponents: tuple[int, ...], solution: tuple[str, ...]
+    ):
+        _set(self, "f", f)
+        _set(self, "prime", prime)
+        _set(self, "exponents", exponents)
+        _set(self, "solution", solution)
 
     @cached_property
     def equation(self) -> Equation:
@@ -1164,8 +1176,7 @@ def _to_variable_word(text: str, group: FreeProduct) -> MixedWord:
     return parse_word(" ".join(rewritten), group)
 
 
-@dataclass(frozen=True)
-class Lemma5Construction:
+class Lemma5Construction(_Record):
     """The twisted power equation
 
         f(x)^(k1*N) g(x) f(x)^(k2*N) g(x)^-1  =  f^k1 g f^k2 g^-1
@@ -1177,12 +1188,23 @@ class Lemma5Construction:
     generate their free product (edge stabilisers are trivial).
     """
 
-    equation: Equation
-    N: int
-    g_solution: Substitution
-    f_word: MixedWord  # f(x), with x_i for the i-th generator
-    f: FPElement
-    g: FPElement
+    __slots__ = ("equation", "N", "g_solution", "f_word", "f", "g")
+
+    def __init__(
+        self,
+        equation: Equation,
+        N: int,
+        g_solution: Substitution,
+        f_word: MixedWord,  # f(x), with x_i for the i-th generator
+        f: FPElement,
+        g: FPElement,
+    ):
+        _set(self, "equation", equation)
+        _set(self, "N", N)
+        _set(self, "g_solution", g_solution)
+        _set(self, "f_word", f_word)
+        _set(self, "f", f)
+        _set(self, "g", g)
 
 
 def build_lemma5(
@@ -1258,8 +1280,7 @@ THEOREM2_SIGN_VARIANTS: dict[tuple[int, int, int], tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class Theorem2CaseResult:
+class Theorem2CaseResult(_Record):
     """One epsilon case of the sweep.  ``evaluations`` counts the
     substitutions evaluated, (2R+1)^3; ``bindings`` counts the (x2, x3)
     values bound once each for all x1, (2R+1)^2, whether this case or the
@@ -1270,24 +1291,49 @@ class Theorem2CaseResult:
     it shares with the case with e3 flipped, so a case whose steps its
     partner already merged reports 0 merges."""
 
-    epsilons: tuple[int, int, int]
-    exponent_coeffs: tuple[int, int, int]
-    evaluations: int
-    bindings: int
-    mismatches: tuple[tuple[int, int, int], ...]
-    sign_variant_coeffs: tuple[int, int, int] | None = None
-    sign_variant_consistent: bool | None = None
-    merges: int = 0
-    rows: int = 0
+    __slots__ = ("epsilons", "exponent_coeffs", "evaluations", "bindings", "mismatches",
+                 "sign_variant_coeffs", "sign_variant_consistent", "merges", "rows")
+
+    def __init__(
+        self,
+        epsilons: tuple[int, int, int],
+        exponent_coeffs: tuple[int, int, int],
+        evaluations: int,
+        bindings: int,
+        mismatches: tuple[tuple[int, int, int], ...],
+        sign_variant_coeffs: tuple[int, int, int] | None = None,
+        sign_variant_consistent: bool | None = None,
+        merges: int = 0,
+        rows: int = 0,
+    ):
+        _set(self, "epsilons", epsilons)
+        _set(self, "exponent_coeffs", exponent_coeffs)
+        _set(self, "evaluations", evaluations)
+        _set(self, "bindings", bindings)
+        _set(self, "mismatches", mismatches)
+        _set(self, "sign_variant_coeffs", sign_variant_coeffs)
+        _set(self, "sign_variant_consistent", sign_variant_consistent)
+        _set(self, "merges", merges)
+        _set(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
-    k_range: int
-    total_evaluations: int
-    case_results: tuple[Theorem2CaseResult, ...]
-    target_hits: tuple[tuple[int, int, int, tuple[int, int, int]], ...]
-    embedding_image_matches: bool
+class Theorem2Report(_Record):
+    __slots__ = ("k_range", "total_evaluations", "case_results", "target_hits",
+                 "embedding_image_matches")
+
+    def __init__(
+        self,
+        k_range: int,
+        total_evaluations: int,
+        case_results: tuple[Theorem2CaseResult, ...],
+        target_hits: tuple[tuple[int, int, int, tuple[int, int, int]], ...],
+        embedding_image_matches: bool,
+    ):
+        _set(self, "k_range", k_range)
+        _set(self, "total_evaluations", total_evaluations)
+        _set(self, "case_results", case_results)
+        _set(self, "target_hits", target_hits)
+        _set(self, "embedding_image_matches", embedding_image_matches)
 
     @property
     def ok(self) -> bool:

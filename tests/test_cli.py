@@ -1568,6 +1568,22 @@ def test_importing_freeprod_makes_cli_an_attribute():
     assert result.stdout == "main\n"
 
 
+def test_importing_freeprod_loads_neither_dataclasses_nor_inspect():
+    # Every command is a fresh process, so start-up is paid per call: the
+    # records are plain slotted classes, and a bare interpreter (-S) that
+    # imports freeprod and its CLI must not load either module.
+    package = Path(cli.__file__).resolve().parent
+    code = ("import sys, freeprod, freeprod.cli\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)}, timeout=60,
+    )
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+    for path in sorted(package.glob("*.py")):
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
 def test_python_m_freeprod_runs_the_command():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
