@@ -45,7 +45,6 @@ import sys
 import time
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import checker, specfiles, tree, words
 from .errors import GroupError, PowerTooLargeError, TrivialSubgroupError
@@ -112,7 +111,8 @@ def _report(verdict, violations=(), witnesses=()):
 
 
 def _load_group(path: str) -> FreeProduct:
-    return specfiles.parse_group_spec(Path(path).read_text())
+    with open(path) as f:
+        return specfiles.parse_group_spec(f.read())
 
 
 def _violation_dict(v: checker.Violation, ambient: FreeProduct) -> dict:
@@ -192,7 +192,8 @@ def _text_reduce(args, report):
 
 
 def _cmd_check(args, ambient):
-    data = specfiles.parse_subgroup_spec(Path(args.subgroup).read_text(), ambient)
+    with open(args.subgroup) as f:
+        data = specfiles.parse_subgroup_spec(f.read(), ambient)
     verdict = checker.check_all(data)
     vios = [_violation_dict(v, ambient) for v in verdict.violations]
     report = _report("fails-necessary" if vios else "passes-necessary-inconclusive",

@@ -296,13 +296,19 @@ def from_cayley_table(
 
     # Light's associativity test (Clifford-Preston, The Algebraic Theory of
     # Semigroups I, sec. 1.2): the y with (x*y)*z = x*(y*z) for all x, z form
-    # a submagma holding the identity, so checking y over generators whose
+    # a submagma holding the identity, so checking y over a set whose
     # closure is the whole table proves associativity.  Generator ids are
-    # validated below; here only the valid ones count.  Without a generating
-    # set, every y is checked, so a non-associative table is reported as such.
+    # validated below; here only the valid ones count.  When they do not
+    # generate, the least id outside the closure joins them until the set
+    # does, so a non-associative table is still reported as such first.  In
+    # a group each id joined at least doubles the closure, a subgroup.
     gens = [remap[g] for _, g in generators if isinstance(g, int) and 0 <= g < n]
     closure = _closure(table, gens)
-    _check_associative(table, sorted(set(gens)) if len(closure) == n else range(n))
+    middles, reached = sorted(set(gens)), closure
+    while len(reached) < n:
+        middles.append(next(x for x in range(n) if x not in reached))
+        reached = _closure(table, middles)
+    _check_associative(table, middles)
 
     # Latin + identity + associativity already force two-sided inverses.
     inverses = tuple(row.index(0) for row in table)

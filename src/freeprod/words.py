@@ -271,10 +271,15 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _WordParser:
-    def __init__(self, text: str, group: FreeProduct):
+    """Recursive-descent parser for word text.  Given ``variables`` (label
+    -> index), it reads each generator label as that variable and refuses
+    every other identifier, x1 included, as an unknown generator."""
+
+    def __init__(self, text: str, group: FreeProduct, variables: dict[str, int] | None = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.group = group
+        self.variables = variables
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -292,7 +297,11 @@ class _WordParser:
             raise WordSyntaxError(f"expected {sym!r}, got {tok[1]!r}")
 
     def parse(self) -> tuple[Item, ...]:
-        letters = self.word()
+        # The parser recurses once per nesting level.
+        try:
+            letters = self.word()
+        except RecursionError:
+            raise WordSyntaxError("word is nested too deeply") from None
         if self.peek() is not None:
             raise WordSyntaxError(f"trailing input near {self.peek()[1]!r}")
         return letters
@@ -332,6 +341,10 @@ class _WordParser:
     def atom(self) -> tuple[Item, ...]:
         kind, text = self.take()
         if kind == "ident":
+            if self.variables is not None:
+                if text not in self.variables:
+                    raise UnknownGeneratorError(f"unknown generator {text!r}")
+                return (Var(self.variables[text]),)
             m = _VARIABLE_RE.fullmatch(text)
             if m:
                 return (Var(int(m.group(1))),)
@@ -362,11 +375,7 @@ def parse_word(text: str, group: FreeProduct) -> MixedWord:
     The parser recurses once per nesting level, so a word nested deeper
     than the interpreter's recursion limit is a WordSyntaxError.
     """
-    try:
-        items = _WordParser(text, group).parse()
-    except RecursionError:
-        raise WordSyntaxError("word is nested too deeply") from None
-    return MixedWord(group, items)
+    return MixedWord(group, _WordParser(text, group).parse())
 
 
 def parse_constant(text: str, group: FreeProduct) -> FPElement:
@@ -1157,25 +1166,6 @@ def cyclic_power_solution_exists(
     return min(r, d - r) <= reach
 
 
-def _variables_for_generators(group: FreeProduct) -> dict[str, int]:
-    return {label: i for i, label in enumerate(group.generator_labels, start=1)}
-
-
-def _to_variable_word(text: str, group: FreeProduct) -> MixedWord:
-    """Re-parse a generator word with every generator label replaced by its
-    variable (x_i for the i-th generator in declaration order)."""
-    var_of = _variables_for_generators(group)
-    rewritten = []
-    for kind, tok in _tokenize(text):
-        if kind == "ident":
-            if tok not in var_of:
-                raise UnknownGeneratorError(f"unknown generator {tok!r}")
-            rewritten.append(f"x{var_of[tok]}")
-        else:
-            rewritten.append(tok)
-    return parse_word(" ".join(rewritten), group)
-
-
 class Lemma5Construction(_Record):
     """The twisted power equation
 
@@ -1215,8 +1205,11 @@ def build_lemma5(
     factor, is refused with a GroupError before anything is built."""
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be positive")
-    fx = _to_variable_word(f_word, group)
-    gx = _to_variable_word(g_word, group)
+    # f(x) and g(x) read the i-th generator's label as x_i; f and g are
+    # read again as constants, so the re-check below tests that reading.
+    var_of = {label: i for i, label in enumerate(group.generator_labels, start=1)}
+    fx = MixedWord(group, _WordParser(f_word, group, var_of).parse())
+    gx = MixedWord(group, _WordParser(g_word, group, var_of).parse())
     f = parse_constant(f_word, group)
     if f.norm != 1:
         raise GroupError(f"coefficient {f_word!r} must lie in a single factor")
@@ -1231,12 +1224,8 @@ def build_lemma5(
     lhs = fx.repeat(k1 * n_const).concat(gx).concat(fx.repeat(k2 * n_const)).concat(gx.inverse())
     rhs = f.power(k1) * g * f.power(k2) * g.inverse()
 
-    assignment = {
-        i: group.generator(label)
-        for label, i in _variables_for_generators(group).items()
-    }
     eq = Equation(lhs, rhs)
-    sol = Substitution.of(assignment)
+    sol = Substitution.of({i: group.generator(label) for label, i in var_of.items()})
     if evaluate(eq.lhs, sol) != eq.rhs:
         raise VerificationError("generator substitution does not solve the twisted equation")
     return Lemma5Construction(eq, n_const, sol, fx, f, g)
@@ -1391,24 +1380,27 @@ def theorem2_report(k_range: int) -> Theorem2Report:
     equation's left side matches the closed form and never hits (a b)^2.
 
     Every substitution is evaluated exactly in C2 * C2 by the word's
-    _Program with x1 free: x1^3 and x1^-1 once per value of x1 and e1; the
-    runs x2^x3 and x2 and the bound steps (x2^-1)^x3, the inverse of
-    x2^x3, and x2^3 once per (e2, e3, t, s), shared by both values of e1
-    since no run holds x1; and three steps (the commutator [x1, x2^x3],
-    shared by its two uses, the body x1^3 [x1, x2^x3] x2^3 and the two
-    powers joined) once per distinct tuple of their input values, by a
-    _Memo keyed by the values and shared by the two cases (e1, e2, 0) and
-    (e1, e2, 1).  The row of values for all 2R+1 values of x1 is decided
-    once per distinct tuple of the x1 values and the runs' values in that
-    memo: with e2 = 0 the runs depend on t alone, so each such pair has
-    2R+1 rows for e3 = 0 and 2R (t = 0 repeats) for e3 = 1, and the other
-    pairs (2R+1)^2 for e3 = 0 and fewer for e3 = 1 (289 and 72 at R = 8).
-    A case's ``merges`` and ``rows`` count what it decided first.  One memo
-    and one (x2, x3) cache are alive at a time.  Equal inputs reuse an
-    exact value, so each value is the one a full evaluation gives.  Each
-    case's row is compared whole with that case's own row of closed forms
-    (ba)^n, a slice of one list of them, and searched for the target, as
-    normal forms, which is exact; only a row that fails is scanned value by
+    _Program with x1 free, one case at a time in the order of
+    THEOREM2_CASE_EXPONENTS: x1^3 and x1^-1 once per value of x1 and e1;
+    the runs x2^x3 and x2 and the bound steps (x2^-1)^x3, the inverse of
+    x2^x3, and x2^3 once per (e2, e3, t, s), in a table keyed by (e2, e3)
+    that (0, e2, e3) fills and (1, e2, e3) reads, since no run holds x1;
+    and three steps (the commutator [x1, x2^x3], shared by its two uses,
+    the body x1^3 [x1, x2^x3] x2^3 and the two powers joined) once per
+    distinct tuple of their input values, by a _Memo keyed by the values
+    that (e1, e2, 0) fills and (e1, e2, 1) reads.  The table lists each
+    filling case before its reader, and a reader drops the cache it read,
+    so at most three memos and two bind tables are alive at once.  The row
+    of values for all 2R+1 values of x1 is decided once per distinct tuple
+    of the x1 values and the runs' values in a memo: with e2 = 0 the runs
+    depend on t alone, so each such pair has 2R+1 rows for e3 = 0 and 2R
+    (t = 0 repeats) for e3 = 1, and the other pairs (2R+1)^2 for e3 = 0
+    and fewer for e3 = 1 (289 and 72 at R = 8).  A case's ``merges`` and
+    ``rows`` count what it decided first.  Equal inputs reuse an exact
+    value, so each value is the one a full evaluation gives.  Each case's
+    row is compared whole with that case's own row of closed forms (ba)^n,
+    a slice of one list of them, and searched for the target, as normal
+    forms, which is exact; only a row that fails is scanned value by
     value, so mismatches and target hits are reported in (k, t, s) order,
     case by case in the order of THEOREM2_CASE_EXPONENTS.
 
@@ -1444,60 +1436,41 @@ def theorem2_report(k_range: int) -> Theorem2Report:
         stop = start + c * n
         return closed[start:stop if stop >= 0 else None:c]
 
-    results: dict[tuple[int, int, int], Theorem2CaseResult] = {}
-    hits_of: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for e2 in (0, 1):
-        # the runs' part for (e3, t, s): x1 is in no run, so both e1 read it
-        binds: dict[tuple[int, int, int], list] = {}
-        for e1 in (0, 1):
-            # one memo for both e3: it is keyed by the values themselves
-            memo = _Memo(program)
-            x1_values = [program.y_values(subs[k, e1]) for k in span]
-            for e3 in (0, 1):
-                eps = (e1, e2, e3)
-                ck, ct, cs = THEOREM2_CASE_EXPONENTS[eps]
-                merges, rows = memo.merges, len(memo.rows)
-                mismatches: list[tuple[int, int, int]] = []
-                hits: list[tuple[int, int, int]] = []
-                variant = THEOREM2_SIGN_VARIANTS.get(eps)
-                variant_consistent = None if variant is None else True
-                count = bindings = 0
-                for t in span:
-                    for s in span:
-                        bound = binds.get((e3, t, s))
-                        if bound is None:
-                            bound = binds[e3, t, s] = program.bind(
-                                {2: subs[t, e2], 3: subs[s, e3]})
-                        bindings += 1
-                        count += n
-                        # Each row is compared whole, in C; only a row that
-                        # fails is scanned, for its (k, t, s).
-                        row = memo.row(x1_values, bound)
-                        expected = progression(ck, ct * t + cs * s)
-                        if row != expected:
-                            mismatches.extend(
-                                (k, t, s) for k, v, w in zip(span, row, expected) if v != w
-                            )
-                        if target in row:
-                            hits.extend((k, t, s) for k, v in zip(span, row) if v == target)
-                        if variant_consistent:
-                            vk, vt, vs = variant
-                            variant_consistent = row == progression(vk, vt * t + vs * s)
-                hits_of[eps] = sorted(hits)
-                results[eps] = Theorem2CaseResult(
-                    eps,
-                    (ck, ct, cs),
-                    count,
-                    bindings,
-                    tuple(sorted(mismatches)),
-                    variant,
-                    variant_consistent,
-                    memo.merges - merges,
-                    len(memo.rows) - rows,
-                )
-            del memo  # at most one memo alive at a time
-    case_results = [results[eps] for eps in THEOREM2_CASE_EXPONENTS]
-    target_hits = [(k, t, s, eps) for eps in THEOREM2_CASE_EXPONENTS for k, t, s in hits_of[eps]]
+    memos: dict[tuple[int, int], _Memo] = {}
+    binds: dict[tuple[int, int], dict[tuple[int, int], list]] = {}
+    x1_values = {e1: [program.y_values(subs[k, e1]) for k in span] for e1 in (0, 1)}
+    case_results: list[Theorem2CaseResult] = []
+    target_hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
+    for eps, (ck, ct, cs) in THEOREM2_CASE_EXPONENTS.items():
+        e1, e2, e3 = eps
+        memo = memos.pop((e1, e2)) if e3 else memos.setdefault((e1, e2), _Memo(program))
+        bound_of = binds.pop((e2, e3)) if e1 else binds.setdefault((e2, e3), {})
+        merges, rows = memo.merges, len(memo.rows)
+        mismatches: list[tuple[int, int, int]] = []
+        hits: list[tuple[int, int, int, tuple[int, int, int]]] = []
+        variant = THEOREM2_SIGN_VARIANTS.get(eps)
+        variant_consistent = None if variant is None else True
+        count = bindings = 0
+        for t, s in _cartesian(span, span):
+            bound = bound_of[t, s] if e1 else bound_of.setdefault(
+                (t, s), program.bind({2: subs[t, e2], 3: subs[s, e3]}))
+            bindings += 1
+            count += n
+            # Each row is compared whole, in C; only a row that fails is
+            # scanned, for its (k, t, s).
+            row = memo.row(x1_values[e1], bound)
+            expected = progression(ck, ct * t + cs * s)
+            if row != expected:
+                mismatches.extend((k, t, s) for k, v, w in zip(span, row, expected) if v != w)
+            if target in row:
+                hits.extend((k, t, s, eps) for k, v in zip(span, row) if v == target)
+            if variant_consistent:
+                vk, vt, vs = variant
+                variant_consistent = row == progression(vk, vt * t + vs * s)
+        case_results.append(Theorem2CaseResult(
+            eps, (ck, ct, cs), count, bindings, tuple(sorted(mismatches)), variant,
+            variant_consistent, memo.merges - merges, len(memo.rows) - rows))
+        target_hits.extend(sorted(hits))
     total = sum(c.evaluations for c in case_results)
 
     # Companion check in the bigger group: the equation does have a solution

@@ -1249,14 +1249,36 @@ def test_power_order_matches_the_normal_form(p23, s3z2):
                 assert cli._power_order(word.letters, group) == expected
 
 
+@pytest.mark.parametrize("flag", ["--group", "--subgroup"])
+def test_cli_unreadable_spec_file_is_an_input_error(capsys, monkeypatch, tmp_path, flag):
+    # A spec file that is missing or a directory is one line and exit 2,
+    # naming the path as given.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir.grp").mkdir()
+    for name, message in [
+        ("nope.grp", "[Errno 2] No such file or directory: 'nope.grp'"),
+        ("dir.grp", "[Errno 21] Is a directory: 'dir.grp'"),
+    ]:
+        files = {"--group": str(CASES / "example1.grp"), "--subgroup": str(CASES / "example1.sub")}
+        files[flag] = name
+        assert cli.main(["check", "--group", files["--group"], "--subgroup", files["--subgroup"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_cli_deep_nesting_is_an_input_error(capsys):
     p23 = str(CASES / "p23.grp")
     deep = "(" * 400 + "a" + ")" * 400
-    assert cli.main(["eval", "--group", p23, "--word", deep]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ") and "nested" in captured.err
+    example2 = str(CASES / "example2.grp")
+    for argv in (["eval", "--group", p23, "--word", deep],
+                 ["verify-lemma5", "--group", example2, "--f", deep, "--g", "c",
+                  "--k1", "1", "--k2", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "nested" in captured.err
     code, report = run_json(capsys, [
         "eval", "--group", p23, "--word", "(" * 250 + "a b" + ")" * 250,
     ])

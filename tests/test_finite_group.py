@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from freeprod import finite_group
 from freeprod.errors import (
     DuplicateLabelError,
     ForeignElementError,
@@ -411,6 +413,32 @@ def test_light_test_agrees_with_the_full_check():
             g = from_cayley_table(rows, labelled)
             assert g.order == n
         verdicts.add((associative, generating))
-    # every combination occurs: (False, True) takes Light's test, and
-    # (False, False) the full check before the closure is reported
+    # every combination occurs: (False, True) takes Light's test over the
+    # generators, and (False, False) over the generators extended to a
+    # generating set, before the closure is reported
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n, table", [
+    (800, lambda x, y: (x + y) % 800),
+    # each id joined only doubles the closure: 1, 2, 4, ..., 256
+    (512, lambda x, y: x ^ y),
+], ids=["C800", "C2^9"])
+def test_tables_that_do_not_generate_check_few_middles(monkeypatch, n, table):
+    # Generators that reach only the identity still have a table proved
+    # associative before they are refused, over a set the least ids outside
+    # the closure extend: in a group each one joined doubles the closure,
+    # so at most 1 + log2(n) middles, not all n.
+    seen = []
+    real = finite_group._check_associative
+
+    def spy(rows, middles):
+        seen.append(list(middles))
+        return real(rows, middles)
+
+    monkeypatch.setattr(finite_group, "_check_associative", spy)
+    rows = [[table(x, y) for y in range(n)] for x in range(n)]
+    with pytest.raises(GeneratorsDoNotGenerateError):
+        from_cayley_table(rows, [("a", 0)])
+    assert len(seen) == 1
+    assert len(seen[0]) <= 1 + math.ceil(math.log2(n))

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from itertools import product as cartesian
+from pathlib import Path
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import elements
-from freeprod import free_product, words
+from freeprod import free_product, specfiles, words
 from freeprod.errors import (
     EmptyCandidatesError,
     EmptyWordError,
@@ -46,6 +47,8 @@ from freeprod.words import (
     solve_bounded,
     theorem2_report,
 )
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def test_parse_simple_variables(p23):
@@ -195,14 +198,15 @@ _P23 = FreeProduct([make_cyclic(2, "a"), make_cyclic(3, "b")])
 _HUGE = 10**12  # = 4 mod 6, and every finite order in C2 * C3 divides 6
 
 
-def word_texts(depth=3):
-    """Word text with nested powers (exponents 0, +-1, negative, huge),
-    conjugates and commutators, over x1, x2 and the generators of C2 * C3."""
-    atoms = st.sampled_from(["x1", "x2", "a", "b", "1"])
+def word_texts(depth=3, atoms=("x1", "x2", "a", "b", "1"),
+               exponents=(-3, -2, -1, 0, 1, 2, 3, _HUGE, -_HUGE)):
+    """Word text with nested powers (by default exponents 0, +-1, negative,
+    huge), conjugates and commutators, over ``atoms`` (by default x1, x2
+    and the generators of C2 * C3)."""
     if depth == 0:
-        return atoms
-    inner = word_texts(depth - 1)
-    exponents = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, _HUGE, -_HUGE])
+        return st.sampled_from(atoms)
+    inner = word_texts(depth - 1, atoms, exponents)
+    atoms, exponents = st.sampled_from(atoms), st.sampled_from(exponents)
     return st.one_of(
         atoms,
         st.tuples(inner, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
@@ -908,6 +912,60 @@ def test_build_lemma5_refuses_inputs_outside_its_hypotheses(p23, z6z2, monkeypat
         build_lemma5(p23, "a", "a^3", 1, 1)
 
 
+def variable_word_reference(text, group):
+    """f(x) as build_lemma5 once read it: the text tokenized, each
+    generator label rewritten as x_i for the i-th generator, and the
+    rewritten text parsed again."""
+    var_of = {label: i for i, label in enumerate(group.generator_labels, start=1)}
+    rewritten = []
+    for kind, tok in words._tokenize(text):
+        if kind == "ident":
+            if tok not in var_of:
+                raise UnknownGeneratorError(f"unknown generator {tok!r}")
+            rewritten.append(f"x{var_of[tok]}")
+        else:
+            rewritten.append(tok)
+    return parse_word(" ".join(rewritten), group)
+
+
+@pytest.mark.parametrize("stem", ["p23", "example2", "c3d4"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_lemma5_reads_labels_as_the_rewrite_did(stem, data):
+    # f = u u^-1 flab and g = v^-1 glab v for drawn words u and v, a
+    # generator flab and a generator glab of another factor, so every
+    # drawn pair meets the lemma's hypotheses while f(x) and g(x) keep the
+    # drawn structure.
+    group = specfiles.parse_group_spec((CASES / f"{stem}.grp").read_text())
+    labels = group.generator_labels
+    texts = word_texts(atoms=(*labels, "1"), exponents=(-3, -2, -1, 0, 1, 2, 3))
+    flab = data.draw(st.sampled_from(labels), label="flab")
+    factor = group.generator(flab).syllables[0][0]
+    glab = data.draw(st.sampled_from(
+        [lab for lab in labels if group.generator(lab).syllables[0][0] != factor]), label="glab")
+    u, v = data.draw(texts, label="u"), data.draw(texts, label="v")
+    k1, k2 = data.draw(st.integers(1, 3), label="k1"), data.draw(st.integers(1, 3), label="k2")
+    f_text, g_text = f"({u}) ({u})^-1 {flab}", f"({v})^-1 {glab} ({v})"
+    cons = build_lemma5(group, f_text, g_text, k1, k2)
+    fx = variable_word_reference(f_text, group)
+    gx = variable_word_reference(g_text, group)
+    assert cons.f_word == fx
+    assert cons.equation.lhs == (fx.repeat(k1 * cons.N).concat(gx)
+                                 .concat(fx.repeat(k2 * cons.N)).concat(gx.inverse()))
+
+
+def test_build_lemma5_reports_the_first_error_in_the_text(z6z2):
+    # Labels are read as variables while the text is parsed, so x1 is an
+    # unknown generator, and of a syntax error and an unknown label the
+    # one that comes first in the text is reported.
+    with pytest.raises(UnknownGeneratorError, match="^unknown generator 'x1'$"):
+        build_lemma5(z6z2, "x1", "c", 1, 1)
+    with pytest.raises(UnknownGeneratorError, match="^unknown generator 'zz'$"):
+        build_lemma5(z6z2, "a b", "zz )", 1, 1)
+    with pytest.raises(WordSyntaxError, match="^trailing input near '\\)'$"):
+        build_lemma5(z6z2, "a b", "c ) zz", 1, 1)
+
+
 def lemma5_desk_parts(z6z2):
     f = parse_constant("a b", z6z2)
     factor, fe = f.syllables[0]
@@ -1452,9 +1510,10 @@ def test_theorem2_report_work(monkeypatch):
     # (18,648 with one memo per case).  Each (x2, x3) is bound once for
     # both values of e1, 1,156 binds (2,312 per case).  With the runs and
     # bound steps per binding, (x2^-1)^x3 taken as the inverse of x2^x3
-    # rather than merged, and x2^3 and x1^3 taken as powers with no merge,
-    # the words module makes 12,421 seam merges and 4,709 powers, 0.316 and
-    # 0.120 per substitution; one memo and one bind per case made 0.533 and
+    # rather than merged, and x2^3 and x1^3 taken as powers with no merge
+    # (x1^3 once per value of x1 and e1, 34 powers, not once more per e2),
+    # the words module makes 12,421 seam merges and 4,675 powers, 0.316 and
+    # 0.119 per substitution; one memo and one bind per case made 0.533 and
     # 0.195, merging every step 3.24 and 2.06, and binding (x2, x3) without
     # sharing 4.29 and 3.06.  A row of 17 values of x1 is decided once per
     # distinct tuple of bound values in each shared memo: 17 + 16 for the
@@ -1483,7 +1542,7 @@ def test_theorem2_report_work(monkeypatch):
     assert [c.rows for c in rep.case_results] == [17, 17, 289, 16, 289, 16, 72, 72]
     assert sum(c.rows for c in rep.case_results) == 788
     assert counts[words, "_seam_merge"] == 12421
-    assert counts[words, "power_syllables"] == 4709
+    assert counts[words, "power_syllables"] == 4675
     merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
     powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
     assert merges <= 0.66 * n
