@@ -87,6 +87,12 @@ CHECKS = [
     # 28,666 values of F in B_24 cover the 195,364 pairs of the depth-12 ball
     (["verify-lemma5", "--group", str(CASES / "example2.grp"),
       "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2", "--depth", "12"], 0),
+    # Lemma 5's equation at depth 6 with F = x1 x2^-1: each pair's key
+    # inverts x2, and as B_6^-1 = B_6, F runs over the same 442 values of
+    # B_12, none with a solution
+    (["solve", "--group", str(CASES / "example2.grp"), "--eq",
+      "(x1 x2^-1)^39 x3 (x1 x2^-1)^26 x3^-1 = (a b)^3 c (a b)^2 c",
+      "--ball", "(a b)^3;(a b)^2@c", "--depth", "6"], 1),
     (["verify-lemma7", "--group", str(CASES / "p23.grp"),
       "--trials", "1000", "--seed", "0"], 0),
     # product factors, three labels: a drawn label is its generator's

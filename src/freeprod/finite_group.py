@@ -122,11 +122,14 @@ class FiniteGroup(_Record):
         return tuple(sorted(_closure(self.table, seed)))
 
     def is_subgroup(self, ids: Iterable[int]) -> bool:
+        """Whether ``ids`` is closed and holds the identity; every id is
+        checked (ForeignElementError) before any product is read."""
         s = set(ids)
+        for x in s:
+            self.check_element(x)
         if 0 not in s:
             return False
         for x in s:
-            self.check_element(x)
             if self.inverses[x] not in s:
                 return False
             for y in s:

@@ -475,6 +475,27 @@ def _fill(refs: Sequence, codec, assignment, inverses: dict) -> list:
     return pieces
 
 
+def _run_value(codec, refs: Sequence, values, inverses: dict) -> str:
+    """The value of a run, a product of letters given by its flat
+    references (see _flat_refs), as a reduced id string: a variable's value
+    read as ``values[index]``, or its inverse, computed once per value and
+    kept in ``inverses``; a constant as it is; the pieces folded by
+    _product, so a seam that joins two factors is a concatenation."""
+    out = ""
+    for r in refs:
+        if type(r) is str:
+            s = r
+        else:
+            s = values[r[0]]
+            if r[1] < 0:
+                inv = inverses.get(s)
+                if inv is None:
+                    inv = inverses[s] = _inverse_syllables(codec, s)
+                s = inv
+        out = _product(codec, out, s) if out else s
+    return out
+
+
 # ---------------------------------------------------------------------------
 # partial evaluation: a word compiled once, with one variable y left free
 
@@ -531,8 +552,9 @@ class _Program:
       that hold another variable, at every nesting level, each kept once up
       to inversion (a lone letter with sign 1), and the bound steps, what
       lies between them (such as a run's inverse or power).  ``bind``
-      computes both once per binding of the other variables, each run by
-      filling its flat references, kept in ``run_refs`` (see _flat_refs).
+      computes both once per binding of the other variables, each run
+      folded from its flat references, kept in ``run_refs`` (see
+      _flat_refs and _run_value).
     - The steps: one seam merge per distinct sub-word that holds y and
       another variable.  ``run`` evaluates them for one value of y and one
       binding; a _Memo runs them once per distinct tuple of input values
@@ -696,17 +718,6 @@ class _Program:
         inverse = _inverse_syllables(codec, y) if self.needs_inverse else ""
         return _execute(codec, [y, inverse, *self.consts], self.pure_ops)
 
-    def run_values(self, assignment) -> tuple:
-        """The runs' values, for a binding of every variable but y to
-        reduced id strings: each run's flat references filled and merged
-        once; a lone letter is read, not merged."""
-        codec, inverses = self.group.codec, {}
-        values = []
-        for refs in self.run_refs:
-            pieces = _fill(refs, codec, assignment, inverses)
-            values.append(pieces[0] if len(pieces) == 1 else _seam_merge(codec, "", pieces))
-        return tuple(values)
-
     def bound_values(self, runs: Sequence[str]) -> list:
         """The runs' part of the value list, from the runs' values: the
         runs, then the bound steps."""
@@ -721,8 +732,15 @@ class _Program:
         return ["", rhs, *self.consts, *(self.bound_values(runs) if self.deep else runs)]
 
     def bind(self, assignment) -> list:
-        """The runs' part of the value list, for a binding (see run_values)."""
-        return self.bound_values(self.run_values(assignment))
+        """The runs' part of the value list, for a binding of every
+        variable but y to reduced id strings: each run's value (see
+        _run_value), then the bound steps."""
+        codec, inverses = self.group.codec, {}
+        try:
+            runs = [_run_value(codec, refs, assignment, inverses) for refs in self.run_refs]
+        except KeyError as exc:
+            raise UnboundVariableError(f"x{exc.args[0]} is unbound") from None
+        return self.bound_values(runs)
 
     def run(self, y_values: list, bound: list) -> str:
         """The word's value, as a reduced id string, from ``y_values`` and
@@ -864,7 +882,14 @@ def solve_bounded(
     Fusion: each solver decides an outer tuple from its key, the values
     of the _Program's runs, and computes what else it needs from the key
     alone (see _Program.bound_values): for F^39 x3 F^26 x3^-1 with
-    F = x1 x2, F is the only run, B = F^26 and T = F^-39 rhs.  With fewer
+    F = x1 x2, F is the only run, B = F^26 and T = F^-39 rhs.  A key is
+    read from the tuple: each run's references are laid out once per
+    search by the position of each variable in the tuple, and each tuple
+    folds them with _product (see _run_value), a variable as its value's
+    id string, inverted once per value for sign -1, a constant as it is;
+    so x1 x2 is one _product, a seam merge only when the seam joins two
+    syllables of one factor.  The assignment of id strings that record()
+    re-checks is built only for a tuple with hits, once.  With fewer
     runs than outer variables, keys repeat: only a new key is decided, and
     every hit is still re-verified by record() for each tuple that reaches
     it, so the solutions and their order are as without fusion.  When the
@@ -903,16 +928,18 @@ def solve_bounded(
     inverses: dict[str, str] = {}  # each value's inverse, once per search
     results: list[Substitution] = []
 
-    def record(pairs: tuple[tuple[int, FPElement], ...]) -> None:
+    def record(pairs: tuple[tuple[int, FPElement], ...], assignment: dict) -> None:
+        """Re-check and keep the solution ``pairs``, whose values as id
+        strings ``assignment`` holds."""
         sub = Substitution(pairs)
-        pieces = _fill(lhs_refs, codec, {v: c.ids for v, c in pairs}, inverses)
+        pieces = _fill(lhs_refs, codec, assignment, inverses)
         if _seam_merge(codec, "", pieces) != rhs:
             raise VerificationError(f"search returned a non-solution {sub!r}")
         results.append(sub)
 
     if not variables:
         if _seam_merge(codec, "", _fill(lhs_refs, codec, {}, inverses)) == rhs:
-            record(())
+            record((), {})
         if counters is not None:
             counters.update(outer_tuples=0, outer_values=0, image=None)
         return (results[0] if results else None) if mode == "first" else results
@@ -967,8 +994,9 @@ def solve_bounded(
         at = b_refs[0][0] if lone else width + len(moved)
         # when B is one of the powers, its split comes with it
         known = at - width if width <= at < width + len(raised) else None
+        listed = list(inner_cands)  # a hit is read from here, not from a Ball
         positions: dict[str, list[int]] = {}
-        for i, c in enumerate(inner_cands):
+        for i, c in enumerate(listed):
             positions.setdefault(c.ids, []).append(i)
         max_norm = max(map(len, positions))
 
@@ -989,13 +1017,13 @@ def solve_bounded(
             if c is None:
                 return ()
             if not b:
-                return inner_cands
+                return listed
             hits = sorted(
                 i
                 for z in _centralizer(codec, b, split, max_norm + len(c))
                 for i in positions.get(_product(codec, c, z), ())
             )
-            return [inner_cands[i] for i in hits]
+            return [listed[i] for i in hits]
 
     else:
         inner_values = [(c, program.y_values(c.ids)) for c in inner_cands]
@@ -1017,10 +1045,16 @@ def solve_bounded(
         depth = sum(c.depth for c in outer_cands)
         image = _ball_elements(group, outer_cands[0].parts, depth)
         walked = {"run": _render(runs[0]), "depth": depth}
+    # Each run's references, a variable's read by its position in a tuple;
+    # the tuples of candidates and of their id strings are walked in step.
+    at_position = {v: i for i, v in enumerate(outer)}
+    key_refs = [[r if type(r) is str else (at_position[r[0]], r[1]) for r in refs]
+                for refs in program.run_refs]
+    outer_ids = [[c.ids for c in cands] for cands in outer_cands]
     tuples = 0
-    for combo in _cartesian(*outer_cands):
+    for combo, ids in zip(_cartesian(*outer_cands), _cartesian(*outer_ids)):
         tuples += 1
-        key = program.run_values({v: c.ids for v, c in zip(outer, combo)})
+        key = tuple([_run_value(codec, refs, ids, inverses) for refs in key_refs])
         hits = decided.get(key)
         if hits is None:
             hits = decide(key)
@@ -1028,8 +1062,10 @@ def solve_bounded(
                 decided[key] = hits
         if hits:  # variables are sorted, so (inner, c) comes last
             pairs = tuple(zip(outer, combo))
+            assignment = dict(zip(outer, ids))
             for c in hits:
-                record(pairs + ((inner, c),))
+                assignment[inner] = c.ids
+                record(pairs + ((inner, c),), assignment)
                 if mode == "first":
                     break
         if results and mode == "first":

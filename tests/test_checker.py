@@ -8,6 +8,7 @@ from freeprod import checker
 from freeprod.checker import CONDITION1, CONDITION2, KuroshData, Part
 from freeprod.errors import (
     BadFactorIndexError,
+    ForeignElementError,
     MixedAmbientError,
     NotASubgroupError,
     TrivialSubgroupError,
@@ -104,6 +105,22 @@ def test_validate_and_ball_report_the_same_error(s3z2, broken, error):
     assert str(errors[0]).startswith("part 1: ")
     with pytest.raises(error):
         Ball(s3z2, parts, 1)
+
+
+@pytest.mark.parametrize("ids", [(0, 7), (0, 1, "x"), (0, -1)], ids=["range", "type", "negative"])
+def test_foreign_ids_in_a_part_are_foreign_everywhere(p23, ids):
+    # Every id is checked before a product is read: an id past the table,
+    # one that is not an int, and a negative one (which would read the
+    # table from its end) are foreign, not an IndexError, a TypeError or
+    # "not a subgroup".
+    c3 = p23.factors[1]
+    with pytest.raises(ForeignElementError):
+        c3.is_subgroup(ids)
+    errors = checker.validate(KuroshData(p23, 0, (Part(1, ids, p23.identity()),)))
+    assert [type(e) for e in errors] == [ForeignElementError]
+    assert str(errors[0]).startswith("part 0: ")
+    with pytest.raises(ForeignElementError):
+        Ball(p23, [Part(1, ids, p23.identity())], 1)
 
 
 # -- condition 1 ------------------------------------------------------------

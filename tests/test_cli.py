@@ -333,8 +333,10 @@ def test_cli_verify_lemma5_kernel_work_is_pinned(capsys, monkeypatch):
     # one inversion of F, none for a core of norm <= 1), B's split comes
     # with it, and T = F^-39 rhs is one seam merge and one more split, in
     # the conjugacy test: two splits per value (7,162 at depth 10, 442 at
-    # depth 6).  The 4 powers and 4 more splits are build_lemma5's, the 6
-    # more merges the ball's.
+    # depth 6).  The 4 powers and 4 more splits are build_lemma5's.  The
+    # other merges are the walked pairs' keys x1 x2 whose seam joins two
+    # syllables of one factor (196 of 443 at depth 6, 3,534 of 7,163 at
+    # depth 10; every other key is a concatenation) and 5 of the ball's.
     names = ("_cyclic_split", "power_syllables", "_seam_merge", "_inverse_syllables")
     counts = dict.fromkeys(names, 0)
 
@@ -350,7 +352,7 @@ def test_cli_verify_lemma5_kernel_work_is_pinned(capsys, monkeypatch):
         monkeypatch.setattr(words, name, spy)
     argv = ["verify-lemma5", "--group", str(CASES / "example2.grp"),
             "--f", "a b", "--g", "c", "--k1", "3", "--k2", "2"]
-    for depth, work in (("6", (888, 4, 890, 400)), ("10", (14328, 4, 14330, 6952))):
+    for depth, work in (("6", (888, 4, 643, 400)), ("10", (14328, 4, 10701, 6952))):
         counts.update(dict.fromkeys(names, 0))
         assert cli.main(argv + ["--depth", depth]) == 0
         assert capsys.readouterr().err == ""

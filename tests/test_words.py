@@ -1032,8 +1032,11 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
     # of its values is decided once, from F alone: B = F^26 is F's power,
     # with no merge, and T = F^-39 rhs is one seam merge, F's syllables
     # powered without merging them first.  One value is decided after each
-    # pair, so the walk ends after |B_2d| + 1 pairs, one merge each, when the
-    # image runs out; no pair has a hit and nothing is re-evaluated.
+    # pair, so the walk ends after |B_2d| + 1 pairs when the image runs out;
+    # a pair's key x1 x2 is one _product, a merge only when the seam joins
+    # two syllables of one factor (196 of the 443 pairs at depth 6, 870 of
+    # the 1,787 at depth 8), a concatenation otherwise.  No pair has a hit
+    # and nothing is re-evaluated.
     cons = build_lemma5(z6z2, "a b", "c", 3, 2)
     parts = lemma5_desk_parts(z6z2)
     calls = spy_conjugator(monkeypatch)
@@ -1049,7 +1052,7 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
     monkeypatch.setattr(words, "_seam_merge", merge)
     evaluated = []
     monkeypatch.setattr(words, "evaluate", lambda *args: evaluated.append(args))
-    for depth, size, values in ((6, 50, 442), (8, 106, 1786)):
+    for depth, size, values, seams in ((6, 50, 442, 196), (8, 106, 1786, 870)):
         merges = 0
         assert len(enumerate_ball(z6z2, parts, 2 * depth)) == values
         assert len(enumerate_ball(z6z2, parts, depth)) == size
@@ -1067,7 +1070,7 @@ def test_lemma5_gate_walks_the_image_ball(z6z2, monkeypatch):
         assert all(result is None for _, _, result in calls)
         assert counters == {"outer_tuples": size**2, "outer_values": values,
                             "image": {"run": "x1 x2", "depth": 2 * depth}}
-        assert merges == values + (values + 1) + enumeration
+        assert merges == values + seams + enumeration
     assert not evaluated
 
 
@@ -1135,6 +1138,97 @@ def test_image_and_pair_walks_agree(data):
             assert image_counters["outer_tuples"] == pair_counters["outer_tuples"]
             assert (pair_counters["outer_values"] <= image_counters["outer_values"]
                     <= pair_counters["outer_values"] + pair_counters["outer_tuples"])
+
+
+# Groups from cases/ with ball parts and constants for signed_run_texts:
+# p23's factors, Lemma 5's parts in example2, and c3d4's decomposition.
+_SIGNED_RUN_CASES = {
+    "p23": ("a;b", ["a", "b", "a b"]),
+    "example2": ("(a b)^3;(a b)^2@c", ["a", "b", "c", "a b"]),
+    "c3d4": ("t;b@z", ["t", "a b", "z"]),
+}
+
+
+def signed_run_texts(consts):
+    """Left sides whose runs multiply x1 and x2, each with sign +-1, in
+    either order, with or without a constant between them, on each of the
+    three paths; x3 is the inner variable."""
+    letter = st.sampled_from(["x1", "x1^-1"]), st.sampled_from(["x2", "x2^-1"])
+    gap = st.sampled_from(["", *consts])
+    run = st.tuples(st.tuples(*letter).flatmap(st.permutations), gap).map(
+        lambda t: f"{t[0][0]} {t[1]} {t[0][1]}")
+    exps = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    templates = st.sampled_from([
+        "({F})^{j} x3 ({F})^{k} x3^-1",
+        "x3^-1 {a} ({F})^{j} x3 ({F})^{k}",
+        "{a} ({F})^{j} x3 {b}",
+        "{F} {a} x3",
+        "({F})^{j} x3 {a} ({F})^{k} x3",
+    ])
+    return st.builds(lambda t, F, j, k, a, b: t.format(F=F, j=j, k=k, a=a, b=b),
+                     templates, run, exps, exps, gap, gap)
+
+
+@pytest.mark.parametrize("stem", sorted(_SIGNED_RUN_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_signed_run_keys_and_solutions_match_a_scan(stem, data):
+    # Each tuple's key folds its runs' references read by position from the
+    # tuple: it equals the run's references filled and joined in one seam
+    # merge, and the product of the letters by *,
+    # and over Balls and over plain lists the search returns the solutions
+    # of a letter-by-letter scan, in order, in both modes.
+    group = specfiles.parse_group_spec((CASES / f"{stem}.grp").read_text())
+    ball_text, consts = _SIGNED_RUN_CASES[stem]
+    parts = specfiles.parse_ball_spec(ball_text, group)
+    lhs = parse_word(data.draw(signed_run_texts(consts), label="lhs"), group)
+    depths = [data.draw(st.integers(1, 2), label=f"depth x{v}") for v in (1, 2, 3)]
+    balls = {v: Ball(group, parts, d) for v, d in zip((1, 2, 3), depths)}
+    lists = {v: list(ball) for v, ball in balls.items()}
+    if data.draw(st.booleans(), label="lists"):
+        # plain lists: a shuffled selection with copies of some elements
+        lists = {v: data.draw(st.lists(st.sampled_from(c), min_size=1, max_size=8), label=f"x{v}")
+                 for v, c in lists.items()}
+        searched = lists
+    else:
+        searched = balls
+    if data.draw(st.booleans(), label="reachable"):
+        rhs = evaluate(lhs, {v: data.draw(st.sampled_from(c)) for v, c in lists.items()})
+    else:
+        rhs = data.draw(elements(group, 4), label="rhs")
+    eq = Equation(lhs, rhs)
+    letters = flat_letters(lhs.letters)
+    scan = [Substitution.of(sub) for sub in (dict(zip((1, 2, 3), combo))
+                                             for combo in cartesian(*lists.values()))
+            if multiply_letters(letters, sub, group) == rhs]
+    keys = []
+    real = words._run_value
+
+    def spy(codec, refs, values, inverses):
+        out = real(codec, refs, values, inverses)
+        keys.append((refs, values, out))
+        return out
+
+    with patch.object(words, "_run_value", spy):
+        assert solve_bounded(eq, searched, mode="all") == scan
+        assert solve_bounded(eq, searched, mode="first") == (scan[0] if scan else None)
+    assert keys
+    codec, run_refs = group.codec, words._Program(lhs.letters, group, 3).run_refs
+    for refs, values, out in keys:
+        # refs read x1 at position 0 and x2 at position 1
+        var_refs = [r if type(r) is str else (r[0] + 1, r[1]) for r in refs]
+        assert var_refs in run_refs
+        assignment = {i + 1: v for i, v in enumerate(values)}
+        pieces = words._fill(var_refs, codec, assignment, {})
+        assert out == free_product._seam_merge(codec, "", pieces)
+        product = group.identity()
+        for r in var_refs:
+            if type(r) is str:
+                product = product * FPElement(group, r)
+            else:
+                value = FPElement(group, assignment[r[0]])
+                product = product * (value if r[1] > 0 else value.inverse())
+        assert out == product.ids
 
 
 def test_image_walk_needs_one_product_over_balls_with_one_set_of_parts(p23):
@@ -1512,10 +1606,12 @@ def test_theorem2_report_work(monkeypatch):
     # bound steps per binding, (x2^-1)^x3 taken as the inverse of x2^x3
     # rather than merged, and x2^3 and x1^3 taken as powers with no merge
     # (x1^3 once per value of x1 and e1, 34 powers, not once more per e2),
-    # the words module makes 12,421 seam merges and 4,675 powers, 0.316 and
+    # the words module makes 11,265 seam merges and 4,675 powers, 0.287 and
     # 0.119 per substitution; one memo and one bind per case made 0.533 and
     # 0.195, merging every step 3.24 and 2.06, and binding (x2, x3) without
-    # sharing 4.29 and 3.06.  A row of 17 values of x1 is decided once per
+    # sharing 4.29 and 3.06.  Each bind folds the run x2^x3 = x3^-1 x2 x3
+    # with _product, whose 2,244 seams make 1,090 of free_product's 1,098
+    # merges; the other seams are concatenations.  A row of 17 values of x1 is decided once per
     # distinct tuple of bound values in each shared memo: 17 + 16 for the
     # pairs with e2 = 0, 289 + 72 for the others, 788 rows (1,224 with one
     # memo per case).
@@ -1541,7 +1637,8 @@ def test_theorem2_report_work(monkeypatch):
     assert sum(c.merges for c in rep.case_results) == 11260
     assert [c.rows for c in rep.case_results] == [17, 17, 289, 16, 289, 16, 72, 72]
     assert sum(c.rows for c in rep.case_results) == 788
-    assert counts[words, "_seam_merge"] == 12421
+    assert counts[words, "_seam_merge"] == 11265
+    assert counts[free_product, "_seam_merge"] == 1098
     assert counts[words, "power_syllables"] == 4675
     merges = counts[words, "_seam_merge"] + counts.get((free_product, "_seam_merge"), 0)
     powers = counts[words, "power_syllables"] + counts.get((free_product, "power_syllables"), 0)
